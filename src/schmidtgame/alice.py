@@ -27,17 +27,16 @@ from .errors import (HorizonMismatch, InvalidAlpha, InvariantViolation,
                      NoPointFound, ScheduleOverlap, SpecError)
 from .fractal import DecayParams, FractalSupport, check_alpha, find_point_in_gap
 from .game import Ball, GameParams, Transcript, Variant
-from .numerics import (IntervalScalar, Ordering, Rational, decide,
-                       floor_sqrt, fractions_in_interval, parse_rational)
+from .numerics import floor_sqrt, fractions_in_interval, parse_rational
 
 log = logging.getLogger(__name__)
 
 __all__ = [
     "BiLipschitzMap", "GeometricTerms", "ListTerms", "ConstTargets",
     "PeriodicTargets", "ListTargets", "LacunarySpec",
-    "LacunaryStrategyState", "BAStrategyState",
-    "avoidance_step", "plan_lacunary", "index_block", "danger_set",
-    "lacunary_move", "plan_ba", "ba_move",
+    "LacunaryStrategyState", "BAStrategyState", "ALPHA_DIAGNOSTIC",
+    "avoidance_step", "lacunary_constants", "plan_lacunary", "index_block",
+    "danger_set", "lacunary_move", "ba_constants", "plan_ba", "ba_move",
     "LacunaryStrategy", "BAStrategy", "ExcludeCountable",
     "exclude_countable", "interleave", "InterleaveStrategy",
     "affine_map", "affine_to_sequence",
@@ -173,62 +172,35 @@ class BiLipschitzMap:
 # ---------------------------------------------------------------------------
 # lacunary sequence specifications
 
-TermValue = Union[Fraction, IntervalScalar]
-
-
 @dataclass(frozen=True)
 class GeometricTerms:
-    """Terms t_n = scale * base^n, re-indexed so that t_1 > 1.
+    """Terms t_n = scale * base^n, re-indexed so that t_1 > 1."""
 
-    ``base`` may be an exact rational or an interval enclosure of an
-    irrational; block enumeration refines enclosures on demand, while game
-    play requires exact rationals throughout.
-    """
-
-    base: TermValue
+    base: Fraction
     scale: Fraction = Fraction(1)
     shift: int = field(init=False, default=0)
 
     def __post_init__(self):
-        if isinstance(self.base, Fraction):
-            if self.base <= 1:
-                raise SpecError("geometric base must exceed 1")
-            # tail shift: smallest s >= 1 with scale*base^s > 1
-            if self.scale <= 0:
-                raise SpecError("scale must be positive")
-            s = 1
-            while self.scale * self.base ** s <= 1:
-                s += 1
-            object.__setattr__(self, "shift", s - 1)
-        else:
-            if self.base.lo <= 1:
-                raise SpecError("geometric base enclosure must exceed 1")
-            if self.scale != 1:
-                raise SpecError("interval bases do not take a scale")
-
-    @property
-    def rational(self) -> bool:
-        return isinstance(self.base, Fraction)
+        if self.base <= 1:
+            raise SpecError("geometric base must exceed 1")
+        # tail shift: smallest s >= 1 with scale*base^s > 1
+        if self.scale <= 0:
+            raise SpecError("scale must be positive")
+        s = 1
+        while self.scale * self.base ** s <= 1:
+            s += 1
+        object.__setattr__(self, "shift", s - 1)
 
     @property
     def lacunarity(self) -> Fraction:
-        if not self.rational:
-            # certified rational lower bound on the growth ratio
-            return self.base.lo
         return self.base
 
-    def term(self, n: int) -> TermValue:
+    def term(self, n: int) -> Fraction:
         if n < 1:
             raise HorizonMismatch("term index must be >= 1")
-        k = n + self.shift
-        if self.rational:
-            return self.scale * self.base ** k
-        out = self.base
-        for _ in range(k - 1):
-            out = out * self.base
-        return out
+        return self.scale * self.base ** (n + self.shift)
 
-    def enumerate(self) -> Iterator[Tuple[int, TermValue]]:
+    def enumerate(self) -> Iterator[Tuple[int, Fraction]]:
         n = 1
         while True:
             yield n, self.term(n)
@@ -239,8 +211,6 @@ class GeometricTerms:
         return None
 
     def to_json(self) -> dict:
-        if not self.rational:
-            raise SpecError("interval term rules have no exact serialization")
         return {"kind": "geometric", "base": str(self.base), "scale": str(self.scale)}
 
 
@@ -259,10 +229,6 @@ class ListTerms:
             if b / a < self.lacunarity:
                 raise SpecError("terms violate the declared lacunarity ratio")
         object.__setattr__(self, "values", vals)
-
-    @property
-    def rational(self) -> bool:
-        return True
 
     def term(self, n: int) -> Fraction:
         if not 1 <= n <= len(self.values):
@@ -358,8 +324,7 @@ class LacunarySpec:
         M = Fraction(M)
         if M <= 1:
             raise SpecError("lacunarity constant must exceed 1")
-        if isinstance(self.terms, GeometricTerms) and self.terms.rational \
-                and M > self.terms.base:
+        if isinstance(self.terms, GeometricTerms) and M > self.terms.base:
             raise SpecError("lacunarity constant exceeds the geometric ratio")
         if isinstance(self.terms, ListTerms) and M > self.terms.lacunarity:
             raise SpecError("lacunarity constant exceeds the list's ratio bound")
@@ -393,8 +358,91 @@ class LacunarySpec:
             targets = ListTargets(tuple(parse_rational(v) for v in g["values"]))
         else:
             raise SpecError("unknown target rule %r" % g.get("kind"))
-        M = data.get("lacunarity")
-        return cls(terms, targets, parse_rational(M) if M else None)
+        M = parse_rational(data["lacunarity"]) if "lacunarity" in data else None
+        return cls(terms, targets, M)
+
+
+# ---------------------------------------------------------------------------
+# schedule constants, shared by the planners and the certificate verifier
+
+ALPHA_DIAGNOSTIC = "alpha exceeds 1/4(1/(3C))^(1/gamma) for this measure"
+
+# the block capacity search gives up beyond this N (M too close to 1)
+MAX_BLOCK_CAPACITY = 10 ** 6
+
+
+def _check_plan_inputs(params: GameParams, decay: DecayParams) -> None:
+    if params.variant is not Variant.CLASSICAL:
+        raise SpecError("the clearing schedule needs exact classical radii")
+    if not check_alpha(params.alpha, decay):
+        raise InvalidAlpha(ALPHA_DIAGNOSTIC)
+
+
+def _block_capacity(inv: Fraction, M: Fraction) -> int:
+    """Least N >= 1 with inv^r <= M^N for r = bit_length(N).
+
+    Inside one bit-length band r is fixed and M^N grows with N, so the
+    condition is monotone there: find the first band whose top satisfies
+    it, then binary-search that band with exact powers.
+    """
+    r = 1
+    while inv ** r > M ** min(2 ** r - 1, MAX_BLOCK_CAPACITY):
+        if 2 ** r > MAX_BLOCK_CAPACITY:
+            raise SpecError("no block capacity below 10^6; M too close to 1")
+        r += 1
+    lo, hi = 2 ** (r - 1), min(2 ** r - 1, MAX_BLOCK_CAPACITY)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if inv ** r <= M ** mid:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+def lacunary_constants(M: Fraction, L: Fraction, alpha: Fraction,
+                       beta: Fraction, rho_prime: Fraction, rho0: Fraction
+                       ) -> Tuple[int, int, int, Fraction, Fraction]:
+    """(N, r, k0, rho, c) of the lacunary clearing schedule.
+
+    N is the minimal block capacity with (alpha*beta)^-r <= M^N for its own
+    r = floor(log2 N) + 1; k0 is the number of warm-up turns needed to
+    shrink the opening radius rho_prime below the plan bound, reaching rho;
+    c is the separation the finished blocks certify.
+    """
+    ab = alpha * beta
+    inv = 1 / ab
+    N = _block_capacity(inv, M)
+    r = N.bit_length()
+    bound = inv ** (r - 1) / L
+    k0 = 1
+    rho = rho_prime
+    # hardened smallness: window inflation must preserve translate spacing
+    while not (rho < rho0 and 2 * rho * (1 + ab ** (r + 1)) < bound):
+        k0 += 1
+        rho *= ab
+    c = (rho / L) * ab ** (3 * r)
+    return N, r, k0, rho, c
+
+
+def ba_constants(L: Fraction, alpha: Fraction, beta: Fraction,
+                 rho_prime: Fraction, rho0: Fraction
+                 ) -> Tuple[int, Fraction, Fraction]:
+    """(k0, rho, c) of the badly-approximable clearing schedule.
+
+    The warm-up bound rho < (alpha*beta)^2 / (2L(1+alpha)) keeps at most
+    one rational of each denominator block inside a clearing window even
+    after margin inflation; it implies the basic rho < alpha*beta/(2L).
+    The certified constant is c = rho/(beta*L).
+    """
+    ab = alpha * beta
+    bound = ab ** 2 / (2 * L * (1 + alpha))
+    k0 = 2
+    rho = ab * rho_prime
+    while not (rho < bound and rho < rho0):
+        k0 += 1
+        rho *= ab
+    return k0, rho, rho / (beta * L)
 
 
 # ---------------------------------------------------------------------------
@@ -489,46 +537,18 @@ def plan_lacunary(spec: LacunarySpec, phi: BiLipschitzMap, params: GameParams,
                   decay: DecayParams, opening: Ball) -> LacunaryStrategyState:
     """Derive the clearing schedule constants for a lacunary spec.
 
-    N is the minimal block capacity with (alpha*beta)^-r <= M^N for its own
-    r = floor(log2 N) + 1; k0 is the number of warm-up turns needed to
-    shrink below the plan bound; c is the separation the finished blocks
-    certify.  Raises InvalidAlpha when alpha fails the decay admissibility
-    bound (4*alpha)^gamma <= 1/(3C).
+    See lacunary_constants.  Raises InvalidAlpha when alpha fails the decay
+    admissibility bound (4*alpha)^gamma <= 1/(3C).
     """
-    if params.variant is not Variant.CLASSICAL:
-        raise SpecError("the clearing schedule needs exact classical radii")
-    if not check_alpha(params.alpha, decay):
-        raise InvalidAlpha(
-            "alpha exceeds 1/4(1/(3C))^(1/gamma) for this measure")
-    ab = params.alpha * params.beta
-    inv = 1 / ab
-    M = spec.M
+    _check_plan_inputs(params, decay)
     L = phi.lipschitz
-    N = 1
-    while inv ** N.bit_length() > M ** N:
-        N += 1
-        if N > 10 ** 6:
-            raise SpecError("no block capacity below 10^6; M too close to 1")
-    r = N.bit_length()
-    bound = inv ** (r - 1) / L
-    k0 = 1
-    rho = Fraction(opening.radius)
-    # hardened smallness: window inflation must preserve translate spacing
-    while not (rho < decay.rho0 and 2 * rho * (1 + ab ** (r + 1)) < bound):
-        k0 += 1
-        rho *= ab
-    c = (rho / L) * ab ** (3 * r)
+    rho_prime = Fraction(opening.radius)
+    N, r, k0, rho, c = lacunary_constants(spec.M, L, params.alpha, params.beta,
+                                          rho_prime, decay.rho0)
     return LacunaryStrategyState(
         alpha=params.alpha, beta=params.beta, L=L,
-        rho_prime=Fraction(opening.radius), rho0=decay.rho0,
+        rho_prime=rho_prime, rho0=decay.rho0,
         N=N, r=r, k0=k0, rho=rho, c=c)
-
-
-def _term_below(t: TermValue, bound: Fraction) -> bool:
-    if isinstance(t, Fraction):
-        return t < bound
-    side = decide(t, IntervalScalar.from_rational(bound))
-    return side is Ordering.LESS
 
 
 def index_block(state: LacunaryStrategyState, spec: LacunarySpec,
@@ -541,9 +561,9 @@ def index_block(state: LacunaryStrategyState, spec: LacunarySpec,
     upper = inv ** (state.r * k)
     out = []
     for n, t in spec.terms.enumerate():
-        if not _term_below(t, upper):
+        if t >= upper:
             break
-        if not _term_below(t, lower):
+        if t >= lower:
             out.append(n)
     return out
 
@@ -554,8 +574,6 @@ def _danger_entries(state, spec, phi, k, lo, hi):
     entries = []
     for n in index_block(state, spec, k):
         t = spec.terms.term(n)
-        if not isinstance(t, Fraction):
-            raise SpecError("danger enumeration requires rational terms")
         y = spec.targets.target(n)
         m_lo = math.ceil(t * u - y)
         m_hi = math.floor(t * v - y)
@@ -691,31 +709,16 @@ class BAStrategyState:
 
 def plan_ba(phi: BiLipschitzMap, params: GameParams, decay: DecayParams,
             opening: Ball) -> BAStrategyState:
-    """Derive the badly-approximable clearing constants.
-
-    The warm-up bound rho < (alpha*beta)^2 / (2L(1+alpha)) keeps at most
-    one rational of each denominator block inside a clearing window even
-    after margin inflation; it implies the basic rho < alpha*beta/(2L).
-    The certified constant is c = rho/(beta*L).
-    """
-    if params.variant is not Variant.CLASSICAL:
-        raise SpecError("the clearing schedule needs exact classical radii")
-    if not check_alpha(params.alpha, decay):
-        raise InvalidAlpha(
-            "alpha exceeds 1/4(1/(3C))^(1/gamma) for this measure")
-    ab = params.alpha * params.beta
+    """Derive the badly-approximable clearing constants; see ba_constants."""
+    _check_plan_inputs(params, decay)
     L = phi.lipschitz
-    bound = ab ** 2 / (2 * L * (1 + params.alpha))
-    k0 = 2
-    rho = ab * Fraction(opening.radius)
-    while not (rho < bound and rho < decay.rho0):
-        k0 += 1
-        rho *= ab
-    c = rho / (params.beta * L)
+    rho_prime = Fraction(opening.radius)
+    k0, rho, c = ba_constants(L, params.alpha, params.beta, rho_prime,
+                              decay.rho0)
     state = BAStrategyState(alpha=params.alpha, beta=params.beta, L=L,
-                            rho_prime=Fraction(opening.radius),
+                            rho_prime=rho_prime,
                             rho0=decay.rho0, k0=k0, rho=rho, c=c)
-    assert state.rho < min(ab / (2 * L), decay.rho0)
+    assert state.rho < min(state.ab / (2 * L), decay.rho0)
     return state
 
 

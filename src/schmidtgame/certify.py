@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
-from .alice import BiLipschitzMap, LacunarySpec
+from .alice import (BiLipschitzMap, LacunarySpec, ba_constants,
+                    lacunary_constants)
 from .errors import HorizonMismatch, SpecError
 from .fractal import DecayParams, DimensionEstimate, MeasureAuditReport
 from .numerics import (Exponent, LogRatio, Ordering, circle_dist,
@@ -145,57 +146,18 @@ class VerificationResult:
                 "reason": self.reason, "witness": self.witness}
 
 
-def _snap_frac(snap: dict, key: str) -> Fraction:
-    return parse_rational(snap[key])
+def _schedule_inputs(snap: dict):
+    """(phi, alpha, beta, rho_prime, rho0) as recorded in a snapshot.
 
-
-def _rederive_orbit(snap: dict):
-    """Recompute the lacunary schedule constants from the snapshot inputs.
-
-    Mirrors the planner arithmetic on purpose without calling it: the
-    verifier must reject a state whose stored constant was corrupted, so
-    it trusts only the recorded inputs.
+    The verifier re-derives the schedule constants from these alone, so a
+    certificate whose stored constant was corrupted fails closed.
     """
-    spec = LacunarySpec.from_json(snap["spec"])
     phi = BiLipschitzMap.from_json(snap["phi"])
-    alpha, beta = _snap_frac(snap, "alpha"), _snap_frac(snap, "beta")
-    rho0, rho = _snap_frac(snap, "rho0"), _snap_frac(snap, "rho_prime")
-    ab = alpha * beta
-    if not 0 < ab < 1:
+    alpha, beta, rho_prime, rho0 = (parse_rational(snap[key]) for key in
+                                    ("alpha", "beta", "rho_prime", "rho0"))
+    if not 0 < alpha * beta < 1:
         raise SpecError("snapshot ratios leave (0, 1)")
-    inv = 1 / ab
-    M, L = spec.M, phi.lipschitz
-    N = 1
-    while inv ** N.bit_length() > M ** N:
-        N += 1
-        if N > 10 ** 6:
-            raise SpecError("no block capacity below 10^6; M too close to 1")
-    r = N.bit_length()
-    bound = inv ** (r - 1) / L
-    k0 = 1
-    while not (rho < rho0 and 2 * rho * (1 + ab ** (r + 1)) < bound):
-        k0 += 1
-        rho *= ab
-    c = (rho / L) * ab ** (3 * r)
-    return spec, phi, ab, r, k0, c
-
-
-def _rederive_ba(snap: dict):
-    phi = BiLipschitzMap.from_json(snap["phi"])
-    alpha, beta = _snap_frac(snap, "alpha"), _snap_frac(snap, "beta")
-    rho0 = _snap_frac(snap, "rho0")
-    ab = alpha * beta
-    if not 0 < ab < 1:
-        raise SpecError("snapshot ratios leave (0, 1)")
-    L = phi.lipschitz
-    bound = ab ** 2 / (2 * L * (1 + alpha))
-    k0 = 2
-    rho = ab * _snap_frac(snap, "rho_prime")
-    while not (rho < bound and rho < rho0):
-        k0 += 1
-        rho *= ab
-    c = rho / (beta * L)
-    return phi, ab, k0, c
+    return phi, alpha, beta, rho_prime, rho0
 
 
 def _constant_mismatch(expected: Fraction, got: Fraction) -> VerificationResult:
@@ -230,8 +192,11 @@ def verify_orbit_separation(cert: Certificate) -> VerificationResult:
         raise SpecError("not an orbit-separation certificate")
     lo, hi = cert.interval
     snap = cert.snapshot
+    spec = LacunarySpec.from_json(snap["spec"])
     if "alpha" in snap:
-        spec, phi, ab, r, k0, c = _rederive_orbit(snap)
+        phi, alpha, beta, rho_prime, rho0 = _schedule_inputs(snap)
+        _, r, k0, _, c = lacunary_constants(spec.M, phi.lipschitz, alpha,
+                                            beta, rho_prime, rho0)
         if c != cert.c:
             return _constant_mismatch(c, cert.c)
         if cert.horizon_kind != "blocks":
@@ -242,12 +207,11 @@ def verify_orbit_separation(cert: Certificate) -> VerificationResult:
             raise HorizonMismatch(
                 "certificate claims %d blocks but %d turns finish at most %d"
                 % (cert.horizon, turns, max(0, reachable)))
-        top = (1 / ab) ** (r * cert.horizon)
+        top = (1 / (alpha * beta)) ** (r * cert.horizon)
 
         def covered(n, t):
             return t < top
     else:
-        spec = LacunarySpec.from_json(snap["spec"])
         phi = BiLipschitzMap.from_json(snap["phi"]) if "phi" in snap \
             else BiLipschitzMap.identity()
         if cert.horizon_kind != "terms":
@@ -258,8 +222,6 @@ def verify_orbit_separation(cert: Certificate) -> VerificationResult:
     u, v = phi.preimage_interval(lo, hi)
     checked = 0
     for n, t in spec.terms.enumerate():
-        if not isinstance(t, Fraction):
-            raise SpecError("verification requires rational terms")
         if not covered(n, t):
             break
         y = spec.targets.target(n)
@@ -286,7 +248,8 @@ def verify_ba(cert: Certificate, max_q: int = DEFAULT_MAX_Q) -> VerificationResu
     lo, hi = cert.interval
     snap = cert.snapshot
     if "alpha" in snap:
-        phi, ab, k0, c = _rederive_ba(snap)
+        phi, alpha, beta, rho_prime, rho0 = _schedule_inputs(snap)
+        k0, _, c = ba_constants(phi.lipschitz, alpha, beta, rho_prime, rho0)
         if c != cert.c:
             return _constant_mismatch(c, cert.c)
         if cert.horizon_kind != "blocks":
@@ -296,7 +259,7 @@ def verify_ba(cert: Certificate, max_q: int = DEFAULT_MAX_Q) -> VerificationResu
             raise HorizonMismatch(
                 "certificate claims %d blocks but %d turns finish at most %d"
                 % (cert.horizon, turns, max(0, turns - k0 + 2)))
-        q_cap = min(floor_sqrt((1 / ab) ** cert.horizon), max_q)
+        q_cap = min(floor_sqrt((1 / (alpha * beta)) ** cert.horizon), max_q)
     else:
         phi = BiLipschitzMap.from_json(snap["phi"]) if "phi" in snap \
             else BiLipschitzMap.identity()

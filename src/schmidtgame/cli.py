@@ -14,10 +14,9 @@ from fractions import Fraction
 from importlib import resources
 from typing import List, Optional, Tuple
 
-from .alice import (BAStrategy, BiLipschitzMap, ConstTargets, ExcludeCountable,
-                    GeometricTerms, InterleaveStrategy, LacunarySpec,
-                    LacunaryStrategy, ListTargets, ListTerms, PeriodicTargets,
-                    affine_to_sequence)
+from .alice import (ALPHA_DIAGNOSTIC, BAStrategy, BiLipschitzMap,
+                    ExcludeCountable, InterleaveStrategy, LacunarySpec,
+                    LacunaryStrategy, affine_to_sequence)
 from .bob import AdversaryConfig, make_bob
 from .certify import (DEFAULT_MAX_Q, Certificate, ba_certificate,
                       dimension_report, exponent_from_json, orbit_certificate,
@@ -26,7 +25,7 @@ from .errors import (HorizonMismatch, IllegalMove, InvalidAlpha,
                      InvariantViolation, NoPointFound, PrecisionCapExceeded,
                      ScheduleOverlap, SpecError, StrategyFailure)
 from .fractal import (IFS, AuditGrid, DecayParams, FractalMeasure,
-                      FractalSupport, SimilarityMap, audit_measure,
+                      FractalSupport, audit_measure,
                       binary_support, cantor_support, check_alpha,
                       decay_from_federer_efd, efd_to_exponent,
                       federer_to_exponent, lower_pointwise_dimension,
@@ -34,8 +33,6 @@ from .fractal import (IFS, AuditGrid, DecayParams, FractalMeasure,
 from .game import (Ball, GameParams, HoldCenter, Variant, outcome_interval,
                    run_game, validate_transcript)
 from .numerics import parse_rational
-
-ALPHA_DIAGNOSTIC = "alpha exceeds 1/4(1/(3C))^(1/gamma) for this measure"
 
 
 def bundled_spec_path(name: str) -> str:
@@ -62,11 +59,9 @@ def build_support(cfg) -> FractalSupport:
         return binary_support()
     if not isinstance(cfg, dict):
         raise SpecError("unknown support %r" % (cfg,))
-    maps = [SimilarityMap(parse_rational(m["r"]), parse_rational(m["a"]))
-            for m in cfg["maps"]]
-    weights = [parse_rational(w) for w in cfg["weights"]]
+    ifs = IFS.from_json(cfg)
     hull = (parse_rational(cfg["hull"][0]), parse_rational(cfg["hull"][1]))
-    return FractalSupport(IFS(maps, weights), hull)
+    return FractalSupport(ifs, hull)
 
 
 def build_decay(cfg: dict) -> Optional[DecayParams]:
@@ -102,28 +97,6 @@ def build_phi(cfg) -> BiLipschitzMap:
     raise SpecError("unknown phi kind %r" % kind)
 
 
-def _build_targets(cfg: dict):
-    kind = cfg["kind"]
-    if kind == "const":
-        return ConstTargets(parse_rational(cfg["value"]))
-    if kind == "periodic":
-        return PeriodicTargets(tuple(parse_rational(v) for v in cfg["values"]))
-    if kind == "list":
-        return ListTargets(tuple(parse_rational(v) for v in cfg["values"]))
-    raise SpecError("unknown target rule %r" % kind)
-
-
-def _build_terms(cfg: dict):
-    kind = cfg["kind"]
-    if kind == "geometric":
-        return GeometricTerms(parse_rational(cfg["base"]),
-                              parse_rational(cfg.get("scale", "1")))
-    if kind == "list":
-        return ListTerms(tuple(parse_rational(v) for v in cfg["values"]),
-                         parse_rational(cfg.get("lacunarity", "2")))
-    raise SpecError("unknown term rule %r" % kind)
-
-
 def build_strategy(cfg: dict, decay: Optional[DecayParams]):
     name = cfg.get("strategy")
     if name == "hold":
@@ -132,11 +105,8 @@ def build_strategy(cfg: dict, decay: Optional[DecayParams]):
         rho0 = parse_rational(cfg["rho0"]) if "rho0" in cfg else None
         return ExcludeCountable([parse_rational(p) for p in cfg["points"]], rho0)
     if name == "lacunary":
-        spec = LacunarySpec(_build_terms(cfg["terms"]),
-                            _build_targets(cfg["targets"]),
-                            parse_rational(cfg["lacunarity"])
-                            if "lacunarity" in cfg else None)
-        return LacunaryStrategy(spec, build_phi(cfg.get("phi")), decay)
+        return LacunaryStrategy(LacunarySpec.from_json(cfg),
+                                build_phi(cfg.get("phi")), decay)
     if name == "affine_orbit":
         spec = affine_to_sequence(parse_rational(cfg["b"]),
                                   parse_rational(cfg["c"]),
@@ -294,7 +264,8 @@ def cmd_audit(args) -> int:
         d = acfg["dimension"]
         x = parse_rational(d.get("x", "0"))
         k_max = int(d.get("k_max", 12))
-        base = parse_rational(d.get("rho_base", support.contraction))
+        base = parse_rational(d["rho_base"]) if "rho_base" in d \
+            else support.contraction
         ests = lower_pointwise_dimension(measure, x,
                                          [base ** k for k in range(1, k_max + 1)])
         rep = dimension_report(decay=report.decay, estimates=ests,

@@ -201,15 +201,7 @@ def outcome_interval(t: Transcript) -> Tuple[Fraction, Fraction]:
     return t.last_ball.interval
 
 
-class Strategy:
-    """Interface marker; see alice and bob modules for implementations."""
-
-    def move(self, support: FractalSupport, params: GameParams,
-             transcript: Transcript) -> Ball:
-        raise NotImplementedError
-
-
-class HoldCenter(Strategy):
+class HoldCenter:
     """The canonical arbitrary move: keep the center, shrink by rule."""
 
     def move(self, support, params, transcript):

@@ -1,11 +1,11 @@
 """Exact scalars, certified interval arithmetic, and circle-distance primitives.
 
 All game quantities are python Fractions.  Irrational quantities show up in
-two places only: logarithmic exponents such as log 2/log 3 (kept symbolically
-as LogRatio and compared through integer-power arithmetic) and user-supplied
-irrational sequence bases (kept as refinable dyadic enclosures).  No float
-ever decides a comparison: when an enclosure cannot separate two values
-within the precision budget, PrecisionCapExceeded is raised.
+one place only: logarithmic exponents such as log 2/log 3, kept symbolically
+as LogRatio and compared through integer-power arithmetic or refinable
+dyadic enclosures of their logarithms.  No float ever decides a comparison:
+when an enclosure cannot separate two values within the precision budget,
+PrecisionCapExceeded is raised.
 """
 
 from __future__ import annotations
@@ -17,8 +17,6 @@ from fractions import Fraction
 from typing import Callable, Optional, Tuple, Union
 
 from .errors import PrecisionCapExceeded
-
-Rational = Fraction
 
 # refinement budget: the domain's comparisons separate at tens of bits,
 # so hitting this cap signals a genuine tie (or a misuse), not bad luck
@@ -45,8 +43,11 @@ def parse_rational(text: str) -> Fraction:
     """Parse "p/q" (or a plain integer string) into a Fraction.
 
     Fraction() already rejects zero denominators and junk; we only
-    normalize whitespace and keep the error type uniform.
+    normalize whitespace and keep the error type uniform.  Anything but a
+    string is rejected too, so a JSON float never becomes a rational.
     """
+    if not isinstance(text, str):
+        raise ValueError(f"not a rational: {text!r}")
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
@@ -178,23 +179,6 @@ class IntervalScalar:
         return IntervalScalar(*ln_bounds(x, bits), bits=bits,
                               source=lambda b: ln_bounds(x, b))
 
-    @staticmethod
-    def sqrt_of(x, bits: int = _START_BITS) -> "IntervalScalar":
-        x = Fraction(x)
-        if x < 0:
-            raise ValueError("sqrt of a negative rational")
-
-        def rng(b: int) -> Tuple[Fraction, Fraction]:
-            # sqrt(n/d) = sqrt(n d)/d; isqrt gives the floor at scale 2^b
-            n, d = x.numerator, x.denominator
-            s = math.isqrt(n * d << (2 * b))
-            lo = Fraction(s, d << b)
-            if s * s == n * d << (2 * b):
-                return lo, lo
-            return lo, Fraction(s + 1, d << b)
-
-        return IntervalScalar(*rng(bits), bits=bits, source=rng)
-
     @property
     def is_point(self) -> bool:
         return self.lo == self.hi
@@ -220,26 +204,12 @@ class IntervalScalar:
     def __add__(self, other):
         return self._binary(other, lambda a, b: (a.lo + b.lo, a.hi + b.hi))
 
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self._binary(other, lambda a, b: (a.lo - b.hi, a.hi - b.lo))
-
-    def __rsub__(self, other):
-        return as_interval(other) - self
-
     def __mul__(self, other):
         def f(a, b):
             ps = (a.lo * b.lo, a.lo * b.hi, a.hi * b.lo, a.hi * b.hi)
             return min(ps), max(ps)
 
         return self._binary(other, f)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        src = (lambda b: _neg_pair(self.refine(b))) if self.source else None
-        return IntervalScalar(-self.hi, -self.lo, self.bits, src)
 
     def __truediv__(self, other):
         other = as_interval(other)
@@ -274,24 +244,10 @@ class IntervalScalar:
         return Ordering.UNDECIDED
 
 
-def _neg_pair(iv: IntervalScalar) -> Tuple[Fraction, Fraction]:
-    return -iv.hi, -iv.lo
-
-
-RealScalar = Union[Fraction, IntervalScalar]
-
-
 def as_interval(value) -> IntervalScalar:
     if isinstance(value, IntervalScalar):
         return value
     return IntervalScalar.from_rational(value)
-
-
-def compare(a, b) -> Ordering:
-    """Compare two RealScalars at their current precision."""
-    if isinstance(a, IntervalScalar) or isinstance(b, IntervalScalar):
-        return as_interval(a).compare(as_interval(b))
-    return ordering_of(Fraction(a), Fraction(b))
 
 
 def decide(a, b, max_bits: int = DEFAULT_MAX_BITS) -> Ordering:
@@ -549,35 +505,9 @@ def floor_sqrt(x) -> int:
 # circle distance
 
 
-class CirclePoint:
-    """Point of the circle R/Z, stored by its representative in [0, 1)."""
-
-    __slots__ = ("representative",)
-
-    def __init__(self, value):
-        self.representative = Fraction(value) % 1
-
-    def __eq__(self, other):
-        if isinstance(other, CirclePoint):
-            return self.representative == other.representative
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(("CirclePoint", self.representative))
-
-    def __repr__(self):
-        return f"CirclePoint({self.representative})"
-
-
-def _circle_value(y) -> Fraction:
-    if isinstance(y, CirclePoint):
-        return y.representative
-    return Fraction(y) % 1
-
-
 def circle_dist_range(lo, hi, y) -> Tuple[Fraction, Fraction]:
     """Exact range of the circle distance d(pi(u), y) over u in [lo, hi]."""
-    lo, hi, y = Fraction(lo), Fraction(hi), _circle_value(y)
+    lo, hi, y = Fraction(lo), Fraction(hi), Fraction(y) % 1
     if lo > hi:
         raise ValueError("empty range")
     if hi - lo >= 1:
@@ -593,17 +523,9 @@ def circle_dist_range(lo, hi, y) -> Tuple[Fraction, Fraction]:
     return dmin, dmax
 
 
-def circle_dist(u, y) -> RealScalar:
-    """Distance on R/Z from pi(u) to y; exact Fraction for rational u."""
-    yv = _circle_value(y)
-    if isinstance(u, IntervalScalar):
-        def rng(bits: int) -> Tuple[Fraction, Fraction]:
-            ru = u.refine(bits)
-            return circle_dist_range(ru.lo, ru.hi, yv)
-
-        lo, hi = circle_dist_range(u.lo, u.hi, yv)
-        return IntervalScalar(lo, hi, u.bits, rng if u.source else None)
-    t = (Fraction(u) - yv) % 1
+def circle_dist(u, y) -> Fraction:
+    """Distance on R/Z from pi(u) to y."""
+    t = (Fraction(u) - Fraction(y)) % 1
     return min(t, 1 - t)
 
 

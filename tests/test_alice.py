@@ -11,15 +11,14 @@ from schmidtgame.alice import (BAStrategy, BiLipschitzMap, ConstTargets,
                                _block_candidates, danger_set, index_block,
                                interleave, plan_ba, plan_lacunary)
 from schmidtgame.errors import (HorizonMismatch, InvalidAlpha,
-                                NoPointFound, PrecisionCapExceeded,
-                                ScheduleOverlap, SpecError)
+                                NoPointFound, ScheduleOverlap, SpecError)
 from schmidtgame.fractal import (DecayParams, cantor_support,
                                  decay_from_federer_efd, efd_to_exponent,
                                  federer_to_exponent, max_alpha)
 from schmidtgame.game import (Ball, GameParams, HoldCenter, Variant,
                               outcome_interval, run_game, validate_transcript)
-from schmidtgame.numerics import (IntervalScalar, circle_dist,
-                                  circle_dist_range, fractions_in_interval)
+from schmidtgame.numerics import (circle_dist, circle_dist_range,
+                                  fractions_in_interval)
 
 
 @pytest.fixture(scope="module")
@@ -214,6 +213,27 @@ class TestPlanLacunary:
         with pytest.raises(InvalidAlpha):
             plan_lacunary(lac2(), ID, QUARTER, cantor_decay, Ball(F(0), F(1)))
 
+    @pytest.mark.parametrize("M", [F(3, 2), F(2), F(3), F(11, 10), F(16),
+                                   F(17)])
+    def test_capacity_matches_linear_search(self, M):
+        spec = LacunarySpec(GeometricTerms(M), ConstTargets(F(0)))
+        st = plan_lacunary(spec, ID, QUARTER, LOOSE, Ball(F(0), F(1)))
+        N = 1
+        while 16 ** N.bit_length() > M ** N:
+            N += 1
+        assert st.N == N
+
+    def test_capacity_with_lacunarity_near_one(self, cantor_decay,
+                                               cantor_alpha):
+        # M near 1 makes N large; the search must not step N one by one
+        spec = LacunarySpec(GeometricTerms(F(101, 100)), ConstTargets(F(0)))
+        st = plan_lacunary(spec, ID, GameParams(cantor_alpha, F(1, 4)),
+                           cantor_decay, Ball(F(0), F(1)))
+        assert (st.N, st.r) == (11133, 14)
+        inv, M = 1 / st.ab, spec.M
+        assert inv ** st.r <= M ** st.N
+        assert inv ** (st.N - 1).bit_length() > M ** (st.N - 1)
+
     def test_strong_variant_rejected(self):
         params = GameParams(F(1, 4), F(1, 4), Variant.STRONG)
         with pytest.raises(SpecError):
@@ -233,16 +253,6 @@ class TestIndexBlock:
         assert st.r == 1
         for k in (1, 2, 3, 7):
             assert index_block(st, spec, k) == [k]
-
-    def test_irrational_boundary_requests_precision(self):
-        # a sourceless enclosure of the base cannot be refined, and its
-        # 20th power straddles the block boundary 16^5 = 2^20
-        base = IntervalScalar(F(2), F(2) + F(1, 10 ** 9))
-        spec = LacunarySpec(GeometricTerms(base), ConstTargets(F(0)),
-                            lacunarity=F(2))
-        st = plan_lacunary(spec, ID, QUARTER, LOOSE, Ball(F(0), F(1)))
-        with pytest.raises(PrecisionCapExceeded):
-            index_block(st, spec, 1)
 
 
 class TestDangerSet:

@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 from dataclasses import replace
@@ -56,6 +57,30 @@ def ba_run(K, cantor_decay):
 
 def bare(kind, x, c, horizon, horizon_kind, **snap):
     return Certificate(kind, (F(x), F(x)), F(c), horizon, horizon_kind, snap)
+
+
+def scaled(key, factor):
+    def edit(snap):
+        snap[key] = str(F(snap[key]) * factor)
+    edit.__name__ = "%s*%s" % (key, factor)
+    return edit
+
+
+def steeper_phi(snap):
+    snap["phi"] = BiLipschitzMap.affine(F(2)).to_json()
+
+
+def looser_lacunarity(snap):
+    snap["spec"]["lacunarity"] = "3/2"
+
+
+# every schedule input in a snapshot feeds c, except rho0, which does not
+# bind on these runs; only orbit snapshots carry a sequence spec
+SCHEDULE_EDITS = [scaled(key, factor)
+                  for key in ("alpha", "beta", "rho_prime")
+                  for factor in (F(1, 2), F(2))] + [steeper_phi]
+SNAPSHOT_EDITS = [(kind, edit) for kind in ("orbit", "ba")
+                  for edit in SCHEDULE_EDITS] + [("orbit", looser_lacunarity)]
 
 
 class TestCertificateObject:
@@ -211,6 +236,22 @@ class TestMutation:
         snap = dict(cert.snapshot)
         snap["alpha"] = str(state.alpha / 2)
         assert not verify_orbit_separation(replace(cert, snapshot=snap)).passed
+
+    @pytest.mark.parametrize("kind, edit", SNAPSHOT_EDITS,
+                             ids=lambda v: getattr(v, "__name__", v))
+    def test_snapshot_edit_fails_closed(self, kind, edit, lacunary_run,
+                                        ba_run):
+        if kind == "orbit":
+            spec, state, t = lacunary_run
+            cert = orbit_certificate(state, spec, ID, outcome_interval(t))
+        else:
+            state, t = ba_run
+            cert = ba_certificate(state, ID, outcome_interval(t))
+        snap = copy.deepcopy(cert.snapshot)
+        edit(snap)
+        got = verify(replace(cert, snapshot=snap))
+        assert not got.passed
+        assert got.witness["field"] == "c"
 
     def test_inflated_horizon_raises(self, lacunary_run, ba_run):
         spec, state, t = lacunary_run

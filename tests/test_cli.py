@@ -75,6 +75,15 @@ class TestPlay:
         assert main(["play", "--spec", spec, "--out", str(tmp_path)]) == 2
         assert "1/0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mutate", [
+        lambda d: d["game"].__setitem__("beta", 0.25),
+        lambda d: d["alice"].__setitem__("lacunarity", None),
+    ], ids=["float_beta", "null_lacunarity"])
+    def test_non_string_rational_exits_2(self, tmp_path, capsys, mutate):
+        spec = write_spec(tmp_path, mutate)
+        assert main(["play", "--spec", spec, "--out", str(tmp_path)]) == 2
+        assert "not a rational" in capsys.readouterr().err
+
     def test_malformed_json_exits_2(self, tmp_path):
         p = tmp_path / "junk.json"
         p.write_text("{not json")
@@ -141,6 +150,18 @@ class TestAudit:
         assert dim["analytic_bound"] == {"log": ["2", "3"]}
         assert dim["consistent"] is True
         assert dim["margin"] == "0"
+
+    def test_rho_base_defaults_to_contraction(self, tmp_path):
+        doc = json.loads(open(bundled_spec_path("cantor_audit.json")).read())
+        assert doc["audit"]["dimension"].pop("rho_base") == "1/3"
+        p = tmp_path / "spec.json"
+        p.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["audit", "--spec", str(p), "--out", str(out)]) == 0
+        assert main(["audit", "--spec", bundled_spec_path("cantor_audit.json"),
+                     "--out", str(tmp_path)]) == 0
+        assert (out / "dimension.json").read_bytes() == \
+            (tmp_path / "dimension.json").read_bytes()
 
     def test_failing_decay_exits_1(self, tmp_path):
         doc = json.loads(open(bundled_spec_path("lebesgue_audit.json")).read())
