@@ -16,6 +16,7 @@ arithmetic progressions of turns, and the reduction of affine expanding
 circle maps to lacunary target sequences.
 """
 
+import bisect
 import logging
 import math
 from dataclasses import dataclass, field
@@ -201,10 +202,28 @@ class GeometricTerms:
         return self.scale * self.base ** (n + self.shift)
 
     def enumerate(self) -> Iterator[Tuple[int, Fraction]]:
-        n = 1
+        n, t = 1, self.term(1)
         while True:
-            yield n, self.term(n)
-            n += 1
+            yield n, t
+            n, t = n + 1, t * self.base
+
+    def indices_between(self, lower, upper) -> List[int]:
+        """Every n with lower <= t_n < upper, in increasing order."""
+        # the first n with t_n >= lower: double, then bisect on exact terms
+        lo, hi = 0, 1
+        while self.term(hi) < lower:
+            lo, hi = hi, 2 * hi
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if self.term(mid) < lower:
+                lo = mid
+            else:
+                hi = mid
+        n, t, out = hi, self.term(hi), []
+        while t < upper:
+            out.append(n)
+            n, t = n + 1, t * self.base
+        return out
 
     @property
     def horizon(self) -> Optional[int]:
@@ -238,6 +257,11 @@ class ListTerms:
     def enumerate(self) -> Iterator[Tuple[int, Fraction]]:
         for i, v in enumerate(self.values, start=1):
             yield i, v
+
+    def indices_between(self, lower, upper) -> List[int]:
+        """Every n with lower <= t_n < upper, in increasing order."""
+        return list(range(bisect.bisect_left(self.values, lower) + 1,
+                          bisect.bisect_left(self.values, upper) + 1))
 
     @property
     def horizon(self) -> Optional[int]:
@@ -557,15 +581,8 @@ def index_block(state: LacunaryStrategyState, spec: LacunarySpec,
     if k < 1:
         raise SpecError("block index must be >= 1")
     inv = 1 / state.ab
-    lower = inv ** (state.r * (k - 1))
-    upper = inv ** (state.r * k)
-    out = []
-    for n, t in spec.terms.enumerate():
-        if t >= upper:
-            break
-        if t >= lower:
-            out.append(n)
-    return out
+    return spec.terms.indices_between(inv ** (state.r * (k - 1)),
+                                      inv ** (state.r * k))
 
 
 def _danger_entries(state, spec, phi, k, lo, hi):

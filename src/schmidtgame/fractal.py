@@ -10,19 +10,18 @@ cylinders against the query interval, so audit verdicts are never floats.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .errors import SpecError
 from .numerics import (Exponent, LogRatio, Ordering, format_rational,
-                       make_exponent, invert_exponent, parse_rational,
-                       pow_exact, rational_power_of, scaled_pow_cmp)
+                       make_exponent, parse_rational, pow_exact,
+                       rational_power_of, scaled_pow_cmp)
 
 Interval = Tuple[Fraction, Fraction]
-
-_ZERO2 = (Fraction(0), Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -105,11 +104,40 @@ class Cylinder:
         return (self.lo, self.hi)
 
 
+def _common_denominator(values: Iterable[Fraction]) -> int:
+    return math.lcm(*(v.denominator for v in values))
+
+
+class _Node:
+    """A cylinder met by `FractalSupport._walk`.
+
+    Its word's map is x -> (rho x + alpha) / Q**depth; its interval is
+    [lo, hi] / scale and its mass is mass / V**depth.  `word` is the walk's
+    own list, valid until the next node: copy it to keep it.
+    """
+
+    __slots__ = ("depth", "word", "lo", "hi", "scale", "rho", "alpha",
+                 "mass", "descend")
+
+    def __init__(self, depth, word, lo, hi, scale, rho, alpha, mass):
+        self.depth, self.word, self.lo, self.hi = depth, word, lo, hi
+        self.scale, self.rho, self.alpha, self.mass = scale, rho, alpha, mass
+        self.descend = True
+
+
 class FractalSupport:
     """Attractor K of an IFS, with exact constructive point membership.
 
     Every point this class hands out is w_word(p0) for the canonical point
     p0 = fixed point of map 0, which is a containment proof by itself.
+
+    The cylinder arithmetic runs on integers: map i is x -> (R_i x + A_i)/Q
+    and weight i is W_i/V over common denominators Q and V, and the hull
+    ends and p0 are L/H, U/H and P/H.  A word of n letters composes to
+    w(x) = (rho x + alpha)/Q**n, so w(v/H) = (rho v + alpha H)/(H Q**n):
+    its cylinder ends and its point are integers over H*Q**n, and every
+    comparison is a cross-multiplication.  Fractions are built only for
+    results.
     """
 
     def __init__(self, ifs: IFS, hull: Interval):
@@ -125,80 +153,112 @@ class FractalSupport:
         self.hull = (lo, hi)
         self.canonical_point = ifs.maps[0].fixed_point
         self.contraction = max(abs(m.r) for m in ifs.maps)
+        Q = _common_denominator(v for m in ifs.maps for v in (m.r, m.a))
+        self._Q = Q
+        self._maps = [(int(m.r * Q), int(m.a * Q)) for m in ifs.maps]
+        V = _common_denominator(ifs.weights)
+        self._V = V
+        self._weights = [int(w * V) for w in ifs.weights]
+        H = _common_denominator((lo, hi, self.canonical_point))
+        self._H = H
+        self._L, self._U, self._P = (int(v * H) for v in
+                                     (lo, hi, self.canonical_point))
 
     @property
     def diameter(self) -> Fraction:
         return self.hull[1] - self.hull[0]
 
-    def _compose(self, word: Iterable[int]) -> Tuple[Fraction, Fraction]:
-        # returns (r, a) of w_word as a single affine map
-        r, a = Fraction(1), Fraction(0)
+    def _affine(self, word: Sequence[int]) -> Tuple[int, int]:
+        """(rho, alpha) of w_word, by Horner's rule on alpha."""
+        Q, maps = self._Q, self._maps
+        rho, alpha = 1, 0
         for i in word:
-            m = self.ifs.maps[i]
-            r, a = r * m.r, r * m.a + a
-        return r, a
+            R, A = maps[i]
+            rho, alpha = rho * R, rho * A + alpha * Q
+        return rho, alpha
 
-    def point(self, word: Iterable[int]) -> Fraction:
-        r, a = self._compose(word)
-        return r * self.canonical_point + a
+    def point(self, word: Sequence[int]) -> Fraction:
+        rho, alpha = self._affine(word)
+        return Fraction(rho * self._P + alpha * self._H,
+                        self._H * self._Q ** len(word))
 
-    def verify_point(self, x, word: Iterable[int]) -> bool:
-        return Fraction(x) == self.point(word)
+    def verify_point(self, x, word: Sequence[int]) -> bool:
+        x = Fraction(x)
+        rho, alpha = self._affine(word)
+        return ((rho * self._P + alpha * self._H) * x.denominator
+                == x.numerator * self._H * self._Q ** len(word))
+
+    def _cylinder(self, word, lo: int, hi: int, scale: int,
+                  mass: int) -> Cylinder:
+        return Cylinder(tuple(word), Fraction(lo, scale), Fraction(hi, scale),
+                        Fraction(mass, self._V ** len(word)))
 
     def cylinder(self, word: Sequence[int]) -> Cylinder:
-        r, a = self._compose(word)
-        lo, hi = self.hull
-        p, q = r * lo + a, r * hi + a
-        mass = Fraction(1)
+        rho, alpha = self._affine(word)
+        H = self._H
+        lo, hi = rho * self._L + alpha * H, rho * self._U + alpha * H
+        if rho < 0:
+            lo, hi = hi, lo
+        mass = 1
         for i in word:
-            mass *= self.ifs.weights[i]
-        return Cylinder(tuple(word), min(p, q), max(p, q), mass)
+            mass *= self._weights[i]
+        return self._cylinder(word, lo, hi, H * self._Q ** len(word), mass)
 
     def cylinders(self, depth: int) -> List[Cylinder]:
-        return [self.cylinder(w)
-                for w in itertools.product(range(len(self.ifs.maps)), repeat=depth)]
+        return self.cylinders_meeting(*self.hull, depth)
+
+    def _walk(self, lo: Fraction, hi: Fraction, depth: int):
+        """Preorder walk, children in letter order, over the cylinders of
+        depth at most `depth` whose closed interval meets [lo, hi].
+
+        Yields a `_Node` per cylinder.  Its children are walked next unless
+        the consumer clears `node.descend` before asking for the next node.
+        The stack is explicit, so depth is not bounded by the interpreter's
+        frame limit.
+        """
+        Q, H, L, U = self._Q, self._H, self._L, self._U
+        maps, weights = self._maps, self._weights
+        (ln, ld), (hn, hd) = lo.as_integer_ratio(), hi.as_integer_ratio()
+        letters = range(len(maps) - 1, -1, -1)
+        scales = [H]
+        word: List[int] = []
+        stack = [(0, 0, 1, 0, 1)]
+        while stack:
+            d, letter, rho, alpha, mass = stack.pop()
+            if d:
+                del word[d - 1:]
+                word.append(letter)
+            if d == len(scales):
+                scales.append(scales[-1] * Q)
+            scale = scales[d]
+            p, q = rho * L + alpha * H, rho * U + alpha * H
+            if rho < 0:
+                p, q = q, p
+            if q * ld < ln * scale or p * hd > hn * scale:
+                continue
+            node = _Node(d, word, p, q, scale, rho, alpha, mass)
+            yield node
+            if node.descend and d < depth:
+                for i in letters:
+                    R, A = maps[i]
+                    stack.append((d + 1, i, rho * R, rho * A + alpha * Q,
+                                  mass * weights[i]))
 
     def cylinders_meeting(self, lo, hi, depth: int) -> List[Cylinder]:
         """Depth-`depth` cylinders whose closed interval meets [lo, hi]."""
-        lo, hi = Fraction(lo), Fraction(hi)
-        out: List[Cylinder] = []
-
-        def rec(word, r, a, d):
-            p, q = r * self.hull[0] + a, r * self.hull[1] + a
-            clo, chi = (p, q) if p <= q else (q, p)
-            if chi < lo or clo > hi:
-                return
-            if d == depth:
-                mass = Fraction(1)
-                for i in word:
-                    mass *= self.ifs.weights[i]
-                out.append(Cylinder(tuple(word), clo, chi, mass))
-                return
-            for i, m in enumerate(self.ifs.maps):
-                rec(word + (i,), r * m.r, r * m.a + a, d + 1)
-
-        rec((), Fraction(1), Fraction(0), 0)
-        return out
+        return [self._cylinder(n.word, n.lo, n.hi, n.scale, n.mass)
+                for n in self._walk(Fraction(lo), Fraction(hi), depth)
+                if n.depth == depth]
 
     def locate(self, x, max_depth: int = 512) -> Optional[Tuple[int, ...]]:
         """Find a word proving x in K (x must be a canonical cylinder point)."""
         x = Fraction(x)
-
-        def rec(word, r, a, d):
-            p, q = r * self.hull[0] + a, r * self.hull[1] + a
-            if not (min(p, q) <= x <= max(p, q)):
-                return None
-            if x == r * self.canonical_point + a:
-                return word
-            if d == max_depth:
-                return None
-            for i, m in enumerate(self.ifs.maps):
-                got = rec(word + (i,), r * m.r, r * m.a + a, d + 1)
-                if got is not None:
-                    return got
-            return None
-
-        return rec((), Fraction(1), Fraction(0), 0)
+        xn, xd = x.as_integer_ratio()
+        P, H = self._P, self._H
+        for n in self._walk(x, x, max_depth):
+            if (n.rho * P + n.alpha * H) * xd == xn * n.scale:
+                return tuple(n.word)
+        return None
 
 
 class FractalMeasure:
@@ -218,27 +278,22 @@ class FractalMeasure:
         lo, hi = Fraction(lo), Fraction(hi)
         if lo > hi:
             raise ValueError("empty interval")
-        sup = self.support
-        hlo, hhi = sup.hull
-        maps, weights = sup.ifs.maps, sup.ifs.weights
-
-        def rec(r, a, mass, d):
-            p, q = r * hlo + a, r * hhi + a
-            clo, chi = (p, q) if p <= q else (q, p)
-            if chi < lo or clo > hi or chi == lo or clo == hi:
-                return _ZERO2
-            if lo <= clo and chi <= hi:
-                return (mass, mass)
-            if d == 0:
-                return (Fraction(0), mass)
-            lsum, usum = Fraction(0), Fraction(0)
-            for m, w in zip(maps, weights):
-                l, u = rec(r * m.r, r * m.a + a, mass * w, d - 1)
-                lsum += l
-                usum += u
-            return (lsum, usum)
-
-        return rec(Fraction(1), Fraction(0), Fraction(1), depth)
+        (ln, ld), (hn, hd) = lo.as_integer_ratio(), hi.as_integer_ratio()
+        V = self.support._V
+        lower = upper = 0  # over V**depth
+        for n in self.support._walk(lo, hi, depth):
+            s = n.scale
+            if n.hi * ld == ln * s or n.lo * hd == hn * s:
+                n.descend = False  # touches the query in one point
+            elif ln * s <= n.lo * ld and n.hi * hd <= hn * s:
+                n.descend = False
+                mass = n.mass * V ** (depth - n.depth)
+                lower += mass
+                upper += mass
+            elif n.depth == depth:
+                upper += n.mass
+        total = V ** depth
+        return (Fraction(lower, total), Fraction(upper, total))
 
     def ball_mass(self, center, radius, depth: int) -> Tuple[Fraction, Fraction]:
         center, radius = Fraction(center), Fraction(radius)
@@ -312,28 +367,21 @@ def find_point_in_gap(support: FractalSupport, inside: Interval,
             diam *= support.contraction
         max_depth = depth
 
-    hlo, hhi = support.hull
-    maps = support.ifs.maps
-    p0 = support.canonical_point
-
-    # explicit DFS stack: max_depth can exceed the interpreter's frame limit
-    stack = [((), Fraction(1), Fraction(0), 0)]
-    while stack:
-        word, r, a, d = stack.pop()
-        p, q = r * hlo + a, r * hhi + a
-        clo, chi = (p, q) if p <= q else (q, p)
-        if chi < ilo or clo > ihi:
+    P, H = support._P, support._H
+    (iln, ild), (ihn, ihd) = ilo.as_integer_ratio(), ihi.as_integer_ratio()
+    bounds = [(*flo.as_integer_ratio(), *fhi.as_integer_ratio())
+              for flo, fhi in merged]
+    for n in support._walk(ilo, ihi, max_depth):
+        s, clo, chi = n.scale, n.lo, n.hi
+        if any(fln * s <= clo * fld and chi * fhd <= fhn * s
+               for fln, fld, fhn, fhd in bounds):
+            n.descend = False
             continue
-        if any(flo <= clo and chi <= fhi for flo, fhi in merged):
-            continue
-        x = r * p0 + a
-        if ilo <= x <= ihi and not covered(x):
-            return (x, word)
-        if d == max_depth:
-            continue
-        for i in range(len(maps) - 1, -1, -1):
-            m = maps[i]
-            stack.append((word + (i,), r * m.r, r * m.a + a, d + 1))
+        x = n.rho * P + n.alpha * H
+        if (iln * s <= x * ild and x * ihd <= ihn * s
+                and not any(fln * s <= x * fld and x * fhd <= fhn * s
+                            for fln, fld, fhn, fhd in bounds)):
+            return (Fraction(x, s), tuple(n.word))
     return None
 
 

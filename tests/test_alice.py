@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -253,6 +254,30 @@ class TestIndexBlock:
         assert st.r == 1
         for k in (1, 2, 3, 7):
             assert index_block(st, spec, k) == [k]
+
+
+    @pytest.mark.parametrize("spec", [
+        lac2(),
+        LacunarySpec(GeometricTerms(F(16), F(1, 2)), ConstTargets(F(0))),
+        LacunarySpec(GeometricTerms(F(5, 2), F(1, 1000)), ConstTargets(F(0))),
+        LacunarySpec(ListTerms(tuple(F(2) ** n for n in range(1, 120)), F(2)),
+                     ConstTargets(F(0)))])
+    def test_blocks_match_terms_from_one(self, spec):
+        st = plan_lacunary(spec, ID, QUARTER, LOOSE, Ball(F(0), F(1)))
+        inv = 1 / st.ab
+        last = spec.terms.horizon or 10 ** 6
+        for k in range(1, 41):
+            lower, upper = inv ** (st.r * (k - 1)), inv ** (st.r * k)
+            want = []
+            for n in range(1, last + 1):
+                t = spec.terms.term(n)
+                if t >= upper:
+                    break
+                if t >= lower:
+                    want.append(n)
+            assert index_block(st, spec, k) == want
+        assert list(itertools.islice(spec.terms.enumerate(), 100)) == \
+            [(n, spec.terms.term(n)) for n in range(1, min(last, 100) + 1)]
 
 
 class TestDangerSet:

@@ -94,6 +94,18 @@ class TestSupportPoints:
         assert c.hi - c.lo == F(1, 9)
 
 
+class TestLongWords:
+    def test_1200_letters_walk_without_recursion_limit(self, cantor):
+        K = cantor.support
+        rng = random.Random(1200)
+        w = tuple(rng.randrange(2) for _ in range(1199)) + (1,)
+        x = K.point(w)
+        assert [c.word for c in K.cylinders_meeting(x, x, 1200)] == [w]
+        assert K.locate(x, max_depth=1500) == w
+        lo, hi = cantor.ball_mass(x, F(1, 3 ** 1200), 1200)
+        assert 0 < hi == F(1, 2 ** 1200)
+
+
 class TestBallMass:
     def test_frozen_examples(self, cantor):
         assert cantor.ball_mass(0, F(1, 3), 2) == (F(1, 2), F(1, 2))

@@ -1,0 +1,232 @@
+"""The integer cylinder kernel of `FractalSupport` against a Fraction
+reference.
+
+`Reference` walks the IFS tree with (r, a) Fraction pairs, one recursive
+walk per query; it is the straightforward reading of each definition and
+exists only here.  Hypothesis draws open-set-condition systems of 2-4 maps
+with negative ratios, hulls other than [0, 1] and canonical points inside
+the hull; every query must give the same value, the same list in the same
+order, the same word.
+"""
+
+import itertools
+from fractions import Fraction as F
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from schmidtgame.fractal import (IFS, Cylinder, FractalMeasure,
+                                 FractalSupport, SimilarityMap,
+                                 find_point_in_gap)
+
+
+class Reference:
+    def __init__(self, support: FractalSupport):
+        self.maps = support.ifs.maps
+        self.weights = support.ifs.weights
+        self.hlo, self.hhi = support.hull
+        self.p0 = support.canonical_point
+
+    def compose(self, word):
+        r, a = F(1), F(0)
+        for i in word:
+            m = self.maps[i]
+            r, a = r * m.r, r * m.a + a
+        return r, a
+
+    def point(self, word):
+        r, a = self.compose(word)
+        return r * self.p0 + a
+
+    def span(self, r, a):
+        p, q = r * self.hlo + a, r * self.hhi + a
+        return (p, q) if p <= q else (q, p)
+
+    def cylinder(self, word):
+        lo, hi = self.span(*self.compose(word))
+        mass = F(1)
+        for i in word:
+            mass *= self.weights[i]
+        return Cylinder(tuple(word), lo, hi, mass)
+
+    def children(self, word, r, a):
+        for i, m in enumerate(self.maps):
+            yield word + (i,), r * m.r, r * m.a + a
+
+    def cylinders_meeting(self, lo, hi, depth):
+        out = []
+
+        def rec(word, r, a):
+            clo, chi = self.span(r, a)
+            if chi < lo or clo > hi:
+                return
+            if len(word) == depth:
+                out.append(self.cylinder(word))
+                return
+            for child in self.children(word, r, a):
+                rec(*child)
+
+        rec((), F(1), F(0))
+        return out
+
+    def locate(self, x, max_depth):
+        def rec(word, r, a):
+            clo, chi = self.span(r, a)
+            if not clo <= x <= chi:
+                return None
+            if x == r * self.p0 + a:
+                return word
+            if len(word) == max_depth:
+                return None
+            for child in self.children(word, r, a):
+                got = rec(*child)
+                if got is not None:
+                    return got
+            return None
+
+        return rec((), F(1), F(0))
+
+    def interval_mass(self, lo, hi, depth):
+        def rec(word, r, a):
+            clo, chi = self.span(r, a)
+            if chi <= lo or clo >= hi:
+                return F(0), F(0)
+            mass = self.cylinder(word).mass
+            if lo <= clo and chi <= hi:
+                return mass, mass
+            if len(word) == depth:
+                return F(0), mass
+            sums = [rec(*child) for child in self.children(word, r, a)]
+            return sum(s[0] for s in sums), sum(s[1] for s in sums)
+
+        return rec((), F(1), F(0))
+
+    def find_point_in_gap(self, inside, forbidden, max_depth):
+        ilo, ihi = inside
+        forbidden = [(min(f), max(f)) for f in forbidden]
+
+        def rec(word, r, a):
+            clo, chi = self.span(r, a)
+            if chi < ilo or clo > ihi:
+                return None
+            if any(flo <= clo and chi <= fhi for flo, fhi in forbidden):
+                return None
+            x = r * self.p0 + a
+            if ilo <= x <= ihi and not any(flo <= x <= fhi
+                                           for flo, fhi in forbidden):
+                return x, word
+            if len(word) == max_depth:
+                return None
+            for child in self.children(word, r, a):
+                got = rec(*child)
+                if got is not None:
+                    return got
+            return None
+
+        return rec((), F(1), F(0))
+
+
+@st.composite
+def supports(draw):
+    """An IFS whose hull images are laid out left to right with gaps of
+    zero or more, each map's image placed in a random slot."""
+    k = draw(st.integers(2, 4))
+    lengths = draw(st.lists(st.integers(1, 4), min_size=k, max_size=k))
+    gaps = draw(st.lists(st.integers(0, 2), min_size=k + 1, max_size=k + 1))
+    signs = draw(st.lists(st.booleans(), min_size=k, max_size=k))
+    slots = draw(st.permutations(range(k)))
+    lo = F(draw(st.integers(-7, 7)), draw(st.integers(1, 5)))
+    width = F(draw(st.integers(1, 9)), draw(st.integers(1, 4)))
+    hi = lo + width
+    unit = width / (sum(lengths) + sum(gaps))
+    starts, at = [], lo
+    for j in range(k):
+        at += gaps[j] * unit
+        starts.append(at)
+        at += lengths[j] * unit
+    maps = []
+    for i in range(k):
+        j = slots[i]
+        s, e = starts[j], starts[j] + lengths[j] * unit
+        negative = signs[i] or (i == 0 and (s == lo or e == hi))
+        r = -lengths[j] * unit / width if negative else lengths[j] * unit / width
+        maps.append(SimilarityMap(r, (e if negative else s) - r * lo))
+    raw = draw(st.lists(st.integers(1, 5), min_size=k, max_size=k))
+    weights = [F(w, sum(raw)) for w in raw]
+    return FractalSupport(IFS(maps, weights), (lo, hi))
+
+
+def words(k, max_len):
+    return st.lists(st.integers(0, k - 1), max_size=max_len).map(tuple)
+
+
+def queries(support, data, depth):
+    """A point near the hull: a depth-`depth` cylinder end, or a rational."""
+    ends = [e for c in support.cylinders(depth) for e in (c.lo, c.hi)]
+    hlo, hhi = support.hull
+    spread = st.integers(-2, 34).map(lambda n: hlo + (hhi - hlo) * F(n, 32))
+    return data.draw(st.sampled_from(ends) | spread)
+
+
+def interval(support, data, depth):
+    a, b = queries(support, data, depth), queries(support, data, depth)
+    return min(a, b), max(a, b)
+
+
+SETTINGS = settings(max_examples=40, deadline=None)
+
+
+@SETTINGS
+@given(supports(), st.data())
+def test_points_and_cylinders(K, data):
+    ref = Reference(K)
+    assert K.hull[0] < ref.p0 < K.hull[1]
+    k = len(K.ifs.maps)
+    word = data.draw(words(k, 12))
+    x = K.point(word)
+    assert x == ref.point(word)
+    assert K.verify_point(x, word)
+    for off in (F(x.numerator + 1, x.denominator),
+                F(x.numerator - 1, x.denominator)):
+        assert not K.verify_point(off, word)
+    assert K.cylinder(word) == ref.cylinder(word)
+    depth = data.draw(st.integers(0, 3))
+    assert K.cylinders(depth) == [ref.cylinder(w) for w in
+                                  itertools.product(range(k), repeat=depth)]
+    lo, hi = interval(K, data, 2)
+    depth = data.draw(st.integers(0, 4))
+    assert K.cylinders_meeting(lo, hi, depth) == \
+        ref.cylinders_meeting(lo, hi, depth)
+
+
+@SETTINGS
+@given(supports(), st.data())
+def test_locate_and_mass(K, data):
+    ref = Reference(K)
+    k = len(K.ifs.maps)
+    max_depth = data.draw(st.integers(0, 5))
+    x = data.draw(st.sampled_from([K.point(data.draw(words(k, 6))),
+                                   queries(K, data, 2)]))
+    assert K.locate(x, max_depth) == ref.locate(x, max_depth)
+    lo, hi = interval(K, data, 2)
+    depth = data.draw(st.integers(0, 4))
+    assert FractalMeasure(K).interval_mass(lo, hi, depth) == \
+        ref.interval_mass(lo, hi, depth)
+
+
+@SETTINGS
+@given(supports(), st.data())
+def test_find_point_in_gap(K, data):
+    ref = Reference(K)
+    inside = interval(K, data, 2)
+    forbidden = [interval(K, data, 2)
+                 for _ in range(data.draw(st.integers(0, 3)))]
+    max_depth = data.draw(st.integers(0, 5))
+    got = find_point_in_gap(K, inside, forbidden, max_depth)
+    if inside[0] == inside[1]:
+        x = inside[0]
+        covered = any(min(f) <= x <= max(f) for f in forbidden)
+        word = None if covered else ref.locate(x, 512)
+        assert got == (None if word is None else (x, word))
+    else:
+        assert got == ref.find_point_in_gap(inside, forbidden, max_depth)
