@@ -210,16 +210,11 @@ class GeometricTerms:
     def indices_between(self, lower, upper) -> List[int]:
         """Every n with lower <= t_n < upper, in increasing order."""
         # the first n with t_n >= lower: double, then bisect on exact terms
-        lo, hi = 0, 1
-        while self.term(hi) < lower:
-            lo, hi = hi, 2 * hi
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if self.term(mid) < lower:
-                lo = mid
-            else:
-                hi = mid
-        n, t, out = hi, self.term(hi), []
+        top = 1
+        while self.term(top) < lower:
+            top *= 2
+        n = bisect.bisect_left(range(1, top + 1), lower, key=self.term) + 1
+        t, out = self.term(n), []
         while t < upper:
             out.append(n)
             n, t = n + 1, t * self.base

@@ -154,13 +154,11 @@ class FractalSupport:
         self.canonical_point = ifs.maps[0].fixed_point
         self.contraction = max(abs(m.r) for m in ifs.maps)
         Q = _common_denominator(v for m in ifs.maps for v in (m.r, m.a))
-        self._Q = Q
-        self._maps = [(int(m.r * Q), int(m.a * Q)) for m in ifs.maps]
         V = _common_denominator(ifs.weights)
-        self._V = V
-        self._weights = [int(w * V) for w in ifs.weights]
         H = _common_denominator((lo, hi, self.canonical_point))
-        self._H = H
+        self._Q, self._V, self._H = Q, V, H
+        self._maps = [(int(m.r * Q), int(m.a * Q)) for m in ifs.maps]
+        self._weights = [int(w * V) for w in ifs.weights]
         self._L, self._U, self._P = (int(v * H) for v in
                                      (lo, hi, self.canonical_point))
 
@@ -169,7 +167,8 @@ class FractalSupport:
         return self.hull[1] - self.hull[0]
 
     def _affine(self, word: Sequence[int]) -> Tuple[int, int]:
-        """(rho, alpha) of w_word, by Horner's rule on alpha."""
+        """(rho, alpha) of w_word; alpha by Horner's rule, outermost letter
+        first, the step that `_walk` takes from a node to its child."""
         Q, maps = self._Q, self._maps
         rho, alpha = 1, 0
         for i in word:
@@ -199,9 +198,7 @@ class FractalSupport:
         lo, hi = rho * self._L + alpha * H, rho * self._U + alpha * H
         if rho < 0:
             lo, hi = hi, lo
-        mass = 1
-        for i in word:
-            mass *= self._weights[i]
+        mass = math.prod(self._weights[i] for i in word)
         return self._cylinder(word, lo, hi, H * self._Q ** len(word), mass)
 
     def cylinders(self, depth: int) -> List[Cylinder]:
