@@ -22,7 +22,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import (Dict, Iterable, Iterator, List, Optional, Sequence, Tuple,
+                    Union)
 
 from .errors import (HorizonMismatch, InvalidAlpha, InvariantViolation,
                      NoPointFound, ScheduleOverlap, SpecError)
@@ -34,7 +35,7 @@ log = logging.getLogger(__name__)
 
 __all__ = [
     "BiLipschitzMap", "GeometricTerms", "ListTerms", "ConstTargets",
-    "PeriodicTargets", "ListTargets", "LacunarySpec",
+    "PeriodicTargets", "ListTargets", "LacunarySpec", "orbit_residues",
     "LacunaryStrategyState", "BAStrategyState", "ALPHA_DIAGNOSTIC",
     "avoidance_step", "lacunary_constants", "plan_lacunary", "index_block",
     "danger_set", "lacunary_move", "ba_constants", "plan_ba", "ba_move",
@@ -173,6 +174,16 @@ class BiLipschitzMap:
 # ---------------------------------------------------------------------------
 # lacunary sequence specifications
 
+
+def _first_index(holds) -> int:
+    """The least n >= 1 where ``holds(n)``, for a predicate that stays true
+    once true: double an upper end, then bisect below it."""
+    top = 1
+    while not holds(top):
+        top *= 2
+    return bisect.bisect_left(range(1, top + 1), True, key=holds) + 1
+
+
 @dataclass(frozen=True)
 class GeometricTerms:
     """Terms t_n = scale * base^n, re-indexed so that t_1 > 1."""
@@ -187,9 +198,7 @@ class GeometricTerms:
         # tail shift: smallest s >= 1 with scale*base^s > 1
         if self.scale <= 0:
             raise SpecError("scale must be positive")
-        s = 1
-        while self.scale * self.base ** s <= 1:
-            s += 1
+        s = _first_index(lambda s: self.scale * self.base ** s > 1)
         object.__setattr__(self, "shift", s - 1)
 
     @property
@@ -201,24 +210,10 @@ class GeometricTerms:
             raise HorizonMismatch("term index must be >= 1")
         return self.scale * self.base ** (n + self.shift)
 
-    def enumerate(self) -> Iterator[Tuple[int, Fraction]]:
-        n, t = 1, self.term(1)
-        while True:
-            yield n, t
-            n, t = n + 1, t * self.base
-
     def indices_between(self, lower, upper) -> List[int]:
         """Every n with lower <= t_n < upper, in increasing order."""
-        # the first n with t_n >= lower: double, then bisect on exact terms
-        top = 1
-        while self.term(top) < lower:
-            top *= 2
-        n = bisect.bisect_left(range(1, top + 1), lower, key=self.term) + 1
-        t, out = self.term(n), []
-        while t < upper:
-            out.append(n)
-            n, t = n + 1, t * self.base
-        return out
+        return list(range(_first_index(lambda n: self.term(n) >= lower),
+                          _first_index(lambda n: self.term(n) >= upper)))
 
     @property
     def horizon(self) -> Optional[int]:
@@ -248,10 +243,6 @@ class ListTerms:
         if not 1 <= n <= len(self.values):
             raise HorizonMismatch("term index beyond the explicit list")
         return self.values[n - 1]
-
-    def enumerate(self) -> Iterator[Tuple[int, Fraction]]:
-        for i, v in enumerate(self.values, start=1):
-            yield i, v
 
     def indices_between(self, lower, upper) -> List[int]:
         """Every n with lower <= t_n < upper, in increasing order."""
@@ -322,6 +313,51 @@ class ListTargets:
 
 TermRule = Union[GeometricTerms, ListTerms]
 TargetRule = Union[ConstTargets, PeriodicTargets, ListTargets]
+
+
+def orbit_residues(terms: TermRule, targets: TargetRule, u: Fraction,
+                   v: Fraction, indices: Iterable[int]
+                   ) -> Iterator[Tuple[int, int, int, int]]:
+    """(n, S, W, E) for each n in ``indices``, all integers, with
+    S/E = frac(t_n*u - y_n) and W/E = t_n*(v - u).
+
+    Put u = a/q and v = b/q.  For an integer base B the orbit steps as
+    x -> Bx mod 1: X = scale_num * B^(n+shift) * a stays reduced mod
+    D = scale_den * q, so operands are bounded by q, not by t_n.  Other
+    rules read t_n's numerator and denominator directly.  No term takes
+    a Fraction or a gcd; E may differ between terms.
+    """
+    q = u.denominator * v.denominator // gcd(u.denominator, v.denominator)
+    a = u.numerator * (q // u.denominator)
+    b = v.numerator * (q // v.denominator)
+    geometric = isinstance(terms, GeometricTerms)
+    if geometric:
+        sn, sd = terms.scale.numerator, terms.scale.denominator
+        bn, bd = terms.base.numerator, terms.base.denominator
+    stepped, prev = geometric and bd == 1, None
+    for n in indices:
+        if stepped and n - 1 == prev:
+            X, width = X * bn % D, width * bn
+        elif stepped:
+            k = n + terms.shift
+            D = sd * q
+            X = sn * a * pow(bn, k, D) % D
+            width = sn * (b - a) * bn ** k
+        else:
+            if geometric:
+                k = n + terms.shift
+                tn, td = sn * bn ** k, sd * bd ** k
+            else:
+                t = terms.term(n)
+                tn, td = t.numerator, t.denominator
+            D = td * q
+            X, width = tn * a % D, tn * (b - a)
+        prev = n
+        # 0 <= X < D and 0 <= y < 1 put S within one E of [0, E)
+        y = targets.target(n)
+        E = D * y.denominator
+        S = X * y.denominator - y.numerator * D
+        yield n, S + E if S < 0 else S, width * y.denominator, E
 
 
 @dataclass(frozen=True)
@@ -584,12 +620,16 @@ def _danger_entries(state, spec, phi, k, lo, hi):
     """(n, m, z) with z = phi((y_n + m)/t_n) in [lo, hi], n in block k."""
     u, v = phi.preimage_interval(lo, hi)
     entries = []
-    for n in index_block(state, spec, k):
+    for n, S, W, E in orbit_residues(spec.terms, spec.targets, u, v,
+                                     index_block(state, spec, k)):
+        # the integers in [t_n*u - y_n, t_n*v - y_n], counted off S and W
+        count = (S + W) // E + (S == 0)
+        if not count:
+            continue
         t = spec.terms.term(n)
         y = spec.targets.target(n)
         m_lo = math.ceil(t * u - y)
-        m_hi = math.floor(t * v - y)
-        for m in range(m_lo, m_hi + 1):
+        for m in range(m_lo, m_lo + count):
             entries.append((n, m, phi.apply((y + m) / t)))
     return entries
 

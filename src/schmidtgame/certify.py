@@ -14,12 +14,12 @@ from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
 from .alice import (BiLipschitzMap, LacunarySpec, ba_constants,
-                    lacunary_constants)
+                    lacunary_constants, orbit_residues)
 from .errors import HorizonMismatch, SpecError
 from .fractal import DecayParams, DimensionEstimate, MeasureAuditReport
 from .numerics import (Exponent, LogRatio, Ordering, circle_dist,
-                       circle_dist_range, exponent_cmp, floor_sqrt,
-                       fractions_in_interval, make_exponent, parse_rational)
+                       exponent_cmp, floor_sqrt, fractions_in_interval,
+                       make_exponent, parse_rational)
 
 ORBIT_SEPARATION = "orbit_separation"
 BAD_APPROX = "bad_approx"
@@ -157,6 +157,9 @@ def _schedule_inputs(snap: dict):
                                     ("alpha", "beta", "rho_prime", "rho0"))
     if not 0 < alpha * beta < 1:
         raise SpecError("snapshot ratios leave (0, 1)")
+    # the warm-up shrinks rho_prime until it drops below rho0
+    if rho_prime <= 0 or rho0 <= 0:
+        raise SpecError("snapshot radii rho_prime and rho0 must be positive")
     return phi, alpha, beta, rho_prime, rho0
 
 
@@ -207,27 +210,28 @@ def verify_orbit_separation(cert: Certificate) -> VerificationResult:
             raise HorizonMismatch(
                 "certificate claims %d blocks but %d turns finish at most %d"
                 % (cert.horizon, turns, max(0, reachable)))
-        top = (1 / (alpha * beta)) ** (r * cert.horizon)
-
-        def covered(n, t):
-            return t < top
+        indices = spec.terms.indices_between(
+            0, (1 / (alpha * beta)) ** (r * cert.horizon))
     else:
         phi = BiLipschitzMap.from_json(snap["phi"]) if "phi" in snap \
             else BiLipschitzMap.identity()
         if cert.horizon_kind != "terms":
             raise SpecError("bare orbit certificates cover explicit terms")
-
-        def covered(n, t):
-            return n <= cert.horizon
+        last = spec.terms.horizon
+        indices = range(1, cert.horizon + 1 if last is None
+                        else min(cert.horizon, last) + 1)
     u, v = phi.preimage_interval(lo, hi)
-    checked = 0
-    for n, t in spec.terms.enumerate():
-        if not covered(n, t):
-            break
-        y = spec.targets.target(n)
-        dmin, _ = circle_dist_range(t * u, t * v, y)
+    cn, cd = cert.c.numerator, cert.c.denominator
+    checked, denom = 0, None
+    for n, S, W, E in orbit_residues(spec.terms, spec.targets, u, v, indices):
         checked += 1
-        if dmin < cert.c:
+        # t_n*[u, v] - y_n comes within min(s, 1 - s - w) of Z for s = S/E
+        # and w = W/E, or within 0 once s = 0 or s + w >= 1; that is below
+        # c exactly when S < ceil(cE) or S + W > E - ceil(cE)
+        if E != denom:
+            denom, near = E, -(-cn * E // cd)
+        if S < near or S + W > E - near:
+            t, y = spec.terms.term(n), spec.targets.target(n)
             return VerificationResult(
                 False, checked, "separation fails at term %d" % n,
                 witness=_orbit_witness(phi, u, v, t, y, n))

@@ -10,7 +10,8 @@ from schmidtgame.alice import (BAStrategy, BiLipschitzMap, ConstTargets,
                                GeometricTerms, LacunarySpec, LacunaryStrategy,
                                ListTargets)
 from schmidtgame.bob import RandomBob
-from schmidtgame.certify import (Certificate, DimensionReport, ba_certificate,
+from schmidtgame.certify import (Certificate, DimensionReport,
+                                 _schedule_inputs, ba_certificate,
                                  dimension_report, exponent_from_json,
                                  exponent_to_json, orbit_certificate, verify,
                                  verify_ba, verify_orbit_separation)
@@ -252,6 +253,16 @@ class TestMutation:
         got = verify(replace(cert, snapshot=snap))
         assert not got.passed
         assert got.witness["field"] == "c"
+
+    @pytest.mark.parametrize("key", ["rho0", "rho_prime"])
+    @pytest.mark.parametrize("value", ["0", "-1/3"])
+    def test_nonpositive_radius_is_bad_input(self, key, value, lacunary_run):
+        spec, state, t = lacunary_run
+        snap = copy.deepcopy(
+            orbit_certificate(state, spec, ID, outcome_interval(t)).snapshot)
+        snap[key] = value
+        with pytest.raises(SpecError):
+            _schedule_inputs(snap)
 
     def test_inflated_horizon_raises(self, lacunary_run, ba_run):
         spec, state, t = lacunary_run

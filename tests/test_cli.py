@@ -131,6 +131,20 @@ class TestCertify:
         assert main(["certify", "--spec", str(bundle_path),
                      "--max-q", "1000"]) == 0
 
+    @pytest.mark.parametrize("rho0", ["0", "-1/3"])
+    def test_nonpositive_rho0_exits_2(self, tmp_path, capsys, rho0):
+        # the warm-up loop never ends on such a snapshot if it gets through
+        assert main(["play", "--spec",
+                     bundled_spec_path("cantor_lacunary.json"),
+                     "--out", str(tmp_path), "--rounds", "100"]) == 0
+        path = tmp_path / "certificates.json"
+        bundle = json.loads(path.read_text())
+        bundle["certificates"][0]["certificate"]["snapshot"]["rho0"] = rho0
+        path.write_text(json.dumps(bundle))
+        capsys.readouterr()
+        assert main(["certify", "--spec", str(path)]) == 2
+        assert "must be positive" in capsys.readouterr().err
+
 
 class TestAudit:
     def test_lebesgue_pass_csv(self, tmp_path, capsys):
