@@ -67,16 +67,21 @@ def random_move(support: FractalSupport, alice_ball: Ball, params: GameParams,
     Candidates are the canonical points of the deepest cylinder layer that
     still fits inside the legal center range; the choice is deterministic
     in the seed.  Falls back to keeping the center when no cylinder fits.
+
+    The depth stops at 64, so once the legal range is narrower than the
+    shortest depth-64 cylinder Bob keeps the center, without a walk.  On
+    the middle-thirds set that holds from a radius of a few times 3**-64
+    down: 199 of the 200 moves of the 200-round triple game.
     """
     radius = params.beta * alice_ball.radius
     lo, hi = _legal_range(alice_ball, params.beta)
     slack = hi - lo
     if slack == 0:
         return Ball(alice_ball.center, radius, alice_ball.word)
-    depth, size = 0, support.diameter
-    while size * 4 > slack and depth < 64:
-        depth += 1
-        size *= support.contraction
+    depth = support.depth_below(slack / 4, cap=64)
+    shortest = min(abs(m.r) for m in support.ifs.maps) ** depth
+    if support.diameter * shortest > slack:
+        return Ball(alice_ball.center, radius, alice_ball.word)
     cands = [c for c in support.cylinders_meeting(lo, hi, depth)
              if lo <= c.lo and c.hi <= hi]
     if not cands:

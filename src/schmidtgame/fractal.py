@@ -161,19 +161,45 @@ class FractalSupport:
         self._weights = [int(w * V) for w in ifs.weights]
         self._L, self._U, self._P = (int(v * H) for v in
                                      (lo, hi, self.canonical_point))
+        self._last = ((), 1, 0)  # the last word `_affine` folded
 
     @property
     def diameter(self) -> Fraction:
         return self.hull[1] - self.hull[0]
 
+    def depth_below(self, bound, strict: bool = False,
+                    cap: Optional[int] = None) -> int:
+        """Least depth d, at most `cap`, with diameter * contraction**d
+        below `bound` (`<` when strict, else `<=`), by integer
+        cross-multiplication.  Without a cap `bound` must be positive."""
+        bn, bd = Fraction(bound).as_integer_ratio()
+        cn, cd = self.contraction.as_integer_ratio()
+        size, limit = (self._U - self._L) * bd, bn * self._H
+        depth = 0
+        while (cap is None or depth < cap) and (
+                size >= limit if strict else size > limit):
+            depth += 1
+            size, limit = size * cn, limit * cd
+        return depth
+
     def _affine(self, word: Sequence[int]) -> Tuple[int, int]:
         """(rho, alpha) of w_word; alpha by Horner's rule, outermost letter
-        first, the step that `_walk` takes from a node to its child."""
+        first, the step that `_walk` takes from a node to its child.
+
+        The fold of the last word is kept: a word that extends it folds
+        only its new letters, since Horner's rule continues exactly from a
+        prefix's (rho, alpha).  Any other word folds from the root.
+        """
+        word = tuple(word)
+        last, rho, alpha = self._last
+        done = len(last)
+        if word[:done] != last:
+            done, rho, alpha = 0, 1, 0
         Q, maps = self._Q, self._maps
-        rho, alpha = 1, 0
-        for i in word:
+        for i in word[done:]:
             R, A = maps[i]
             rho, alpha = rho * R, rho * A + alpha * Q
+        self._last = (word, rho, alpha)
         return rho, alpha
 
     def point(self, word: Sequence[int]) -> Fraction:
@@ -358,11 +384,7 @@ def find_point_in_gap(support: FractalSupport, inside: Interval,
         return None  # forbidden covers every point of inside
 
     if max_depth is None:
-        depth, diam = 0, support.diameter
-        while diam * 4 >= gap:
-            depth += 1
-            diam *= support.contraction
-        max_depth = depth
+        max_depth = support.depth_below(gap / 4, strict=True)
 
     P, H = support._P, support._H
     (iln, ild), (ihn, ihd) = ilo.as_integer_ratio(), ihi.as_integer_ratio()
@@ -771,11 +793,7 @@ def lower_pointwise_dimension(measure: FractalMeasure, x, rhos: Sequence,
         rho = Fraction(rho)
         if not 0 < rho < 1:
             raise ValueError("dimension scales need 0 < rho < 1")
-        depth, diam = 0, sup.diameter
-        while diam > rho and depth < depth_cap:
-            depth += 1
-            diam *= sup.contraction
-        depth = min(depth + 2, depth_cap)
+        depth = min(sup.depth_below(rho, cap=depth_cap) + 2, depth_cap)
         mlo, mhi = measure.ball_mass(x, rho, depth)
         value_lower = make_exponent(mhi, rho) if 0 < mhi < 1 else (
             Fraction(0) if mhi >= 1 else None)

@@ -533,12 +533,13 @@ def circle_dist(u, y) -> Fraction:
 # Stern-Brocot / Farey machinery (used by the badly-approximable verifier)
 
 
-def _ceil_frac(x: Fraction) -> int:
-    return -((-x.numerator) // x.denominator)
-
-
 def simplest_between(lo, hi) -> Fraction:
-    """The unique fraction of smallest denominator in the closed interval."""
+    """The unique fraction of smallest denominator in the closed interval.
+
+    Expands both ends' continued fractions together on integer pairs
+    ln/ld, hn/hd (Stern-Brocot descent) and carries the convergents p/q,
+    so the only Fraction is the result.
+    """
     lo, hi = Fraction(lo), Fraction(hi)
     if lo > hi:
         raise ValueError("empty interval")
@@ -548,19 +549,16 @@ def simplest_between(lo, hi) -> Fraction:
         return -simplest_between(-hi, -lo)
     if lo <= 0:
         return Fraction(0)
-    terms = []
+    (ln, ld), (hn, hd) = lo.as_integer_ratio(), hi.as_integer_ratio()
+    p, q, p1, q1 = 1, 0, 0, 1  # convergents k-1 and k-2
     while True:
-        n = _ceil_frac(lo)
-        if n <= hi:
-            terms.append(n)
+        a = -(-ln // ld)  # ceil(lo)
+        if a * hd <= hn:
             break
-        a = lo.numerator // lo.denominator  # = floor(hi), no integer inside
-        terms.append(a)
-        lo, hi = 1 / (hi - a), 1 / (lo - a)
-    val = Fraction(terms[-1])
-    for a in reversed(terms[:-1]):
-        val = a + 1 / val
-    return val
+        a -= 1  # = floor(lo) = floor(hi): no integer inside
+        p, q, p1, q1 = a * p + p1, a * q + q1, p, q
+        ln, ld, hn, hd = hd, hn - a * hd, ld, ln - a * ld
+    return Fraction(a * p + p1, a * q + q1)
 
 
 def farey_right(f, qmax: int) -> Fraction:

@@ -9,7 +9,8 @@ from schmidtgame.bob import (AdversaryConfig, GreedyBob, KeepCenterBob,
                              RandomBob, ReplayPlayer, greedy_move, make_bob,
                              random_move)
 from schmidtgame.errors import SpecError
-from schmidtgame.fractal import (cantor_support, decay_from_federer_efd,
+from schmidtgame.fractal import (IFS, FractalSupport, SimilarityMap,
+                                 cantor_support, decay_from_federer_efd,
                                  efd_to_exponent, federer_to_exponent,
                                  max_alpha)
 from schmidtgame.game import (Ball, GameParams, HoldCenter, is_legal,
@@ -79,6 +80,29 @@ class TestRandom:
         ball = Ball(F(0), F(1, 9), (0, 0))
         got = random_move(K, Ball(F(0), F(0, 1) + F(1, 10 ** 9)), one, 1)
         assert got.center == 0  # slack smaller than any cylinder
+
+    def test_no_walk_when_no_cylinder_fits(self, K, monkeypatch):
+        # the depth stops at 64; this legal range is narrower than every
+        # depth-64 cylinder, so the candidate list is empty before any walk
+        def walk(*args):
+            raise AssertionError("cylinder walk")
+
+        monkeypatch.setattr(K, "cylinders_meeting", walk)
+        word = (0, 1) * 40
+        ball = Ball(K.point(word), F(1, 3 ** 66), word)
+        got = random_move(K, ball, PARAMS, 7)
+        assert got == Ball(ball.center, PARAMS.beta * ball.radius, word)
+        # a range wider than one depth-64 cylinder still walks
+        with pytest.raises(AssertionError, match="cylinder walk"):
+            random_move(K, Ball(ball.center, F(1, 3 ** 64), word), PARAMS, 7)
+        # with ratios 1/4 and 1/3 the shortest depth-64 cylinder is 4**-64,
+        # so a range narrower than 3**-64 still walks
+        uneven = FractalSupport(IFS([SimilarityMap(F(1, 4), F(0)),
+                                     SimilarityMap(F(1, 3), F(2, 3))],
+                                    [F(1, 2), F(1, 2)]), (F(0), F(1)))
+        monkeypatch.setattr(uneven, "cylinders_meeting", walk)
+        with pytest.raises(AssertionError, match="cylinder walk"):
+            random_move(uneven, Ball(F(0), F(1, 3 ** 65)), PARAMS, 7)
 
     def test_referee_fuzz(self, K):
         # legality of 10^4 random moves from random legal positions

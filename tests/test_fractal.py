@@ -106,6 +106,34 @@ class TestLongWords:
         assert 0 < hi == F(1, 2 ** 1200)
 
 
+class CountingMaps(list):
+    """A support's integer maps that count the letters folded."""
+
+    lookups = 0
+
+    def __getitem__(self, i):
+        self.lookups += 1
+        return super().__getitem__(i)
+
+
+class TestFoldMemo:
+    def test_reverify_folds_no_letter_again(self):
+        K = cantor_support()
+        word = tuple(i % 2 for i in range(300))
+        x = K.point(word)
+        K._maps = maps = CountingMaps(K._maps)
+        assert K.verify_point(x, word)
+        assert K.verify_point(x, list(word))
+        assert K.cylinder(word).lo == x
+        assert maps.lookups == 0
+        longer = word + (1, 0)
+        assert K.verify_point(K.point(longer), longer)
+        assert maps.lookups == 2
+        # same length, last letter changed: folded again from the root
+        assert not K.verify_point(x, word[:-1] + (0,))
+        assert maps.lookups == 2 + 300
+
+
 class TestBallMass:
     def test_frozen_examples(self, cantor):
         assert cantor.ball_mass(0, F(1, 3), 2) == (F(1, 2), F(1, 2))

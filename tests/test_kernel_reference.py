@@ -199,6 +199,75 @@ def test_points_and_cylinders(K, data):
         ref.cylinders_meeting(lo, hi, depth)
 
 
+def next_word(data, k, word):
+    """A word related to the last one the kernel folded, in every way its
+    memo has to tell apart: the same word, an extension, a shorter prefix,
+    an unrelated word, or the same word with its last letter changed."""
+    how = data.draw(st.sampled_from(["same", "extend", "prefix", "other",
+                                     "last_letter"]))
+    if how == "extend":
+        return word + data.draw(words(k, 6))
+    if how == "prefix":
+        return word[:data.draw(st.integers(0, len(word)))]
+    if how == "other":
+        return data.draw(words(k, 30))
+    if how == "last_letter" and word:
+        bump = data.draw(st.integers(1, k - 1))
+        return word[:-1] + ((word[-1] + bump) % k,)
+    return word
+
+
+@SETTINGS
+@given(supports(), st.data())
+def test_fold_sequences(K, data):
+    """`point`, `verify_point` and `cylinder` in sequences that reuse, extend
+    and abandon the kernel's last fold, against a fresh fold every time."""
+    ref = Reference(K)
+    k = len(K.ifs.maps)
+    word = data.draw(words(k, 20))
+    last_point = ref.point(word)
+    for _ in range(data.draw(st.integers(1, 12))):
+        word = next_word(data, k, word)
+        arg = list(word) if data.draw(st.booleans()) else word
+        call = data.draw(st.sampled_from(["point", "verify", "verify_last",
+                                          "cylinder"]))
+        if call == "point":
+            assert K.point(arg) == ref.point(word)
+        elif call == "verify":
+            assert K.verify_point(ref.point(word), arg)
+        elif call == "verify_last":  # the previous point under this word
+            assert K.verify_point(last_point, arg) == \
+                (ref.point(word) == last_point)
+        else:
+            assert K.cylinder(arg) == ref.cylinder(word)
+        last_point = ref.point(word)
+
+
+@SETTINGS
+@given(supports(), st.data())
+def test_depth_below(K, data):
+    """The integer depth search against the `size *= contraction` loop, on
+    bounds that hit a power of the contraction exactly."""
+    d = data.draw(st.integers(0, 40))
+    size = K.diameter * K.contraction ** d
+    bound = data.draw(st.sampled_from([size, size * F(1001, 1000),
+                                       size * F(999, 1000)]))
+    strict = data.draw(st.booleans())
+
+    def loop(cap):
+        depth, size = 0, K.diameter
+        while (cap is None or depth < cap) and (size >= bound if strict
+                                                else size > bound):
+            depth += 1
+            size *= K.contraction
+        return depth
+
+    free = loop(None)
+    cap = data.draw(st.none() | st.integers(-1, 45)
+                    | st.sampled_from([free - 1, free, free + 1]))
+    assert K.depth_below(bound, strict, cap) == loop(cap)
+
+
 @SETTINGS
 @given(supports(), st.data())
 def test_locate_and_mass(K, data):

@@ -128,9 +128,15 @@ def translate(draw, spec, ns, near):
     """(y_n + m)/t_n for an n drawn from ns and m = near(t, y) + 0..3."""
     n = draw(st.sampled_from(ns))
     try:
-        t, y = spec.terms.term(n), spec.targets.target(n)
+        t = spec.terms.term(n)
     except HorizonMismatch:
-        t, y = F(1), F(0)
+        t = F(1)
+    # past the targets' horizon keep t_n: a window whole units wide holds
+    # too many translates of a large term to list as danger entries
+    try:
+        y = spec.targets.target(n)
+    except HorizonMismatch:
+        y = F(0)
     return (y + near(t, y) + draw(st.integers(0, 3))) / t
 
 
@@ -158,7 +164,7 @@ def test_verifier_matches_reference(data):
     # a window about one turn of the circle wide at a drawn term m, so
     # that separation tends to fail near m
     m = data.draw(st.integers(1, max(horizon, 1)))
-    unit = 1 / spec.terms.term(m) if m <= (spec.terms.horizon or m) else 1
+    unit = 1 / spec.terms.term(m) if m <= (spec.terms.horizon or m) else F(1)
     ns = list(range(m, max(horizon, 1) + 1))
     u, v = data.draw(windows(spec, ns, ns, unit))
     lo, hi = phi.apply_interval(u, v)
