@@ -1005,7 +1005,7 @@ def affine_to_sequence(b: int, c: Fraction, y: Fraction,
     orbit away from y is the same as keeping b^n*x away from
     y_n = y - c*(b^n - 1)/(b - 1) mod 1.
     """
-    if b < 2:
+    if Fraction(b).denominator != 1 or b < 2:
         raise SpecError("affine circle maps need an integer factor >= 2")
     if n_max < 1:
         raise SpecError("need at least one target")

@@ -249,6 +249,8 @@ def verify_ba(cert: Certificate, max_q: int = DEFAULT_MAX_Q) -> VerificationResu
     """
     if cert.kind != BAD_APPROX:
         raise SpecError("not a badly-approximable certificate")
+    if max_q < 1:
+        raise SpecError("max_q must be at least 1, not %d" % max_q)
     lo, hi = cert.interval
     snap = cert.snapshot
     if "alpha" in snap:

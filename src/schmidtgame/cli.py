@@ -157,7 +157,9 @@ def build_game(doc: dict, args) -> Tuple[FractalSupport, GameParams,
                         Variant(g.get("variant", "classical")))
     if decay is not None and not check_alpha(alpha, decay):
         raise InvalidAlpha(ALPHA_DIAGNOSTIC)
-    rounds = args.rounds if args.rounds else int(g.get("rounds", 20))
+    rounds = args.rounds if args.rounds is not None else int(g.get("rounds", 20))
+    if rounds < 1:
+        raise SpecError("rounds must be at least 1, not %d" % rounds)
     opening = build_opening(support, g.get("opening"))
     alice = build_strategy(doc["alice"], decay)
     bob = build_bob(doc.get("bob", {}), alice, args.seed)
@@ -220,7 +222,7 @@ def cmd_play(args) -> int:
         fh.write(transcript.to_jsonl())
     print("transcript: %s (%d moves)" % (tpath, len(transcript.moves)))
     entries = emit_certificates(alice, outcome_interval(transcript))
-    bundle, ok = _verify_and_report(entries, args.max_q or DEFAULT_MAX_Q)
+    bundle, ok = _verify_and_report(entries, args.max_q)
     _write_json(os.path.join(args.out, "certificates.json"),
                 {"certificates": bundle})
     return 0 if ok else 1
@@ -287,7 +289,7 @@ def cmd_certify(args) -> int:
         items = [("certificate", Certificate.from_json(payload))]
     ok = True
     for name, cert in items:
-        result = verify(cert, args.max_q or DEFAULT_MAX_Q)
+        result = verify(cert, args.max_q)
         ok = ok and result.passed
         print("certificate %s: %s (%s)" % (name,
                                            "PASS" if result.passed else "FAIL",
@@ -345,7 +347,7 @@ def cmd_construct(args) -> int:
     print("base-%d digits: %s" % (base,
                                   " ".join(str(d) for d in digit_string)))
     entries = emit_certificates(alice, (lo, hi))
-    bundle, ok = _verify_and_report(entries, args.max_q or DEFAULT_MAX_Q)
+    bundle, ok = _verify_and_report(entries, args.max_q)
     os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "transcript.jsonl"), "w",
               encoding="utf-8") as fh:
@@ -373,7 +375,7 @@ def _parser() -> argparse.ArgumentParser:
         q.add_argument("--spec", required=True)
         q.add_argument("--out", default=".")
         q.add_argument("--rounds", type=int, default=None)
-        q.add_argument("--max-q", type=int, default=None, dest="max_q")
+        q.add_argument("--max-q", type=int, default=DEFAULT_MAX_Q, dest="max_q")
         q.add_argument("--seed", type=int, default=None)
         if name == "construct":
             q.add_argument("--digits", type=int, default=20)

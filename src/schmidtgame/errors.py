@@ -16,20 +16,25 @@ class NoPointFound(RuntimeError):
 
 
 class IllegalMove(RuntimeError):
-    def __init__(self, player: str, reason: str, ball=None):
+    """A move broke the rules; `transcript` holds the game up to it."""
+
+    def __init__(self, player: str, reason: str, ball=None, transcript=None):
         super().__init__(f"illegal move by {player}: {reason}")
         self.player = player
         self.reason = reason
         self.ball = ball
+        self.transcript = transcript
 
 
 class StrategyFailure(RuntimeError):
-    """A strategy raised instead of producing a move; the raiser loses."""
+    """A strategy raised instead of producing a move; the raiser loses.
+    `transcript` holds the game up to the failed move."""
 
-    def __init__(self, player: str, cause: BaseException):
+    def __init__(self, player: str, cause: BaseException, transcript=None):
         super().__init__(f"strategy failure for {player}: {cause}")
         self.player = player
         self.cause = cause
+        self.transcript = transcript
 
 
 class InvalidAlpha(ValueError):

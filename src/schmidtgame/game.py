@@ -129,14 +129,12 @@ def _check_membership(support: FractalSupport, ball: Ball, player: str,
                       transcript: Transcript):
     if ball.word is not None:
         if not support.verify_point(ball.center, ball.word):
-            err = IllegalMove(player, f"word does not witness center {ball.center}", ball)
-            err.transcript = transcript
-            raise err
+            raise IllegalMove(player, f"word does not witness center {ball.center}",
+                              ball, transcript)
         return
     if support.locate(ball.center) is None:
-        err = IllegalMove(player, f"center {ball.center} has no cylinder witness in K", ball)
-        err.transcript = transcript
-        raise err
+        raise IllegalMove(player, f"center {ball.center} has no cylinder witness in K",
+                          ball, transcript)
 
 
 def validate_transcript(t: Transcript, support: Optional[FractalSupport] = None):
@@ -144,15 +142,11 @@ def validate_transcript(t: Transcript, support: Optional[FractalSupport] = None)
     for i, (player, ball) in enumerate(t.moves):
         expected_player = "bob" if i % 2 == 0 else "alice"
         if player != expected_player:
-            err = IllegalMove(player, f"move {i} out of turn", ball)
-            err.transcript = t
-            raise err
+            raise IllegalMove(player, f"move {i} out of turn", ball, t)
         if i > 0:
             ok, reason = is_legal(t.moves[i - 1][1], ball, player, t.params)
             if not ok:
-                err = IllegalMove(player, reason, ball)
-                err.transcript = t
-                raise err
+                raise IllegalMove(player, reason, ball, t)
         if support is not None:
             _check_membership(support, ball, player, t)
 
@@ -179,14 +173,10 @@ def run_game(support: FractalSupport, params: GameParams, alice, bob,
             try:
                 ball = strategy.move(support, params, t)
             except NoPointFound as exc:
-                err = StrategyFailure(player, exc)
-                err.transcript = t
-                raise err from exc
+                raise StrategyFailure(player, exc, t) from exc
             ok, reason = is_legal(prev, ball, player, params)
             if not ok:
-                err = IllegalMove(player, reason, ball)
-                err.transcript = t
-                raise err
+                raise IllegalMove(player, reason, ball, t)
             _check_membership(support, ball, player, t)
             t.moves.append((player, ball))
     t.status = Status.FINISHED

@@ -1,20 +1,21 @@
-"""Exact scalars, certified interval arithmetic, and circle-distance primitives.
+"""Exact scalars, certified logarithm comparisons, and circle-distance primitives.
 
 All game quantities are python Fractions.  Irrational quantities show up in
 one place only: logarithmic exponents such as log 2/log 3, kept symbolically
-as LogRatio and compared through integer-power arithmetic or refinable
-dyadic enclosures of their logarithms.  No float ever decides a comparison:
-when an enclosure cannot separate two values within the precision budget,
-PrecisionCapExceeded is raised.
+as LogRatio and compared through integer-power arithmetic where the pair is
+multiplicatively dependent, else by log_sign, which orders a sum of
+products of logarithms against 0 on dyadic enclosures refined by doubling
+precision.  No float ever decides a comparison: when the enclosure cannot
+exclude 0 within the precision budget, PrecisionCapExceeded is raised.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Optional, Tuple, Union
+from typing import Optional, Tuple, Union
 
 from .errors import PrecisionCapExceeded
 
@@ -28,7 +29,6 @@ class Ordering(Enum):
     LESS = -1
     EQUAL = 0
     GREATER = 1
-    UNDECIDED = 2
 
 
 def ordering_of(a: Fraction, b: Fraction) -> Ordering:
@@ -144,131 +144,42 @@ def ln_bounds(x, bits: int) -> Tuple[Fraction, Fraction]:
     return _dyadic_floor(lo, bits + 2), _dyadic_ceil(hi, bits + 2)
 
 
-# ---------------------------------------------------------------------------
-# interval scalars
+def log_sign(terms, max_bits: int = DEFAULT_MAX_BITS) -> Ordering:
+    """Order the sum of c * prod(ln x for x in xs) over (c, xs) in `terms`
+    against 0; every c is rational and every x a positive rational.
 
-Source = Callable[[int], Tuple[Fraction, Fraction]]
-
-
-@dataclass(frozen=True)
-class IntervalScalar:
-    """Closed rational enclosure [lo, hi] of a real number.
-
-    `source`, when present, recomputes the enclosure at a requested bit
-    precision; derived intervals compose sources so that refinement
-    propagates through arithmetic.
+    Each precision level encloses ln x once per distinct x, multiplies the
+    enclosures endpoint by endpoint and sums them, then doubles the
+    precision until the sum excludes 0.  EQUAL only when the sum is the
+    exact point 0, which needs every term to be a rational constant or to
+    have a factor ln 1: a genuine tie between irrational terms is
+    indistinguishable from too little precision and raises
+    PrecisionCapExceeded once max_bits is spent.
     """
-
-    lo: Fraction
-    hi: Fraction
-    bits: int = 0
-    source: Optional[Source] = field(default=None, compare=False, repr=False)
-
-    def __post_init__(self):
-        if self.lo > self.hi:
-            raise ValueError("interval endpoints out of order")
-
-    @staticmethod
-    def from_rational(q) -> "IntervalScalar":
-        q = Fraction(q)
-        return IntervalScalar(q, q)
-
-    @staticmethod
-    def from_ln(x, bits: int = _START_BITS) -> "IntervalScalar":
-        x = Fraction(x)
-        return IntervalScalar(*ln_bounds(x, bits), bits=bits,
-                              source=lambda b: ln_bounds(x, b))
-
-    @property
-    def is_point(self) -> bool:
-        return self.lo == self.hi
-
-    def refine(self, bits: int) -> "IntervalScalar":
-        if self.source is None or bits <= self.bits:
-            return self
-        lo, hi = self.source(bits)
-        return IntervalScalar(lo, hi, bits, self.source)
-
-    # -- arithmetic (endpoint formulas, sources composed) --
-
-    def _binary(self, other, f) -> "IntervalScalar":
-        other = as_interval(other)
-
-        def rng(b: int) -> Tuple[Fraction, Fraction]:
-            return f(self.refine(b), other.refine(b))
-
-        src = rng if (self.source or other.source) else None
-        lo, hi = f(self, other)
-        return IntervalScalar(lo, hi, min(self.bits, other.bits), src)
-
-    def __add__(self, other):
-        return self._binary(other, lambda a, b: (a.lo + b.lo, a.hi + b.hi))
-
-    def __mul__(self, other):
-        def f(a, b):
-            ps = (a.lo * b.lo, a.lo * b.hi, a.hi * b.lo, a.hi * b.hi)
-            return min(ps), max(ps)
-
-        return self._binary(other, f)
-
-    def __truediv__(self, other):
-        other = as_interval(other)
-
-        def f(a, b):
-            if b.lo <= 0 <= b.hi:
-                raise ZeroDivisionError("divisor interval contains zero")
-            qs = (a.lo / b.lo, a.lo / b.hi, a.hi / b.lo, a.hi / b.hi)
-            return min(qs), max(qs)
-
-        def rng(bits: int) -> Tuple[Fraction, Fraction]:
-            den = other.refine(bits)
-            extra = bits
-            while den.lo <= 0 <= den.hi and den.source and extra < DEFAULT_MAX_BITS * 4:
-                extra *= 2
-                den = den.refine(extra)
-            return f(self.refine(bits), den)
-
-        src = rng if (self.source or other.source) else None
-        lo, hi = rng(max(self.bits, other.bits, _START_BITS)) if src else f(self, other)
-        return IntervalScalar(lo, hi, min(self.bits, other.bits), src)
-
-    def compare(self, other) -> Ordering:
-        """One-shot comparison at current precision; UNDECIDED on overlap."""
-        other = as_interval(other)
-        if self.hi < other.lo:
-            return Ordering.LESS
-        if other.hi < self.lo:
-            return Ordering.GREATER
-        if self.is_point and other.is_point:
-            return Ordering.EQUAL
-        return Ordering.UNDECIDED
-
-
-def as_interval(value) -> IntervalScalar:
-    if isinstance(value, IntervalScalar):
-        return value
-    return IntervalScalar.from_rational(value)
-
-
-def decide(a, b, max_bits: int = DEFAULT_MAX_BITS) -> Ordering:
-    """Compare with refinement: never returns UNDECIDED.
-
-    Raises PrecisionCapExceeded when the enclosures still overlap at
-    max_bits.  Exact equality is only reported for point intervals; a
-    genuine tie between non-degenerate enclosures is indistinguishable
-    from a too-coarse precision and ends up here as the error.
-    """
-    a, b = as_interval(a), as_interval(b)
-    bits = max(_START_BITS, a.bits, b.bits)
+    terms = [(Fraction(c), [Fraction(x) for x in xs]) for c, xs in terms]
+    distinct = {x for _, xs in terms for x in xs}
+    bits = _START_BITS
     while True:
-        got = a.compare(b)
-        if got is not Ordering.UNDECIDED:
-            return got
-        if bits >= max_bits or (a.source is None and b.source is None):
+        logs = {x: ln_bounds(x, bits) for x in distinct}
+        lo = hi = Fraction(0)
+        for c, xs in terms:
+            tlo = thi = c
+            for x in xs:
+                xlo, xhi = logs[x]
+                ps = (tlo * xlo, tlo * xhi, thi * xlo, thi * xhi)
+                tlo, thi = min(ps), max(ps)
+            lo += tlo
+            hi += thi
+        if lo > 0:
+            return Ordering.GREATER
+        if hi < 0:
+            return Ordering.LESS
+        if lo == hi:
+            return Ordering.EQUAL
+        if bits >= max_bits:
             raise PrecisionCapExceeded(
-                f"cannot order [{a.lo}, {a.hi}] against [{b.lo}, {b.hi}] within {max_bits} bits")
+                f"cannot order [{lo}, {hi}] against 0 within {max_bits} bits")
         bits = min(2 * bits, max_bits)
-        a, b = a.refine(bits), b.refine(bits)
 
 
 # ---------------------------------------------------------------------------
@@ -391,9 +302,6 @@ class LogRatio:
         # base > 1, so the sign is the sign of ln(top)
         return -1 if self.top < 1 else (0 if self.top == 1 else 1)
 
-    def interval(self, bits: int = _START_BITS) -> IntervalScalar:
-        return IntervalScalar.from_ln(self.top, bits) / IntervalScalar.from_ln(self.base, bits)
-
     def __float__(self) -> float:
         return _log_float(self.top) / _log_float(self.base)
 
@@ -412,33 +320,27 @@ def make_exponent(top, base) -> Exponent:
     return r if r is not None else lr
 
 
-def invert_exponent(e: Exponent) -> Exponent:
+def _log_quotient(e: Exponent):
+    """e as numerator over positive denominator, each a (c, xs) term of
+    log_sign: ln top over ln base (base > 1), or p over q."""
     if isinstance(e, LogRatio):
-        return make_exponent(e.base, e.top)
+        return (1, [e.top]), (1, [e.base])
     e = Fraction(e)
-    if e == 0:
-        raise ZeroDivisionError("cannot invert a zero exponent")
-    return 1 / e
+    return (e.numerator, []), (e.denominator, [])
 
 
-def exponent_interval(e: Exponent, bits: int = _START_BITS) -> IntervalScalar:
-    if isinstance(e, LogRatio):
-        return e.interval(bits)
-    return IntervalScalar.from_rational(e)
-
-
-def exponent_cmp(a: Exponent, b: Exponent, max_bits: int = DEFAULT_MAX_BITS) -> Ordering:
+def exponent_cmp(a: Exponent, b: Exponent) -> Ordering:
     """Order two exponents; exact on every multiplicatively dependent pair."""
     if not isinstance(a, LogRatio) and not isinstance(b, LogRatio):
         return ordering_of(Fraction(a), Fraction(b))
     if isinstance(a, LogRatio):
         ra = a.as_fraction()
         if ra is not None:
-            return exponent_cmp(ra, b, max_bits)
+            return exponent_cmp(ra, b)
     if isinstance(b, LogRatio):
         rb = b.as_fraction()
         if rb is not None:
-            return exponent_cmp(a, rb, max_bits)
+            return exponent_cmp(a, rb)
     if isinstance(a, LogRatio) and isinstance(b, LogRatio):
         if a == b:
             return Ordering.EQUAL
@@ -454,17 +356,18 @@ def exponent_cmp(a: Exponent, b: Exponent, max_bits: int = DEFAULT_MAX_BITS) -> 
                 if diff_sign < 0:
                     return Ordering.GREATER
                 return Ordering.EQUAL
-    return decide(exponent_interval(a), exponent_interval(b), max_bits)
+    # a - b has the sign of the cross-product na*db - nb*da
+    (na, nxa), (da, dxa) = _log_quotient(a)
+    (nb, nxb), (db, dxb) = _log_quotient(b)
+    return log_sign([(na * db, nxa + dxb), (-nb * da, nxb + dxa)])
 
 
-def scaled_pow_cmp(lhs, coeff, eps, gamma: Exponent,
-                   max_bits: int = DEFAULT_MAX_BITS) -> Ordering:
+def scaled_pow_cmp(lhs, coeff, eps, gamma: Exponent) -> Ordering:
     """Order lhs against coeff * eps**gamma.
 
     lhs >= 0, coeff > 0, eps > 0 rationals.  Exact whenever gamma is
     rational or eps is a rational power of gamma's base (the audit grids
-    arrange the latter); otherwise certified interval logs with a
-    refinement cap.
+    arrange the latter); otherwise log_sign on certified log enclosures.
     """
     lhs, coeff, eps = Fraction(lhs), Fraction(coeff), Fraction(eps)
     if lhs < 0 or coeff <= 0 or eps <= 0:
@@ -482,15 +385,12 @@ def scaled_pow_cmp(lhs, coeff, eps, gamma: Exponent,
         return ordering_of(lhs ** n, coeff ** n * gamma.top ** m)
     r = gamma.as_fraction()
     if r is not None:
-        return scaled_pow_cmp(lhs, coeff, eps, r, max_bits)
+        return scaled_pow_cmp(lhs, coeff, eps, r)
     if eps == 1:
         return ordering_of(lhs, coeff)
     # ln lhs  vs  ln coeff + gamma ln eps, cleared of the denominator ln base > 0
-    lnb = IntervalScalar.from_ln(gamma.base)
-    left = IntervalScalar.from_ln(lhs) * lnb
-    right = IntervalScalar.from_ln(coeff) * lnb + \
-        IntervalScalar.from_ln(gamma.top) * IntervalScalar.from_ln(eps)
-    return decide(left, right, max_bits)
+    return log_sign([(1, [lhs, gamma.base]), (-1, [coeff, gamma.base]),
+                     (-1, [gamma.top, eps])])
 
 
 def floor_sqrt(x) -> int:
@@ -503,24 +403,6 @@ def floor_sqrt(x) -> int:
 
 # ---------------------------------------------------------------------------
 # circle distance
-
-
-def circle_dist_range(lo, hi, y) -> Tuple[Fraction, Fraction]:
-    """Exact range of the circle distance d(pi(u), y) over u in [lo, hi]."""
-    lo, hi, y = Fraction(lo), Fraction(hi), Fraction(y) % 1
-    if lo > hi:
-        raise ValueError("empty range")
-    if hi - lo >= 1:
-        return Fraction(0), Fraction(1, 2)
-    s = (lo - y) % 1
-    e = s + (hi - lo)  # [s, e] inside [0, 2)
-    ds = min(s, 1 - s)
-    de = min(e % 1, 1 - e % 1) if e != 2 else Fraction(0)
-    has_int = s == 0 or e >= 1
-    has_half = s <= Fraction(1, 2) <= e or s <= Fraction(3, 2) <= e
-    dmin = Fraction(0) if has_int else min(ds, de)
-    dmax = Fraction(1, 2) if has_half else max(ds, de)
-    return dmin, dmax
 
 
 def circle_dist(u, y) -> Fraction:

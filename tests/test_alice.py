@@ -17,8 +17,9 @@ from schmidtgame.fractal import (DecayParams, cantor_support,
                                  federer_to_exponent, max_alpha)
 from schmidtgame.game import (Ball, GameParams, HoldCenter, Variant,
                               outcome_interval, run_game, validate_transcript)
-from schmidtgame.numerics import (circle_dist, circle_dist_range,
-                                  fractions_in_interval)
+from schmidtgame.numerics import circle_dist, fractions_in_interval
+
+from circle_reference import circle_dist_range
 
 
 @pytest.fixture(scope="module")
@@ -487,6 +488,13 @@ class TestAffineReduction:
     def test_third_shift_frozen(self):
         spec = affine_to_sequence(3, F(1, 3), F(0), 5)
         assert spec.targets.target(2) == F(2, 3)
+        assert affine_to_sequence(F(3), F(1, 3), F(0), 5) == spec
+
+    @pytest.mark.parametrize("b", [F(5, 2), F(7, 3), 1, 0])
+    def test_rejects_non_integer_or_small_factor(self, b):
+        # x -> b*x + c mod 1 is a circle map only for integer b
+        with pytest.raises(SpecError, match="integer factor"):
+            affine_to_sequence(b, F(1, 3), F(0), 4)
 
     def test_iteration_agrees_pointwise(self):
         # d(f^n(x), y) must equal d(b^n x, y_n) for every x and n

@@ -15,7 +15,8 @@ from schmidtgame.fractal import (IFS, FractalSupport, SimilarityMap,
                                  max_alpha)
 from schmidtgame.game import (Ball, GameParams, HoldCenter, is_legal,
                               outcome_interval, run_game, validate_transcript)
-from schmidtgame.numerics import circle_dist_range
+
+from circle_reference import circle_dist_range
 
 
 @pytest.fixture(scope="module")

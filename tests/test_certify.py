@@ -181,6 +181,12 @@ class TestBAFrozen:
         got = verify_ba(cert, max_q=20)
         assert got.passed
 
+    @pytest.mark.parametrize("max_q", [0, -1])
+    def test_nonpositive_max_q_fails_closed(self, max_q):
+        cert = bare("bad_approx", F(1, 2), F(1, 5), 10, "denominators")
+        with pytest.raises(SpecError, match="max_q must be at least 1"):
+            verify_ba(cert, max_q)
+
 
 class TestEndToEnd:
     def test_lacunary_certificate_verifies(self, lacunary_run):

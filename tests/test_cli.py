@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from schmidtgame.bob import ReplayPlayer
+from schmidtgame.certify import Certificate
 from schmidtgame.cli import bundled_spec_path, main
 from schmidtgame.fractal import (cantor_support, decay_from_federer_efd,
                                  efd_to_exponent, federer_to_exponent,
@@ -104,6 +105,23 @@ class TestPlay:
         text = (tmp_path / "transcript.jsonl").read_text()
         assert len(text.splitlines()) == 25
 
+    @pytest.mark.parametrize("rounds", ["0", "-3"])
+    @pytest.mark.parametrize("command", ["play", "construct"])
+    def test_nonpositive_rounds_exits_2(self, tmp_path, capsys, command,
+                                        rounds):
+        # 0 is a value, not "unset": it must not fall back to the spec's rounds
+        assert main([command, "--spec", bundled_spec_path("cantor_triple.json"),
+                     "--out", str(tmp_path), "--rounds", rounds]) == 2
+        assert "rounds must be at least 1" in capsys.readouterr().err
+        assert not (tmp_path / "transcript.jsonl").exists()
+
+    def test_non_integer_affine_factor_exits_2(self, tmp_path, capsys):
+        spec = write_spec(tmp_path, lambda d: d.__setitem__("alice", {
+            "strategy": "affine_orbit", "b": "5/2", "c": "1/3", "y": "0",
+            "n_max": 4}))
+        assert main(["play", "--spec", spec, "--out", str(tmp_path)]) == 2
+        assert "integer factor" in capsys.readouterr().err
+
 
 class TestCertify:
     @pytest.fixture()
@@ -130,6 +148,25 @@ class TestCertify:
     def test_max_q_flag(self, bundle_path):
         assert main(["certify", "--spec", str(bundle_path),
                      "--max-q", "1000"]) == 0
+
+    @pytest.fixture()
+    def failing_bare(self, tmp_path):
+        # 1/2 itself lies within c/q^2 of the point interval {1/2}
+        cert = Certificate("bad_approx", (F(1, 2), F(1, 2)), F(1, 5), 10,
+                           "denominators")
+        path = tmp_path / "bare.json"
+        path.write_text(json.dumps(cert.to_json()))
+        return path
+
+    def test_failing_bare_certificate_exits_1(self, failing_bare):
+        assert main(["certify", "--spec", str(failing_bare)]) == 1
+
+    @pytest.mark.parametrize("max_q", ["0", "-1"])
+    def test_nonpositive_max_q_exits_2(self, failing_bare, capsys, max_q):
+        # an empty denominator range would pass any certificate
+        assert main(["certify", "--spec", str(failing_bare),
+                     "--max-q", max_q]) == 2
+        assert "max_q must be at least 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("rho0", ["0", "-1/3"])
     def test_nonpositive_rho0_exits_2(self, tmp_path, capsys, rho0):

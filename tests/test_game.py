@@ -78,6 +78,8 @@ class TestRunGame:
         with pytest.raises(IllegalMove) as exc:
             run_game(K, p, Cheater(), HoldCenter(), rounds=2)
         assert exc.value.player == "alice"
+        assert exc.value.ball.center == F(1, 2)
+        assert len(exc.value.transcript.moves) == 1  # Bob's opening only
 
     def test_wrong_radius_rejected(self, K):
         class WrongRadius:
@@ -86,8 +88,10 @@ class TestRunGame:
                 return Ball(prev.center, prev.radius / 2, prev.word)
 
         p = classical(F(1, 3), F(1, 3))
-        with pytest.raises(IllegalMove):
+        with pytest.raises(IllegalMove) as exc:
             run_game(K, p, WrongRadius(), HoldCenter(), rounds=1)
+        assert "classical rule" in exc.value.reason
+        assert len(exc.value.transcript.moves) == 1
 
     def test_strategy_failure_wraps_no_point(self, K):
         class GivesUp:
@@ -141,8 +145,9 @@ class TestTranscript:
             factor = F(rng.randint(2, 9), rng.randint(10, 19))
             mutated = Transcript(params=p, moves=list(t.moves))
             mutated.moves[i] = (player, Ball(ball.center, ball.radius * factor))
-            with pytest.raises(IllegalMove):
+            with pytest.raises(IllegalMove) as exc:
                 validate_transcript(mutated)
+            assert exc.value.transcript is mutated
 
     def test_random_legal_moves_accepted(self, K):
         # fuzz the referee with random legal centers picked from K

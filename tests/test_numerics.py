@@ -1,21 +1,22 @@
 import math
 import random
+from decimal import Context, Decimal
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from schmidtgame.errors import PrecisionCapExceeded
-from schmidtgame.numerics import (IntervalScalar, LogRatio, Ordering,
-                                  circle_dist, circle_dist_range,
-                                  decide, exponent_cmp, farey_left,
-                                  farey_right, floor_sqrt,
-                                  fractions_in_interval, format_rational,
-                                  invert_exponent, ln_bounds, make_exponent,
-                                  ordering_of, parse_rational, pow_exact,
-                                  rational_power_of, scaled_pow_cmp,
-                                  simplest_between)
+from schmidtgame.numerics import (LogRatio, Ordering, circle_dist,
+                                  exponent_cmp, farey_left, farey_right,
+                                  floor_sqrt, fractions_in_interval,
+                                  format_rational, ln_bounds, log_sign,
+                                  make_exponent, ordering_of, parse_rational,
+                                  pow_exact, rational_power_of,
+                                  scaled_pow_cmp, simplest_between)
+
+from circle_reference import circle_dist_range
 
 rationals = st.fractions(min_value=-100, max_value=100, max_denominator=64)
 positive_rationals = st.fractions(min_value=F(1, 64), max_value=100, max_denominator=64)
@@ -70,33 +71,33 @@ class TestCircleDist:
         assert dmin <= circle_dist(u, y) <= dmax
 
 
-class TestCompare:
-    def test_rational_pairs(self):
-        third = IntervalScalar.from_rational(F(1, 3))
-        assert third.compare(F(2, 6)) is Ordering.EQUAL
-        assert third.compare(F(1, 2)) is Ordering.LESS
+class TestLogSign:
+    def test_separates_ln2(self):
+        assert log_sign([(1, [2]), (F(-69, 100), [])]) is Ordering.GREATER
+        assert log_sign([(1, [2]), (F(-7, 10), [])]) is Ordering.LESS
 
-    def test_interval_cases(self):
-        a = IntervalScalar(F(141, 100), F(142, 100))
-        assert a.compare(F(3, 2)) is Ordering.LESS
-        b = IntervalScalar(F(1415, 1000), F(143, 100))
-        assert a.compare(b) is Ordering.UNDECIDED
-
-    def test_decide_separates_ln2(self):
-        # ln 2 = 0.6931...: a 2-bit start cannot place it, refinement must
-        x = IntervalScalar.from_ln(2, bits=2)
-        assert x.compare(F(7, 10)) is Ordering.UNDECIDED
-        assert decide(x, F(7, 10)) is Ordering.LESS
-        assert decide(x, F(69, 100)) is Ordering.GREATER
-
-    def test_decide_raises_on_tie(self):
+    def test_refines_past_the_start(self):
+        # a rational within 2**-64 below ln 2: 32 bits cannot place it
+        lo, _ = ln_bounds(2, 64)
         with pytest.raises(PrecisionCapExceeded):
-            decide(IntervalScalar.from_ln(4),
-                   IntervalScalar.from_ln(2) + IntervalScalar.from_ln(2),
-                   max_bits=256)
+            log_sign([(1, [2]), (-lo, [])], max_bits=32)
+        assert log_sign([(1, [2]), (-lo, [])]) is Ordering.GREATER
+        assert log_sign([(-1, [2]), (lo, [])]) is Ordering.LESS
 
-    def test_decide_equal_points(self):
-        assert decide(F(1, 3), F(2, 6)) is Ordering.EQUAL
+    def test_negative_factors(self):
+        # ln(1/2) ln(1/3) = ln 2 ln 3 = 0.7615...; -ln(1/2) = ln 2
+        assert log_sign([(1, [F(1, 2), F(1, 3)]), (F(-76, 100), [])]) is Ordering.GREATER
+        assert log_sign([(-1, [F(1, 2), F(1, 3)]), (F(77, 100), [])]) is Ordering.GREATER
+        assert log_sign([(-1, [F(1, 2)]), (F(-7, 10), [])]) is Ordering.LESS
+        assert log_sign([(-2, [F(1, 2), 3, 3])]) is Ordering.GREATER
+
+    def test_tie_raises(self):
+        with pytest.raises(PrecisionCapExceeded):
+            log_sign([(1, [4]), (-2, [2])], max_bits=256)
+
+    def test_exact_zero_is_equal(self):
+        assert log_sign([(1, [1]), (-3, [1, 5]), (F(2, 7), [7, 1])]) is Ordering.EQUAL
+        assert log_sign([]) is Ordering.EQUAL
 
 
 @given(a=rationals, b=rationals, c=rationals)
@@ -105,17 +106,6 @@ def test_rational_field_laws(a, b, c):
     assert (a * b) * c == a * (b * c)
     assert a + b == b + a and a * b == b * a
     assert a * (b + c) == a * b + a * c
-
-
-@given(a=rationals, b=rationals, da=st.fractions(min_value=0, max_value=1, max_denominator=16),
-       db=st.fractions(min_value=0, max_value=1, max_denominator=16))
-def test_interval_ops_conservative(a, b, da, db):
-    ia = IntervalScalar(a - da, a + da)
-    ib = IntervalScalar(b - db, b + db)
-    for op in ("add", "mul"):
-        got = {"add": ia + ib, "mul": ia * ib}[op]
-        exact = {"add": a + b, "mul": a * b}[op]
-        assert got.lo <= exact <= got.hi
 
 
 @pytest.mark.parametrize("x", [F(2), F(3), F(10, 7), F(1, 3), F(97), F(1, 10 ** 12)])
@@ -146,17 +136,6 @@ class TestLogRatio:
         assert exponent_cmp(g, F(631, 1000)) is Ordering.LESS
         assert exponent_cmp(g, LogRatio(8, 3)) is Ordering.LESS
         assert exponent_cmp(LogRatio(4, 9), g) is Ordering.EQUAL
-
-    def test_invert(self):
-        assert invert_exponent(F(2, 3)) == F(3, 2)
-        assert invert_exponent(LogRatio(2, 3)) == LogRatio(3, 2)
-        assert invert_exponent(make_exponent(4, 2)) == F(1, 2)
-
-    def test_interval_encloses_value(self):
-        iv = LogRatio(2, 3).interval(64)
-        v = math.log(2) / math.log(3)
-        assert float(iv.lo) <= v <= float(iv.hi)
-        assert iv.hi - iv.lo < F(1, 2 ** 48)
 
 
 def test_rational_power_of():
@@ -199,6 +178,62 @@ class TestScaledPowCmp:
     def test_interval_fallback(self):
         got = scaled_pow_cmp(F(10), F(3), F(1, 7), LogRatio(2, 5))
         assert got is Ordering.GREATER
+
+
+# decimal reference for the log_sign fallbacks, at 100 significant digits
+_DEC = Context(prec=100)
+_REF_TIE = Decimal("1e-80")
+small_positive = st.fractions(min_value=F(1, 50), max_value=50, max_denominator=50)
+log_ratios = st.builds(LogRatio, small_positive,
+                       small_positive.filter(lambda x: x != 1))
+exponents = st.one_of(log_ratios, rationals)
+
+
+def _ln(x):
+    x = F(x)
+    return _DEC.divide(Decimal(x.numerator), Decimal(x.denominator)).ln(_DEC)
+
+
+def _exponent_value(e):
+    if isinstance(e, LogRatio):
+        return _DEC.divide(_ln(e.top), _ln(e.base))
+    return _DEC.divide(Decimal(e.numerator), Decimal(e.denominator))
+
+
+def _reference_order(diff):
+    assume(abs(diff) >= _REF_TIE)
+    return Ordering.GREATER if diff > 0 else Ordering.LESS
+
+
+# the reference value rounded to 6-25 significant digits: a near tie whose
+# first enclosures straddle 0, so log_sign has to refine
+near_digits = st.one_of(st.none(), st.integers(min_value=6, max_value=25))
+
+
+def _near(value, digits):
+    return F(Context(prec=digits).plus(value))
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=exponents, b=exponents, digits=near_digits)
+def test_exponent_cmp_matches_decimal(a, b, digits):
+    if digits is not None:
+        b = _near(_exponent_value(a), digits)
+    want = _reference_order(_DEC.subtract(_exponent_value(a), _exponent_value(b)))
+    assert exponent_cmp(a, b) is want
+    assert exponent_cmp(b, a) is Ordering(-want.value)
+
+
+@settings(max_examples=200, deadline=None)
+@given(lhs=small_positive, coeff=small_positive, eps=small_positive,
+       gamma=log_ratios, digits=near_digits)
+def test_scaled_pow_cmp_matches_decimal(lhs, coeff, eps, gamma, digits):
+    # ln lhs against ln coeff + gamma ln eps
+    rhs = _DEC.add(_ln(coeff), _DEC.multiply(_exponent_value(gamma), _ln(eps)))
+    if digits is not None:
+        lhs = _near(rhs.exp(_DEC), digits)
+    want = _reference_order(_DEC.subtract(_ln(lhs), rhs))
+    assert scaled_pow_cmp(lhs, coeff, eps, gamma) is want
 
 
 def test_floor_sqrt():

@@ -30,7 +30,8 @@ from schmidtgame.cli import bundled_spec_path, main
 from schmidtgame.errors import HorizonMismatch
 from schmidtgame.fractal import DecayParams
 from schmidtgame.game import Ball, GameParams
-from schmidtgame.numerics import circle_dist_range
+
+from circle_reference import circle_dist_range
 
 LOOSE = DecayParams(C=F(1, 4), gamma=F(1), rho0=F(1))
 QUARTER = GameParams(F(1, 4), F(1, 4))
