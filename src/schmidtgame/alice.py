@@ -528,7 +528,8 @@ def avoidance_step(support: FractalSupport, ball: Ball, alpha: Fraction,
         margin = 2 * reach
         anchors = (x1 - rho, x1, x1 + rho)
         got = find_point_in_gap(support, (x1 - rho, x1 + rho),
-                                [(a - margin, a + margin) for a in anchors])
+                                [(a - margin, a + margin) for a in anchors],
+                                word=ball.word)
         if got is None:
             raise NoPointFound(
                 "no support point clears the crowded ball; "

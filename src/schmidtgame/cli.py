@@ -383,9 +383,18 @@ def _parser() -> argparse.ArgumentParser:
     return p
 
 
+def _check_args(args) -> None:
+    """Reject out-of-range flags before any command runs."""
+    if args.max_q < 1:
+        raise SpecError("max_q must be at least 1, not %d" % args.max_q)
+    if getattr(args, "digits", 1) < 1:
+        raise SpecError("digits must be at least 1, not %d" % args.digits)
+
+
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
+        _check_args(args)
         return args.fn(args)
     except (IllegalMove, StrategyFailure, InvariantViolation, NoPointFound,
             HorizonMismatch, PrecisionCapExceeded) as exc:

@@ -218,42 +218,50 @@ class FractalSupport:
         return Cylinder(tuple(word), Fraction(lo, scale), Fraction(hi, scale),
                         Fraction(mass, self._V ** len(word)))
 
+    def _span(self, rho: int, alpha: int) -> Tuple[int, int]:
+        """Ends of the hull's image under x -> (rho x + alpha) / Q**n, in
+        order, as numerators over H * Q**n."""
+        H = self._H
+        lo, hi = rho * self._L + alpha * H, rho * self._U + alpha * H
+        return (hi, lo) if rho < 0 else (lo, hi)
+
     def cylinder(self, word: Sequence[int]) -> Cylinder:
         rho, alpha = self._affine(word)
         H = self._H
-        lo, hi = rho * self._L + alpha * H, rho * self._U + alpha * H
-        if rho < 0:
-            lo, hi = hi, lo
+        lo, hi = self._span(rho, alpha)
         mass = math.prod(self._weights[i] for i in word)
         return self._cylinder(word, lo, hi, H * self._Q ** len(word), mass)
 
     def cylinders(self, depth: int) -> List[Cylinder]:
         return self.cylinders_meeting(*self.hull, depth)
 
-    def _walk(self, lo: Fraction, hi: Fraction, depth: int):
+    def _walk(self, lo: Fraction, hi: Fraction, depth: int, start=None):
         """Preorder walk, children in letter order, over the cylinders of
         depth at most `depth` whose closed interval meets [lo, hi].
 
-        Yields a `_Node` per cylinder.  Its children are walked next unless
-        the consumer clears `node.descend` before asking for the next node.
-        The stack is explicit, so depth is not bounded by the interpreter's
-        frame limit.
+        The walk starts at the root, or at `start = (word, rho, alpha,
+        mass)` and then covers only that node's subtree.  Yields a `_Node`
+        per cylinder.  Its children are walked next unless the consumer
+        clears `node.descend` before asking for the next node.  The stack
+        is explicit, so depth is not bounded by the interpreter's frame
+        limit.
         """
         Q, H, L, U = self._Q, self._H, self._L, self._U
         maps, weights = self._maps, self._weights
         (ln, ld), (hn, hd) = lo.as_integer_ratio(), hi.as_integer_ratio()
         letters = range(len(maps) - 1, -1, -1)
-        scales = [H]
-        word: List[int] = []
-        stack = [(0, 0, 1, 0, 1)]
+        word, rho, alpha, mass = start or ((), 1, 0, 1)
+        base, word = len(word), list(word)
+        scales = [H * Q ** base]
+        stack = [(base, None, rho, alpha, mass)]
         while stack:
             d, letter, rho, alpha, mass = stack.pop()
-            if d:
+            if letter is not None:
                 del word[d - 1:]
                 word.append(letter)
-            if d == len(scales):
+            if d - base == len(scales):
                 scales.append(scales[-1] * Q)
-            scale = scales[d]
+            scale = scales[d - base]
             p, q = rho * L + alpha * H, rho * U + alpha * H
             if rho < 0:
                 p, q = q, p
@@ -266,6 +274,63 @@ class FractalSupport:
                     R, A = maps[i]
                     stack.append((d + 1, i, rho * R, rho * A + alpha * Q,
                                   mass * weights[i]))
+
+    def _start_node(self, word: Sequence[int], lo: Fraction, hi: Fraction,
+                    depth: int):
+        """A `start` for `_walk(lo, hi, depth)`: the deepest node N on the
+        address of w_word(p0) (the word, then letter 0 forever, since p0 is
+        map 0's fixed point) down to which the walk from the root meets
+        one cylinder per depth.  None when w_word(p0) is outside [lo, hi].
+
+        Up: drop the word's last letters until the cylinder's open interval
+        holds [lo, hi] and its depth is at most `depth`; under the open set
+        condition no other cylinder of that depth or above meets [lo, hi].
+        Down: follow the address while the address child is the only child
+        whose closed interval meets [lo, hi], to depth at most `depth`; the
+        test is `_walk`'s, mapped into the node's own coordinates.
+        """
+        Q, H, maps = self._Q, self._H, self._maps
+        (ln, ld), (hn, hd) = lo.as_integer_ratio(), hi.as_integer_ratio()
+        word = tuple(word)
+        rho, alpha = self._affine(word)
+        n, scale = len(word), H * Q ** len(word)
+        x = rho * self._P + alpha * H
+        if x * ld < ln * scale or x * hd > hn * scale:
+            return None
+        while n:
+            p, q = self._span(rho, alpha)
+            if n <= depth and p * ld < ln * scale and hn * scale < q * hd:
+                break
+            n -= 1
+            R, A = maps[word[n]]
+            rho //= R
+            alpha = (alpha - rho * A) // Q
+            scale //= Q
+        # Down, in the node's own coordinates x = (Q**n y - alpha) / rho,
+        # where its cylinder is the hull, its children's ends are `kids`
+        # over H*Q whatever the depth, and [lo, hi] is [a/b, c/d]: each
+        # step costs a few products by the maps' small integers.
+        kids = [self._span(R, A) for R, A in maps]
+        a, b = scale // H * ln - alpha * ld, rho * ld
+        c, d = scale // H * hn - alpha * hd, rho * hd
+        if rho < 0:
+            a, b, c, d = -c, -d, -a, -b
+        path = list(word[:n])
+        while n < depth:
+            here = word[n] if n < len(word) else 0
+            aQH, cQH = a * Q * H, c * Q * H
+            if any(i != here and q * b >= aQH and p * d <= cQH
+                   for i, (p, q) in enumerate(kids)):
+                break  # another child meets [lo, hi]: the walk forks here
+            R, A = maps[here]
+            rho, alpha = rho * R, rho * A + alpha * Q
+            a, b, c, d = Q * a - A * b, R * b, Q * c - A * d, R * d
+            if R < 0:
+                a, b, c, d = -c, -d, -a, -b
+            path.append(here)
+            n += 1
+        mass = math.prod(self._weights[i] for i in path)
+        return tuple(path), rho, alpha, mass
 
     def cylinders_meeting(self, lo, hi, depth: int) -> List[Cylinder]:
         """Depth-`depth` cylinders whose closed interval meets [lo, hi]."""
@@ -343,13 +408,22 @@ def _merge_closed(intervals: Iterable[Interval]) -> List[Interval]:
 def find_point_in_gap(support: FractalSupport, inside: Interval,
                       forbidden: Sequence[Interval],
                       max_depth: Optional[int] = None,
+                      word: Optional[Sequence[int]] = None,
                       ) -> Optional[Tuple[Fraction, Tuple[int, ...]]]:
     """A point of K inside `inside` and outside every closed forbidden
     interval, as (point, word), or None.
 
-    None is returned only after descending to cylinders smaller than a
-    quarter of the narrowest uncovered gap, which exhausts the canonical
-    candidates; it is a search failure, not an emptiness proof.
+    The search walks the cylinders meeting `inside` in preorder and returns
+    the first canonical point that qualifies.  None is returned only after
+    descending to cylinders smaller than a quarter of the narrowest
+    uncovered gap, which exhausts the canonical candidates; it is a search
+    failure, not an emptiness proof.
+
+    `word` is a hint: a word of the IFS whose point lies in `inside`, such
+    as the word of the center of the ball being searched.  The walk then
+    starts at `FractalSupport._start_node` instead of the root, skipping
+    the single path of cylinders above it.  The answer is the same with or
+    without the hint; a word whose point is outside `inside` is ignored.
     """
     ilo, ihi = Fraction(inside[0]), Fraction(inside[1])
     if ilo > ihi:
@@ -390,7 +464,9 @@ def find_point_in_gap(support: FractalSupport, inside: Interval,
     (iln, ild), (ihn, ihd) = ilo.as_integer_ratio(), ihi.as_integer_ratio()
     bounds = [(*flo.as_integer_ratio(), *fhi.as_integer_ratio())
               for flo, fhi in merged]
-    for n in support._walk(ilo, ihi, max_depth):
+    start = None if word is None else \
+        support._start_node(word, ilo, ihi, max_depth)
+    for n in support._walk(ilo, ihi, max_depth, start):
         s, clo, chi = n.scale, n.lo, n.hi
         if any(fln * s <= clo * fld and chi * fhd <= fhn * s
                for fln, fld, fhn, fhd in bounds):
@@ -400,7 +476,15 @@ def find_point_in_gap(support: FractalSupport, inside: Interval,
         if (iln * s <= x * ild and x * ihd <= ihn * s
                 and not any(fln * s <= x * fld and x * fhd <= fhn * s
                             for fln, fld, fhn, fhd in bounds)):
-            return (Fraction(x, s), tuple(n.word))
+            found = tuple(n.word)
+            if start is not None and n.depth == len(start[0]):
+                # the start node's ancestors that differ from it by trailing
+                # 0s share its point: the root walk meets the shallowest
+                end = len(found)
+                while end and found[end - 1] == 0:
+                    end -= 1
+                found = found[:end]
+            return (Fraction(x, s), found)
     return None
 
 

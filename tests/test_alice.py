@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from schmidtgame import alice
 from schmidtgame.alice import (BAStrategy, BiLipschitzMap, ConstTargets,
                                ExcludeCountable, GeometricTerms,
                                LacunarySpec, LacunaryStrategy, ListTargets,
@@ -12,7 +13,8 @@ from schmidtgame.alice import (BAStrategy, BiLipschitzMap, ConstTargets,
                                interleave, plan_ba, plan_lacunary)
 from schmidtgame.errors import (HorizonMismatch, InvalidAlpha,
                                 NoPointFound, ScheduleOverlap, SpecError)
-from schmidtgame.fractal import (DecayParams, cantor_support,
+from schmidtgame.cli import bundled_spec_path, main
+from schmidtgame.fractal import (DecayParams, FractalSupport, cantor_support,
                                  decay_from_federer_efd, efd_to_exponent,
                                  federer_to_exponent, max_alpha)
 from schmidtgame.game import (Ball, GameParams, HoldCenter, Variant,
@@ -199,6 +201,32 @@ class TestAvoidanceStep:
             assert abs(got.center - center) <= rho - got.radius
             cleared = [y for y in pts if abs(y - got.center) - got.radius > got.radius]
             assert 2 * len(cleared) >= len(pts)
+
+    def test_gap_search_starts_at_the_ball(self, tmp_path, monkeypatch):
+        # a search from the root walks the whole path down to the ball's
+        # cylinder, up to 976 nodes in this game; from the ball, a few
+        counts, searching = [], []
+        real_walk, real_find = FractalSupport._walk, alice.find_point_in_gap
+
+        def walk(self, *args):
+            for node in real_walk(self, *args):
+                if searching:
+                    counts[-1] += 1
+                yield node
+
+        def find(*args, **kwargs):
+            counts.append(0)
+            searching.append(True)
+            try:
+                return real_find(*args, **kwargs)
+            finally:
+                searching.pop()
+
+        monkeypatch.setattr(FractalSupport, "_walk", walk)
+        monkeypatch.setattr(alice, "find_point_in_gap", find)
+        assert main(["play", "--spec", bundled_spec_path("cantor_triple.json"),
+                     "--rounds", "200", "--out", str(tmp_path)]) == 0
+        assert counts and max(counts) <= 8
 
 
 class TestPlanLacunary:

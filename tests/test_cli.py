@@ -115,6 +115,17 @@ class TestPlay:
         assert "rounds must be at least 1" in capsys.readouterr().err
         assert not (tmp_path / "transcript.jsonl").exists()
 
+    @pytest.mark.parametrize("spec", ["cantor_lacunary.json",
+                                      "cantor_ba.json"])
+    def test_nonpositive_max_q_exits_2_before_playing(self, tmp_path, capsys,
+                                                      spec):
+        # without a badly-approximable part no verifier ever reads max_q
+        out = tmp_path / "out"
+        assert main(["play", "--spec", bundled_spec_path(spec),
+                     "--out", str(out), "--max-q", "0"]) == 2
+        assert "max_q must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_non_integer_affine_factor_exits_2(self, tmp_path, capsys):
         spec = write_spec(tmp_path, lambda d: d.__setitem__("alice", {
             "strategy": "affine_orbit", "b": "5/2", "c": "1/3", "y": "0",
@@ -225,6 +236,15 @@ class TestAudit:
 
 
 class TestConstruct:
+    @pytest.mark.parametrize("digits", ["0", "-3"])
+    def test_nonpositive_digits_exits_2(self, tmp_path, capsys, digits):
+        out = tmp_path / "out"
+        assert main(["construct", "--spec",
+                     bundled_spec_path("cantor_triple.json"),
+                     "--out", str(out), "--digits", digits]) == 2
+        assert "digits must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_twenty_digits_in_cantor_alphabet(self, tmp_path, capsys):
         code = main(["construct", "--spec",
                      bundled_spec_path("cantor_triple.json"),

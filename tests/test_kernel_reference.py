@@ -299,3 +299,35 @@ def test_find_point_in_gap(K, data):
         assert got == (None if word is None else (x, word))
     else:
         assert got == ref.find_point_in_gap(inside, forbidden, max_depth)
+
+
+@settings(max_examples=150, deadline=None)
+@given(supports(), st.data())
+def test_find_point_in_gap_from_a_word(K, data):
+    """The gap search started from a word's cylinder returns the point and
+    word of the search from the root: on windows around the word's point
+    at every scale, windows that leave the hull or miss the point, words
+    ending in 0s, a forbidden interval over the point, and depth caps
+    shorter than the word."""
+    k = len(K.ifs.maps)
+    word = data.draw(words(k, 10)) + (0,) * data.draw(st.integers(0, 3))
+    c = K.point(word)
+    if data.draw(st.booleans()):
+        inside = interval(K, data, 2)
+    else:
+        m = len(word) + data.draw(st.integers(-len(word), 6))
+        cyl = K.cylinder((word + (0,) * 6)[:m])
+        unit = cyl.hi - cyl.lo
+        left, right = (F(data.draw(st.integers(-1, 12)), 16) for _ in "lr")
+        inside = (c - left * unit, c + right * unit)
+        if inside[0] > inside[1]:
+            inside = inside[::-1]
+    ilo, ihi = inside
+    forbidden = [interval(K, data, 2)
+                 for _ in range(data.draw(st.integers(0, 2)))]
+    if data.draw(st.booleans()):  # the avoidance move's three anchors
+        margin = (ihi - ilo) * F(data.draw(st.integers(0, 8)), 16)
+        forbidden += [(a - margin, a + margin) for a in (ilo, c, ihi)]
+    max_depth = len(word) + 8 - data.draw(st.integers(0, len(word) + 8))
+    assert find_point_in_gap(K, inside, forbidden, max_depth, word=word) == \
+        find_point_in_gap(K, inside, forbidden, max_depth)
