@@ -294,8 +294,8 @@ class FractalSupport:
         word = tuple(word)
         rho, alpha = self._affine(word)
         n, scale = len(word), H * Q ** len(word)
-        x = rho * self._P + alpha * H
-        if x * ld < ln * scale or x * hd > hn * scale:
+        point = rho * self._P + alpha * H
+        if point * ld < ln * scale or point * hd > hn * scale:
             return None
         while n:
             p, q = self._span(rho, alpha)

@@ -305,9 +305,10 @@ def test_find_point_in_gap(K, data):
 @given(supports(), st.data())
 def test_find_point_in_gap_from_a_word(K, data):
     """The gap search started from a word's cylinder returns the point and
-    word of the search from the root: on windows around the word's point
-    at every scale, windows that leave the hull or miss the point, words
-    ending in 0s, a forbidden interval over the point, and depth caps
+    word of the search from the root, on `supports()` systems (touching
+    images and negative ratios among them): on windows around the word's
+    point at every scale, windows that leave the hull or miss the point,
+    words ending in 0s, a forbidden interval over the point, and depth caps
     shorter than the word."""
     k = len(K.ifs.maps)
     word = data.draw(words(k, 10)) + (0,) * data.draw(st.integers(0, 3))
