@@ -12,8 +12,8 @@ from .alice import (BAStrategy, BiLipschitzMap, ConstTargets, ExcludeCountable,
                     affine_map, affine_to_sequence, avoidance_step, ba_move,
                     danger_set, exclude_countable, index_block, interleave,
                     lacunary_move, plan_ba, plan_lacunary)
-from .bob import (AdversaryConfig, GreedyBob, KeepCenterBob, RandomBob,
-                  ReplayPlayer, greedy_move, make_bob, random_move)
+from .bob import (GreedyBob, KeepCenterBob, RandomBob, ReplayPlayer,
+                  greedy_move, random_move)
 from .certify import (Certificate, DimensionReport, VerificationResult,
                       ba_certificate, dimension_report, orbit_certificate,
                       verify, verify_ba, verify_orbit_separation)
@@ -33,7 +33,7 @@ from .game import (Ball, GameParams, HoldCenter, Transcript, Variant,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdversaryConfig", "AuditGrid", "BAStrategy", "Ball", "BiLipschitzMap",
+    "AuditGrid", "BAStrategy", "Ball", "BiLipschitzMap",
     "Certificate", "ConstTargets", "DecayParams", "DimensionReport",
     "ExcludeCountable", "FractalMeasure", "FractalSupport", "GameParams",
     "GeometricTerms", "GreedyBob", "HoldCenter", "HorizonMismatch", "IFS",
@@ -48,7 +48,7 @@ __all__ = [
     "decay_from_federer_efd", "dimension_report", "efd_to_exponent",
     "exclude_countable", "federer_to_exponent", "find_point_in_gap",
     "greedy_move", "index_block", "interleave", "is_legal", "lacunary_move",
-    "lebesgue_measure", "lower_pointwise_dimension", "make_bob", "max_alpha",
+    "lebesgue_measure", "lower_pointwise_dimension", "max_alpha",
     "orbit_certificate", "outcome_interval", "plan_ba", "plan_lacunary",
     "random_move", "run_game", "transcript_from_jsonl", "validate_transcript",
     "verify", "verify_ba", "verify_orbit_separation",

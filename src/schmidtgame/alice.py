@@ -96,11 +96,6 @@ class BiLipschitzMap:
         return cls(bps, tuple(Fraction(s) for s in slopes),
                    (bps[0], Fraction(value_at_first)))
 
-    @property
-    def is_identity(self) -> bool:
-        return (not self.breakpoints and self.slopes == (Fraction(1),)
-                and self.anchor[1] == self.anchor[0])
-
     def _values(self) -> List[Fraction]:
         # images of the breakpoints, by continuity from the anchor
         vals = []
@@ -977,11 +972,6 @@ class InterleaveStrategy:
             if self.subs[i] is not None and hasattr(strat, "danger_preview"):
                 out.extend(strat.danger_preview(support, self.eff[i], self.subs[i]))
         return out[:32]
-
-    def parts(self):
-        """(strategy, effective params, synthetic transcript) per sub."""
-        return [(s, self.eff[i], self.subs[i])
-                for i, s in enumerate(self.strategies)]
 
 
 def interleave(strategies: Sequence,

@@ -8,17 +8,15 @@ re-validate a stored transcript move for move.
 """
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from .errors import SpecError
 from .fractal import FractalSupport, find_point_in_gap
 from .game import Ball, GameParams, Transcript
 
-__all__ = ["AdversaryConfig", "greedy_move", "random_move",
-           "KeepCenterBob", "GreedyBob", "RandomBob", "ReplayPlayer",
-           "make_bob"]
+__all__ = ["greedy_move", "random_move",
+           "KeepCenterBob", "GreedyBob", "RandomBob", "ReplayPlayer"]
 
 
 def _legal_range(ball: Ball, ratio: Fraction) -> Tuple[Fraction, Fraction]:
@@ -148,27 +146,3 @@ class ReplayPlayer:
         ball = self.balls[self.next]
         self.next += 1
         return ball
-
-
-@dataclass
-class AdversaryConfig:
-    kind: str = "keep"
-    seed: int = 0
-    target_points: List[Fraction] = field(default_factory=list)
-    transcript: Optional[Transcript] = None
-
-    def __post_init__(self):
-        if self.kind not in ("keep", "greedy", "random", "replay"):
-            raise SpecError("unknown adversary kind %r" % self.kind)
-        if self.kind == "replay" and self.transcript is None:
-            raise SpecError("replay adversary needs a transcript")
-
-
-def make_bob(config: AdversaryConfig, alice=None):
-    if config.kind == "keep":
-        return KeepCenterBob()
-    if config.kind == "greedy":
-        return GreedyBob(alice=alice, targets=config.target_points)
-    if config.kind == "random":
-        return RandomBob(config.seed)
-    return ReplayPlayer(config.transcript, "bob")

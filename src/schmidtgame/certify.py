@@ -18,8 +18,8 @@ from .alice import (BiLipschitzMap, LacunarySpec, ba_constants,
 from .errors import HorizonMismatch, SpecError
 from .fractal import DecayParams, DimensionEstimate, MeasureAuditReport
 from .numerics import (Exponent, LogRatio, Ordering, circle_dist,
-                       exponent_cmp, floor_sqrt, fractions_in_interval,
-                       make_exponent, parse_rational)
+                       exponent_bounds, exponent_cmp, floor_sqrt,
+                       fractions_in_interval, make_exponent, parse_rational)
 
 ORBIT_SEPARATION = "orbit_separation"
 BAD_APPROX = "bad_approx"
@@ -302,11 +302,13 @@ def verify(cert: Certificate, max_q: int = DEFAULT_MAX_Q) -> VerificationResult:
 @dataclass(frozen=True)
 class DimensionReport:
     """Analytic lower bound for the support dimension next to empirical
-    pointwise estimates; margin is how far the worst estimate falls short."""
+    pointwise estimates; margin is how far the worst estimate falls short:
+    a Fraction when both sides are rational or the estimate reaches the
+    bound, else an outward-rounded enclosure (lo, hi)."""
 
     analytic_bound: Exponent
     estimates: Tuple
-    margin: object  # Fraction when both sides are rational, else float
+    margin: object
     used: int
 
     @property
@@ -325,6 +327,8 @@ class DimensionReport:
         margin = self.margin
         if isinstance(margin, Fraction):
             margin = str(margin)
+        elif margin is not None:
+            margin = [str(m) for m in margin]
         return {"analytic_bound": exponent_to_json(self.analytic_bound),
                 "estimates": ests, "margin": margin, "used": self.used,
                 "consistent": self.consistent}
@@ -370,5 +374,6 @@ def dimension_report(decay: Optional[DecayParams] = None,
     elif isinstance(worst, Fraction) and isinstance(bound, Fraction):
         margin = bound - worst
     else:
-        margin = float(bound) - float(worst)
+        (blo, bhi), (wlo, whi) = exponent_bounds(bound), exponent_bounds(worst)
+        margin = (blo - whi, bhi - wlo)
     return DimensionReport(bound, tuple(estimates), margin, len(vals))

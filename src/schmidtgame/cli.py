@@ -17,7 +17,7 @@ from typing import List, Optional, Tuple
 from .alice import (ALPHA_DIAGNOSTIC, BAStrategy, BiLipschitzMap,
                     ExcludeCountable, InterleaveStrategy, LacunarySpec,
                     LacunaryStrategy, affine_to_sequence)
-from .bob import AdversaryConfig, make_bob
+from .bob import GreedyBob, KeepCenterBob, RandomBob
 from .certify import (DEFAULT_MAX_Q, Certificate, ba_certificate,
                       dimension_report, exponent_from_json, orbit_certificate,
                       verify)
@@ -123,11 +123,16 @@ def build_strategy(cfg: dict, decay: Optional[DecayParams]):
 
 
 def build_bob(cfg: dict, alice, seed_override: Optional[int]):
-    seed = cfg.get("seed", 0) if seed_override is None else seed_override
-    targets = [parse_rational(p) for p in cfg.get("targets", [])]
-    config = AdversaryConfig(cfg.get("kind", "keep"), seed=seed,
-                             target_points=targets)
-    return make_bob(config, alice=alice)
+    kind = cfg.get("kind", "keep")
+    if kind == "keep":
+        return KeepCenterBob()
+    if kind == "greedy":
+        return GreedyBob(alice, [parse_rational(p)
+                                 for p in cfg.get("targets", [])])
+    if kind == "random":
+        return RandomBob(cfg.get("seed", 0) if seed_override is None
+                         else seed_override)
+    raise SpecError("unknown adversary kind %r" % kind)
 
 
 def build_opening(support: FractalSupport, cfg) -> Optional[Ball]:
@@ -189,6 +194,8 @@ def emit_certificates(strategy, interval) -> List[Tuple[str, Certificate]]:
 
 
 def _verify_and_report(entries, max_q: int) -> Tuple[list, bool]:
+    """Verify each (name, certificate) and print its verdict, with the
+    witness of a failure; returns the JSON bundle and whether all passed."""
     bundle, ok = [], True
     for name, cert in entries:
         result = verify(cert, max_q)
@@ -198,6 +205,8 @@ def _verify_and_report(entries, max_q: int) -> Tuple[list, bool]:
         print("certificate %s: %s (%s)" % (name,
                                            "PASS" if result.passed else "FAIL",
                                            result.reason))
+        if result.witness:
+            print("  witness: %s" % json.dumps(result.witness, sort_keys=True))
     return bundle, ok
 
 
@@ -234,23 +243,19 @@ def cmd_audit(args) -> int:
     measure = FractalMeasure(support)
     mcfg = doc.get("measure", {})
     acfg = doc.get("audit", {})
-    explicit = build_decay(mcfg) if "decay" in mcfg else None
+    decay = build_decay(mcfg)
     rho0 = parse_rational(acfg["rho0"]) if "rho0" in acfg else \
-        (explicit.rho0 if explicit else parse_rational(mcfg.get("rho0", "1")))
+        (decay.rho0 if "decay" in mcfg else parse_rational(mcfg.get("rho0", "1")))
     grid = AuditGrid.default(
         support, rho0,
         x_depth=int(acfg.get("x_depth", 3)),
         rho_count=int(acfg.get("rho_count", 5)),
         depths=tuple(int(d) for d in acfg.get("depths", (6, 9, 12))))
-    kwargs = {}
+    kwargs = {"decay": decay}
     if "federer" in mcfg:
         kwargs["federer"] = tuple(parse_rational(v) for v in mcfg["federer"])
     if "efd" in mcfg:
         kwargs["efd"] = tuple(parse_rational(v) for v in mcfg["efd"])
-    if explicit is not None:
-        kwargs["decay"] = explicit
-    elif "federer" in mcfg and "efd" in mcfg:
-        kwargs["derive_decay_rho0"] = parse_rational(mcfg.get("rho0", "1"))
     if "power_law" in mcfg:
         k1, k2, gamma = mcfg["power_law"]
         kwargs["power_law"] = (parse_rational(k1), parse_rational(k2),
@@ -270,11 +275,13 @@ def cmd_audit(args) -> int:
             else support.contraction
         ests = lower_pointwise_dimension(measure, x,
                                          [base ** k for k in range(1, k_max + 1)])
-        rep = dimension_report(decay=report.decay, estimates=ests,
-                               audit=report)
+        rep = dimension_report(estimates=ests, audit=report)
         _write_json(os.path.join(args.out, "dimension.json"), rep.to_json())
+        margin = rep.margin
+        if isinstance(margin, tuple):
+            margin = "[%s, %s]" % margin
         print("dimension: analytic bound with margin %s"
-              % ("none" if rep.margin is None else rep.margin))
+              % ("none" if margin is None else margin))
     print("audit report: %s" % cpath)
     return 0 if report.all_passed else 1
 
@@ -287,15 +294,7 @@ def cmd_certify(args) -> int:
                  for i, e in enumerate(payload["certificates"], start=1)]
     else:
         items = [("certificate", Certificate.from_json(payload))]
-    ok = True
-    for name, cert in items:
-        result = verify(cert, args.max_q)
-        ok = ok and result.passed
-        print("certificate %s: %s (%s)" % (name,
-                                           "PASS" if result.passed else "FAIL",
-                                           result.reason))
-        if result.witness:
-            print("  witness: %s" % json.dumps(result.witness, sort_keys=True))
+    _, ok = _verify_and_report(items, args.max_q)
     return 0 if ok else 1
 
 
@@ -369,23 +368,27 @@ def _parser() -> argparse.ArgumentParser:
         description="Schmidt-game runs on fractal supports, with exact "
                     "outcome certificates")
     sub = p.add_subparsers(dest="command", required=True)
-    for name, fn in (("play", cmd_play), ("audit", cmd_audit),
-                     ("certify", cmd_certify), ("construct", cmd_construct)):
+    flags = {"out": {"default": "."},
+             "rounds": {"type": int, "default": None},
+             "max-q": {"type": int, "default": DEFAULT_MAX_Q},
+             "seed": {"type": int, "default": None},
+             "digits": {"type": int, "default": 20}}
+    game = ("out", "rounds", "max-q", "seed")
+    for name, fn, names in (("play", cmd_play, game),
+                            ("audit", cmd_audit, ("out",)),
+                            ("certify", cmd_certify, ("max-q",)),
+                            ("construct", cmd_construct, game + ("digits",))):
         q = sub.add_parser(name)
         q.add_argument("--spec", required=True)
-        q.add_argument("--out", default=".")
-        q.add_argument("--rounds", type=int, default=None)
-        q.add_argument("--max-q", type=int, default=DEFAULT_MAX_Q, dest="max_q")
-        q.add_argument("--seed", type=int, default=None)
-        if name == "construct":
-            q.add_argument("--digits", type=int, default=20)
+        for flag in names:
+            q.add_argument("--" + flag, **flags[flag])
         q.set_defaults(fn=fn)
     return p
 
 
 def _check_args(args) -> None:
     """Reject out-of-range flags before any command runs."""
-    if args.max_q < 1:
+    if getattr(args, "max_q", 1) < 1:
         raise SpecError("max_q must be at least 1, not %d" % args.max_q)
     if getattr(args, "digits", 1) < 1:
         raise SpecError("digits must be at least 1, not %d" % args.digits)

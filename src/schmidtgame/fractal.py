@@ -514,20 +514,25 @@ class DecayParams:
             raise SpecError("decay constants must be positive")
 
 
-def federer_to_exponent(eps0, delta) -> Tuple[Fraction, Exponent]:
-    """Doubling lower bound delta at scale factor eps0, in exponent form
-    (c, gamma) with c = delta and gamma = log delta / log eps0."""
+def _doubling_constants(eps0, delta) -> Tuple[Fraction, Fraction]:
+    """A federer or efd pair (eps0, delta); only 0 < eps0, delta < 1 has
+    an exponent form, so the audits refuse the others too."""
     eps0, delta = Fraction(eps0), Fraction(delta)
     if not (0 < eps0 < 1 and 0 < delta < 1):
         raise SpecError("conversion requires 0 < eps0, delta < 1")
+    return eps0, delta
+
+
+def federer_to_exponent(eps0, delta) -> Tuple[Fraction, Exponent]:
+    """Doubling lower bound delta at scale factor eps0, in exponent form
+    (c, gamma) with c = delta and gamma = log delta / log eps0."""
+    eps0, delta = _doubling_constants(eps0, delta)
     return delta, make_exponent(delta, eps0)
 
 
 def efd_to_exponent(eps0, delta) -> Tuple[Fraction, Exponent]:
     """Upper-bound counterpart: c = 1/delta, same gamma."""
-    eps0, delta = Fraction(eps0), Fraction(delta)
-    if not (0 < eps0 < 1 and 0 < delta < 1):
-        raise SpecError("conversion requires 0 < eps0, delta < 1")
+    eps0, delta = _doubling_constants(eps0, delta)
     return 1 / delta, make_exponent(delta, eps0)
 
 
@@ -633,12 +638,10 @@ class AuditGrid:
     eps: List[Fraction]
     offsets: List[Fraction]
     depths: Tuple[int, ...] = (6, 9, 12)
-    interior_only: bool = True
 
     @staticmethod
     def default(support: FractalSupport, rho0, *, x_depth: int = 3,
-                rho_count: int = 5, eps_count: int = 3,
-                eps_base: Optional[Fraction] = None,
+                rho_count: int = 5,
                 depths: Tuple[int, ...] = (6, 9, 12)) -> "AuditGrid":
         rho0 = Fraction(rho0)
         words = itertools.product(range(len(support.ifs.maps)), repeat=x_depth)
@@ -649,149 +652,131 @@ class AuditGrid:
             rho *= support.contraction
             if rho <= rho0:
                 rhos.append(rho)
-        base = Fraction(eps_base) if eps_base is not None else support.contraction
-        eps = [base ** j for j in range(1, eps_count + 1)]
+        eps = [support.contraction ** j for j in range(1, 4)]
         offsets = [Fraction(0), Fraction(1, 2), Fraction(-1, 2), Fraction(1), Fraction(-1)]
         return AuditGrid(xs=xs, rhos=rhos, eps=eps, offsets=offsets, depths=depths)
 
-    def pairs(self, support: FractalSupport):
+    def points(self, support: FractalSupport):
+        """{"x": x, "rho": rho} for each grid pair whose ball is inside the hull."""
         hlo, hhi = support.hull
         for x in self.xs:
             for rho in self.rhos:
-                if self.interior_only and not (hlo <= x - rho and x + rho <= hhi):
-                    continue
-                yield x, rho
+                if hlo <= x - rho and x + rho <= hhi:
+                    yield {"x": x, "rho": rho}
 
 
-def _grid_point(**kw) -> dict:
-    return kw
+_PASS = (Verdict.PASS, "")
+
+
+def _audit(check: str, params: dict, points, depths, decide) -> AuditOutcome:
+    """One row per grid point, up to and including the first that does not
+    pass.  `decide(depth, **point)` judges a point from mass bounds at one
+    depth: (verdict, detail), or None when the bounds are too coarse, and
+    then the next depth is tried."""
+    outcome = AuditOutcome(check=check, params=params, verdict=Verdict.PASS)
+    for point in points:
+        verdict, detail = Verdict.INCONCLUSIVE, "mass bounds too coarse"
+        for depth in depths:
+            decided = decide(depth, **point)
+            if decided is not None:
+                verdict, detail = decided
+                break
+        row = AuditRow(check, point, verdict, detail)
+        outcome.rows.append(row)
+        if verdict is not Verdict.PASS:
+            outcome.verdict, outcome.witness = verdict, row
+            break
+    return outcome
 
 
 def check_absolute_decay(measure: FractalMeasure, params: DecayParams,
                          grid: AuditGrid) -> AuditOutcome:
     """Grid audit of mu(B(x,rho) ∩ B(y,eps rho)) < C eps^gamma mu(B(x,rho))."""
-    outcome = AuditOutcome(check="absolute_decay",
-                           params={"C": params.C, "gamma": params.gamma,
-                                   "rho0": params.rho0},
-                           verdict=Verdict.PASS)
     C, gamma = params.C, params.gamma
-    for x, rho in grid.pairs(measure.support):
-        if rho > params.rho0:
-            continue
-        for eps in grid.eps:
-            for off in grid.offsets:
-                y = x + off * rho
-                ilo = max(x - rho, y - eps * rho)
-                ihi = min(x + rho, y + eps * rho)
-                verdict, detail = Verdict.INCONCLUSIVE, "mass bounds too coarse"
-                for depth in grid.depths:
-                    blo, bhi = measure.ball_mass(x, rho, depth)
-                    if ilo > ihi:
-                        clo, chi = Fraction(0), Fraction(0)
-                    else:
-                        clo, chi = measure.interval_mass(ilo, ihi, depth)
-                    if blo > 0 and scaled_pow_cmp(chi, C * blo, eps, gamma) is Ordering.LESS:
-                        verdict, detail = Verdict.PASS, ""
-                        break
-                    if scaled_pow_cmp(clo, C * bhi, eps, gamma) is not Ordering.LESS:
-                        verdict = Verdict.FAIL
-                        detail = (f"mu(B∩B') >= {clo} but C eps^gamma mu(B) <= "
+    points = (dict(p, y=p["x"] + off * p["rho"], eps=eps)
+              for p in grid.points(measure.support) if p["rho"] <= params.rho0
+              for eps in grid.eps for off in grid.offsets)
+
+    def decide(depth, x, rho, y, eps):
+        blo, bhi = measure.ball_mass(x, rho, depth)
+        ilo = max(x - rho, y - eps * rho)
+        ihi = min(x + rho, y + eps * rho)
+        if ilo > ihi:
+            clo, chi = Fraction(0), Fraction(0)
+        else:
+            clo, chi = measure.interval_mass(ilo, ihi, depth)
+        if blo > 0 and scaled_pow_cmp(chi, C * blo, eps, gamma) is Ordering.LESS:
+            return _PASS
+        if scaled_pow_cmp(clo, C * bhi, eps, gamma) is not Ordering.LESS:
+            return Verdict.FAIL, (f"mu(B∩B') >= {clo} but C eps^gamma mu(B) <= "
                                   f"{C * bhi} * {eps}^gamma")
-                        break
-                row = AuditRow("absolute_decay",
-                               _grid_point(x=x, rho=rho, y=y, eps=eps),
-                               verdict, detail)
-                outcome.rows.append(row)
-                if verdict is not Verdict.PASS:
-                    outcome.verdict = verdict
-                    outcome.witness = row
-                    return outcome
-    return outcome
+        return None
 
-
-def _ratio_check(measure, eps0, delta, grid, lower: bool, name: str) -> AuditOutcome:
-    eps0, delta = Fraction(eps0), Fraction(delta)
-    outcome = AuditOutcome(check=name, params={"eps0": eps0, "delta": delta},
-                           verdict=Verdict.PASS)
-    for x, rho in grid.pairs(measure.support):
-        verdict, detail = Verdict.INCONCLUSIVE, "mass bounds too coarse"
-        for depth in grid.depths:
-            slo, shi = measure.ball_mass(x, eps0 * rho, depth)
-            blo, bhi = measure.ball_mass(x, rho, depth)
-            if lower:  # mu(B(x, eps0 rho)) >= delta mu(B(x, rho))
-                if slo >= delta * bhi:
-                    verdict, detail = Verdict.PASS, ""
-                    break
-                if shi < delta * blo:
-                    verdict, detail = Verdict.FAIL, f"ratio <= {shi}/{blo}"
-                    break
-            else:      # mu(B(x, eps0 rho)) <= delta mu(B(x, rho))
-                if shi <= delta * blo:
-                    verdict, detail = Verdict.PASS, ""
-                    break
-                if slo > delta * bhi:
-                    verdict, detail = Verdict.FAIL, f"ratio >= {slo}/{bhi}"
-                    break
-        row = AuditRow(name, _grid_point(x=x, rho=rho), verdict, detail)
-        outcome.rows.append(row)
-        if verdict is not Verdict.PASS:
-            outcome.verdict = verdict
-            outcome.witness = row
-            return outcome
-    return outcome
+    return _audit("absolute_decay", {"C": C, "gamma": gamma, "rho0": params.rho0},
+                  points, grid.depths, decide)
 
 
 def check_federer(measure: FractalMeasure, eps0, delta, grid: AuditGrid) -> AuditOutcome:
-    return _ratio_check(measure, eps0, delta, grid, lower=True, name="federer")
+    """Grid audit of mu(B(x, eps0 rho)) >= delta mu(B(x, rho))."""
+    eps0, delta = _doubling_constants(eps0, delta)
+
+    def decide(depth, x, rho):
+        slo, shi = measure.ball_mass(x, eps0 * rho, depth)
+        blo, bhi = measure.ball_mass(x, rho, depth)
+        if slo >= delta * bhi:
+            return _PASS
+        if shi < delta * blo:
+            return Verdict.FAIL, f"ratio <= {shi}/{blo}"
+        return None
+
+    return _audit("federer", {"eps0": eps0, "delta": delta},
+                  grid.points(measure.support), grid.depths, decide)
 
 
 def check_efd(measure: FractalMeasure, eps0, delta, grid: AuditGrid) -> AuditOutcome:
-    return _ratio_check(measure, eps0, delta, grid, lower=False, name="efd")
+    """Grid audit of mu(B(x, eps0 rho)) <= delta mu(B(x, rho))."""
+    eps0, delta = _doubling_constants(eps0, delta)
+
+    def decide(depth, x, rho):
+        slo, shi = measure.ball_mass(x, eps0 * rho, depth)
+        blo, bhi = measure.ball_mass(x, rho, depth)
+        if shi <= delta * blo:
+            return _PASS
+        if slo > delta * bhi:
+            return Verdict.FAIL, f"ratio >= {slo}/{bhi}"
+        return None
+
+    return _audit("efd", {"eps0": eps0, "delta": delta},
+                  grid.points(measure.support), grid.depths, decide)
 
 
 def check_power_law(measure: FractalMeasure, k1, k2, gamma: Exponent,
                     grid: AuditGrid) -> AuditOutcome:
     """Grid audit of k1 rho^gamma <= mu(B(x, rho)) <= k2 rho^gamma."""
     k1, k2 = Fraction(k1), Fraction(k2)
-    outcome = AuditOutcome(check="power_law",
-                           params={"k1": k1, "k2": k2, "gamma": gamma},
-                           verdict=Verdict.PASS)
-    for x, rho in grid.pairs(measure.support):
-        verdict, detail = Verdict.INCONCLUSIVE, "mass bounds too coarse"
-        for depth in grid.depths:
-            blo, bhi = measure.ball_mass(x, rho, depth)
-            low_ok = scaled_pow_cmp(blo, k1, rho, gamma) in (Ordering.GREATER, Ordering.EQUAL)
-            high_ok = scaled_pow_cmp(bhi, k2, rho, gamma) in (Ordering.LESS, Ordering.EQUAL)
-            if low_ok and high_ok:
-                verdict, detail = Verdict.PASS, ""
-                break
-            low_bad = scaled_pow_cmp(bhi, k1, rho, gamma) is Ordering.LESS
-            high_bad = scaled_pow_cmp(blo, k2, rho, gamma) is Ordering.GREATER
-            if low_bad or high_bad:
-                side = "below k1 rho^gamma" if low_bad else "above k2 rho^gamma"
-                verdict, detail = Verdict.FAIL, f"mass {side}"
-                break
-        row = AuditRow("power_law", _grid_point(x=x, rho=rho), verdict, detail)
-        outcome.rows.append(row)
-        if verdict is not Verdict.PASS:
-            outcome.verdict = verdict
-            outcome.witness = row
-            return outcome
-    return outcome
+
+    def decide(depth, x, rho):
+        blo, bhi = measure.ball_mass(x, rho, depth)
+        low_ok = scaled_pow_cmp(blo, k1, rho, gamma) in (Ordering.GREATER, Ordering.EQUAL)
+        high_ok = scaled_pow_cmp(bhi, k2, rho, gamma) in (Ordering.LESS, Ordering.EQUAL)
+        if low_ok and high_ok:
+            return _PASS
+        low_bad = scaled_pow_cmp(bhi, k1, rho, gamma) is Ordering.LESS
+        high_bad = scaled_pow_cmp(blo, k2, rho, gamma) is Ordering.GREATER
+        if low_bad or high_bad:
+            side = "below k1 rho^gamma" if low_bad else "above k2 rho^gamma"
+            return Verdict.FAIL, f"mass {side}"
+        return None
+
+    return _audit("power_law", {"k1": k1, "k2": k2, "gamma": gamma},
+                  grid.points(measure.support), grid.depths, decide)
 
 
 @dataclass
 class MeasureAuditReport:
     outcomes: List[AuditOutcome] = field(default_factory=list)
-    federer: Optional[Tuple[Fraction, Fraction]] = None
-    efd: Optional[Tuple[Fraction, Fraction]] = None
     power_law: Optional[Tuple[Fraction, Fraction, Exponent]] = None
     decay: Optional[DecayParams] = None
-    derived: dict = field(default_factory=dict)
-
-    @property
-    def witnesses(self) -> List[AuditRow]:
-        return [o.witness for o in self.outcomes if o.witness is not None]
 
     @property
     def all_passed(self) -> bool:
@@ -811,41 +796,26 @@ def audit_measure(measure: FractalMeasure, grid: AuditGrid, *,
                   federer: Optional[Tuple] = None,
                   efd: Optional[Tuple] = None,
                   decay: Optional[DecayParams] = None,
-                  power_law: Optional[Tuple] = None,
-                  derive_decay_rho0=None) -> MeasureAuditReport:
-    """Run the configured checks; optionally derive DecayParams from the
-    doubling constants and audit the derived absolute decay as well."""
-    report = MeasureAuditReport()
-    c1 = gamma1 = c2 = gamma2 = None
+                  power_law: Optional[Tuple] = None) -> MeasureAuditReport:
+    """Run the checks whose constants are given: federer and efd
+    (eps0, delta), absolute decay, power law (k1, k2, gamma)."""
+    report = MeasureAuditReport(power_law=power_law, decay=decay)
     if federer is not None:
-        eps0, delta = federer
-        report.federer = (Fraction(eps0), Fraction(delta))
-        report.outcomes.append(check_federer(measure, eps0, delta, grid))
-        c1, gamma1 = federer_to_exponent(eps0, delta)
-        report.derived["c1"], report.derived["gamma1"] = c1, gamma1
+        report.outcomes.append(check_federer(measure, *federer, grid))
     if efd is not None:
-        eps0, delta = efd
-        report.efd = (Fraction(eps0), Fraction(delta))
-        report.outcomes.append(check_efd(measure, eps0, delta, grid))
-        c2, gamma2 = efd_to_exponent(eps0, delta)
-        report.derived["c2"], report.derived["gamma2"] = c2, gamma2
-    if decay is None and derive_decay_rho0 is not None:
-        if c1 is None or c2 is None:
-            raise SpecError("deriving decay needs both federer and efd constants")
-        decay = decay_from_federer_efd(c1, gamma1, c2, gamma2, derive_decay_rho0)
-        report.derived["C"] = decay.C
+        report.outcomes.append(check_efd(measure, *efd, grid))
     if decay is not None:
-        report.decay = decay
         report.outcomes.append(check_absolute_decay(measure, decay, grid))
     if power_law is not None:
-        k1, k2, gamma = power_law
-        report.power_law = (Fraction(k1), Fraction(k2), gamma)
-        report.outcomes.append(check_power_law(measure, k1, k2, gamma, grid))
+        report.outcomes.append(check_power_law(measure, *power_law, grid))
     return report
 
 
 # ---------------------------------------------------------------------------
 # pointwise dimension
+
+
+_DIMENSION_DEPTH = 48  # the deepest mass bounds a dimension estimate takes
 
 
 @dataclass(frozen=True)
@@ -865,8 +835,8 @@ class DimensionEstimate:
         return self.value_lower if self.exact else None
 
 
-def lower_pointwise_dimension(measure: FractalMeasure, x, rhos: Sequence,
-                              depth_cap: int = 48) -> List[DimensionEstimate]:
+def lower_pointwise_dimension(measure: FractalMeasure, x,
+                              rhos: Sequence) -> List[DimensionEstimate]:
     """log mu(B(x,rho)) / log rho at each scheduled rho, as exact bounds."""
     x = Fraction(x)
     sup = measure.support
@@ -877,7 +847,7 @@ def lower_pointwise_dimension(measure: FractalMeasure, x, rhos: Sequence,
         rho = Fraction(rho)
         if not 0 < rho < 1:
             raise ValueError("dimension scales need 0 < rho < 1")
-        depth = min(sup.depth_below(rho, cap=depth_cap) + 2, depth_cap)
+        depth = min(sup.depth_below(rho, cap=_DIMENSION_DEPTH) + 2, _DIMENSION_DEPTH)
         mlo, mhi = measure.ball_mass(x, rho, depth)
         value_lower = make_exponent(mhi, rho) if 0 < mhi < 1 else (
             Fraction(0) if mhi >= 1 else None)

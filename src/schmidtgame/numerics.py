@@ -223,11 +223,11 @@ def _log_float(x: Fraction) -> float:
     return math.log(x.numerator) - math.log(x.denominator)
 
 
-def rational_power_of(x, base, max_den: int = 64) -> Optional[Fraction]:
+def rational_power_of(x, base) -> Optional[Fraction]:
     """Exponent e with x == base**e, as a Fraction, or None.
 
     Detection is heuristic-then-exact: a float estimate proposes e with
-    denominator <= max_den, and only an exact integer-power identity
+    denominator <= 64, and only an exact integer-power identity
     accepts it.  A missed dependence degrades to symbolic handling
     downstream, never to a wrong answer.
     """
@@ -236,7 +236,7 @@ def rational_power_of(x, base, max_den: int = 64) -> Optional[Fraction]:
         raise ValueError("rational_power_of requires x > 0 and base > 0, base != 1")
     if x == 1:
         return Fraction(0)
-    cand = Fraction(_log_float(x) / _log_float(base)).limit_denominator(max_den)
+    cand = Fraction(_log_float(x) / _log_float(base)).limit_denominator(64)
     if cand == 0:
         return None
     m, n = cand.numerator, cand.denominator
@@ -318,6 +318,20 @@ def make_exponent(top, base) -> Exponent:
     lr = LogRatio(Fraction(top), Fraction(base))
     r = lr.as_fraction()
     return r if r is not None else lr
+
+
+def exponent_bounds(e: Exponent) -> Tuple[Fraction, Fraction]:
+    """Enclosure of e: the point itself when rational, else ln top over
+    ln base from ln_bounds, rounded outward to multiples of 2**-32."""
+    if not isinstance(e, LogRatio):
+        return Fraction(e), Fraction(e)
+    bits = 32
+    tlo, thi = ln_bounds(e.top, bits)
+    # ln base >= 1 - 1/base > 0, so with these extra bits its lower end stays above 0
+    guard = math.ceil(e.base / (e.base - 1)).bit_length()
+    blo, bhi = ln_bounds(e.base, bits + guard)
+    ends = [t / b for t in (tlo, thi) for b in (blo, bhi)]
+    return _dyadic_floor(min(ends), bits), _dyadic_ceil(max(ends), bits)
 
 
 def _log_quotient(e: Exponent):

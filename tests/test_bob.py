@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction as F
 
@@ -5,9 +6,9 @@ import pytest
 
 from schmidtgame.alice import (ConstTargets, GeometricTerms, LacunarySpec,
                                LacunaryStrategy)
-from schmidtgame.bob import (AdversaryConfig, GreedyBob, KeepCenterBob,
-                             RandomBob, ReplayPlayer, greedy_move, make_bob,
-                             random_move)
+from schmidtgame.bob import (GreedyBob, KeepCenterBob, RandomBob,
+                             ReplayPlayer, greedy_move, random_move)
+from schmidtgame.cli import build_bob, bundled_spec_path, main
 from schmidtgame.errors import SpecError
 from schmidtgame.fractal import (IFS, FractalSupport, SimilarityMap,
                                  cantor_support, decay_from_federer_efd,
@@ -144,14 +145,27 @@ class TestReplay:
 
 
 class TestFactory:
-    def test_kinds(self, K):
-        assert isinstance(make_bob(AdversaryConfig("keep")), KeepCenterBob)
-        assert isinstance(make_bob(AdversaryConfig("greedy")), GreedyBob)
-        assert isinstance(make_bob(AdversaryConfig("random", seed=3)), RandomBob)
-        with pytest.raises(SpecError):
-            AdversaryConfig("clever")
-        with pytest.raises(SpecError):
-            AdversaryConfig("replay")
+    def test_kinds(self):
+        assert isinstance(build_bob({}, None, None), KeepCenterBob)
+        assert isinstance(build_bob({"kind": "keep"}, None, None), KeepCenterBob)
+        greedy = build_bob({"kind": "greedy", "targets": ["1/3"]}, "alice", None)
+        assert isinstance(greedy, GreedyBob)
+        assert greedy.alice == "alice" and greedy.targets == [F(1, 3)]
+        assert build_bob({"kind": "random", "seed": 3}, None, None).seed == 3
+        assert build_bob({"kind": "random", "seed": 3}, None, 7).seed == 7
+        assert isinstance(build_bob({"kind": "random"}, None, None), RandomBob)
+
+    # a spec cannot carry the transcript a replay adversary needs
+    @pytest.mark.parametrize("kind", ["clever", "replay"])
+    def test_unknown_kind_exits_2(self, tmp_path, capsys, kind):
+        doc = json.loads(open(bundled_spec_path("cantor_lacunary.json")).read())
+        doc["bob"] = {"kind": kind}
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["play", "--spec", str(spec), "--out", str(out)]) == 2
+        assert "unknown adversary kind" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestGreedyVersusLacunary:

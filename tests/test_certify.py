@@ -22,7 +22,8 @@ from schmidtgame.fractal import (AuditGrid, DecayParams, audit_measure,
                                  federer_to_exponent,
                                  lower_pointwise_dimension, max_alpha)
 from schmidtgame.game import GameParams, outcome_interval, run_game
-from schmidtgame.numerics import LogRatio, make_exponent
+from schmidtgame.numerics import (LogRatio, Ordering, exponent_cmp,
+                                  make_exponent)
 
 ID = BiLipschitzMap.identity()
 
@@ -362,6 +363,18 @@ class TestDimensionReport:
         assert rep.used == 2
         blob = rep.to_json()
         assert blob["margin"] == "1/50"
+
+    def test_log_ratio_margin_is_an_enclosure(self):
+        gamma = make_exponent(2, 3)
+        rep = dimension_report(decay=DecayParams(F(8), gamma, F(1, 3)),
+                               estimates=[F(1, 2)])
+        assert not rep.consistent
+        lo, hi = rep.to_json()["margin"]
+        lo, hi = F(lo), F(hi)
+        assert 0 < hi - lo <= F(1, 2 ** 30)
+        # lo <= log 2/log 3 - 1/2 <= hi, decided exactly
+        assert exponent_cmp(gamma, lo + F(1, 2)) is Ordering.GREATER
+        assert exponent_cmp(gamma, hi + F(1, 2)) is Ordering.LESS
 
     def test_cantor_exact_consistency(self, K, cantor_decay):
         mu = cantor_measure()

@@ -3,8 +3,9 @@ from fractions import Fraction as F
 
 import pytest
 
+from schmidtgame import cli
 from schmidtgame.bob import ReplayPlayer
-from schmidtgame.certify import Certificate
+from schmidtgame.certify import Certificate, VerificationResult
 from schmidtgame.cli import bundled_spec_path, main
 from schmidtgame.fractal import (cantor_support, decay_from_federer_efd,
                                  efd_to_exponent, federer_to_exponent,
@@ -126,6 +127,15 @@ class TestPlay:
         assert "max_q must be at least 1" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_failing_certificate_prints_witness(self, tmp_path, capsys,
+                                                monkeypatch):
+        monkeypatch.setattr(cli, "verify", lambda cert, max_q: VerificationResult(
+            False, 1, "forced", {"n": 1}))
+        assert main(["play", "--spec", bundled_spec_path("cantor_lacunary.json"),
+                     "--out", str(tmp_path), "--rounds", "12"]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL (forced)" in out and '  witness: {"n": 1}' in out
+
     def test_non_integer_affine_factor_exits_2(self, tmp_path, capsys):
         spec = write_spec(tmp_path, lambda d: d.__setitem__("alice", {
             "strategy": "affine_orbit", "b": "5/2", "c": "1/3", "y": "0",
@@ -224,6 +234,38 @@ class TestAudit:
                      "--out", str(tmp_path)]) == 0
         assert (out / "dimension.json").read_bytes() == \
             (tmp_path / "dimension.json").read_bytes()
+
+    def test_unread_flag_exits_2(self, tmp_path):
+        # audit reads no rounds, seed or max-q, so it does not accept them
+        with pytest.raises(SystemExit) as exc:
+            main(["audit", "--spec", bundled_spec_path("cantor_audit.json"),
+                  "--out", str(tmp_path), "--rounds", "3"])
+        assert exc.value.code == 2
+        assert not (tmp_path / "audit.csv").exists()
+
+    @staticmethod
+    def audit_copy(tmp_path, measure):
+        doc = json.loads(open(bundled_spec_path("cantor_audit.json")).read())
+        doc["measure"] = measure
+        del doc["audit"]["dimension"]
+        p = tmp_path / "spec.json"
+        p.write_text(json.dumps(doc))
+        return str(p)
+
+    def test_lone_doubling_pair_out_of_range_exits_2(self, tmp_path, capsys):
+        spec = self.audit_copy(tmp_path, {"federer": ["1/3", "3/2"]})
+        out = tmp_path / "out"
+        assert main(["audit", "--spec", spec, "--out", str(out)]) == 2
+        assert "conversion requires" in capsys.readouterr().err
+
+    def test_explicit_decay_beside_doubling_pairs(self, tmp_path):
+        spec = self.audit_copy(tmp_path, {
+            "federer": ["1/3", "1/2"], "efd": ["1/3", "1/2"],
+            "decay": {"C": "9", "gamma": {"log": ["2", "3"]}, "rho0": "1/3"}})
+        assert main(["audit", "--spec", spec, "--out", str(tmp_path)]) == 0
+        rows = (tmp_path / "audit.csv").read_text().splitlines()
+        decay_rows = [r for r in rows if r.startswith("absolute_decay,")]
+        assert decay_rows and all("C=9 " in r for r in decay_rows)
 
     def test_failing_decay_exits_1(self, tmp_path):
         doc = json.loads(open(bundled_spec_path("lebesgue_audit.json")).read())

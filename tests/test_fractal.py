@@ -291,14 +291,17 @@ class TestAudits:
 
     def test_audit_measure_pipeline(self, cantor):
         grid = AuditGrid.default(cantor.support, F(1, 3))
+        c1, g1 = federer_to_exponent(F(1, 3), F(1, 2))
+        c2, g2 = efd_to_exponent(F(1, 3), F(1, 2))
         report = audit_measure(cantor, grid,
                                federer=(F(1, 3), F(1, 2)),
                                efd=(F(1, 3), F(1, 2)),
-                               derive_decay_rho0=1,
+                               decay=decay_from_federer_efd(c1, g1, c2, g2, 1),
                                power_law=(F(1, 4), 4, LogRatio(2, 3)))
         assert report.all_passed
+        assert [o.check for o in report.outcomes] == [
+            "federer", "efd", "absolute_decay", "power_law"]
         assert report.decay.C == 8
-        assert report.derived["C"] == 8
         rows = report.csv_rows()
         assert rows[0] == ["check", "params", "grid_point", "verdict"]
         assert all(r[3] == "pass" for r in rows[1:])

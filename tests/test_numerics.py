@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 
 from schmidtgame.errors import PrecisionCapExceeded
 from schmidtgame.numerics import (LogRatio, Ordering, circle_dist,
-                                  exponent_cmp, farey_left, farey_right,
-                                  floor_sqrt, fractions_in_interval,
-                                  format_rational, ln_bounds, log_sign,
+                                  exponent_bounds, exponent_cmp, farey_left,
+                                  farey_right, floor_sqrt,
+                                  fractions_in_interval, format_rational,
+                                  ln_bounds, log_sign,
                                   make_exponent, ordering_of, parse_rational,
                                   pow_exact, rational_power_of,
                                   scaled_pow_cmp, simplest_between)
@@ -234,6 +235,19 @@ def test_scaled_pow_cmp_matches_decimal(lhs, coeff, eps, gamma, digits):
         lhs = _near(rhs.exp(_DEC), digits)
     want = _reference_order(_DEC.subtract(_ln(lhs), rhs))
     assert scaled_pow_cmp(lhs, coeff, eps, gamma) is want
+
+
+@settings(max_examples=200, deadline=None)
+@given(e=st.one_of(exponents, st.just(LogRatio(2, 1 + F(1, 10 ** 15)))))
+def test_exponent_bounds_enclose(e):
+    # the second case has ln base far below 2**-32
+    lo, hi = exponent_bounds(e)
+    if isinstance(e, LogRatio):
+        assert (lo * 2 ** 32).denominator == 1 == (hi * 2 ** 32).denominator
+    else:
+        assert lo == hi == e
+    as_decimal = lambda f: _DEC.divide(Decimal(f.numerator), Decimal(f.denominator))
+    assert as_decimal(lo) <= _exponent_value(e) <= as_decimal(hi)
 
 
 def test_floor_sqrt():
