@@ -10,8 +10,8 @@ from .alice import (BAStrategy, BiLipschitzMap, ConstTargets, ExcludeCountable,
                     GeometricTerms, InterleaveStrategy, LacunarySpec,
                     LacunaryStrategy, ListTargets, ListTerms, PeriodicTargets,
                     affine_map, affine_to_sequence, avoidance_step, ba_move,
-                    danger_set, exclude_countable, index_block, interleave,
-                    lacunary_move, plan_ba, plan_lacunary)
+                    danger_set, index_block, lacunary_move, plan_ba,
+                    plan_lacunary)
 from .bob import (GreedyBob, KeepCenterBob, RandomBob, ReplayPlayer,
                   greedy_move, random_move)
 from .certify import (Certificate, DimensionReport, VerificationResult,
@@ -46,8 +46,8 @@ __all__ = [
     "avoidance_step", "ba_certificate", "ba_move", "binary_support",
     "cantor_measure", "cantor_support", "check_alpha", "danger_set",
     "decay_from_federer_efd", "dimension_report", "efd_to_exponent",
-    "exclude_countable", "federer_to_exponent", "find_point_in_gap",
-    "greedy_move", "index_block", "interleave", "is_legal", "lacunary_move",
+    "federer_to_exponent", "find_point_in_gap", "greedy_move",
+    "index_block", "is_legal", "lacunary_move",
     "lebesgue_measure", "lower_pointwise_dimension", "max_alpha",
     "orbit_certificate", "outcome_interval", "plan_ba", "plan_lacunary",
     "random_move", "run_game", "transcript_from_jsonl", "validate_transcript",

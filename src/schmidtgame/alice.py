@@ -39,8 +39,7 @@ __all__ = [
     "LacunaryStrategyState", "BAStrategyState", "ALPHA_DIAGNOSTIC",
     "avoidance_step", "lacunary_constants", "plan_lacunary", "index_block",
     "danger_set", "lacunary_move", "ba_constants", "plan_ba", "ba_move",
-    "LacunaryStrategy", "BAStrategy", "ExcludeCountable",
-    "exclude_countable", "interleave", "InterleaveStrategy",
+    "LacunaryStrategy", "BAStrategy", "ExcludeCountable", "InterleaveStrategy",
     "affine_map", "affine_to_sequence",
 ]
 
@@ -643,7 +642,7 @@ def _hold(ball: Ball, ratio: Fraction) -> Ball:
     return Ball(ball.center, ratio * ball.radius, ball.word)
 
 
-def _enter_block(state, support, spec, phi, k, bob_ball):
+def _enter_block(state, spec, phi, k, bob_ball):
     ab = state.ab
     expected = ab ** (state.r * (k + 1) - 1) * state.rho
     if bob_ball.radius != expected:
@@ -674,7 +673,7 @@ def _enter_block(state, support, spec, phi, k, bob_ball):
     state.phase = "clearing"
 
 
-def _finish_block(state, k, ball, bob_ball):
+def _finish_block(state, k, ball):
     if state.danger:
         raise InvariantViolation(
             "danger points survived block %d clearing" % k)
@@ -708,7 +707,7 @@ def lacunary_move(state: LacunaryStrategyState, support: FractalSupport,
     k = j // state.r - 1
     step = j - state.r * (k + 1) + 1
     if step == 1:
-        _enter_block(state, support, spec, phi, k, bob_ball)
+        _enter_block(state, spec, phi, k, bob_ball)
     state.step = step
     before = list(state.danger)
     ball = avoidance_step(support, bob_ball, state.alpha, before)
@@ -717,7 +716,7 @@ def lacunary_move(state: LacunaryStrategyState, support: FractalSupport,
         raise InvariantViolation("clearing step failed to halve the danger list")
     state.danger = survivors
     if step == state.r:
-        _finish_block(state, k, ball, bob_ball)
+        _finish_block(state, k, ball)
     return ball
 
 
@@ -907,11 +906,6 @@ class ExcludeCountable:
         return self.points[self.done:self.done + 16]
 
 
-def exclude_countable(points: Sequence[Fraction],
-                      rho0: Optional[Fraction] = None) -> ExcludeCountable:
-    return ExcludeCountable(points, rho0)
-
-
 class InterleaveStrategy:
     """Round-robin scheduler over disjoint arithmetic turn progressions.
 
@@ -928,17 +922,13 @@ class InterleaveStrategy:
         for start, step in schedule:
             if start < 1 or step < 1:
                 raise ScheduleOverlap("progressions need start, step >= 1")
-        for i in range(len(schedule)):
-            for j in range(i + 1, len(schedule)):
-                a, d = schedule[i]
-                b, e = schedule[j]
-                if (a - b) % gcd(d, e) == 0:
-                    raise ScheduleOverlap(
-                        "progressions %d and %d share a turn" % (i, j))
+        # the owners of a turn repeat with period lcm(steps) once every
+        # progression has started, so this horizon sees every overlap and gap
         horizon = max(s for s, _ in schedule) + math.lcm(*(d for _, d in schedule))
         for turn in range(1, horizon + 1):
-            if not any(turn >= s and (turn - s) % d == 0 for s, d in schedule):
-                raise ScheduleOverlap("turn %d is not covered" % turn)
+            owners = sum(turn >= s and (turn - s) % d == 0 for s, d in schedule)
+            if owners != 1:
+                raise ScheduleOverlap("turn %d has %d owners, not 1" % (turn, owners))
         self.strategies = list(strategies)
         self.schedule = list(schedule)
         self.subs: List[Optional[Transcript]] = [None] * len(strategies)
@@ -972,11 +962,6 @@ class InterleaveStrategy:
             if self.subs[i] is not None and hasattr(strat, "danger_preview"):
                 out.extend(strat.danger_preview(support, self.eff[i], self.subs[i]))
         return out[:32]
-
-
-def interleave(strategies: Sequence,
-               schedule: Sequence[Tuple[int, int]]) -> InterleaveStrategy:
-    return InterleaveStrategy(strategies, schedule)
 
 
 # ---------------------------------------------------------------------------

@@ -569,13 +569,16 @@ def check_alpha(alpha, decay: DecayParams) -> bool:
     return got in (Ordering.GREATER, Ordering.EQUAL)
 
 
-def max_alpha(decay: DecayParams, bits: int = 12) -> Fraction:
-    """Largest admissible dyadic alpha with denominator 2**bits.
+_ALPHA_BITS = 12
+
+
+def max_alpha(decay: DecayParams) -> Fraction:
+    """Largest admissible dyadic alpha with denominator 2**_ALPHA_BITS.
 
     The true threshold (1/4)(1/(3C))^(1/gamma) is usually irrational;
     a dyadic lower approximation keeps every downstream constant rational.
     """
-    scale = 1 << bits
+    scale = 1 << _ALPHA_BITS
     lo_num, hi_num = 0, scale - 1
     while lo_num < hi_num:  # binary search on check_alpha, monotone in alpha
         mid = (lo_num + hi_num + 1) // 2
@@ -584,7 +587,8 @@ def max_alpha(decay: DecayParams, bits: int = 12) -> Fraction:
         else:
             hi_num = mid - 1
     if lo_num == 0:
-        raise SpecError(f"no admissible alpha at denominator 2**{bits}; increase bits")
+        raise SpecError(f"alpha \"max\" finds no admissible multiple of "
+                        f"2**-{_ALPHA_BITS}; give a smaller alpha explicitly")
     return Fraction(lo_num, scale)
 
 
@@ -619,6 +623,11 @@ class AuditOutcome:
         return self.verdict is Verdict.PASS
 
 
+# largest number of x_depth words an audit grid takes: 1,024 words (the
+# interval at x_depth 10) take about 10 s of audit
+_AUDIT_MAX_WORDS = 1024
+
+
 @dataclass
 class AuditGrid:
     """Finite sampling grid for the decay audits.
@@ -644,7 +653,12 @@ class AuditGrid:
                 rho_count: int = 5,
                 depths: Tuple[int, ...] = (6, 9, 12)) -> "AuditGrid":
         rho0 = Fraction(rho0)
-        words = itertools.product(range(len(support.ifs.maps)), repeat=x_depth)
+        n = len(support.ifs.maps)
+        # n >= 2, so any depth past the cap's bit length is over the cap
+        if n ** min(x_depth, _AUDIT_MAX_WORDS.bit_length()) > _AUDIT_MAX_WORDS:
+            raise SpecError(f"audit x_depth {x_depth} makes {n}**{x_depth} grid "
+                            f"words, more than {_AUDIT_MAX_WORDS}")
+        words = itertools.product(range(n), repeat=x_depth)
         xs = sorted({support.point(w) for w in words} | {support.canonical_point})
         rhos = []
         rho = support.diameter

@@ -70,50 +70,27 @@ def _dyadic_ceil(x: Fraction, bits: int) -> Fraction:
     return Fraction(-(((-x.numerator) << bits) // x.denominator), 1 << bits)
 
 
-def _atanh_partial(z: Fraction, nterms: int) -> Fraction:
+def _atanh_fixed(num: int, den: int, prec: int) -> Tuple[int, int]:
+    """Integers lo <= 2**prec * atanh(num/den) <= hi, for 0 <= num/den <= 1/3.
+
+    Sums the series over fixed-point integers: z = floor(2**prec num/den),
+    power_k = floor(power_{k-1} z**2 / 2**(2 prec)) and
+    lo = sum floor(power_k / (2k+1)) while power_k > 0, K terms in all.
+    Every rounding is downward, so lo is a lower bound.  Each quotient
+    loses under one unit, and the power's error e_k < z**2/2**(2 prec) e_{k-1}
+    + 1 stays under 9/8 because z/2**prec <= 1/3.  The tail after K terms
+    (power_K = 0, so the exact power is under 9/8) is under 81/64, and the
+    input rounding costs under 9/8 units since atanh' <= 9/8 on [0, 1/3].
+    So hi = lo + 3K + 3, and K <= prec/3 + 1.
+    """
+    z = (num << prec) // den
     z2 = z * z
-    term = z
-    total = Fraction(0)
-    for j in range(nterms):
-        total += term / (2 * j + 1)
-        term *= z2
-    return total
-
-
-def _atanh_bounds(z: Fraction, bits: int) -> Tuple[Fraction, Fraction]:
-    """Enclosure of atanh(z) for 0 <= z <= 1/2 with width below 2**-bits."""
-    if z < 0 or 2 * z > 1:
-        raise ValueError("atanh enclosure requires 0 <= z <= 1/2")
-    if z == 0:
-        return Fraction(0), Fraction(0)
-    prec = bits + 8
-    zl = _dyadic_floor(z, prec)
-    zh = _dyadic_ceil(z, prec)
-    # series tail after K terms is below zh^(2K+1) / ((2K+1)(1 - zh^2))
-    cap = Fraction(1, 1 << (bits + 4))
-    zf = float(zh)
-    lz = -math.log2(zf) if zf > 0 else float(prec)
-    nterms = max(2, int((bits + 6) / (2 * max(0.9, lz))) + 1)
-    while True:
-        tail = zh ** (2 * nterms + 1) / ((2 * nterms + 1) * (1 - zh * zh))
-        if tail <= cap:
-            break
-        nterms += max(1, nterms // 4)
-    lo = _atanh_partial(zl, nterms)
-    hi = _atanh_partial(zh, nterms) + tail
-    return _dyadic_floor(lo, bits + 4), _dyadic_ceil(hi, bits + 4)
-
-
-_LN2_CACHE: dict = {}
-
-
-def _ln2_bounds(bits: int) -> Tuple[Fraction, Fraction]:
-    got = _LN2_CACHE.get(bits)
-    if got is None:
-        # ln 2 = 2 atanh(1/3)
-        al, ah = _atanh_bounds(Fraction(1, 3), bits + 2)
-        got = _LN2_CACHE.setdefault(bits, (2 * al, 2 * ah))
-    return got
+    lo, power, k = 0, z, 0
+    while power:
+        lo += power // (2 * k + 1)
+        power = power * z2 >> 2 * prec
+        k += 1
+    return lo, lo + 3 * k + 3
 
 
 def ln_bounds(x, bits: int) -> Tuple[Fraction, Fraction]:
@@ -126,22 +103,22 @@ def ln_bounds(x, bits: int) -> Tuple[Fraction, Fraction]:
     if x < 1:
         lo, hi = ln_bounds(1 / x, bits)
         return -hi, -lo
-    e = x.numerator.bit_length() - x.denominator.bit_length()
-    m = x / Fraction(2) ** e
-    if m < 1:
+    n, d = x.numerator, x.denominator
+    e = n.bit_length() - d.bit_length()
+    if n < d << e:
         e -= 1
-        m = 2 * m
-    # now x = 2^e * m with m in [1, 2)
-    guard = max(8, e.bit_length() + 4)
-    al, ah = _atanh_bounds((m - 1) / (m + 1), bits + guard)
-    lo, hi = 2 * al, 2 * ah
-    if e:
-        l2l, l2h = _ln2_bounds(bits + guard)
-        if e > 0:
-            lo, hi = lo + e * l2l, hi + e * l2h
-        else:
-            lo, hi = lo + e * l2h, hi + e * l2l
-    return _dyadic_floor(lo, bits + 2), _dyadic_ceil(hi, bits + 2)
+    # x = 2**e m with m in [1, 2): ln x = 2 atanh((m-1)/(m+1)) + 2e atanh(1/3).
+    # The enclosure is (2e+2)(3K+3) <= (2e+2)(prec+6) units of 2**-prec wide,
+    # at most 2**-bits once (2e+2)(bits+guard+6) <= 2**guard
+    guard = 1
+    while (2 * e + 2) * (bits + guard + 6) > 1 << guard:
+        guard += 1
+    prec = bits + guard
+    alo, ahi = _atanh_fixed(n - (d << e), n + (d << e), prec)
+    llo, lhi = _atanh_fixed(1, 3, prec)
+    one = 1 << prec
+    return (Fraction(2 * (alo + e * llo), one),
+            Fraction(2 * (ahi + e * lhi), one))
 
 
 def log_sign(terms, max_bits: int = DEFAULT_MAX_BITS) -> Ordering:

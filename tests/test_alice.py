@@ -6,11 +6,12 @@ import pytest
 from schmidtgame import alice
 from schmidtgame.alice import (BAStrategy, BiLipschitzMap, ConstTargets,
                                ExcludeCountable, GeometricTerms,
-                               LacunarySpec, LacunaryStrategy, ListTargets,
-                               ListTerms, PeriodicTargets, affine_map,
+                               InterleaveStrategy, LacunarySpec,
+                               LacunaryStrategy, ListTargets, ListTerms,
+                               PeriodicTargets, affine_map,
                                affine_to_sequence, avoidance_step,
                                _block_candidates, danger_set, index_block,
-                               interleave, plan_ba, plan_lacunary)
+                               plan_ba, plan_lacunary)
 from schmidtgame.errors import (HorizonMismatch, InvalidAlpha,
                                 NoPointFound, ScheduleOverlap, SpecError)
 from schmidtgame.cli import bundled_spec_path, main
@@ -465,19 +466,22 @@ class TestExcludeCountable:
 
 class TestInterleave:
     def test_overlap_rejected(self):
-        with pytest.raises(ScheduleOverlap):
-            interleave([HoldCenter(), HoldCenter()], [(1, 2), (3, 2)])
+        # in the second, turns 1-8 have one owner each and turn 9 has two
+        for schedule in ([(1, 2), (3, 2)],
+                         [(1, 2), (2, 4), (4, 8), (8, 8), (9, 16)]):
+            with pytest.raises(ScheduleOverlap, match="owners"):
+                InterleaveStrategy([HoldCenter()] * len(schedule), schedule)
 
     def test_gap_rejected(self):
         with pytest.raises(ScheduleOverlap):
-            interleave([HoldCenter(), HoldCenter()], [(1, 3), (2, 3)])
+            InterleaveStrategy([HoldCenter(), HoldCenter()], [(1, 3), (2, 3)])
 
     def test_trivial_schedule_matches_solo(self, K, cantor_decay, cantor_alpha):
         params = GameParams(cantor_alpha, F(1, 4))
         solo = LacunaryStrategy(lac2(), decay=cantor_decay)
         t1 = run_game(K, params, solo, HoldCenter(), rounds=25)
-        wrapped = interleave([LacunaryStrategy(lac2(), decay=cantor_decay)],
-                             [(1, 1)])
+        wrapped = InterleaveStrategy(
+            [LacunaryStrategy(lac2(), decay=cantor_decay)], [(1, 1)])
         t2 = run_game(K, params, wrapped, HoldCenter(), rounds=25)
         assert t1.to_jsonl() == t2.to_jsonl()
 
@@ -485,7 +489,7 @@ class TestInterleave:
         params = GameParams(cantor_alpha, F(1, 4))
         lac = LacunaryStrategy(lac2(), decay=cantor_decay)
         ba = BAStrategy(decay=cantor_decay)
-        duo = interleave([lac, ba], [(1, 2), (2, 2)])
+        duo = InterleaveStrategy([lac, ba], [(1, 2), (2, 2)])
         t = run_game(K, params, duo, HoldCenter(), rounds=60)
         lo, hi = outcome_interval(t)
         # both sub-plans ran under beta_eff = beta*(alpha*beta)

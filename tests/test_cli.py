@@ -276,6 +276,17 @@ class TestAudit:
         p.write_text(json.dumps(doc))
         assert main(["audit", "--spec", str(p), "--out", str(tmp_path)]) == 1
 
+    def test_huge_grid_exits_2(self, tmp_path, capsys):
+        # 2**30 grid words would take months; the cap refuses them at once
+        doc = json.loads(open(bundled_spec_path("lebesgue_audit.json")).read())
+        doc["audit"]["x_depth"] = 30
+        p = tmp_path / "huge.json"
+        p.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["audit", "--spec", str(p), "--out", str(out)]) == 2
+        assert "grid words" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestConstruct:
     @pytest.mark.parametrize("digits", ["0", "-3"])

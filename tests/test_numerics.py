@@ -95,6 +95,9 @@ class TestLogSign:
     def test_tie_raises(self):
         with pytest.raises(PrecisionCapExceeded):
             log_sign([(1, [4]), (-2, [2])], max_bits=256)
+        # the default cap of 1,024 bits is reached in milliseconds
+        with pytest.raises(PrecisionCapExceeded):
+            log_sign([(1, [4]), (-2, [2])])
 
     def test_exact_zero_is_equal(self):
         assert log_sign([(1, [1]), (-3, [1, 5]), (F(2, 7), [7, 1])]) is Ordering.EQUAL
@@ -109,13 +112,17 @@ def test_rational_field_laws(a, b, c):
     assert a * (b + c) == a * b + a * c
 
 
-@pytest.mark.parametrize("x", [F(2), F(3), F(10, 7), F(1, 3), F(97), F(1, 10 ** 12)])
+@pytest.mark.parametrize("x", [F(2), F(3), F(10, 7), F(1, 3), F(97), F(1, 10 ** 12),
+                               F(3 ** 5000, 2 ** 7000), 1 + F(1, 10 ** 300)])
 def test_ln_bounds_enclose_and_shrink(x):
-    for bits in (32, 80, 160):
+    # 350 digits resolve the narrowest width, 2**-1024 ~ 5.6e-309, at ln x ~ 641
+    ctx = Context(prec=350)
+    value = lambda f: ctx.divide(Decimal(f.numerator), Decimal(f.denominator))
+    ref = value(x).ln(ctx)
+    for bits in (32, 80, 160, 1024):
         lo, hi = ln_bounds(x, bits)
         assert hi - lo <= F(1, 2 ** bits)
-        approx = math.log(x)
-        assert float(lo) - 1e-9 <= approx <= float(hi) + 1e-9
+        assert value(lo) <= ref <= value(hi)
 
 
 class TestLogRatio:
