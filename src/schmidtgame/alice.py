@@ -22,8 +22,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
-from typing import (Dict, Iterable, Iterator, List, Optional, Sequence, Tuple,
-                    Union)
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .errors import (HorizonMismatch, InvalidAlpha, InvariantViolation,
                      NoPointFound, ScheduleOverlap, SpecError)
@@ -572,11 +571,9 @@ class LacunaryStrategyState:
     c: Fraction
     turn: int = 0
     phase: str = "warmup"
-    step: int = 0
-    current_block: int = 0
     blocks_cleared: int = 0
     danger: List[Fraction] = field(default_factory=list)
-    block_points: Dict[int, List[Fraction]] = field(default_factory=dict)
+    block_points: List[Fraction] = field(default_factory=list)
 
     @property
     def ab(self) -> Fraction:
@@ -667,9 +664,8 @@ def _enter_block(state, spec, phi, k, bob_ball):
     zs = sorted({z for _, _, z in entries})
     if len(zs) > state.N:
         raise InvariantViolation("danger list exceeds the block capacity N")
-    state.current_block = k
     state.danger = zs
-    state.block_points[k] = list(zs)
+    state.block_points = list(zs)
     state.phase = "clearing"
 
 
@@ -678,7 +674,7 @@ def _finish_block(state, k, ball):
         raise InvariantViolation(
             "danger points survived block %d clearing" % k)
     threshold = state.ab ** (state.r * (k + 2)) * state.rho
-    for z in state.block_points[k]:
+    for z in state.block_points:
         if abs(z - ball.center) - ball.radius < threshold:
             raise InvariantViolation(
                 "cleared translate %s closer than the block separation" % z)
@@ -708,7 +704,6 @@ def lacunary_move(state: LacunaryStrategyState, support: FractalSupport,
     step = j - state.r * (k + 1) + 1
     if step == 1:
         _enter_block(state, spec, phi, k, bob_ball)
-    state.step = step
     before = list(state.danger)
     ball = avoidance_step(support, bob_ball, state.alpha, before)
     survivors, _ = _cleared(ball.center, 2 * state.alpha * bob_ball.radius, before)

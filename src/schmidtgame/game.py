@@ -78,16 +78,10 @@ def is_legal(prev: Ball, nxt: Ball, whose_turn: str, params: GameParams) -> Tupl
     return True, ""
 
 
-class Status(Enum):
-    IN_PROGRESS = "in_progress"
-    FINISHED = "finished"
-
-
 @dataclass
 class Transcript:
     params: GameParams
     moves: List[Tuple[str, Ball]] = field(default_factory=list)
-    status: Status = Status.IN_PROGRESS
 
     @property
     def last_ball(self) -> Ball:
@@ -114,7 +108,7 @@ class Transcript:
 
 
 def transcript_from_jsonl(text: str, params: GameParams) -> Transcript:
-    t = Transcript(params=params, status=Status.FINISHED)
+    t = Transcript(params=params)
     for line in text.splitlines():
         line = line.strip()
         if not line:
@@ -137,8 +131,9 @@ def _check_membership(support: FractalSupport, ball: Ball, player: str,
                           ball, transcript)
 
 
-def validate_transcript(t: Transcript, support: Optional[FractalSupport] = None):
-    """Re-referee a full transcript; raises IllegalMove on the first violation."""
+def validate_transcript(t: Transcript, support: FractalSupport):
+    """Re-referee a full transcript, the membership of every center in
+    `support` included; raises IllegalMove on the first violation."""
     for i, (player, ball) in enumerate(t.moves):
         expected_player = "bob" if i % 2 == 0 else "alice"
         if player != expected_player:
@@ -147,8 +142,7 @@ def validate_transcript(t: Transcript, support: Optional[FractalSupport] = None)
             ok, reason = is_legal(t.moves[i - 1][1], ball, player, t.params)
             if not ok:
                 raise IllegalMove(player, reason, ball, t)
-        if support is not None:
-            _check_membership(support, ball, player, t)
+        _check_membership(support, ball, player, t)
 
 
 def run_game(support: FractalSupport, params: GameParams, alice, bob,
@@ -179,7 +173,6 @@ def run_game(support: FractalSupport, params: GameParams, alice, bob,
                 raise IllegalMove(player, reason, ball, t)
             _check_membership(support, ball, player, t)
             t.moves.append((player, ball))
-    t.status = Status.FINISHED
     return t
 
 

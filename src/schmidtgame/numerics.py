@@ -2,11 +2,14 @@
 
 All game quantities are python Fractions.  Irrational quantities show up in
 one place only: logarithmic exponents such as log 2/log 3, kept symbolically
-as LogRatio and compared through integer-power arithmetic where the pair is
-multiplicatively dependent, else by log_sign, which orders a sum of
-products of logarithms against 0 on dyadic enclosures refined by doubling
-precision.  No float ever decides a comparison: when the enclosure cannot
-exclude 0 within the precision budget, PrecisionCapExceeded is raised.
+as LogRatio.  Whether log x/log b is rational is decided once, exactly, from
+integer roots (rational_power_of); make_exponent returns a rational ratio as
+a Fraction, so a LogRatio is always irrational.  Two LogRatios of equal
+value share one canonical form; every other comparison goes to log_sign,
+which orders a sum of products of logarithms against 0 on dyadic enclosures
+refined by doubling precision.  No float appears anywhere: an enclosure
+that cannot exclude 0 within the precision budget raises
+PrecisionCapExceeded rather than guess.
 """
 
 from __future__ import annotations
@@ -195,40 +198,6 @@ def pow_exact(base: Fraction, exponent: Fraction) -> Optional[Fraction]:
     return Fraction(rn, rd) ** m
 
 
-def _log_float(x: Fraction) -> float:
-    # math.log on the integer parts keeps this safe for huge rationals
-    return math.log(x.numerator) - math.log(x.denominator)
-
-
-def rational_power_of(x, base) -> Optional[Fraction]:
-    """Exponent e with x == base**e, as a Fraction, or None.
-
-    Detection is heuristic-then-exact: a float estimate proposes e with
-    denominator <= 64, and only an exact integer-power identity
-    accepts it.  A missed dependence degrades to symbolic handling
-    downstream, never to a wrong answer.
-    """
-    x, base = Fraction(x), Fraction(base)
-    if x <= 0 or base <= 0 or base == 1:
-        raise ValueError("rational_power_of requires x > 0 and base > 0, base != 1")
-    if x == 1:
-        return Fraction(0)
-    cand = Fraction(_log_float(x) / _log_float(base)).limit_denominator(64)
-    if cand == 0:
-        return None
-    m, n = cand.numerator, cand.denominator
-    # keep the exact verification below a few million bits
-    if n * abs(_log_float(x)) > 3e6 or abs(m) * abs(_log_float(base)) > 3e6:
-        return None
-    xn, xd = x.numerator, x.denominator
-    bn, bd = base.numerator, base.denominator
-    if m >= 0:
-        ok = xn ** n * bd ** m == xd ** n * bn ** m
-    else:
-        ok = xn ** n * bn ** (-m) == xd ** n * bd ** (-m)
-    return cand if ok else None
-
-
 def _power_index(x: Fraction) -> Tuple[Fraction, int]:
     """Largest k with x = root**k for rational root; returns (root, k)."""
     n, d = x.numerator, x.denominator
@@ -243,11 +212,33 @@ def _power_index(x: Fraction) -> Tuple[Fraction, int]:
     return x, 1
 
 
+def rational_power_of(x, base) -> Optional[Fraction]:
+    """Exponent e with x == base**e, as a Fraction, or None.
+
+    Exact, from integer roots: x = base**e for a rational e exactly when
+    x is 1 (e = 0) or x and base are powers kx and kb of one rational root
+    (e = kx/kb) or of a root and its inverse (e = -kx/kb).
+    """
+    x, base = Fraction(x), Fraction(base)
+    if x <= 0 or base <= 0 or base == 1:
+        raise ValueError("rational_power_of requires x > 0 and base > 0, base != 1")
+    if x == 1:
+        return Fraction(0)
+    (rx, kx), (rb, kb) = _power_index(x), _power_index(base)
+    if rx == rb:
+        return Fraction(kx, kb)
+    if rx * rb == 1:
+        return Fraction(-kx, kb)
+    return None
+
+
 @dataclass(frozen=True)
 class LogRatio:
-    """The real number log(top)/log(base), kept symbolically.
+    """The irrational number log(top)/log(base), kept symbolically.
 
-    Canonical form: base > 1 (flip both arguments if needed) and the pair
+    A rational pair (top = base**e for a rational e, top = 1 included)
+    raises ValueError: make_exponent returns those as Fractions.  Canonical
+    form: base > 1 (flip both arguments if needed) and the pair
     reduced by any common perfect-power index, so that e.g. log 4/log 9
     and log 2/log 3 compare structurally equal.
     """
@@ -261,26 +252,17 @@ class LogRatio:
             raise ValueError("LogRatio requires top > 0 and base > 0, base != 1")
         if base < 1:
             top, base = 1 / top, 1 / base
-        if top != 1:
-            (rt, kt), (rb, kb) = _power_index(top), _power_index(base)
-            g = math.gcd(kt, kb)
-            if g > 1:
-                top = rt ** (kt // g)
-                base = rb ** (kb // g)
-        object.__setattr__(self, "top", top)
-        object.__setattr__(self, "base", base)
-
-    def as_fraction(self) -> Optional[Fraction]:
-        if self.top == 1:
-            return Fraction(0)
-        return rational_power_of(self.top, self.base)
+        (rt, kt), (rb, kb) = _power_index(top), _power_index(base)
+        # the rational_power_of test, on the roots already at hand
+        if top == 1 or rt == rb or rt * rb == 1:
+            raise ValueError(f"log({top})/log({base}) is rational")
+        g = math.gcd(kt, kb)
+        object.__setattr__(self, "top", rt ** (kt // g))
+        object.__setattr__(self, "base", rb ** (kb // g))
 
     def sign(self) -> int:
-        # base > 1, so the sign is the sign of ln(top)
-        return -1 if self.top < 1 else (0 if self.top == 1 else 1)
-
-    def __float__(self) -> float:
-        return _log_float(self.top) / _log_float(self.base)
+        # base > 1 and top != 1, so the sign is the sign of ln(top)
+        return -1 if self.top < 1 else 1
 
     def __repr__(self) -> str:
         return f"log({self.top})/log({self.base})"
@@ -292,9 +274,8 @@ Exponent = Union[Fraction, LogRatio]
 def make_exponent(top, base) -> Exponent:
     """log(top)/log(base) as a Fraction when the pair is multiplicatively
     dependent, else a canonical LogRatio."""
-    lr = LogRatio(Fraction(top), Fraction(base))
-    r = lr.as_fraction()
-    return r if r is not None else lr
+    e = rational_power_of(top, base)
+    return LogRatio(top, base) if e is None else e
 
 
 def exponent_bounds(e: Exponent) -> Tuple[Fraction, Fraction]:
@@ -324,29 +305,9 @@ def exponent_cmp(a: Exponent, b: Exponent) -> Ordering:
     """Order two exponents; exact on every multiplicatively dependent pair."""
     if not isinstance(a, LogRatio) and not isinstance(b, LogRatio):
         return ordering_of(Fraction(a), Fraction(b))
-    if isinstance(a, LogRatio):
-        ra = a.as_fraction()
-        if ra is not None:
-            return exponent_cmp(ra, b)
-    if isinstance(b, LogRatio):
-        rb = b.as_fraction()
-        if rb is not None:
-            return exponent_cmp(a, rb)
-    if isinstance(a, LogRatio) and isinstance(b, LogRatio):
-        if a == b:
-            return Ordering.EQUAL
-        # scaled dependence: b = (s/t) a when b.top = a.top^s, b.base = a.base^t
-        if a.top != 1 and b.top != 1:
-            s = rational_power_of(b.top, a.top)
-            t = rational_power_of(b.base, a.base)
-            if s is not None and t is not None and t != 0:
-                k = s / t
-                diff_sign = (1 if k > 1 else (0 if k == 1 else -1)) * a.sign()
-                if diff_sign > 0:
-                    return Ordering.LESS
-                if diff_sign < 0:
-                    return Ordering.GREATER
-                return Ordering.EQUAL
+    if a == b:
+        # LogRatios of equal value by dependence share one canonical form
+        return Ordering.EQUAL
     # a - b has the sign of the cross-product na*db - nb*da
     (na, nxa), (da, dxa) = _log_quotient(a)
     (nb, nxb), (db, dxb) = _log_quotient(b)
@@ -374,11 +335,6 @@ def scaled_pow_cmp(lhs, coeff, eps, gamma: Exponent) -> Ordering:
         # eps**gamma collapses: (base**e)**(log top/log base) = top**e
         m, n = e.numerator, e.denominator
         return ordering_of(lhs ** n, coeff ** n * gamma.top ** m)
-    r = gamma.as_fraction()
-    if r is not None:
-        return scaled_pow_cmp(lhs, coeff, eps, r)
-    if eps == 1:
-        return ordering_of(lhs, coeff)
     # ln lhs  vs  ln coeff + gamma ln eps, cleared of the denominator ln base > 0
     return log_sign([(1, [lhs, gamma.base]), (-1, [coeff, gamma.base]),
                      (-1, [gamma.top, eps])])
@@ -448,15 +404,8 @@ def farey_right(f, qmax: int) -> Fraction:
 
 
 def farey_left(f, qmax: int) -> Fraction:
-    f = Fraction(f)
-    p, q = f.numerator, f.denominator
-    if q > qmax or qmax < 1:
-        raise ValueError("denominator exceeds the Farey order")
-    if q == 1:
-        return Fraction(p * qmax - 1, qmax)
-    d0 = pow(p, -1, q) % q
-    d = d0 + ((qmax - d0) // q) * q
-    return Fraction((p * d - 1) // q, d)
+    """Immediate left neighbor: the mirror image of -f's right neighbor."""
+    return -farey_right(-Fraction(f), qmax)
 
 
 def fractions_in_interval(lo, hi, qmax: int) -> list:

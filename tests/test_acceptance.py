@@ -28,7 +28,8 @@ from schmidtgame.fractal import (AuditGrid, DecayParams, audit_measure,
                                  lower_pointwise_dimension, max_alpha)
 from schmidtgame.game import (Ball, GameParams, outcome_interval, run_game,
                               validate_transcript)
-from schmidtgame.numerics import circle_dist, floor_sqrt, make_exponent
+from schmidtgame.numerics import (circle_dist, exponent_bounds, floor_sqrt,
+                                  make_exponent)
 
 ID = BiLipschitzMap.identity()
 
@@ -171,8 +172,10 @@ def test_6_dimension_reporting(K, decay):
     rep = dimension_report(decay=decay, estimates=ests)
     gamma23 = make_exponent(2, 3)
     exact_each = all(e.value == gamma23 for e in ests)
+    lo, hi = exponent_bounds(rep.analytic_bound)
+    near, tol = F(6309, 10000), F(5, 10000)
     ok = (rep.analytic_bound == gamma23
-          and abs(float(rep.analytic_bound) - 0.6309) < 5e-4
+          and near - tol < lo <= hi < near + tol
           and exact_each and rep.margin == 0 and rep.consistent)
     report(6, "dimension report", ok, time.monotonic() - t0)
 

@@ -44,7 +44,7 @@ class TestPlay:
         params = GameParams(max_alpha(decay), F(1, 4))
         K = cantor_support()
         t = transcript_from_jsonl(text, params)
-        validate_transcript(t)
+        validate_transcript(t, K)
         rounds = (len(t.moves) - 1) // 2
         replayed = run_game(K, params, ReplayPlayer(t, "alice"),
                             ReplayPlayer(t, "bob"), rounds=rounds,

@@ -5,10 +5,9 @@ import pytest
 
 from schmidtgame.errors import IllegalMove, NoPointFound, StrategyFailure
 from schmidtgame.fractal import cantor_support, find_point_in_gap
-from schmidtgame.game import (Ball, GameParams, HoldCenter, Status,
-                              Transcript, Variant, is_legal, outcome_interval,
-                              run_game, transcript_from_jsonl,
-                              validate_transcript)
+from schmidtgame.game import (Ball, GameParams, HoldCenter, Transcript,
+                              Variant, is_legal, outcome_interval, run_game,
+                              transcript_from_jsonl, validate_transcript)
 
 
 @pytest.fixture(scope="module")
@@ -59,7 +58,6 @@ class TestRunGame:
         p = classical(F(1, 3), F(1, 3))
         t = run_game(K, p, HoldCenter(), HoldCenter(), rounds=5)
         assert len(t.moves) == 11
-        assert t.status is Status.FINISHED
         # Bob's k-th ball has radius (1/9)^(k-1)
         for i, (player, ball) in enumerate(t.moves):
             k = i // 2
@@ -146,7 +144,7 @@ class TestTranscript:
             mutated = Transcript(params=p, moves=list(t.moves))
             mutated.moves[i] = (player, Ball(ball.center, ball.radius * factor))
             with pytest.raises(IllegalMove) as exc:
-                validate_transcript(mutated)
+                validate_transcript(mutated, K)
             assert exc.value.transcript is mutated
 
     def test_random_legal_moves_accepted(self, K):

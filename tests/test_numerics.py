@@ -4,7 +4,7 @@ from decimal import Context, Decimal
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from schmidtgame.errors import PrecisionCapExceeded
@@ -138,6 +138,16 @@ class TestLogRatio:
         assert make_exponent(1, 5) == 0
         assert isinstance(make_exponent(2, 3), LogRatio)
 
+    def test_make_exponent_past_denominator_64(self):
+        assert make_exponent(2, 2 ** 65) == F(1, 65)
+        assert exponent_cmp(make_exponent(2, 2 ** 65), F(1, 65)) is Ordering.EQUAL
+
+    @pytest.mark.parametrize("top, base", [(4, 2), (F(1, 8), 2), (2, F(1, 8)),
+                                           (1, 5), (F(4, 9), F(3, 2))])
+    def test_rational_pairs_rejected(self, top, base):
+        with pytest.raises(ValueError, match="rational"):
+            LogRatio(top, base)
+
     def test_exponent_cmp(self):
         g = LogRatio(2, 3)
         assert exponent_cmp(g, F(6309, 10000)) is Ordering.GREATER
@@ -153,6 +163,20 @@ def test_rational_power_of():
     assert rational_power_of(F(8, 27), F(4, 9)) == F(3, 2)
     assert rational_power_of(5, 2) is None
     assert rational_power_of(1, 7) == 0
+    for x, base in [(2, 6), (6, 2), (4, 6), (F(1, 2), 6), (12, 18), (F(4, 9), F(2, 9))]:
+        assert rational_power_of(x, base) is None
+
+
+@settings(deadline=None)
+@given(r=st.fractions(min_value=F(1, 12), max_value=12, max_denominator=12),
+       a=st.integers(min_value=-130, max_value=130),
+       b=st.integers(min_value=-130, max_value=130).filter(bool))
+@example(r=F(2), a=1, b=65)
+@example(r=F(2, 3), a=-3, b=127)
+def test_rational_power_of_roots(r, a, b):
+    # r itself may be a perfect power or below 1: the roots are found anyway
+    assume(r != 1)
+    assert rational_power_of(r ** a, r ** b) == F(a, b)
 
 
 def test_pow_exact():
@@ -192,7 +216,9 @@ class TestScaledPowCmp:
 _DEC = Context(prec=100)
 _REF_TIE = Decimal("1e-80")
 small_positive = st.fractions(min_value=F(1, 50), max_value=50, max_denominator=50)
-log_ratios = st.builds(LogRatio, small_positive,
+# make_exponent, since a LogRatio of a rational pair is refused; most
+# draws are irrational
+log_ratios = st.builds(make_exponent, small_positive,
                        small_positive.filter(lambda x: x != 1))
 exponents = st.one_of(log_ratios, rationals)
 
