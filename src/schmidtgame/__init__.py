@@ -9,11 +9,10 @@ from scratch.
 from .alice import (BAStrategy, BiLipschitzMap, ConstTargets, ExcludeCountable,
                     GeometricTerms, InterleaveStrategy, LacunarySpec,
                     LacunaryStrategy, ListTargets, ListTerms, PeriodicTargets,
-                    affine_map, affine_to_sequence, avoidance_step, ba_move,
-                    danger_set, index_block, lacunary_move, plan_ba,
-                    plan_lacunary)
-from .bob import (GreedyBob, KeepCenterBob, RandomBob, ReplayPlayer,
-                  greedy_move, random_move)
+                    affine_to_sequence, avoidance_step, ba_move,
+                    index_block, lacunary_move, plan_ba, plan_lacunary)
+from .bob import (GreedyBob, KeepCenterBob, RandomBob, greedy_move,
+                  random_move)
 from .certify import (Certificate, DimensionReport, VerificationResult,
                       ba_certificate, dimension_report, orbit_certificate,
                       verify, verify_ba, verify_orbit_separation)
@@ -22,9 +21,9 @@ from .errors import (HorizonMismatch, IllegalMove, InvalidAlpha,
                      ScheduleOverlap, SpecError, StrategyFailure)
 from .fractal import (IFS, AuditGrid, DecayParams, FractalMeasure,
                       FractalSupport, SimilarityMap, audit_measure,
-                      binary_support, cantor_measure, cantor_support,
-                      check_alpha, decay_from_federer_efd, efd_to_exponent,
-                      federer_to_exponent, find_point_in_gap, lebesgue_measure,
+                      binary_support, cantor_support, check_alpha,
+                      decay_from_federer_efd, efd_to_exponent,
+                      federer_to_exponent, find_point_in_gap,
                       lower_pointwise_dimension, max_alpha)
 from .game import (Ball, GameParams, HoldCenter, Transcript, Variant,
                    is_legal, outcome_interval, run_game,
@@ -40,15 +39,15 @@ __all__ = [
     "IllegalMove", "InterleaveStrategy", "InvalidAlpha", "InvariantViolation",
     "KeepCenterBob", "LacunarySpec", "LacunaryStrategy", "ListTargets",
     "ListTerms", "NoPointFound", "PeriodicTargets", "PrecisionCapExceeded",
-    "RandomBob", "ReplayPlayer", "ScheduleOverlap", "SimilarityMap",
+    "RandomBob", "ScheduleOverlap", "SimilarityMap",
     "SpecError", "StrategyFailure", "Transcript", "VerificationResult",
-    "Variant", "affine_map", "affine_to_sequence", "audit_measure",
+    "Variant", "affine_to_sequence", "audit_measure",
     "avoidance_step", "ba_certificate", "ba_move", "binary_support",
-    "cantor_measure", "cantor_support", "check_alpha", "danger_set",
+    "cantor_support", "check_alpha",
     "decay_from_federer_efd", "dimension_report", "efd_to_exponent",
     "federer_to_exponent", "find_point_in_gap", "greedy_move",
     "index_block", "is_legal", "lacunary_move",
-    "lebesgue_measure", "lower_pointwise_dimension", "max_alpha",
+    "lower_pointwise_dimension", "max_alpha",
     "orbit_certificate", "outcome_interval", "plan_ba", "plan_lacunary",
     "random_move", "run_game", "transcript_from_jsonl", "validate_transcript",
     "verify", "verify_ba", "verify_orbit_separation",

@@ -37,9 +37,9 @@ __all__ = [
     "PeriodicTargets", "ListTargets", "LacunarySpec", "orbit_residues",
     "LacunaryStrategyState", "BAStrategyState", "ALPHA_DIAGNOSTIC",
     "avoidance_step", "lacunary_constants", "plan_lacunary", "index_block",
-    "danger_set", "lacunary_move", "ba_constants", "plan_ba", "ba_move",
+    "lacunary_move", "ba_constants", "plan_ba", "ba_move",
     "LacunaryStrategy", "BAStrategy", "ExcludeCountable", "InterleaveStrategy",
-    "affine_map", "affine_to_sequence",
+    "affine_to_sequence",
 ]
 
 
@@ -540,13 +540,6 @@ def avoidance_step(support: FractalSupport, ball: Ball, alpha: Fraction,
     return new
 
 
-def _cleared(center: Fraction, reach: Fraction, points: Sequence[Fraction]):
-    keep, drop = [], []
-    for y in points:
-        (drop if abs(y - center) > reach else keep).append(y)
-    return keep, drop
-
-
 # ---------------------------------------------------------------------------
 # lacunary orbit avoidance
 
@@ -570,7 +563,6 @@ class LacunaryStrategyState:
     rho: Fraction
     c: Fraction
     turn: int = 0
-    phase: str = "warmup"
     blocks_cleared: int = 0
     danger: List[Fraction] = field(default_factory=list)
     block_points: List[Fraction] = field(default_factory=list)
@@ -626,15 +618,6 @@ def _danger_entries(state, spec, phi, k, lo, hi):
     return entries
 
 
-def danger_set(state: LacunaryStrategyState, spec: LacunarySpec,
-               phi: BiLipschitzMap, k: int, ball: Ball) -> List[Fraction]:
-    """Translates phi((y_n + m)/t_n), n in block k, inside the ball."""
-    entries = _danger_entries(state, spec, phi, k,
-                              ball.center - ball.radius,
-                              ball.center + ball.radius)
-    return sorted({z for _, _, z in entries})
-
-
 def _hold(ball: Ball, ratio: Fraction) -> Ball:
     return Ball(ball.center, ratio * ball.radius, ball.word)
 
@@ -666,7 +649,6 @@ def _enter_block(state, spec, phi, k, bob_ball):
         raise InvariantViolation("danger list exceeds the block capacity N")
     state.danger = zs
     state.block_points = list(zs)
-    state.phase = "clearing"
 
 
 def _finish_block(state, k, ball):
@@ -679,7 +661,6 @@ def _finish_block(state, k, ball):
             raise InvariantViolation(
                 "cleared translate %s closer than the block separation" % z)
     state.blocks_cleared = k
-    state.phase = "idle"
 
 
 def lacunary_move(state: LacunaryStrategyState, support: FractalSupport,
@@ -698,7 +679,6 @@ def lacunary_move(state: LacunaryStrategyState, support: FractalSupport,
         raise InvariantViolation("warm-up did not land on the planned rho")
     j = e - state.k0 + 1
     if j < 2 * state.r:
-        state.phase = "warmup" if state.blocks_cleared == 0 else state.phase
         return _hold(bob_ball, params.alpha)
     k = j // state.r - 1
     step = j - state.r * (k + 1) + 1
@@ -706,7 +686,8 @@ def lacunary_move(state: LacunaryStrategyState, support: FractalSupport,
         _enter_block(state, spec, phi, k, bob_ball)
     before = list(state.danger)
     ball = avoidance_step(support, bob_ball, state.alpha, before)
-    survivors, _ = _cleared(ball.center, 2 * state.alpha * bob_ball.radius, before)
+    reach = 2 * state.alpha * bob_ball.radius
+    survivors = [y for y in before if abs(y - ball.center) <= reach]
     if 2 * len(survivors) > len(before):
         raise InvariantViolation("clearing step failed to halve the danger list")
     state.danger = survivors
@@ -725,12 +706,11 @@ class BAStrategyState:
 
     Denominator ranges are compared through q^2 against powers of
     alpha*beta, so the growth rate R = (alpha*beta)^{-1/2} never needs surd
-    arithmetic; ``R`` is exposed exactly when it is rational.
+    arithmetic.
     """
 
     alpha: Fraction
     beta: Fraction
-    L: Fraction
     rho_prime: Fraction
     rho0: Fraction
     k0: int
@@ -743,11 +723,6 @@ class BAStrategyState:
     def ab(self) -> Fraction:
         return self.alpha * self.beta
 
-    @property
-    def R(self) -> Optional[Fraction]:
-        from .numerics import pow_exact
-        return pow_exact(1 / self.ab, Fraction(1, 2))
-
 
 def plan_ba(phi: BiLipschitzMap, params: GameParams, decay: DecayParams,
             opening: Ball) -> BAStrategyState:
@@ -757,7 +732,7 @@ def plan_ba(phi: BiLipschitzMap, params: GameParams, decay: DecayParams,
     rho_prime = Fraction(opening.radius)
     k0, rho, c = ba_constants(L, params.alpha, params.beta, rho_prime,
                               decay.rho0)
-    state = BAStrategyState(alpha=params.alpha, beta=params.beta, L=L,
+    state = BAStrategyState(alpha=params.alpha, beta=params.beta,
                             rho_prime=rho_prime,
                             rho0=decay.rho0, k0=k0, rho=rho, c=c)
     assert state.rho < min(state.ab / (2 * L), decay.rho0)
@@ -838,9 +813,7 @@ class LacunaryStrategy:
                              params, opening)
 
     def danger_preview(self, support, params, transcript) -> List[Fraction]:
-        if self.state is None or self.state.phase != "clearing":
-            return []
-        return list(self.state.danger)
+        return [] if self.state is None else list(self.state.danger)
 
 
 class BAStrategy:
@@ -961,11 +934,6 @@ class InterleaveStrategy:
 
 # ---------------------------------------------------------------------------
 # affine circle maps
-
-
-def affine_map(b: int, c: Fraction, x: Fraction) -> Fraction:
-    """One step of x -> b*x + c on the circle."""
-    return _mod1(b * Fraction(x) + Fraction(c))
 
 
 def affine_to_sequence(b: int, c: Fraction, y: Fraction,

@@ -3,20 +3,18 @@
 The separation guarantees quantify over every ball the shrinking player
 may pick, so the tests need adversaries that actually push back: a greedy
 white-box player that steers toward the points the other side is trying
-to avoid, a seeded uniform player for fuzzing, and replay players that
-re-validate a stored transcript move for move.
+to avoid, and a seeded uniform player for fuzzing.
 """
 
 import random
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
-from .errors import SpecError
 from .fractal import FractalSupport, find_point_in_gap
-from .game import Ball, GameParams, Transcript
+from .game import Ball, GameParams
 
 __all__ = ["greedy_move", "random_move",
-           "KeepCenterBob", "GreedyBob", "RandomBob", "ReplayPlayer"]
+           "KeepCenterBob", "GreedyBob", "RandomBob"]
 
 
 def _legal_range(ball: Ball, ratio: Fraction) -> Tuple[Fraction, Fraction]:
@@ -128,21 +126,3 @@ class RandomBob:
         return random_move(support, transcript.last_ball, params,
                            "%s/%d" % (self.seed, self.count))
 
-
-class ReplayPlayer:
-    """Re-plays one side of a stored transcript; the referee re-validates."""
-
-    def __init__(self, transcript: Transcript, player: str):
-        if player not in ("alice", "bob"):
-            raise SpecError("player must be 'alice' or 'bob'")
-        self.balls = [b for p, b in transcript.moves if p == player]
-        if player == "bob":
-            self.balls = self.balls[1:]  # the opening is the engine's
-        self.next = 0
-
-    def move(self, support, params, transcript) -> Ball:
-        if self.next >= len(self.balls):
-            raise SpecError("replay transcript exhausted")
-        ball = self.balls[self.next]
-        self.next += 1
-        return ball

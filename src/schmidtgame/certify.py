@@ -16,7 +16,7 @@ from typing import Optional, Sequence, Tuple
 from .alice import (BiLipschitzMap, LacunarySpec, ba_constants,
                     lacunary_constants, orbit_residues)
 from .errors import HorizonMismatch, SpecError
-from .fractal import DecayParams, DimensionEstimate, MeasureAuditReport
+from .fractal import DimensionEstimate, MeasureAuditReport
 from .numerics import (Exponent, LogRatio, Ordering, circle_dist,
                        exponent_bounds, exponent_cmp, floor_sqrt,
                        fractions_in_interval, make_exponent, parse_rational)
@@ -47,6 +47,13 @@ def exponent_from_json(data) -> Exponent:
 
 # ---------------------------------------------------------------------------
 # certificates
+
+
+def _json_int(value, what: str) -> int:
+    """`value` if it is an int: a float, bool or string fails closed."""
+    if type(value) is not int:
+        raise SpecError("%s must be a JSON integer" % what)
+    return value
 
 
 @dataclass(frozen=True)
@@ -80,7 +87,7 @@ class Certificate:
         object.__setattr__(self, "c", Fraction(self.c))
         if self.c <= 0:
             raise SpecError("separation constant must be positive")
-        if self.horizon < 0 or self.horizon != int(self.horizon):
+        if _json_int(self.horizon, "horizon") < 0:
             raise SpecError("horizon must be a non-negative integer")
         allowed = ("blocks", "terms") if self.kind == ORBIT_SEPARATION \
             else ("blocks", "denominators")
@@ -100,7 +107,7 @@ class Certificate:
     def from_json(cls, data: dict) -> "Certificate":
         lo, hi = data["interval"]
         return cls(data["kind"], (parse_rational(lo), parse_rational(hi)),
-                   parse_rational(data["c"]), int(data["horizon"]),
+                   parse_rational(data["c"]), data["horizon"],
                    data.get("horizon_kind", "blocks"),
                    dict(data.get("snapshot") or {}))
 
@@ -204,7 +211,7 @@ def verify_orbit_separation(cert: Certificate) -> VerificationResult:
             return _constant_mismatch(c, cert.c)
         if cert.horizon_kind != "blocks":
             raise SpecError("schedule snapshots certify whole blocks")
-        turns = int(snap["turns"])
+        turns = _json_int(snap["turns"], "snapshot turns")
         reachable = (turns - k0 + 2) // r - 2
         if cert.horizon > max(0, reachable):
             raise HorizonMismatch(
@@ -260,7 +267,7 @@ def verify_ba(cert: Certificate, max_q: int = DEFAULT_MAX_Q) -> VerificationResu
             return _constant_mismatch(c, cert.c)
         if cert.horizon_kind != "blocks":
             raise SpecError("schedule snapshots certify whole blocks")
-        turns = int(snap["turns"])
+        turns = _json_int(snap["turns"], "snapshot turns")
         if cert.horizon > max(0, turns - k0 + 2):
             raise HorizonMismatch(
                 "certificate claims %d blocks but %d turns finish at most %d"
@@ -340,26 +347,18 @@ def _estimate_value(e) -> Optional[Exponent]:
     return e
 
 
-def dimension_report(decay: Optional[DecayParams] = None,
-                     power_law: Optional[Exponent] = None,
-                     estimates: Sequence = (),
-                     audit: Optional[MeasureAuditReport] = None) -> DimensionReport:
+def dimension_report(audit: MeasureAuditReport,
+                     estimates: Sequence = ()) -> DimensionReport:
     """Combine the analytic bound dim >= gamma with sampled estimates.
 
-    The bound comes from a power-law exponent when one is known, else from
-    absolute-decay constants (possibly pulled out of an audit report).
-    Inconclusive estimates (interval mass bounds that straddle a gap
-    boundary) are skipped.
+    The bound comes from the audit's power-law exponent when it has one,
+    else from its absolute-decay constants.  Inconclusive estimates
+    (interval mass bounds that straddle a gap boundary) are skipped.
     """
-    if audit is not None:
-        if power_law is None and audit.power_law is not None:
-            power_law = audit.power_law[2]
-        if decay is None:
-            decay = audit.decay
-    if power_law is not None:
-        bound = power_law
-    elif decay is not None:
-        bound = decay.gamma
+    if audit.power_law is not None:
+        bound = audit.power_law[2]
+    elif audit.decay is not None:
+        bound = audit.decay.gamma
     else:
         raise SpecError("no decay or power-law constants to bound dimension")
     vals = [v for v in (_estimate_value(e) for e in estimates) if v is not None]

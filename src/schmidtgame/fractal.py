@@ -17,9 +17,9 @@ from fractions import Fraction
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .errors import SpecError
-from .numerics import (Exponent, LogRatio, Ordering, format_rational,
-                       make_exponent, parse_rational, pow_exact,
-                       rational_power_of, scaled_pow_cmp)
+from .numerics import (Exponent, LogRatio, Ordering, make_exponent,
+                       parse_rational, pow_exact, rational_power_of,
+                       scaled_pow_cmp)
 
 Interval = Tuple[Fraction, Fraction]
 
@@ -84,13 +84,6 @@ class IFS:
             raise SpecError(f"malformed IFS document: {exc}") from exc
         return IFS(maps, weights)
 
-    def to_json(self) -> dict:
-        return {
-            "maps": [{"r": format_rational(m.r), "a": format_rational(m.a)}
-                     for m in self.maps],
-            "weights": [format_rational(w) for w in self.weights],
-        }
-
 
 @dataclass(frozen=True)
 class Cylinder:
@@ -98,10 +91,6 @@ class Cylinder:
     lo: Fraction
     hi: Fraction
     mass: Fraction
-
-    @property
-    def interval(self) -> Interval:
-        return (self.lo, self.hi)
 
 
 def _common_denominator(values: Iterable[Fraction]) -> int:
@@ -231,9 +220,6 @@ class FractalSupport:
         lo, hi = self._span(rho, alpha)
         mass = math.prod(self._weights[i] for i in word)
         return self._cylinder(word, lo, hi, H * self._Q ** len(word), mass)
-
-    def cylinders(self, depth: int) -> List[Cylinder]:
-        return self.cylinders_meeting(*self.hull, depth)
 
     def _walk(self, lo: Fraction, hi: Fraction, depth: int, start=None):
         """Preorder walk, children in letter order, over the cylinders of
@@ -607,7 +593,6 @@ class AuditRow:
     check: str
     point: dict
     verdict: Verdict
-    detail: str = ""
 
 
 @dataclass
@@ -615,7 +600,6 @@ class AuditOutcome:
     check: str
     params: dict
     verdict: Verdict
-    witness: Optional[AuditRow] = None
     rows: List[AuditRow] = field(default_factory=list)
 
     @property
@@ -679,26 +663,22 @@ class AuditGrid:
                     yield {"x": x, "rho": rho}
 
 
-_PASS = (Verdict.PASS, "")
-
-
 def _audit(check: str, params: dict, points, depths, decide) -> AuditOutcome:
     """One row per grid point, up to and including the first that does not
     pass.  `decide(depth, **point)` judges a point from mass bounds at one
-    depth: (verdict, detail), or None when the bounds are too coarse, and
-    then the next depth is tried."""
+    depth: a verdict, or None when the bounds are too coarse, and then the
+    next depth is tried (INCONCLUSIVE after the last)."""
     outcome = AuditOutcome(check=check, params=params, verdict=Verdict.PASS)
     for point in points:
-        verdict, detail = Verdict.INCONCLUSIVE, "mass bounds too coarse"
+        verdict = Verdict.INCONCLUSIVE
         for depth in depths:
             decided = decide(depth, **point)
             if decided is not None:
-                verdict, detail = decided
+                verdict = decided
                 break
-        row = AuditRow(check, point, verdict, detail)
-        outcome.rows.append(row)
+        outcome.rows.append(AuditRow(check, point, verdict))
         if verdict is not Verdict.PASS:
-            outcome.verdict, outcome.witness = verdict, row
+            outcome.verdict = verdict
             break
     return outcome
 
@@ -720,10 +700,9 @@ def check_absolute_decay(measure: FractalMeasure, params: DecayParams,
         else:
             clo, chi = measure.interval_mass(ilo, ihi, depth)
         if blo > 0 and scaled_pow_cmp(chi, C * blo, eps, gamma) is Ordering.LESS:
-            return _PASS
+            return Verdict.PASS
         if scaled_pow_cmp(clo, C * bhi, eps, gamma) is not Ordering.LESS:
-            return Verdict.FAIL, (f"mu(B∩B') >= {clo} but C eps^gamma mu(B) <= "
-                                  f"{C * bhi} * {eps}^gamma")
+            return Verdict.FAIL
         return None
 
     return _audit("absolute_decay", {"C": C, "gamma": gamma, "rho0": params.rho0},
@@ -738,9 +717,9 @@ def check_federer(measure: FractalMeasure, eps0, delta, grid: AuditGrid) -> Audi
         slo, shi = measure.ball_mass(x, eps0 * rho, depth)
         blo, bhi = measure.ball_mass(x, rho, depth)
         if slo >= delta * bhi:
-            return _PASS
+            return Verdict.PASS
         if shi < delta * blo:
-            return Verdict.FAIL, f"ratio <= {shi}/{blo}"
+            return Verdict.FAIL
         return None
 
     return _audit("federer", {"eps0": eps0, "delta": delta},
@@ -755,9 +734,9 @@ def check_efd(measure: FractalMeasure, eps0, delta, grid: AuditGrid) -> AuditOut
         slo, shi = measure.ball_mass(x, eps0 * rho, depth)
         blo, bhi = measure.ball_mass(x, rho, depth)
         if shi <= delta * blo:
-            return _PASS
+            return Verdict.PASS
         if slo > delta * bhi:
-            return Verdict.FAIL, f"ratio >= {slo}/{bhi}"
+            return Verdict.FAIL
         return None
 
     return _audit("efd", {"eps0": eps0, "delta": delta},
@@ -774,12 +753,11 @@ def check_power_law(measure: FractalMeasure, k1, k2, gamma: Exponent,
         low_ok = scaled_pow_cmp(blo, k1, rho, gamma) in (Ordering.GREATER, Ordering.EQUAL)
         high_ok = scaled_pow_cmp(bhi, k2, rho, gamma) in (Ordering.LESS, Ordering.EQUAL)
         if low_ok and high_ok:
-            return _PASS
+            return Verdict.PASS
         low_bad = scaled_pow_cmp(bhi, k1, rho, gamma) is Ordering.LESS
         high_bad = scaled_pow_cmp(blo, k2, rho, gamma) is Ordering.GREATER
         if low_bad or high_bad:
-            side = "below k1 rho^gamma" if low_bad else "above k2 rho^gamma"
-            return Verdict.FAIL, f"mass {side}"
+            return Verdict.FAIL
         return None
 
     return _audit("power_law", {"k1": k1, "k2": k2, "gamma": gamma},
@@ -838,7 +816,6 @@ class DimensionEstimate:
     mass_lower: Fraction
     mass_upper: Fraction
     value_lower: Optional[Exponent]  # from mass_upper
-    value_upper: Optional[Exponent]  # from mass_lower; None when mass_lower = 0
 
     @property
     def exact(self) -> bool:
@@ -865,9 +842,7 @@ def lower_pointwise_dimension(measure: FractalMeasure, x,
         mlo, mhi = measure.ball_mass(x, rho, depth)
         value_lower = make_exponent(mhi, rho) if 0 < mhi < 1 else (
             Fraction(0) if mhi >= 1 else None)
-        value_upper = make_exponent(mlo, rho) if 0 < mlo < 1 else (
-            Fraction(0) if mlo >= 1 else None)
-        out.append(DimensionEstimate(rho, mlo, mhi, value_lower, value_upper))
+        out.append(DimensionEstimate(rho, mlo, mhi, value_lower))
     return out
 
 
@@ -883,10 +858,6 @@ def cantor_support() -> FractalSupport:
     return FractalSupport(ifs, (Fraction(0), Fraction(1)))
 
 
-def cantor_measure() -> FractalMeasure:
-    return FractalMeasure(cantor_support())
-
-
 def binary_support() -> FractalSupport:
     """[0, 1] as the attractor of the two halving maps; its coin-flip
     measure is Lebesgue measure restricted to [0, 1]."""
@@ -894,7 +865,3 @@ def binary_support() -> FractalSupport:
                SimilarityMap(Fraction(1, 2), Fraction(1, 2))],
               [Fraction(1, 2), Fraction(1, 2)])
     return FractalSupport(ifs, (Fraction(0), Fraction(1)))
-
-
-def lebesgue_measure() -> FractalMeasure:
-    return FractalMeasure(binary_support())

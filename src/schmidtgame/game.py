@@ -59,22 +59,28 @@ class Ball:
         return (self.center - self.radius, self.center + self.radius)
 
 
+def _bits(x: Fraction) -> str:
+    # not str(x): that is quadratic, and raises ValueError past 4,300 digits
+    return f"{x.numerator.bit_length()}/{x.denominator.bit_length()} bits"
+
+
 def is_legal(prev: Ball, nxt: Ball, whose_turn: str, params: GameParams) -> Tuple[bool, str]:
     """Referee one move:  nested order plus the variant's radius rule."""
     ratio = params.alpha if whose_turn == "alice" else params.beta
     expected = ratio * prev.radius
     if params.variant is Variant.CLASSICAL:
         if nxt.radius != expected:
-            return False, (f"radius {nxt.radius} != {format_rational(ratio)} * "
-                           f"{prev.radius} required by the classical rule")
+            return False, (f"radius ({_bits(nxt.radius)}) != ratio * "
+                           f"({_bits(prev.radius)}) required by the classical rule")
     else:
         if nxt.radius < expected:
-            return False, f"radius {nxt.radius} below the strong-variant floor {expected}"
+            return False, (f"radius ({_bits(nxt.radius)}) below the "
+                           f"strong-variant floor ({_bits(expected)})")
         if nxt.radius >= prev.radius:
             return False, "radius did not decrease"
     if nxt.radius + abs(prev.center - nxt.center) > prev.radius:
-        return False, (f"ball ({nxt.center}, {nxt.radius}) not nested in "
-                       f"({prev.center}, {prev.radius})")
+        return False, (f"ball (center {_bits(nxt.center)}, radius "
+                       f"{_bits(nxt.radius)}) not nested in the previous ball")
     return True, ""
 
 
@@ -123,12 +129,12 @@ def _check_membership(support: FractalSupport, ball: Ball, player: str,
                       transcript: Transcript):
     if ball.word is not None:
         if not support.verify_point(ball.center, ball.word):
-            raise IllegalMove(player, f"word does not witness center {ball.center}",
-                              ball, transcript)
+            raise IllegalMove(player, f"word does not witness center "
+                              f"({_bits(ball.center)})", ball, transcript)
         return
     if support.locate(ball.center) is None:
-        raise IllegalMove(player, f"center {ball.center} has no cylinder witness in K",
-                          ball, transcript)
+        raise IllegalMove(player, f"center ({_bits(ball.center)}) has no "
+                          f"cylinder witness in K", ball, transcript)
 
 
 def validate_transcript(t: Transcript, support: FractalSupport):

@@ -199,17 +199,24 @@ def pow_exact(base: Fraction, exponent: Fraction) -> Optional[Fraction]:
 
 
 def _power_index(x: Fraction) -> Tuple[Fraction, int]:
-    """Largest k with x = root**k for rational root; returns (root, k)."""
+    """Largest k with x = root**k for rational root; returns (root, k).
+
+    x is a perfect m-th power exactly when m divides k: take each prime's
+    roots while they exist, up to the bit length of what is left."""
     n, d = x.numerator, x.denominator
     if x == 1 or n <= 0:
         return x, 1
-    lead = d if n == 1 else n
-    for k in range(lead.bit_length(), 1, -1):
-        rn = _iroot_exact(n, k)
-        rd = _iroot_exact(d, k)
-        if rn is not None and rd is not None:
-            return Fraction(rn, rd), k
-    return x, 1
+    k, p = 1, 2
+    while p <= (d if n == 1 else n).bit_length():
+        rn = _iroot_exact(n, p)
+        rd = None if rn is None else _iroot_exact(d, p)
+        if rd is None:
+            p += 1
+            while any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
+                p += 1
+        else:
+            n, d, k = rn, rd, k * p
+    return Fraction(n, d), k
 
 
 def rational_power_of(x, base) -> Optional[Fraction]:

@@ -15,16 +15,17 @@ import pytest
 
 from schmidtgame.alice import (BAStrategy, BiLipschitzMap, ConstTargets,
                                GeometricTerms, LacunarySpec, LacunaryStrategy,
-                               affine_map, affine_to_sequence, avoidance_step)
+                               affine_to_sequence, avoidance_step)
 from schmidtgame.bob import GreedyBob, RandomBob
 from schmidtgame.certify import (ba_certificate, dimension_report,
                                  orbit_certificate, verify, verify_ba,
                                  verify_orbit_separation)
 from schmidtgame.cli import bundled_spec_path, main
-from schmidtgame.fractal import (AuditGrid, DecayParams, audit_measure,
-                                 cantor_measure, cantor_support,
+from schmidtgame.fractal import (AuditGrid, DecayParams, FractalMeasure,
+                                 MeasureAuditReport, audit_measure,
+                                 binary_support, cantor_support,
                                  decay_from_federer_efd, efd_to_exponent,
-                                 federer_to_exponent, lebesgue_measure,
+                                 federer_to_exponent,
                                  lower_pointwise_dimension, max_alpha)
 from schmidtgame.game import (Ball, GameParams, outcome_interval, run_game,
                               validate_transcript)
@@ -80,7 +81,7 @@ def test_2_ba_end_to_end(K, decay):
     validate_transcript(transcript, K)
     st = alice.state
     # c = R^2 alpha rho / L with R^2 = 1/(alpha beta), exactly
-    formula_c = (1 / st.ab) * st.alpha * st.rho / st.L
+    formula_c = (1 / st.ab) * st.alpha * st.rho / alice.phi.lipschitz
     cert = ba_certificate(st, ID, outcome_interval(transcript))
     result = verify_ba(cert)
     q_cap = min(floor_sqrt((1 / st.ab) ** st.blocks_done), 10 ** 6)
@@ -145,11 +146,11 @@ def test_4_avoidance_property_suite(K, decay):
 
 def test_5_measure_audits(K, decay):
     t0 = time.monotonic()
-    lebesgue = lebesgue_measure()
+    lebesgue = FractalMeasure(binary_support())
     grid_l = AuditGrid.default(lebesgue.support, F(1))
     rep_l = audit_measure(lebesgue, grid_l,
                           decay=DecayParams(F(2), F(1), F(1)))
-    cantor = cantor_measure()
+    cantor = FractalMeasure(cantor_support())
     grid_c = AuditGrid.default(K, decay.rho0, depths=(6, 9, 12))
     rep_c = audit_measure(cantor, grid_c, decay=decay)
     # conversion formulas, exactly
@@ -166,10 +167,10 @@ def test_5_measure_audits(K, decay):
 
 def test_6_dimension_reporting(K, decay):
     t0 = time.monotonic()
-    mu = cantor_measure()
+    mu = FractalMeasure(cantor_support())
     ests = lower_pointwise_dimension(mu, F(0),
                                      [F(1, 3) ** k for k in range(1, 13)])
-    rep = dimension_report(decay=decay, estimates=ests)
+    rep = dimension_report(MeasureAuditReport(decay=decay), estimates=ests)
     gamma23 = make_exponent(2, 3)
     exact_each = all(e.value == gamma23 for e in ests)
     lo, hi = exponent_bounds(rep.analytic_bound)
@@ -233,7 +234,7 @@ def test_8_affine_reduction():
         x = F(rng.randint(0, 10 ** 6), 10 ** 6 + 1)
         fx = x
         for n in range(1, 21):
-            fx = affine_map(b, c, fx)
+            fx = (b * fx + c) % 1
             lhs = circle_dist(fx, y)
             rhs = circle_dist(b ** n * x, spec.targets.target(n))
             if lhs != rhs:

@@ -8,10 +8,10 @@ from schmidtgame.alice import (BAStrategy, BiLipschitzMap, ConstTargets,
                                ExcludeCountable, GeometricTerms,
                                InterleaveStrategy, LacunarySpec,
                                LacunaryStrategy, ListTargets, ListTerms,
-                               PeriodicTargets, affine_map,
-                               affine_to_sequence, avoidance_step,
-                               _block_candidates, danger_set, index_block,
-                               plan_ba, plan_lacunary)
+                               PeriodicTargets, affine_to_sequence,
+                               avoidance_step, _block_candidates,
+                               _danger_entries, index_block, plan_ba,
+                               plan_lacunary)
 from schmidtgame.errors import (HorizonMismatch, InvalidAlpha,
                                 NoPointFound, ScheduleOverlap, SpecError)
 from schmidtgame.cli import bundled_spec_path, main
@@ -317,6 +317,13 @@ class TestIndexBlock:
             assert index_block(st, spec, k) == want
 
 
+def danger_set(state, spec, phi, k, ball):
+    """The distinct translates of block k inside the ball, sorted."""
+    entries = _danger_entries(state, spec, phi, k, ball.center - ball.radius,
+                              ball.center + ball.radius)
+    return sorted({z for _, _, z in entries})
+
+
 class TestDangerSet:
     def setup_method(self):
         self.st = plan_lacunary(
@@ -404,7 +411,7 @@ class TestLacunaryEndToEnd:
 class TestPlanBA:
     def test_growth_rate_frozen(self):
         st = plan_ba(ID, GameParams(F(1, 4), F(1, 9)), LOOSE, Ball(F(0), F(1)))
-        assert st.R == 6
+        assert 1 / st.ab == 36
 
     def test_plan_cantor_frozen(self, cantor_decay, cantor_alpha):
         st = plan_ba(ID, GameParams(cantor_alpha, F(1, 4)), cantor_decay,
@@ -538,7 +545,7 @@ class TestAffineReduction:
                 x = F(rng.randint(0, 999), 1000)
                 z = x
                 for n in range(1, 21):
-                    z = affine_map(b, c, z)
+                    z = (b * z + c) % 1
                     lhs = circle_dist(z, y)
                     rhs = circle_dist(F(b) ** n * x, spec.targets.target(n))
                     assert lhs == rhs

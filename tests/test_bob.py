@@ -6,16 +6,16 @@ import pytest
 
 from schmidtgame.alice import (ConstTargets, GeometricTerms, LacunarySpec,
                                LacunaryStrategy)
-from schmidtgame.bob import (GreedyBob, KeepCenterBob, RandomBob,
-                             ReplayPlayer, greedy_move, random_move)
+from schmidtgame.bob import (GreedyBob, KeepCenterBob, RandomBob, greedy_move,
+                             random_move)
 from schmidtgame.cli import build_bob, bundled_spec_path, main
-from schmidtgame.errors import SpecError
 from schmidtgame.fractal import (IFS, FractalSupport, SimilarityMap,
                                  cantor_support, decay_from_federer_efd,
                                  efd_to_exponent, federer_to_exponent,
                                  max_alpha)
-from schmidtgame.game import (Ball, GameParams, HoldCenter, is_legal,
-                              outcome_interval, run_game, validate_transcript)
+from schmidtgame.game import (Ball, GameParams, is_legal, outcome_interval,
+                              run_game, transcript_from_jsonl,
+                              validate_transcript)
 
 from circle_reference import circle_dist_range
 
@@ -130,18 +130,10 @@ class TestReplay:
         params = GameParams(alpha, F(1, 4))
         spec = LacunarySpec(GeometricTerms(F(2)), ConstTargets(F(0)))
         alice = LacunaryStrategy(spec, decay=cantor_decay)
-        t1 = run_game(K, params, alice, RandomBob(5), rounds=12)
-        a2 = ReplayPlayer(t1, "alice")
-        b2 = ReplayPlayer(t1, "bob")
-        t2 = run_game(K, params, a2, b2, rounds=12)
-        assert t2.to_jsonl() == t1.to_jsonl()
-
-    def test_exhausted_replay(self, K):
-        t = run_game(K, PARAMS, HoldCenter(), KeepCenterBob(), rounds=1)
-        r = ReplayPlayer(t, "alice")
-        r.move(K, PARAMS, t)
-        with pytest.raises(SpecError):
-            r.move(K, PARAMS, t)
+        text = run_game(K, params, alice, RandomBob(5), rounds=12).to_jsonl()
+        t2 = transcript_from_jsonl(text, params)
+        validate_transcript(t2, K)
+        assert t2.to_jsonl() == text
 
 
 class TestFactory:

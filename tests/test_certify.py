@@ -16,8 +16,9 @@ from schmidtgame.certify import (Certificate, DimensionReport,
                                  exponent_to_json, orbit_certificate, verify,
                                  verify_ba, verify_orbit_separation)
 from schmidtgame.errors import HorizonMismatch, SpecError
-from schmidtgame.fractal import (AuditGrid, DecayParams, audit_measure,
-                                 cantor_measure, cantor_support,
+from schmidtgame.fractal import (AuditGrid, DecayParams, FractalMeasure,
+                                 MeasureAuditReport, audit_measure,
+                                 cantor_support,
                                  decay_from_federer_efd, efd_to_exponent,
                                  federer_to_exponent,
                                  lower_pointwise_dimension, max_alpha)
@@ -357,7 +358,8 @@ class TestContinuedFractionOracle:
 class TestDimensionReport:
     def test_frozen_margin(self):
         decay = DecayParams(F(1), F(1, 2), F(1))
-        rep = dimension_report(decay=decay, estimates=[F(12, 25), F(1, 2)])
+        rep = dimension_report(MeasureAuditReport(decay=decay),
+                               estimates=[F(12, 25), F(1, 2)])
         assert rep.margin == F(1, 50)
         assert not rep.consistent
         assert rep.used == 2
@@ -366,8 +368,9 @@ class TestDimensionReport:
 
     def test_log_ratio_margin_is_an_enclosure(self):
         gamma = make_exponent(2, 3)
-        rep = dimension_report(decay=DecayParams(F(8), gamma, F(1, 3)),
-                               estimates=[F(1, 2)])
+        rep = dimension_report(
+            MeasureAuditReport(decay=DecayParams(F(8), gamma, F(1, 3))),
+            estimates=[F(1, 2)])
         assert not rep.consistent
         lo, hi = rep.to_json()["margin"]
         lo, hi = F(lo), F(hi)
@@ -377,23 +380,25 @@ class TestDimensionReport:
         assert exponent_cmp(gamma, hi + F(1, 2)) is Ordering.LESS
 
     def test_cantor_exact_consistency(self, K, cantor_decay):
-        mu = cantor_measure()
+        mu = FractalMeasure(cantor_support())
         ests = lower_pointwise_dimension(mu, F(0),
                                          [F(1, 3) ** k for k in range(1, 13)])
-        rep = dimension_report(decay=cantor_decay, estimates=ests)
+        rep = dimension_report(MeasureAuditReport(decay=cantor_decay),
+                               estimates=ests)
         assert rep.analytic_bound == make_exponent(2, 3)
         assert rep.used == 12
         assert rep.margin == 0 and rep.consistent
 
     def test_power_law_beats_decay(self):
         decay = DecayParams(F(1), F(1, 3), F(1))
-        rep = dimension_report(decay=decay, power_law=F(1, 2),
-                               estimates=[F(1, 2)])
+        audit = MeasureAuditReport(decay=decay,
+                                   power_law=(F(1, 4), F(4), F(1, 2)))
+        rep = dimension_report(audit, estimates=[F(1, 2)])
         assert rep.analytic_bound == F(1, 2)
         assert rep.consistent
 
     def test_audit_source(self, K):
-        mu = cantor_measure()
+        mu = FractalMeasure(cantor_support())
         grid = AuditGrid.default(K, F(1, 3))
         gamma = make_exponent(2, 3)
         report = audit_measure(mu, grid, power_law=(F(1, 4), F(4), gamma))
@@ -402,12 +407,13 @@ class TestDimensionReport:
         assert rep.consistent
 
     def test_no_estimates(self):
-        rep = dimension_report(decay=DecayParams(F(1), F(1, 2), F(1)))
+        rep = dimension_report(
+            MeasureAuditReport(decay=DecayParams(F(1), F(1, 2), F(1))))
         assert rep.margin is None and rep.used == 0
 
     def test_no_bound_raises(self):
         with pytest.raises(SpecError):
-            dimension_report(estimates=[F(1, 2)])
+            dimension_report(MeasureAuditReport(), estimates=[F(1, 2)])
 
     def test_exponent_json(self):
         e = make_exponent(2, 3)

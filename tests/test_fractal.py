@@ -8,25 +8,25 @@ from hypothesis import strategies as st
 
 from schmidtgame.errors import SpecError
 from schmidtgame.fractal import (AuditGrid, DecayParams, IFS, SimilarityMap,
-                                 Verdict, audit_measure, binary_support,
-                                 cantor_measure, cantor_support, check_alpha,
+                                 FractalMeasure, Verdict, audit_measure,
+                                 binary_support, cantor_support, check_alpha,
                                  check_absolute_decay, check_efd,
                                  check_federer, check_power_law,
                                  decay_from_federer_efd, efd_to_exponent,
                                  federer_to_exponent, find_point_in_gap,
-                                 lebesgue_measure, lower_pointwise_dimension,
+                                 lower_pointwise_dimension,
                                  max_alpha)
 from schmidtgame.numerics import LogRatio, make_exponent
 
 
 @pytest.fixture(scope="module")
 def cantor():
-    return cantor_measure()
+    return FractalMeasure(cantor_support())
 
 
 @pytest.fixture(scope="module")
 def lebesgue():
-    return lebesgue_measure()
+    return FractalMeasure(binary_support())
 
 
 @pytest.fixture(scope="module")
@@ -64,7 +64,8 @@ class TestIFSValidation:
         doc = {"maps": [{"r": "1/3", "a": "0"}, {"r": "1/3", "a": "2/3"}],
                "weights": ["1/2", "1/2"]}
         ifs = IFS.from_json(doc)
-        assert ifs.to_json() == doc
+        assert [(m.r, m.a) for m in ifs.maps] == [(F(1, 3), 0), (F(1, 3), F(2, 3))]
+        assert ifs.weights == [F(1, 2), F(1, 2)]
 
 
 class TestSupportPoints:
@@ -155,7 +156,8 @@ class TestBallMass:
     def test_normalization(self, cantor, lebesgue):
         for measure in (cantor, lebesgue):
             for depth in range(1, 7):
-                assert sum(c.mass for c in measure.support.cylinders(depth)) == 1
+                cyls = measure.support.cylinders_meeting(0, 1, depth)
+                assert sum(c.mass for c in cyls) == 1
 
     def test_lebesgue_interior_is_length(self, lebesgue):
         # dyadic intervals resolve exactly: mass = length
@@ -263,9 +265,8 @@ class TestAudits:
         bad = DecayParams(F(1, 10), cantor_decay.gamma, F(1, 3))
         out = check_absolute_decay(cantor, bad, grid)
         assert out.verdict is Verdict.FAIL
-        assert out.witness is not None
-        # witness reproduces: re-check the single violating tuple
-        w = out.witness.point
+        # the failing row is the last: re-check the single violating tuple
+        w = out.rows[-1].point
         single = AuditGrid(xs=[w["x"]], rhos=[w["rho"]], eps=[w["eps"]],
                            offsets=[(w["y"] - w["x"]) / w["rho"]])
         again = check_absolute_decay(cantor, bad, single)

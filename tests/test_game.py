@@ -52,6 +52,20 @@ class TestIsLegal:
         ok, _ = is_legal(Ball(0, 1), Ball(F(1, 2), F(1, 2)), "alice", p)
         assert ok
 
+    def test_reasons_past_the_digit_limit(self, K):
+        # a 5,000-digit number has no decimal str(); the reason gives sizes
+        tiny = F(1, 10 ** 5000 + 1)
+        p = classical(F(1, 2), F(1, 2))
+        ok, reason = is_legal(Ball(0, 1), Ball(0, tiny), "alice", p)
+        assert not ok and "classical rule" in reason
+        ok, reason = is_legal(Ball(0, 1), Ball(2 - tiny, F(1, 2)), "alice", p)
+        assert not ok and "nested" in reason
+        strong = GameParams(F(1, 2), F(1, 2), Variant.STRONG)
+        ok, reason = is_legal(Ball(0, 1), Ball(0, tiny), "bob", strong)
+        assert not ok and "radius" in reason
+        with pytest.raises(IllegalMove, match="witness"):
+            validate_transcript(Transcript(p, [("bob", Ball(tiny, 1, ()))]), K)
+
 
 class TestRunGame:
     def test_trivial_radii_pattern(self, K):

@@ -162,7 +162,8 @@ def words(k, max_len):
 
 def queries(support, data, depth):
     """A point near the hull: a depth-`depth` cylinder end, or a rational."""
-    ends = [e for c in support.cylinders(depth) for e in (c.lo, c.hi)]
+    ends = [e for c in support.cylinders_meeting(*support.hull, depth)
+            for e in (c.lo, c.hi)]
     hlo, hhi = support.hull
     spread = st.integers(-2, 34).map(lambda n: hlo + (hhi - hlo) * F(n, 32))
     return data.draw(st.sampled_from(ends) | spread)
@@ -191,8 +192,8 @@ def test_points_and_cylinders(K, data):
         assert not K.verify_point(off, word)
     assert K.cylinder(word) == ref.cylinder(word)
     depth = data.draw(st.integers(0, 3))
-    assert K.cylinders(depth) == [ref.cylinder(w) for w in
-                                  itertools.product(range(k), repeat=depth)]
+    assert K.cylinders_meeting(*K.hull, depth) == [
+        ref.cylinder(w) for w in itertools.product(range(k), repeat=depth)]
     lo, hi = interval(K, data, 2)
     depth = data.draw(st.integers(0, 4))
     assert K.cylinders_meeting(lo, hi, depth) == \

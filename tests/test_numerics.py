@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from schmidtgame import numerics
 from schmidtgame.errors import PrecisionCapExceeded
 from schmidtgame.numerics import (LogRatio, Ordering, circle_dist,
                                   exponent_bounds, exponent_cmp, farey_left,
@@ -177,6 +178,24 @@ def test_rational_power_of_roots(r, a, b):
     # r itself may be a perfect power or below 1: the roots are found anyway
     assume(r != 1)
     assert rational_power_of(r ** a, r ** b) == F(a, b)
+
+
+def test_power_index_tries_prime_indices(monkeypatch):
+    tried = []
+    root = numerics._iroot_exact
+    monkeypatch.setattr(numerics, "_iroot_exact",
+                        lambda k, n: tried.append(n) or root(k, n))
+    assert numerics._power_index(F(6 ** 12)) == (6, 12)
+    assert numerics._power_index(F(2, 3) ** 35) == (F(2, 3), 35)
+    assert numerics._power_index(F(1, 8)) == (F(1, 2), 3)
+    assert numerics._power_index(F(12)) == (12, 1)
+    assert all(all(n % q for q in range(2, n)) for n in tried)
+    # 3**5000/2**7000 is (243/128)**1000: trying every index up to the
+    # 7,925-bit numerator took 27,708 roots
+    tried.clear()
+    e = make_exponent(F(3 ** 5000, 2 ** 7000), 3)
+    assert isinstance(e, LogRatio) and e.top == F(243, 128) ** 1000
+    assert len(tried) <= 40
 
 
 def test_pow_exact():
