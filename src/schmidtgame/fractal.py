@@ -23,6 +23,8 @@ from .numerics import (Exponent, LogRatio, Ordering, make_exponent,
 
 Interval = Tuple[Fraction, Fraction]
 
+LOCATE_DEPTH = 512  # `locate`'s default cap on the depth of its walk
+
 
 @dataclass(frozen=True)
 class SimilarityMap:
@@ -90,7 +92,6 @@ class Cylinder:
     word: Tuple[int, ...]
     lo: Fraction
     hi: Fraction
-    mass: Fraction
 
 
 def _common_denominator(values: Iterable[Fraction]) -> int:
@@ -101,8 +102,10 @@ class _Node:
     """A cylinder met by `FractalSupport._walk`.
 
     Its word's map is x -> (rho x + alpha) / Q**depth; its interval is
-    [lo, hi] / scale and its mass is mass / V**depth.  `word` is the walk's
-    own list, valid until the next node: copy it to keep it.
+    [lo, hi] / scale.  In a walk from the root its mass is mass / V**depth;
+    from a `start`, `mass` counts only the letters below the start's word.
+    `word` is the walk's own list, valid until the next node: copy it to
+    keep it.
     """
 
     __slots__ = ("depth", "word", "lo", "hi", "scale", "rho", "alpha",
@@ -151,6 +154,7 @@ class FractalSupport:
         self._L, self._U, self._P = (int(v * H) for v in
                                      (lo, hi, self.canonical_point))
         self._last = ((), 1, 0)  # the last word `_affine` folded
+        self._located = ()  # the last word `locate` returned
 
     @property
     def diameter(self) -> Fraction:
@@ -202,11 +206,6 @@ class FractalSupport:
         return ((rho * self._P + alpha * self._H) * x.denominator
                 == x.numerator * self._H * self._Q ** len(word))
 
-    def _cylinder(self, word, lo: int, hi: int, scale: int,
-                  mass: int) -> Cylinder:
-        return Cylinder(tuple(word), Fraction(lo, scale), Fraction(hi, scale),
-                        Fraction(mass, self._V ** len(word)))
-
     def _span(self, rho: int, alpha: int) -> Tuple[int, int]:
         """Ends of the hull's image under x -> (rho x + alpha) / Q**n, in
         order, as numerators over H * Q**n."""
@@ -214,30 +213,22 @@ class FractalSupport:
         lo, hi = rho * self._L + alpha * H, rho * self._U + alpha * H
         return (hi, lo) if rho < 0 else (lo, hi)
 
-    def cylinder(self, word: Sequence[int]) -> Cylinder:
-        rho, alpha = self._affine(word)
-        H = self._H
-        lo, hi = self._span(rho, alpha)
-        mass = math.prod(self._weights[i] for i in word)
-        return self._cylinder(word, lo, hi, H * self._Q ** len(word), mass)
-
     def _walk(self, lo: Fraction, hi: Fraction, depth: int, start=None):
         """Preorder walk, children in letter order, over the cylinders of
         depth at most `depth` whose closed interval meets [lo, hi].
 
-        The walk starts at the root, or at `start = (word, rho, alpha,
-        mass)` and then covers only that node's subtree.  Yields a `_Node`
-        per cylinder.  Its children are walked next unless the consumer
-        clears `node.descend` before asking for the next node.  The stack
-        is explicit, so depth is not bounded by the interpreter's frame
-        limit.
+        The walk starts at the root, or at `start = (word, rho, alpha)` and
+        then covers only that node's subtree.  Yields a `_Node` per
+        cylinder.  Its children are walked next unless the consumer clears
+        `node.descend` before asking for the next node.  The stack is
+        explicit, so depth is not bounded by the interpreter's frame limit.
         """
         Q, H, L, U = self._Q, self._H, self._L, self._U
         maps, weights = self._maps, self._weights
         (ln, ld), (hn, hd) = lo.as_integer_ratio(), hi.as_integer_ratio()
         letters = range(len(maps) - 1, -1, -1)
-        word, rho, alpha, mass = start or ((), 1, 0, 1)
-        base, word = len(word), list(word)
+        word, rho, alpha = start or ((), 1, 0)
+        base, word, mass = len(word), list(word), 1
         scales = [H * Q ** base]
         stack = [(base, None, rho, alpha, mass)]
         while stack:
@@ -261,28 +252,21 @@ class FractalSupport:
                     stack.append((d + 1, i, rho * R, rho * A + alpha * Q,
                                   mass * weights[i]))
 
-    def _start_node(self, word: Sequence[int], lo: Fraction, hi: Fraction,
-                    depth: int):
-        """A `start` for `_walk(lo, hi, depth)`: the deepest node N on the
-        address of w_word(p0) (the word, then letter 0 forever, since p0 is
-        map 0's fixed point) down to which the walk from the root meets
-        one cylinder per depth.  None when w_word(p0) is outside [lo, hi].
+    def _climb(self, word: Tuple[int, ...], lo: Fraction, hi: Fraction,
+               depth: int) -> Tuple[int, int, int, int]:
+        """(n, rho, alpha, scale) of word[:n], the deepest prefix of `word`
+        of depth at most `depth` whose cylinder's open interval holds
+        [lo, hi]; the root when there is none.
 
-        Up: drop the word's last letters until the cylinder's open interval
-        holds [lo, hi] and its depth is at most `depth`; under the open set
-        condition no other cylinder of that depth or above meets [lo, hi].
-        Down: follow the address while the address child is the only child
-        whose closed interval meets [lo, hi], to depth at most `depth`; the
-        test is `_walk`'s, mapped into the node's own coordinates.
+        Under the open set condition no other cylinder of depth n or less
+        meets [lo, hi], so the walk from the root meets word[:0], ...,
+        word[:n-1] and then walks word[:n]'s subtree.  Each dropped letter
+        undoes one Horner step of `_affine`.
         """
-        Q, H, maps = self._Q, self._H, self._maps
+        Q, maps = self._Q, self._maps
         (ln, ld), (hn, hd) = lo.as_integer_ratio(), hi.as_integer_ratio()
-        word = tuple(word)
         rho, alpha = self._affine(word)
-        n, scale = len(word), H * Q ** len(word)
-        point = rho * self._P + alpha * H
-        if point * ld < ln * scale or point * hd > hn * scale:
-            return None
+        n, scale = len(word), self._H * Q ** len(word)
         while n:
             p, q = self._span(rho, alpha)
             if n <= depth and p * ld < ln * scale and hn * scale < q * hd:
@@ -292,6 +276,28 @@ class FractalSupport:
             rho //= R
             alpha = (alpha - rho * A) // Q
             scale //= Q
+        return n, rho, alpha, scale
+
+    def _start_node(self, word: Sequence[int], lo: Fraction, hi: Fraction,
+                    depth: int):
+        """A `start` for `_walk(lo, hi, depth)`: the deepest node N on the
+        address of w_word(p0) (the word, then letter 0 forever, since p0 is
+        map 0's fixed point) down to which the walk from the root meets
+        one cylinder per depth.  None when w_word(p0) is outside [lo, hi].
+
+        Up: `_climb`.  Down: follow the address while the address child is
+        the only child whose closed interval meets [lo, hi], to depth at
+        most `depth`; the test is `_walk`'s, mapped into the node's own
+        coordinates.
+        """
+        Q, H, maps = self._Q, self._H, self._maps
+        (ln, ld), (hn, hd) = lo.as_integer_ratio(), hi.as_integer_ratio()
+        word = tuple(word)
+        rho, alpha = self._affine(word)
+        point, scale = rho * self._P + alpha * H, H * Q ** len(word)
+        if point * ld < ln * scale or point * hd > hn * scale:
+            return None
+        n, rho, alpha, scale = self._climb(word, lo, hi, depth)
         # Down, in the node's own coordinates x = (Q**n y - alpha) / rho,
         # where its cylinder is the hull, its children's ends are `kids`
         # over H*Q whatever the depth, and [lo, hi] is [a/b, c/d]: each
@@ -315,24 +321,53 @@ class FractalSupport:
                 a, b, c, d = -c, -d, -a, -b
             path.append(here)
             n += 1
-        mass = math.prod(self._weights[i] for i in path)
-        return tuple(path), rho, alpha, mass
+        return tuple(path), rho, alpha
 
     def cylinders_meeting(self, lo, hi, depth: int) -> List[Cylinder]:
         """Depth-`depth` cylinders whose closed interval meets [lo, hi]."""
-        return [self._cylinder(n.word, n.lo, n.hi, n.scale, n.mass)
+        return [Cylinder(tuple(n.word), Fraction(n.lo, n.scale),
+                         Fraction(n.hi, n.scale))
                 for n in self._walk(Fraction(lo), Fraction(hi), depth)
                 if n.depth == depth]
 
-    def locate(self, x, max_depth: int = 512) -> Optional[Tuple[int, ...]]:
-        """Find a word proving x in K (x must be a canonical cylinder point)."""
+    def locate(self, x,
+               max_depth: int = LOCATE_DEPTH) -> Optional[Tuple[int, ...]]:
+        """Find a word proving x in K (x must be a canonical cylinder point):
+        the first word, in the preorder walk from the root over depths up
+        to `max_depth`, whose point is x; None when there is none.
+
+        The walk resumes from the last word `locate` returned, so a replay
+        whose centers' words extend one another walks only the new letters.
+        `_climb` takes that word up to U, its deepest prefix of depth at
+        most `max_depth` whose open cylinder holds x; the walk from the
+        root meets only U's ancestors before it walks U's subtree, exactly
+        as the walk started at U does.  An ancestor's point is x only when
+        U's is and the ancestor is U less trailing 0-letters, since p0 is
+        map 0's fixed point: `_shallowest` returns that ancestor.  So the
+        answer, None included, is the walk from the root's.  `max_depth`
+        caps the absolute depth, wherever the walk starts.
+        """
         x = Fraction(x)
         xn, xd = x.as_integer_ratio()
         P, H = self._P, self._H
-        for n in self._walk(x, x, max_depth):
-            if (n.rho * P + n.alpha * H) * xd == xn * n.scale:
-                return tuple(n.word)
+        last = self._located
+        n, rho, alpha, _ = self._climb(last, x, x, max_depth)
+        for node in self._walk(x, x, max_depth, (last[:n], rho, alpha)):
+            if (node.rho * P + node.alpha * H) * xd == xn * node.scale:
+                self._located = _shallowest(node.word)
+                return self._located
         return None
+
+
+def _shallowest(word: Sequence[int]) -> Tuple[int, ...]:
+    """`word` less its trailing 0-letters.  They share its point, since p0
+    is map 0's fixed point, and the walk from the root meets the shallowest
+    of them first; a walk's first match below its start has no trailing 0,
+    for its parent would have matched before it."""
+    end = len(word)
+    while end and word[end - 1] == 0:
+        end -= 1
+    return tuple(word[:end])
 
 
 class FractalMeasure:
@@ -462,15 +497,7 @@ def find_point_in_gap(support: FractalSupport, inside: Interval,
         if (iln * s <= x * ild and x * ihd <= ihn * s
                 and not any(fln * s <= x * fld and x * fhd <= fhn * s
                             for fln, fld, fhn, fhd in bounds)):
-            found = tuple(n.word)
-            if start is not None and n.depth == len(start[0]):
-                # the start node's ancestors that differ from it by trailing
-                # 0s share its point: the root walk meets the shallowest
-                end = len(found)
-                while end and found[end - 1] == 0:
-                    end -= 1
-                found = found[:end]
-            return (Fraction(x, s), found)
+            return (Fraction(x, s), _shallowest(n.word))
     return None
 
 

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from .errors import IllegalMove, NoPointFound, StrategyFailure
-from .fractal import FractalSupport
+from .fractal import LOCATE_DEPTH, FractalSupport
 from .numerics import format_rational, parse_rational
 
 
@@ -134,7 +134,8 @@ def _check_membership(support: FractalSupport, ball: Ball, player: str,
         return
     if support.locate(ball.center) is None:
         raise IllegalMove(player, f"center ({_bits(ball.center)}) has no "
-                          f"cylinder witness in K", ball, transcript)
+                          f"cylinder witness within {LOCATE_DEPTH} letters",
+                          ball, transcript)
 
 
 def validate_transcript(t: Transcript, support: FractalSupport):

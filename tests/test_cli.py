@@ -1,9 +1,10 @@
 import json
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 import pytest
 
-from schmidtgame import cli
+from schmidtgame import cli, fractal
 from schmidtgame.certify import Certificate, VerificationResult
 from schmidtgame.cli import bundled_spec_path, main
 from schmidtgame.fractal import (cantor_support, decay_from_federer_efd,
@@ -45,6 +46,32 @@ class TestPlay:
         t = transcript_from_jsonl(text, params)
         validate_transcript(t, K)
         assert t.to_jsonl() == text
+
+    @pytest.mark.parametrize("name, rounds", [("cantor_triple.json", 100),
+                                              ("cantor_lacunary.json", 400)])
+    def test_replay_walks_only_new_letters(self, tmp_path, monkeypatch,
+                                           name, rounds):
+        # each center's word extends the last one's, and `locate` resumes
+        # from the last word it found: walking from the root every time
+        # built 51,433 and 80,317 nodes for these two replays
+        spec = bundled_spec_path(name)
+        assert main(["play", "--spec", spec, "--rounds", str(rounds),
+                     "--out", str(tmp_path)]) == 0
+        support, params = cli.build_game(
+            cli.load_document(spec), SimpleNamespace(rounds=None, seed=None))[:2]
+        t = transcript_from_jsonl((tmp_path / "transcript.jsonl").read_text(),
+                                  params)
+        built, node = [0], fractal._Node
+
+        def counting(*args):
+            built[0] += 1
+            return node(*args)
+
+        monkeypatch.setattr(fractal, "_Node", counting)
+        validate_transcript(t, support)
+        nodes = built[0]
+        final = support.locate(t.last_ball.center)
+        assert nodes <= 4 * len(t.moves) + len(final)
 
     def test_seeded_reproducibility(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -89,10 +89,14 @@ class TestSupportPoints:
 
     def test_cylinder_geometry(self):
         K = cantor_support()
-        c = K.cylinder((1, 0))
-        assert (c.lo, c.hi) == (F(2, 3), F(2, 3) + F(1, 9))
-        assert c.mass == F(1, 4)
-        assert c.hi - c.lo == F(1, 9)
+        x = K.point((1, 0))
+        for n in K._walk(x, x, 2):
+            if n.word == [1, 0]:
+                lo, hi = F(n.lo, n.scale), F(n.hi, n.scale)
+                mass = F(n.mass, K._V ** n.depth)
+        assert (lo, hi) == (F(2, 3), F(2, 3) + F(1, 9))
+        assert mass == F(1, 4)
+        assert hi - lo == F(1, 9)
 
 
 class TestLongWords:
@@ -125,7 +129,8 @@ class TestFoldMemo:
         K._maps = maps = CountingMaps(K._maps)
         assert K.verify_point(x, word)
         assert K.verify_point(x, list(word))
-        assert K.cylinder(word).lo == x
+        lo, _ = K._span(*K._affine(word))
+        assert F(lo, K._H * K._Q ** len(word)) == x
         assert maps.lookups == 0
         longer = word + (1, 0)
         assert K.verify_point(K.point(longer), longer)
@@ -156,8 +161,10 @@ class TestBallMass:
     def test_normalization(self, cantor, lebesgue):
         for measure in (cantor, lebesgue):
             for depth in range(1, 7):
-                cyls = measure.support.cylinders_meeting(0, 1, depth)
-                assert sum(c.mass for c in cyls) == 1
+                K = measure.support
+                assert sum(F(n.mass, K._V ** depth)
+                           for n in K._walk(F(0), F(1), depth)
+                           if n.depth == depth) == 1
 
     def test_lebesgue_interior_is_length(self, lebesgue):
         # dyadic intervals resolve exactly: mass = length

@@ -67,6 +67,17 @@ class TestIsLegal:
             validate_transcript(Transcript(p, [("bob", Ball(tiny, 1, ()))]), K)
 
 
+    def test_center_past_the_depth_cap(self, K):
+        # `locate` stops 512 letters below the root: a center in K whose
+        # word has 513 letters has no witness within that cap
+        p = classical(F(1, 3), F(1, 3))
+        word = (1,) * 512
+        validate_transcript(Transcript(p, [("bob", Ball(K.point(word), 1))]), K)
+        center = K.point(word + (1,))
+        with pytest.raises(IllegalMove, match=r"center \(\d+/\d+ bits\) has no "
+                           r"cylinder witness within 512 letters"):
+            validate_transcript(Transcript(p, [("bob", Ball(center, 1))]), K)
+
 class TestRunGame:
     def test_trivial_radii_pattern(self, K):
         p = classical(F(1, 3), F(1, 3))

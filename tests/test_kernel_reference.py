@@ -15,9 +15,8 @@ from fractions import Fraction as F
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schmidtgame.fractal import (IFS, Cylinder, FractalMeasure,
-                                 FractalSupport, SimilarityMap,
-                                 find_point_in_gap)
+from schmidtgame.fractal import (IFS, FractalMeasure, FractalSupport,
+                                 SimilarityMap, find_point_in_gap)
 
 
 class Reference:
@@ -43,11 +42,12 @@ class Reference:
         return (p, q) if p <= q else (q, p)
 
     def cylinder(self, word):
+        """(word, lo, hi, mass) of the word's cylinder."""
         lo, hi = self.span(*self.compose(word))
         mass = F(1)
         for i in word:
             mass *= self.weights[i]
-        return Cylinder(tuple(word), lo, hi, mass)
+        return tuple(word), lo, hi, mass
 
     def children(self, word, r, a):
         for i, m in enumerate(self.maps):
@@ -91,7 +91,7 @@ class Reference:
             clo, chi = self.span(r, a)
             if chi <= lo or clo >= hi:
                 return F(0), F(0)
-            mass = self.cylinder(word).mass
+            mass = self.cylinder(word)[3]
             if lo <= clo and chi <= hi:
                 return mass, mass
             if len(word) == depth:
@@ -127,14 +127,22 @@ class Reference:
 
 
 @st.composite
-def supports(draw):
+def supports(draw, p0_at_end=False):
     """An IFS whose hull images are laid out left to right with gaps of
-    zero or more, each map's image placed in a random slot."""
+    zero or more, each map's image placed in a random slot.  The canonical
+    point p0 lies strictly inside the hull, or with `p0_at_end` at its low
+    end, as in the Cantor set: then cylinder ends are canonical points,
+    and where images touch a point can have two addresses."""
     k = draw(st.integers(2, 4))
     lengths = draw(st.lists(st.integers(1, 4), min_size=k, max_size=k))
     gaps = draw(st.lists(st.integers(0, 2), min_size=k + 1, max_size=k + 1))
     signs = draw(st.lists(st.booleans(), min_size=k, max_size=k))
     slots = draw(st.permutations(range(k)))
+    if p0_at_end:  # map 0 fixes the hull's low end
+        slots = [0] + [j for j in slots if j != 0]
+        gaps[0], signs[0] = 0, False
+        if draw(st.booleans()):  # touching images share their ends
+            gaps[1:k] = [0] * (k - 1)
     lo = F(draw(st.integers(-7, 7)), draw(st.integers(1, 5)))
     width = F(draw(st.integers(1, 9)), draw(st.integers(1, 4)))
     hi = lo + width
@@ -148,7 +156,8 @@ def supports(draw):
     for i in range(k):
         j = slots[i]
         s, e = starts[j], starts[j] + lengths[j] * unit
-        negative = signs[i] or (i == 0 and (s == lo or e == hi))
+        negative = signs[i] or (not p0_at_end and i == 0
+                                and (s == lo or e == hi))
         r = -lengths[j] * unit / width if negative else lengths[j] * unit / width
         maps.append(SimilarityMap(r, (e if negative else s) - r * lo))
     raw = draw(st.lists(st.integers(1, 5), min_size=k, max_size=k))
@@ -156,8 +165,27 @@ def supports(draw):
     return FractalSupport(IFS(maps, weights), (lo, hi))
 
 
-def words(k, max_len):
-    return st.lists(st.integers(0, k - 1), max_size=max_len).map(tuple)
+def words(k, max_len, min_len=0):
+    return st.lists(st.integers(0, k - 1), min_size=min_len,
+                    max_size=max_len).map(tuple)
+
+
+def cylinders(K, lo, hi, depth):
+    """(word, lo, hi, mass) of each depth-`depth` node of `K._walk` over
+    [lo, hi]; `cylinders_meeting` must list the same words and ends."""
+    got = [(tuple(n.word), F(n.lo, n.scale), F(n.hi, n.scale),
+            F(n.mass, K._V ** depth))
+           for n in K._walk(F(lo), F(hi), depth) if n.depth == depth]
+    assert [(c.word, c.lo, c.hi) for c in K.cylinders_meeting(lo, hi, depth)] \
+        == [c[:3] for c in got]
+    return got
+
+
+def cylinder(K, word):
+    """(word, lo, hi, mass) of `word`'s node in the walk over its point."""
+    x = K.point(word)
+    (got,) = [c for c in cylinders(K, x, x, len(word)) if c[0] == tuple(word)]
+    return got
 
 
 def queries(support, data, depth):
@@ -190,14 +218,13 @@ def test_points_and_cylinders(K, data):
     for off in (F(x.numerator + 1, x.denominator),
                 F(x.numerator - 1, x.denominator)):
         assert not K.verify_point(off, word)
-    assert K.cylinder(word) == ref.cylinder(word)
+    assert cylinder(K, word) == ref.cylinder(word)
     depth = data.draw(st.integers(0, 3))
-    assert K.cylinders_meeting(*K.hull, depth) == [
+    assert cylinders(K, *K.hull, depth) == [
         ref.cylinder(w) for w in itertools.product(range(k), repeat=depth)]
     lo, hi = interval(K, data, 2)
     depth = data.draw(st.integers(0, 4))
-    assert K.cylinders_meeting(lo, hi, depth) == \
-        ref.cylinders_meeting(lo, hi, depth)
+    assert cylinders(K, lo, hi, depth) == ref.cylinders_meeting(lo, hi, depth)
 
 
 def next_word(data, k, word):
@@ -221,8 +248,9 @@ def next_word(data, k, word):
 @SETTINGS
 @given(supports(), st.data())
 def test_fold_sequences(K, data):
-    """`point`, `verify_point` and `cylinder` in sequences that reuse, extend
-    and abandon the kernel's last fold, against a fresh fold every time."""
+    """`point`, `verify_point` and a cylinder's ends in sequences that
+    reuse, extend and abandon the kernel's last fold, against a fresh fold
+    every time."""
     ref = Reference(K)
     k = len(K.ifs.maps)
     word = data.draw(words(k, 20))
@@ -240,7 +268,10 @@ def test_fold_sequences(K, data):
             assert K.verify_point(last_point, arg) == \
                 (ref.point(word) == last_point)
         else:
-            assert K.cylinder(arg) == ref.cylinder(word)
+            lo, hi = K._span(*K._affine(arg))
+            scale = K._H * K._Q ** len(word)
+            assert (F(lo, scale), F(hi, scale)) == ref.cylinder(word)[1:3]
+            assert cylinder(K, word) == ref.cylinder(word)
         last_point = ref.point(word)
 
 
@@ -284,6 +315,47 @@ def test_locate_and_mass(K, data):
         ref.interval_mass(lo, hi, depth)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.booleans().flatmap(lambda end: supports(p0_at_end=end)), st.data())
+def test_locate_sequences(K, data):
+    """`locate` on one support over a sequence of points, against the walk
+    from the root every time: resuming from the last word found must not
+    change an answer.  The points are those of a word, its extensions, its
+    siblings, prefixes of the last word found padded with 0-letters (the
+    same point as a shorter word, located after a longer one), the ends of
+    the last word found's cylinder (shared by two cylinders where images
+    touch), and points near the hull, on K or off it; the depth cap may
+    drop below the last word found.  The canonical point may be a hull
+    end, and then cylinder ends are points of K."""
+    ref = Reference(K)
+    k = len(K.ifs.maps)
+    word = found = ()
+    for step in range(8):
+        how = "extend" if step == 0 else data.draw(st.sampled_from(
+            ["extend", "sibling", "prefix", "end", "off"]))
+        if how == "extend":
+            word += data.draw(words(k, 6, min_len=1))
+        elif how == "sibling" and word:
+            word = word[:-1] + ((word[-1] + data.draw(st.integers(1, k - 1)))
+                                % k,)
+        elif how == "prefix":
+            cut = data.draw(st.integers(0, len(found)))
+            word = found[:cut] + (0,) * data.draw(st.integers(0, 3))
+        x = K.point(word)
+        if how == "end":
+            _, lo, hi, _ = cylinder(K, found)
+            x = data.draw(st.sampled_from([lo, hi]))
+        elif how == "off":
+            x = queries(K, data, 3)
+        max_depth = len(word) + data.draw(st.integers(0, 3))
+        if found and data.draw(st.integers(0, 3)) == 0:
+            max_depth = data.draw(st.integers(0, len(found) - 1))
+        got = K.locate(x, max_depth)
+        assert got == ref.locate(x, max_depth)
+        if got is not None:
+            found = got
+
+
 @SETTINGS
 @given(supports(), st.data())
 def test_find_point_in_gap(K, data):
@@ -318,8 +390,8 @@ def test_find_point_in_gap_from_a_word(K, data):
         inside = interval(K, data, 2)
     else:
         m = len(word) + data.draw(st.integers(-len(word), 6))
-        cyl = K.cylinder((word + (0,) * 6)[:m])
-        unit = cyl.hi - cyl.lo
+        _, clo, chi, _ = cylinder(K, (word + (0,) * 6)[:m])
+        unit = chi - clo
         left, right = (F(data.draw(st.integers(-1, 12)), 16) for _ in "lr")
         inside = (c - left * unit, c + right * unit)
         if inside[0] > inside[1]:
