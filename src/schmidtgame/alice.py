@@ -80,20 +80,6 @@ class BiLipschitzMap:
     def identity(cls) -> "BiLipschitzMap":
         return cls((), (Fraction(1),), (Fraction(0), Fraction(0)))
 
-    @classmethod
-    def affine(cls, slope, intercept=Fraction(0)) -> "BiLipschitzMap":
-        slope = Fraction(slope)
-        return cls((), (slope,), (Fraction(0), Fraction(intercept)))
-
-    @classmethod
-    def from_slopes(cls, breakpoints: Sequence, slopes: Sequence,
-                    value_at_first) -> "BiLipschitzMap":
-        bps = tuple(Fraction(b) for b in breakpoints)
-        if not bps:
-            raise SpecError("from_slopes needs at least one breakpoint")
-        return cls(bps, tuple(Fraction(s) for s in slopes),
-                   (bps[0], Fraction(value_at_first)))
-
     def _values(self) -> List[Fraction]:
         # images of the breakpoints, by continuity from the anchor
         vals = []
@@ -157,7 +143,10 @@ class BiLipschitzMap:
         }
 
     @classmethod
-    def from_json(cls, data: dict) -> "BiLipschitzMap":
+    def from_json(cls, data: Optional[dict]) -> "BiLipschitzMap":
+        """The map `to_json` wrote; None, a map left out, is the identity."""
+        if data is None:
+            return cls.identity()
         return cls(tuple(parse_rational(b) for b in data["breakpoints"]),
                    tuple(parse_rational(s) for s in data["slopes"]),
                    (parse_rational(data["anchor"][0]),

@@ -19,7 +19,8 @@ from .errors import HorizonMismatch, SpecError
 from .fractal import DimensionEstimate, MeasureAuditReport
 from .numerics import (Exponent, LogRatio, Ordering, circle_dist,
                        exponent_bounds, exponent_cmp, floor_sqrt,
-                       fractions_in_interval, make_exponent, parse_rational)
+                       fractions_in_interval, json_int, make_exponent,
+                       parse_rational)
 
 ORBIT_SEPARATION = "orbit_separation"
 BAD_APPROX = "bad_approx"
@@ -47,13 +48,6 @@ def exponent_from_json(data) -> Exponent:
 
 # ---------------------------------------------------------------------------
 # certificates
-
-
-def _json_int(value, what: str) -> int:
-    """`value` if it is an int: a float, bool or string fails closed."""
-    if type(value) is not int:
-        raise SpecError("%s must be a JSON integer" % what)
-    return value
 
 
 @dataclass(frozen=True)
@@ -87,7 +81,7 @@ class Certificate:
         object.__setattr__(self, "c", Fraction(self.c))
         if self.c <= 0:
             raise SpecError("separation constant must be positive")
-        if _json_int(self.horizon, "horizon") < 0:
+        if json_int(self.horizon, "horizon") < 0:
             raise SpecError("horizon must be a non-negative integer")
         allowed = ("blocks", "terms") if self.kind == ORBIT_SEPARATION \
             else ("blocks", "denominators")
@@ -211,7 +205,7 @@ def verify_orbit_separation(cert: Certificate) -> VerificationResult:
             return _constant_mismatch(c, cert.c)
         if cert.horizon_kind != "blocks":
             raise SpecError("schedule snapshots certify whole blocks")
-        turns = _json_int(snap["turns"], "snapshot turns")
+        turns = json_int(snap["turns"], "snapshot turns")
         reachable = (turns - k0 + 2) // r - 2
         if cert.horizon > max(0, reachable):
             raise HorizonMismatch(
@@ -220,8 +214,7 @@ def verify_orbit_separation(cert: Certificate) -> VerificationResult:
         indices = spec.terms.indices_between(
             0, (1 / (alpha * beta)) ** (r * cert.horizon))
     else:
-        phi = BiLipschitzMap.from_json(snap["phi"]) if "phi" in snap \
-            else BiLipschitzMap.identity()
+        phi = BiLipschitzMap.from_json(snap.get("phi"))
         if cert.horizon_kind != "terms":
             raise SpecError("bare orbit certificates cover explicit terms")
         last = spec.terms.horizon
@@ -267,15 +260,14 @@ def verify_ba(cert: Certificate, max_q: int = DEFAULT_MAX_Q) -> VerificationResu
             return _constant_mismatch(c, cert.c)
         if cert.horizon_kind != "blocks":
             raise SpecError("schedule snapshots certify whole blocks")
-        turns = _json_int(snap["turns"], "snapshot turns")
+        turns = json_int(snap["turns"], "snapshot turns")
         if cert.horizon > max(0, turns - k0 + 2):
             raise HorizonMismatch(
                 "certificate claims %d blocks but %d turns finish at most %d"
                 % (cert.horizon, turns, max(0, turns - k0 + 2)))
         q_cap = min(floor_sqrt((1 / (alpha * beta)) ** cert.horizon), max_q)
     else:
-        phi = BiLipschitzMap.from_json(snap["phi"]) if "phi" in snap \
-            else BiLipschitzMap.identity()
+        phi = BiLipschitzMap.from_json(snap.get("phi"))
         if cert.horizon_kind != "denominators":
             raise SpecError("bare certificates bound the denominator directly")
         q_cap = min(cert.horizon, max_q)

@@ -25,14 +25,14 @@ from .errors import (HorizonMismatch, IllegalMove, InvalidAlpha,
                      InvariantViolation, NoPointFound, PrecisionCapExceeded,
                      ScheduleOverlap, SpecError, StrategyFailure)
 from .fractal import (IFS, AuditGrid, DecayParams, FractalMeasure,
-                      FractalSupport, audit_measure,
+                      FractalSupport, SimilarityMap, audit_measure,
                       binary_support, cantor_support, check_alpha,
                       decay_from_federer_efd, efd_to_exponent,
                       federer_to_exponent, lower_pointwise_dimension,
                       max_alpha)
 from .game import (Ball, GameParams, HoldCenter, Variant, outcome_interval,
                    run_game, validate_transcript)
-from .numerics import parse_rational
+from .numerics import json_int, parse_rational
 
 
 def bundled_spec_path(name: str) -> str:
@@ -44,80 +44,87 @@ def bundled_spec_path(name: str) -> str:
 # document -> objects
 
 
+def _object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise SpecError("%s must be a JSON object" % what)
+    return value
+
+
+def _section(doc: dict, key: str, default=None):
+    """doc[key], which must be a JSON object, or `default` when absent."""
+    return _object(doc[key], key) if key in doc else default
+
+
 def load_document(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise SpecError("spec document must be a JSON object")
-    return doc
+        return _object(json.load(fh), "spec document")
 
 
 def build_support(cfg) -> FractalSupport:
     if cfg == "cantor":
         return cantor_support()
-    if cfg in ("interval", "binary"):
+    if cfg == "interval":
         return binary_support()
     if not isinstance(cfg, dict):
         raise SpecError("unknown support %r" % (cfg,))
-    ifs = IFS.from_json(cfg)
+    ifs = IFS([SimilarityMap(parse_rational(m["r"]), parse_rational(m["a"]))
+               for m in cfg["maps"]],
+              [parse_rational(w) for w in cfg["weights"]])
     hull = (parse_rational(cfg["hull"][0]), parse_rational(cfg["hull"][1]))
     return FractalSupport(ifs, hull)
 
 
-def build_decay(cfg: dict) -> Optional[DecayParams]:
-    if "decay" in cfg:
-        d = cfg["decay"]
-        return DecayParams(parse_rational(d["C"]),
-                           exponent_from_json(d["gamma"]),
-                           parse_rational(d["rho0"]))
-    if "federer" in cfg and "efd" in cfg:
-        c1, g1 = federer_to_exponent(*(parse_rational(v) for v in cfg["federer"]))
-        c2, g2 = efd_to_exponent(*(parse_rational(v) for v in cfg["efd"]))
-        rho0 = parse_rational(cfg.get("rho0", "1"))
-        return decay_from_federer_efd(c1, g1, c2, g2, rho0)
-    return None
-
-
-def build_phi(cfg) -> BiLipschitzMap:
-    if cfg is None:
-        return BiLipschitzMap.identity()
-    if isinstance(cfg, dict) and "anchor" in cfg:
-        return BiLipschitzMap.from_json(cfg)
-    kind = cfg.get("kind", "identity")
-    if kind == "identity":
-        return BiLipschitzMap.identity()
-    if kind == "affine":
-        return BiLipschitzMap.affine(parse_rational(cfg["slope"]),
-                                     parse_rational(cfg.get("intercept", "0")))
-    if kind == "piecewise":
-        return BiLipschitzMap.from_slopes(
-            [parse_rational(b) for b in cfg["breakpoints"]],
-            [parse_rational(s) for s in cfg["slopes"]],
-            parse_rational(cfg["value_at_first"]))
-    raise SpecError("unknown phi kind %r" % kind)
+def build_measure(cfg: dict) -> Tuple[dict, Fraction]:
+    """The measure's constants as `audit_measure` keywords (None when
+    absent) and the radius they are claimed up to: the explicit decay's
+    rho0, else the measure's own (the decay derived from both doubling
+    pairs claims a third of it).  An explicit decay wins over a derived one."""
+    pairs = {key: tuple(parse_rational(v) for v in cfg[key])
+             for key in ("federer", "efd") if key in cfg}
+    power_law = None
+    if "power_law" in cfg:
+        k1, k2, gamma = cfg["power_law"]
+        power_law = (parse_rational(k1), parse_rational(k2),
+                     exponent_from_json(gamma))
+    rho0 = parse_rational(cfg.get("rho0", "1"))
+    d = _section(cfg, "decay")
+    if d is not None:
+        decay = DecayParams(parse_rational(d["C"]),
+                            exponent_from_json(d["gamma"]),
+                            parse_rational(d["rho0"]))
+        rho0 = decay.rho0
+    elif len(pairs) == 2:
+        c1, g1 = federer_to_exponent(*pairs["federer"])
+        c2, g2 = efd_to_exponent(*pairs["efd"])
+        decay = decay_from_federer_efd(c1, g1, c2, g2, rho0)
+    else:
+        decay = None
+    return dict(pairs, decay=decay, power_law=power_law), rho0
 
 
 def build_strategy(cfg: dict, decay: Optional[DecayParams]):
     name = cfg.get("strategy")
+    phi = BiLipschitzMap.from_json(_section(cfg, "phi"))
     if name == "hold":
         return HoldCenter()
     if name == "exclude":
         rho0 = parse_rational(cfg["rho0"]) if "rho0" in cfg else None
         return ExcludeCountable([parse_rational(p) for p in cfg["points"]], rho0)
     if name == "lacunary":
-        return LacunaryStrategy(LacunarySpec.from_json(cfg),
-                                build_phi(cfg.get("phi")), decay)
+        return LacunaryStrategy(LacunarySpec.from_json(cfg), phi, decay)
     if name == "affine_orbit":
         spec = affine_to_sequence(parse_rational(cfg["b"]),
                                   parse_rational(cfg["c"]),
                                   parse_rational(cfg["y"]),
-                                  int(cfg["n_max"]))
-        return LacunaryStrategy(spec, build_phi(cfg.get("phi")), decay)
+                                  json_int(cfg["n_max"], "n_max"))
+        return LacunaryStrategy(spec, phi, decay)
     if name == "ba":
-        return BAStrategy(build_phi(cfg.get("phi")), decay)
+        return BAStrategy(phi, decay)
     if name == "interleave":
-        parts = [build_strategy(p, decay) for p in cfg["parts"]]
-        schedule = [(int(s), int(d)) for s, d in cfg["schedule"]]
+        parts = [build_strategy(_object(p, "interleave part"), decay)
+                 for p in cfg["parts"]]
+        schedule = [(json_int(s, "schedule start"), json_int(d, "schedule step"))
+                    for s, d in cfg["schedule"]]
         return InterleaveStrategy(parts, schedule)
     raise SpecError("unknown strategy %r" % name)
 
@@ -130,8 +137,8 @@ def build_bob(cfg: dict, alice, seed_override: Optional[int]):
         return GreedyBob(alice, [parse_rational(p)
                                  for p in cfg.get("targets", [])])
     if kind == "random":
-        return RandomBob(cfg.get("seed", 0) if seed_override is None
-                         else seed_override)
+        seed = json_int(cfg.get("seed", 0), "seed")
+        return RandomBob(seed if seed_override is None else seed_override)
     raise SpecError("unknown adversary kind %r" % kind)
 
 
@@ -150,8 +157,8 @@ def build_game(doc: dict, args) -> Tuple[FractalSupport, GameParams,
                                          Optional[DecayParams], object,
                                          object, int, Optional[Ball]]:
     support = build_support(doc["support"])
-    decay = build_decay(doc.get("measure", {}))
-    g = doc["game"]
+    decay = build_measure(_section(doc, "measure", {}))[0]["decay"]
+    g = _object(doc["game"], "game")
     if g.get("alpha") == "max":
         if decay is None:
             raise SpecError("alpha \"max\" needs measure decay data")
@@ -162,12 +169,14 @@ def build_game(doc: dict, args) -> Tuple[FractalSupport, GameParams,
                         Variant(g.get("variant", "classical")))
     if decay is not None and not check_alpha(alpha, decay):
         raise InvalidAlpha(ALPHA_DIAGNOSTIC)
-    rounds = args.rounds if args.rounds is not None else int(g.get("rounds", 20))
+    rounds = json_int(g.get("rounds", 20), "rounds")
+    if args.rounds is not None:
+        rounds = args.rounds
     if rounds < 1:
         raise SpecError("rounds must be at least 1, not %d" % rounds)
-    opening = build_opening(support, g.get("opening"))
-    alice = build_strategy(doc["alice"], decay)
-    bob = build_bob(doc.get("bob", {}), alice, args.seed)
+    opening = build_opening(support, _section(g, "opening"))
+    alice = build_strategy(_object(doc["alice"], "alice"), decay)
+    bob = build_bob(_section(doc, "bob", {}), alice, args.seed)
     return support, params, decay, alice, bob, rounds, opening
 
 
@@ -241,36 +250,25 @@ def cmd_audit(args) -> int:
     doc = load_document(args.spec)
     support = build_support(doc["support"])
     measure = FractalMeasure(support)
-    mcfg = doc.get("measure", {})
-    acfg = doc.get("audit", {})
-    decay = build_decay(mcfg)
-    rho0 = parse_rational(acfg["rho0"]) if "rho0" in acfg else \
-        (decay.rho0 if "decay" in mcfg else parse_rational(mcfg.get("rho0", "1")))
+    constants, rho0 = build_measure(_section(doc, "measure", {}))
+    acfg = _section(doc, "audit", {})
     grid = AuditGrid.default(
-        support, rho0,
-        x_depth=int(acfg.get("x_depth", 3)),
-        rho_count=int(acfg.get("rho_count", 5)),
-        depths=tuple(int(d) for d in acfg.get("depths", (6, 9, 12))))
-    kwargs = {"decay": decay}
-    if "federer" in mcfg:
-        kwargs["federer"] = tuple(parse_rational(v) for v in mcfg["federer"])
-    if "efd" in mcfg:
-        kwargs["efd"] = tuple(parse_rational(v) for v in mcfg["efd"])
-    if "power_law" in mcfg:
-        k1, k2, gamma = mcfg["power_law"]
-        kwargs["power_law"] = (parse_rational(k1), parse_rational(k2),
-                               exponent_from_json(gamma))
-    report = audit_measure(measure, grid, **kwargs)
+        support, parse_rational(acfg["rho0"]) if "rho0" in acfg else rho0,
+        x_depth=json_int(acfg.get("x_depth", 3), "x_depth"),
+        rho_count=json_int(acfg.get("rho_count", 5), "rho_count"),
+        depths=tuple(json_int(d, "depths entry")
+                     for d in acfg.get("depths", (6, 9, 12))))
+    report = audit_measure(measure, grid, **constants)
     os.makedirs(args.out, exist_ok=True)
     cpath = os.path.join(args.out, "audit.csv")
     with open(cpath, "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh).writerows(report.csv_rows())
     for o in report.outcomes:
         print("audit %s: %s" % (o.check, o.verdict.value))
-    if "dimension" in acfg:
-        d = acfg["dimension"]
+    d = _section(acfg, "dimension")
+    if d is not None:
         x = parse_rational(d.get("x", "0"))
-        k_max = int(d.get("k_max", 12))
+        k_max = json_int(d.get("k_max", 12), "k_max")
         base = parse_rational(d["rho_base"]) if "rho_base" in d \
             else support.contraction
         ests = lower_pointwise_dimension(measure, x,
@@ -287,10 +285,10 @@ def cmd_audit(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    with open(args.spec, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if isinstance(payload, dict) and "certificates" in payload:
-        items = [(e.get("name", "cert%d" % i), Certificate.from_json(e["certificate"]))
+    payload = load_document(args.spec)
+    if "certificates" in payload:
+        items = [(_object(e, "bundle entry").get("name", "cert%d" % i),
+                  Certificate.from_json(e["certificate"]))
                  for i, e in enumerate(payload["certificates"], start=1)]
     else:
         items = [("certificate", Certificate.from_json(payload))]

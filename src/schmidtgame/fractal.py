@@ -18,8 +18,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .errors import SpecError
 from .numerics import (Exponent, LogRatio, Ordering, make_exponent,
-                       parse_rational, pow_exact, rational_power_of,
-                       scaled_pow_cmp)
+                       pow_exact, rational_power_of, scaled_pow_cmp)
 
 Interval = Tuple[Fraction, Fraction]
 
@@ -75,16 +74,6 @@ class IFS:
             if ahi > blo:  # touching endpoints are fine, overlap is not
                 raise SpecError(
                     f"open set condition fails: images [{alo},{ahi}] and [{blo},{bhi}] overlap")
-
-    @staticmethod
-    def from_json(doc: dict) -> "IFS":
-        try:
-            maps = [SimilarityMap(parse_rational(m["r"]), parse_rational(m["a"]))
-                    for m in doc["maps"]]
-            weights = [parse_rational(w) for w in doc["weights"]]
-        except (KeyError, TypeError) as exc:
-            raise SpecError(f"malformed IFS document: {exc}") from exc
-        return IFS(maps, weights)
 
 
 @dataclass(frozen=True)

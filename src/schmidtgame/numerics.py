@@ -20,7 +20,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Optional, Tuple, Union
 
-from .errors import PrecisionCapExceeded
+from .errors import PrecisionCapExceeded, SpecError
 
 # refinement budget: the domain's comparisons separate at tens of bits,
 # so hitting this cap signals a genuine tie (or a misuse), not bad luck
@@ -55,6 +55,13 @@ def parse_rational(text: str) -> Fraction:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not a rational: {text!r}") from exc
+
+
+def json_int(value, what: str) -> int:
+    """`value` if it is an int: a float, bool or string fails closed."""
+    if type(value) is not int:
+        raise SpecError("%s must be a JSON integer" % what)
+    return value
 
 
 def format_rational(q) -> str:

@@ -56,14 +56,14 @@ class TestBiLipschitzMap:
     def test_identity_and_affine(self):
         assert ID.apply(F(5, 7)) == F(5, 7)
         assert ID.lipschitz == 1
-        m = BiLipschitzMap.affine(F(-2), F(3))
+        m = BiLipschitzMap((), (F(-2),), (F(0), F(3)))
         assert m.apply(F(1, 2)) == 2
         assert m.inverse(2) == F(1, 2)
         assert m.lipschitz == 2
 
     def test_two_piece(self):
         # slope 2 left of 0, slope 1/3 right, continuous through (0, 1)
-        m = BiLipschitzMap.from_slopes([F(0)], [F(2), F(1, 3)], F(1))
+        m = BiLipschitzMap((F(0),), (F(2), F(1, 3)), (F(0), F(1)))
         assert m.apply(F(-1)) == -1
         assert m.apply(F(3)) == 2
         assert m.inverse(2) == 3
@@ -73,14 +73,14 @@ class TestBiLipschitzMap:
 
     def test_apply_inverse_round_trip(self):
         rng = random.Random(7)
-        m = BiLipschitzMap.from_slopes([F(-1), F(1, 2)],
-                                       [F(3, 2), F(1, 2), F(4)], F(-2))
+        m = BiLipschitzMap((F(-1), F(1, 2)), (F(3, 2), F(1, 2), F(4)),
+                           (F(-1), F(-2)))
         for _ in range(200):
             x = F(rng.randint(-50, 50), rng.randint(1, 20))
             assert m.inverse(m.apply(x)) == x
 
     def test_lipschitz_bound_property(self):
-        m = BiLipschitzMap.from_slopes([F(0)], [F(2), F(1, 3)], F(0))
+        m = BiLipschitzMap((F(0),), (F(2), F(1, 3)), (F(0), F(0)))
         L = m.lipschitz
         rng = random.Random(11)
         for _ in range(100):
@@ -95,12 +95,12 @@ class TestBiLipschitzMap:
         with pytest.raises(SpecError):
             BiLipschitzMap((), (F(0),), (F(0), F(0)))
         with pytest.raises(SpecError):
-            BiLipschitzMap.from_slopes([F(0)], [F(1), F(-1)], F(0))
+            BiLipschitzMap((F(0),), (F(1), F(-1)), (F(0), F(0)))
         with pytest.raises(SpecError):
-            BiLipschitzMap.from_slopes([F(1), F(0)], [F(1), F(1), F(1)], F(0))
+            BiLipschitzMap((F(1), F(0)), (F(1), F(1), F(1)), (F(1), F(0)))
 
     def test_json_round_trip(self):
-        m = BiLipschitzMap.from_slopes([F(0), F(1)], [F(2), F(1, 2), F(3)], F(5))
+        m = BiLipschitzMap((F(0), F(1)), (F(2), F(1, 2), F(3)), (F(0), F(5)))
         back = BiLipschitzMap.from_json(m.to_json())
         assert back == m
 
@@ -346,7 +346,7 @@ class TestDangerSet:
     def test_phi_preimage_enumeration(self):
         # under x -> 2x the ball [2/3-1/32, 2/3+1/32] pulls back to
         # [1/3-1/64, 1/3+1/64], so the same translate answers, mapped forward
-        phi = BiLipschitzMap.affine(F(2))
+        phi = BiLipschitzMap((), (F(2),), (F(0), F(0)))
         spec = LacunarySpec(ListTerms((F(32),), F(2)), ConstTargets(F(0)))
         got = danger_set(self.st, spec, phi, 1, Ball(F(2, 3), F(1, 32)))
         assert got == [F(11, 16)]
@@ -397,7 +397,7 @@ class TestLacunaryEndToEnd:
         assert ok
 
     def test_piecewise_phi_run(self, K, cantor_decay, cantor_alpha):
-        phi = BiLipschitzMap.affine(F(3, 2), F(1, 7))
+        phi = BiLipschitzMap((), (F(3, 2),), (F(0), F(1, 7)))
         params = GameParams(cantor_alpha, F(1, 4))
         alice = LacunaryStrategy(lac2(), phi=phi, decay=cantor_decay)
         t = run_game(K, params, alice, HoldCenter(), rounds=45)

@@ -1,10 +1,12 @@
 import json
 from fractions import Fraction as F
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
 from schmidtgame import cli, fractal
+from schmidtgame.alice import BiLipschitzMap
 from schmidtgame.certify import Certificate, VerificationResult
 from schmidtgame.cli import bundled_spec_path, main
 from schmidtgame.fractal import (cantor_support, decay_from_federer_efd,
@@ -14,8 +16,8 @@ from schmidtgame.game import (GameParams, transcript_from_jsonl,
                               validate_transcript)
 
 
-def write_spec(tmp_path, mutate):
-    doc = json.loads(open(bundled_spec_path("cantor_lacunary.json")).read())
+def write_spec(tmp_path, mutate, name="cantor_lacunary.json"):
+    doc = json.loads(open(bundled_spec_path(name)).read())
     mutate(doc)
     p = tmp_path / "spec.json"
     p.write_text(json.dumps(doc))
@@ -108,6 +110,40 @@ class TestPlay:
         assert main(["play", "--spec", spec, "--out", str(tmp_path)]) == 2
         assert "not a rational" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mutate", [
+        lambda d: d.__setitem__("bob", None),
+        lambda d: d.__setitem__("bob", "random"),
+        lambda d: d.__setitem__("alice", "ba"),
+        lambda d: d.__setitem__("game", []),
+        lambda d: d["game"].__setitem__("opening", "0"),
+        lambda d: d["alice"].__setitem__("phi", []),
+        lambda d: d.__setitem__("measure", "federer"),
+    ], ids=["null_bob", "string_bob", "string_alice", "list_game",
+            "string_opening", "list_phi", "string_measure"])
+    def test_non_object_section_exits_2(self, tmp_path, capsys, mutate):
+        # `.get` on these raised AttributeError (exit 1), and "federer" in a
+        # string measure was a substring test that read it as no measure
+        spec = write_spec(tmp_path, mutate)
+        assert main(["play", "--spec", spec, "--out", str(tmp_path)]) == 2
+        assert "must be a JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, section, key, value", [
+        ("cantor_lacunary.json", "game", "rounds", 5.9),
+        ("cantor_lacunary.json", "game", "rounds", True),
+        ("cantor_lacunary.json", "game", "rounds", "7"),
+        ("cantor_ba.json", "bob", "seed", 13.0),
+        ("cantor_ba.json", "bob", "seed", True),
+        ("cantor_triple.json", "alice", "schedule", [[1.0, 3], [2, 3], [3, 3]]),
+    ])
+    def test_non_integer_count_exits_2(self, tmp_path, capsys, name, section,
+                                       key, value):
+        # int() read these as 5, 1 or 7 rounds; a float or bool seed drew
+        # another game than its integer
+        spec = write_spec(tmp_path, lambda d: d[section].__setitem__(key, value),
+                          name)
+        assert main(["play", "--spec", spec, "--out", str(tmp_path)]) == 2
+        assert "must be a JSON integer" in capsys.readouterr().err
+
     def test_malformed_json_exits_2(self, tmp_path):
         p = tmp_path / "junk.json"
         p.write_text("{not json")
@@ -164,6 +200,40 @@ class TestPlay:
             "n_max": 4}))
         assert main(["play", "--spec", spec, "--out", str(tmp_path)]) == 2
         assert "integer factor" in capsys.readouterr().err
+
+    def test_non_integer_n_max_exits_2(self, tmp_path, capsys):
+        spec = write_spec(tmp_path, lambda d: d.__setitem__("alice", {
+            "strategy": "affine_orbit", "b": "2", "c": "1/3", "y": "0",
+            "n_max": 4.0}))
+        assert main(["play", "--spec", spec, "--out", str(tmp_path)]) == 2
+        assert "n_max must be a JSON integer" in capsys.readouterr().err
+
+
+class TestSpecPhi:
+    """A spec's phi is the anchor form certificates write, end to end."""
+
+    PHI = {"breakpoints": ["1/2"], "slopes": ["1", "2"],
+           "anchor": ["1/2", "1/2"]}
+
+    @pytest.mark.parametrize("name", ["cantor_lacunary.json", "cantor_ba.json"])
+    def test_play_and_certify(self, tmp_path, name):
+        spec = write_spec(tmp_path,
+                          lambda d: d["alice"].__setitem__("phi", self.PHI), name)
+        out = tmp_path / "out"
+        assert main(["play", "--spec", spec, "--out", str(out)]) == 0
+        bundle = out / "certificates.json"
+        assert main(["certify", "--spec", str(bundle)]) == 0
+        certs = json.loads(bundle.read_text())["certificates"]
+        want = BiLipschitzMap.from_json(self.PHI)
+        assert want.lipschitz == 2 and certs
+        for entry in certs:
+            snap = entry["certificate"]["snapshot"]
+            assert BiLipschitzMap.from_json(snap["phi"]) == want
+
+    def test_kind_form_exits_2(self, tmp_path):
+        spec = write_spec(tmp_path, lambda d: d["alice"].__setitem__(
+            "phi", {"kind": "affine", "slope": "2"}))
+        assert main(["play", "--spec", spec, "--out", str(tmp_path)]) == 2
 
 
 class TestCertify:
@@ -313,6 +383,48 @@ class TestAudit:
         p = tmp_path / "bad.json"
         p.write_text(json.dumps(doc))
         assert main(["audit", "--spec", str(p), "--out", str(tmp_path)]) == 1
+
+    @pytest.mark.parametrize("measure, rho0", [
+        ({"decay": {"C": "9", "gamma": {"log": ["2", "3"]}, "rho0": "1/9"},
+          "rho0": "1"}, "1/9"),
+        ({"federer": ["1/3", "1/2"], "efd": ["1/3", "1/2"], "rho0": "1/3"},
+         "1/3"),
+        ({"federer": ["1/3", "1/2"]}, "1"),
+    ], ids=["explicit_decay", "measure_rho0", "default"])
+    def test_grid_rho0_without_audit_rho0(self, tmp_path, measure, rho0):
+        # the explicit decay's rho0, else the measure's (the decay derived
+        # from the doubling pairs claims only a third of it)
+        spec = Path(self.audit_copy(tmp_path, measure))
+        doc = json.loads(spec.read_text())
+        del doc["audit"]["rho0"]
+        spec.write_text(json.dumps(doc))
+        assert main(["audit", "--spec", str(spec), "--out", str(tmp_path / "a")]) == 0
+        doc["audit"]["rho0"] = rho0
+        spec.write_text(json.dumps(doc))
+        assert main(["audit", "--spec", str(spec), "--out", str(tmp_path / "b")]) == 0
+        assert (tmp_path / "a" / "audit.csv").read_bytes() == \
+            (tmp_path / "b" / "audit.csv").read_bytes()
+
+    @pytest.mark.parametrize("mutate, message", [
+        (lambda d: d.__setitem__("audit", []), "audit must be a JSON object"),
+        (lambda d: d["audit"].__setitem__("dimension", None),
+         "dimension must be a JSON object"),
+        (lambda d: d["measure"].__setitem__("decay", "8"),
+         "decay must be a JSON object"),
+        (lambda d: d["audit"].__setitem__("x_depth", 3.0),
+         "x_depth must be a JSON integer"),
+        (lambda d: d["audit"].__setitem__("rho_count", True),
+         "rho_count must be a JSON integer"),
+        (lambda d: d["audit"].__setitem__("depths", [6, "9", 12]),
+         "depths entry must be a JSON integer"),
+        (lambda d: d["audit"]["dimension"].__setitem__("k_max", 12.0),
+         "k_max must be a JSON integer"),
+    ], ids=["list_audit", "null_dimension", "string_decay", "float_x_depth",
+            "bool_rho_count", "string_depth", "float_k_max"])
+    def test_malformed_audit_exits_2(self, tmp_path, capsys, mutate, message):
+        spec = write_spec(tmp_path, mutate, "cantor_audit.json")
+        assert main(["audit", "--spec", spec, "--out", str(tmp_path)]) == 2
+        assert message in capsys.readouterr().err
 
     def test_huge_grid_exits_2(self, tmp_path, capsys):
         # 2**30 grid words would take months; the cap refuses them at once

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from schmidtgame.cli import build_support
 from schmidtgame.errors import SpecError
 from schmidtgame.fractal import (AuditGrid, DecayParams, IFS, SimilarityMap,
                                  FractalMeasure, Verdict, audit_measure,
@@ -62,8 +63,8 @@ class TestIFSValidation:
 
     def test_json_round_trip(self):
         doc = {"maps": [{"r": "1/3", "a": "0"}, {"r": "1/3", "a": "2/3"}],
-               "weights": ["1/2", "1/2"]}
-        ifs = IFS.from_json(doc)
+               "weights": ["1/2", "1/2"], "hull": ["0", "1"]}
+        ifs = build_support(doc).ifs
         assert [(m.r, m.a) for m in ifs.maps] == [(F(1, 3), 0), (F(1, 3), F(2, 3))]
         assert ifs.weights == [F(1, 2), F(1, 2)]
 

@@ -36,9 +36,9 @@ from circle_reference import circle_dist_range
 LOOSE = DecayParams(C=F(1, 4), gamma=F(1), rho0=F(1))
 QUARTER = GameParams(F(1, 4), F(1, 4))
 PHIS = [BiLipschitzMap.identity(),
-        BiLipschitzMap.affine(F(-3, 2), F(1, 5)),
-        BiLipschitzMap.from_slopes([F(0), F(1, 3)], [F(2), F(1, 2), F(3)],
-                                   F(1, 7))]
+        BiLipschitzMap((), (F(-3, 2),), (F(0), F(1, 5))),
+        BiLipschitzMap((F(0), F(1, 3)), (F(2), F(1, 2), F(3)),
+                       (F(0), F(1, 7)))]
 
 
 def reference_verify(cert: Certificate) -> VerificationResult:
