@@ -27,8 +27,9 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 from .errors import (HorizonMismatch, InvalidAlpha, InvariantViolation,
                      NoPointFound, ScheduleOverlap, SpecError)
 from .fractal import DecayParams, FractalSupport, check_alpha, find_point_in_gap
-from .game import Ball, GameParams, Transcript, Variant
-from .numerics import floor_sqrt, fractions_in_interval, parse_rational
+from .game import Ball, GameParams, Variant, hold
+from .numerics import (floor_sqrt, fractions_in_interval, json_rationals,
+                       parse_rational)
 
 log = logging.getLogger(__name__)
 
@@ -146,11 +147,14 @@ class BiLipschitzMap:
     def from_json(cls, data: Optional[dict]) -> "BiLipschitzMap":
         """The map `to_json` wrote; None, a map left out, is the identity."""
         if data is None:
-            return cls.identity()
-        return cls(tuple(parse_rational(b) for b in data["breakpoints"]),
-                   tuple(parse_rational(s) for s in data["slopes"]),
-                   (parse_rational(data["anchor"][0]),
-                    parse_rational(data["anchor"][1])))
+            return IDENTITY
+        return cls(tuple(json_rationals(data["breakpoints"], "breakpoints")),
+                   tuple(json_rationals(data["slopes"], "slopes")),
+                   tuple(json_rationals(data["anchor"], "anchor", 2)))
+
+
+# the map of a spec or a strategy given none
+IDENTITY = BiLipschitzMap.identity()
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +386,7 @@ class LacunarySpec:
             terms = GeometricTerms(parse_rational(t["base"]),
                                    parse_rational(t.get("scale", "1")))
         elif t["kind"] == "list":
-            terms = ListTerms(tuple(parse_rational(v) for v in t["values"]),
+            terms = ListTerms(json_rationals(t["values"], "term values"),
                               parse_rational(t.get("lacunarity", "2")))
         else:
             raise SpecError("unknown term rule %r" % t.get("kind"))
@@ -390,9 +394,9 @@ class LacunarySpec:
         if g["kind"] == "const":
             targets: TargetRule = ConstTargets(parse_rational(g["value"]))
         elif g["kind"] == "periodic":
-            targets = PeriodicTargets(tuple(parse_rational(v) for v in g["values"]))
+            targets = PeriodicTargets(json_rationals(g["values"], "target values"))
         elif g["kind"] == "list":
-            targets = ListTargets(tuple(parse_rational(v) for v in g["values"]))
+            targets = ListTargets(json_rationals(g["values"], "target values"))
         else:
             raise SpecError("unknown target rule %r" % g.get("kind"))
         M = parse_rational(data["lacunarity"]) if "lacunarity" in data else None
@@ -505,7 +509,7 @@ def avoidance_step(support: FractalSupport, ball: Ball, alpha: Fraction,
     reach = 2 * alpha * rho
     near = [y for y in points if abs(Fraction(y) - x1) <= reach]
     if 2 * len(near) <= len(points):
-        new = Ball(x1, alpha * rho, ball.word)
+        new = hold(ball, alpha)
     else:
         margin = 2 * reach
         anchors = (x1 - rho, x1, x1 + rho)
@@ -607,10 +611,6 @@ def _danger_entries(state, spec, phi, k, lo, hi):
     return entries
 
 
-def _hold(ball: Ball, ratio: Fraction) -> Ball:
-    return Ball(ball.center, ratio * ball.radius, ball.word)
-
-
 def _enter_block(state, spec, phi, k, bob_ball):
     ab = state.ab
     expected = ab ** (state.r * (k + 1) - 1) * state.rho
@@ -668,7 +668,7 @@ def lacunary_move(state: LacunaryStrategyState, support: FractalSupport,
         raise InvariantViolation("warm-up did not land on the planned rho")
     j = e - state.k0 + 1
     if j < 2 * state.r:
-        return _hold(bob_ball, params.alpha)
+        return hold(bob_ball, params.alpha)
     k = j // state.r - 1
     step = j - state.r * (k + 1) + 1
     if step == 1:
@@ -755,7 +755,7 @@ def ba_move(state: BAStrategyState, support: FractalSupport,
     state.turn += 1
     e = state.turn
     if e < state.k0 - 1:
-        return _hold(bob_ball, params.alpha)
+        return hold(bob_ball, params.alpha)
     k = e - state.k0 + 2
     expected = state.ab ** (k - 2) * state.rho
     if bob_ball.radius != expected:
@@ -784,53 +784,58 @@ def ba_move(state: BAStrategyState, support: FractalSupport,
 class LacunaryStrategy:
     """Game-facing wrapper: plans lazily from the first ball it sees."""
 
-    def __init__(self, spec: LacunarySpec, phi: Optional[BiLipschitzMap] = None,
+    def __init__(self, spec: LacunarySpec, phi: BiLipschitzMap = IDENTITY,
                  decay: Optional[DecayParams] = None):
         if decay is None:
             raise SpecError("lacunary planning needs the measure's decay data")
         self.spec = spec
-        self.phi = phi if phi is not None else BiLipschitzMap.identity()
+        self.phi = phi
         self.decay = decay
         self.state: Optional[LacunaryStrategyState] = None
 
-    def move(self, support, params, transcript) -> Ball:
-        opening = transcript.last_ball
+    def move(self, support, params, ball) -> Ball:
         if self.state is None:
             self.state = plan_lacunary(self.spec, self.phi, params,
-                                       self.decay, opening)
+                                       self.decay, ball)
         return lacunary_move(self.state, support, self.spec, self.phi,
-                             params, opening)
+                             params, ball)
 
-    def danger_preview(self, support, params, transcript) -> List[Fraction]:
+    def danger_preview(self, ball) -> List[Fraction]:
         return [] if self.state is None else list(self.state.danger)
 
 
 class BAStrategy:
     """Game-facing wrapper for the badly-approximable schedule."""
 
-    def __init__(self, phi: Optional[BiLipschitzMap] = None,
+    def __init__(self, phi: BiLipschitzMap = IDENTITY,
                  decay: Optional[DecayParams] = None):
         if decay is None:
             raise SpecError("planning needs the measure's decay data")
-        self.phi = phi if phi is not None else BiLipschitzMap.identity()
+        self.phi = phi
         self.decay = decay
         self.state: Optional[BAStrategyState] = None
 
-    def move(self, support, params, transcript) -> Ball:
-        opening = transcript.last_ball
+    def move(self, support, params, ball) -> Ball:
         if self.state is None:
-            self.state = plan_ba(self.phi, params, self.decay, opening)
-        return ba_move(self.state, support, self.phi, params, opening)
+            self.state = plan_ba(self.phi, params, self.decay, ball)
+        return ba_move(self.state, support, self.phi, params, ball)
 
-    def danger_preview(self, support, params, transcript) -> List[Fraction]:
+    def danger_preview(self, ball) -> List[Fraction]:
+        """The block's rationals nearest the center, mapped by phi: windows
+        about the center, from (alpha*beta)^k ~ 1/qmax^2 doubling up to the
+        whole ball, until one holds a candidate."""
         if self.state is None:
             return []
-        ball = transcript.last_ball
         k = min(self.state.blocks_done + 1, 12)
-        cands = _block_candidates(self.state, self.phi, k,
-                                  ball.center - ball.radius,
-                                  ball.center + ball.radius)
-        return [self.phi.apply(f) for f in cands[:16]]
+        lo, hi = ball.interval
+        w = self.state.ab ** k
+        while True:
+            cands = _block_candidates(self.state, self.phi, k,
+                                      max(ball.center - w, lo),
+                                      min(ball.center + w, hi))
+            if cands or w >= ball.radius:
+                return [self.phi.apply(f) for f in cands[:16]]
+            w *= 2
 
 
 class ExcludeCountable:
@@ -846,10 +851,9 @@ class ExcludeCountable:
         self.rho0 = Fraction(rho0) if rho0 is not None else None
         self.done = 0
 
-    def move(self, support, params, transcript) -> Ball:
-        prev = transcript.last_ball
+    def move(self, support, params, prev) -> Ball:
         if self.rho0 is not None and prev.radius > self.rho0:
-            return _hold(prev, params.alpha)
+            return hold(prev, params.alpha)
         if self.done < len(self.points):
             z = self.points[self.done]
             self.done += 1
@@ -857,9 +861,9 @@ class ExcludeCountable:
             if abs(z - ball.center) <= 2 * params.alpha * prev.radius:
                 raise InvariantViolation("listed point not excluded")
             return ball
-        return _hold(prev, params.alpha)
+        return hold(prev, params.alpha)
 
-    def danger_preview(self, support, params, transcript) -> List[Fraction]:
+    def danger_preview(self, ball) -> List[Fraction]:
         return self.points[self.done:self.done + 16]
 
 
@@ -867,10 +871,10 @@ class InterleaveStrategy:
     """Round-robin scheduler over disjoint arithmetic turn progressions.
 
     ``schedule`` lists one (start, step) progression per sub-strategy over
-    Alice's 1-based turn indices.  Each sub-strategy sees a synthetic
-    transcript of just its own turns, whose radii follow the classical rule
-    with the effective parameters (alpha, beta*(alpha*beta)^{step-1}); its
-    plans and certificates are stated in those parameters.
+    Alice's 1-based turn indices.  Each sub-strategy sees only the balls of
+    its own turns, whose radii follow the classical rule with the effective
+    parameters (alpha, beta*(alpha*beta)^{step-1}); its plans and
+    certificates are stated in those parameters.
     """
 
     def __init__(self, strategies: Sequence, schedule: Sequence[Tuple[int, int]]):
@@ -888,36 +892,25 @@ class InterleaveStrategy:
                 raise ScheduleOverlap("turn %d has %d owners, not 1" % (turn, owners))
         self.strategies = list(strategies)
         self.schedule = list(schedule)
-        self.subs: List[Optional[Transcript]] = [None] * len(strategies)
-        self.eff: List[Optional[GameParams]] = [None] * len(strategies)
+        self.turn = 0
+        # each part's last answer, the ball its danger preview looks at
+        self.last: List[Optional[Ball]] = [None] * len(strategies)
 
-    def _owner(self, turn: int) -> int:
-        for i, (start, step) in enumerate(self.schedule):
-            if turn >= start and (turn - start) % step == 0:
-                return i
-        raise ScheduleOverlap("turn %d is not covered" % turn)
+    def move(self, support, params, ball) -> Ball:
+        self.turn += 1
+        # the constructor checked that exactly one progression holds each turn
+        i, step = next((i, d) for i, (s, d) in enumerate(self.schedule)
+                       if self.turn >= s and (self.turn - s) % d == 0)
+        beta_eff = params.beta * (params.alpha * params.beta) ** (step - 1)
+        eff = GameParams(params.alpha, beta_eff, params.variant)
+        self.last[i] = self.strategies[i].move(support, eff, ball)
+        return self.last[i]
 
-    def move(self, support, params, transcript) -> Ball:
-        turn = transcript.alice_turn_index
-        i = self._owner(turn)
-        prev = transcript.last_ball
-        if self.subs[i] is None:
-            step = self.schedule[i][1]
-            beta_eff = params.beta * (params.alpha * params.beta) ** (step - 1)
-            self.eff[i] = GameParams(params.alpha, beta_eff, params.variant)
-            self.subs[i] = Transcript(params=self.eff[i],
-                                      moves=[("bob", prev)])
-        else:
-            self.subs[i].moves.append(("bob", prev))
-        ball = self.strategies[i].move(support, self.eff[i], self.subs[i])
-        self.subs[i].moves.append(("alice", ball))
-        return ball
-
-    def danger_preview(self, support, params, transcript) -> List[Fraction]:
+    def danger_preview(self, ball) -> List[Fraction]:
         out: List[Fraction] = []
-        for i, strat in enumerate(self.strategies):
-            if self.subs[i] is not None and hasattr(strat, "danger_preview"):
-                out.extend(strat.danger_preview(support, self.eff[i], self.subs[i]))
+        for strat, last in zip(self.strategies, self.last):
+            if last is not None and hasattr(strat, "danger_preview"):
+                out.extend(strat.danger_preview(last))
         return out[:32]
 
 

@@ -11,7 +11,7 @@ from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
 from .fractal import FractalSupport, find_point_in_gap
-from .game import Ball, GameParams
+from .game import Ball, GameParams, hold
 
 __all__ = ["greedy_move", "random_move",
            "KeepCenterBob", "GreedyBob", "RandomBob"]
@@ -31,29 +31,24 @@ def greedy_move(support: FractalSupport, alice_ball: Ball, params: GameParams,
     no targets, or when no support point improves on the current center,
     keeps the center.
     """
-    radius = params.beta * alice_ball.radius
     if not targets:
-        return Ball(alice_ball.center, radius, alice_ball.word)
+        return hold(alice_ball, params.beta)
     lo, hi = _legal_range(alice_ball, params.beta)
     goal = min((Fraction(t) for t in targets),
                key=lambda t: abs(t - alice_ball.center))
     desired = min(max(goal, lo), hi)
-    best = (alice_ball.center, alice_ball.word)
     width = hi - lo
-    # shrinking search windows around the clipped goal; the first hit in a
+    # widening search windows around the clipped goal; the first hit in a
     # small window is nearly optimal, wider windows only rescue sparse spots
     for k in range(12, -1, -1):
         w = width / 2 ** k
         got = find_point_in_gap(support, (max(desired - w, lo),
                                           min(desired + w, hi)), [])
         if got is not None:
-            x, word = got
-            if abs(x - goal) < abs(best[0] - goal):
-                best = (x, word)
             break
-    if abs(best[0] - goal) > abs(alice_ball.center - goal):
-        best = (alice_ball.center, alice_ball.word)
-    return Ball(best[0], radius, best[1])
+    if got is not None and abs(got[0] - goal) < abs(alice_ball.center - goal):
+        return Ball(got[0], params.beta * alice_ball.radius, got[1])
+    return hold(alice_ball, params.beta)
 
 
 def random_move(support: FractalSupport, alice_ball: Ball, params: GameParams,
@@ -69,30 +64,29 @@ def random_move(support: FractalSupport, alice_ball: Ball, params: GameParams,
     the middle-thirds set that holds from a radius of a few times 3**-64
     down: 199 of the 200 moves of the 200-round triple game.
     """
-    radius = params.beta * alice_ball.radius
     lo, hi = _legal_range(alice_ball, params.beta)
     slack = hi - lo
     if slack == 0:
-        return Ball(alice_ball.center, radius, alice_ball.word)
+        return hold(alice_ball, params.beta)
     depth = support.depth_below(slack / 4, cap=64)
     shortest = min(abs(m.r) for m in support.ifs.maps) ** depth
     if support.diameter * shortest > slack:
-        return Ball(alice_ball.center, radius, alice_ball.word)
+        return hold(alice_ball, params.beta)
     cands = [c for c in support.cylinders_meeting(lo, hi, depth)
              if lo <= c.lo and c.hi <= hi]
     if not cands:
-        return Ball(alice_ball.center, radius, alice_ball.word)
+        return hold(alice_ball, params.beta)
     rng = random.Random(str(seed))
     cyl = cands[rng.randrange(len(cands))]
-    return Ball(support.point(cyl.word), radius, cyl.word)
+    return Ball(support.point(cyl.word), params.beta * alice_ball.radius,
+                cyl.word)
 
 
 class KeepCenterBob:
     """The laziest legal adversary."""
 
-    def move(self, support, params, transcript) -> Ball:
-        prev = transcript.last_ball
-        return Ball(prev.center, params.beta * prev.radius, prev.word)
+    def move(self, support, params, ball) -> Ball:
+        return hold(ball, params.beta)
 
 
 class GreedyBob:
@@ -107,11 +101,11 @@ class GreedyBob:
         self.alice = alice
         self.targets = [Fraction(t) for t in targets] if targets else []
 
-    def move(self, support, params, transcript) -> Ball:
+    def move(self, support, params, ball) -> Ball:
         targets = list(self.targets)
         if self.alice is not None and hasattr(self.alice, "danger_preview"):
-            targets.extend(self.alice.danger_preview(support, params, transcript))
-        return greedy_move(support, transcript.last_ball, params, targets)
+            targets.extend(self.alice.danger_preview(ball))
+        return greedy_move(support, ball, params, targets)
 
 
 class RandomBob:
@@ -121,8 +115,8 @@ class RandomBob:
         self.seed = seed
         self.count = 0
 
-    def move(self, support, params, transcript) -> Ball:
+    def move(self, support, params, ball) -> Ball:
         self.count += 1
-        return random_move(support, transcript.last_ball, params,
+        return random_move(support, ball, params,
                            "%s/%d" % (self.seed, self.count))
 

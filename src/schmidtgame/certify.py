@@ -19,8 +19,8 @@ from .errors import HorizonMismatch, SpecError
 from .fractal import DimensionEstimate, MeasureAuditReport
 from .numerics import (Exponent, LogRatio, Ordering, circle_dist,
                        exponent_bounds, exponent_cmp, floor_sqrt,
-                       fractions_in_interval, json_int, make_exponent,
-                       parse_rational)
+                       fractions_in_interval, json_int, json_rationals,
+                       make_exponent, parse_rational)
 
 ORBIT_SEPARATION = "orbit_separation"
 BAD_APPROX = "bad_approx"
@@ -41,8 +41,7 @@ def exponent_to_json(e: Exponent):
 
 def exponent_from_json(data) -> Exponent:
     if isinstance(data, dict):
-        top, base = data["log"]
-        return make_exponent(parse_rational(top), parse_rational(base))
+        return make_exponent(*json_rationals(data["log"], "log", 2))
     return parse_rational(data)
 
 
@@ -99,8 +98,7 @@ class Certificate:
 
     @classmethod
     def from_json(cls, data: dict) -> "Certificate":
-        lo, hi = data["interval"]
-        return cls(data["kind"], (parse_rational(lo), parse_rational(hi)),
+        return cls(data["kind"], json_rationals(data["interval"], "interval", 2),
                    parse_rational(data["c"]), data["horizon"],
                    data.get("horizon_kind", "blocks"),
                    dict(data.get("snapshot") or {}))

@@ -32,7 +32,7 @@ from .fractal import (IFS, AuditGrid, DecayParams, FractalMeasure,
                       max_alpha)
 from .game import (Ball, GameParams, HoldCenter, Variant, outcome_interval,
                    run_game, validate_transcript)
-from .numerics import json_int, parse_rational
+from .numerics import json_array, json_int, json_rationals, parse_rational
 
 
 def bundled_spec_path(name: str) -> str:
@@ -69,9 +69,8 @@ def build_support(cfg) -> FractalSupport:
         raise SpecError("unknown support %r" % (cfg,))
     ifs = IFS([SimilarityMap(parse_rational(m["r"]), parse_rational(m["a"]))
                for m in cfg["maps"]],
-              [parse_rational(w) for w in cfg["weights"]])
-    hull = (parse_rational(cfg["hull"][0]), parse_rational(cfg["hull"][1]))
-    return FractalSupport(ifs, hull)
+              json_rationals(cfg["weights"], "weights"))
+    return FractalSupport(ifs, tuple(json_rationals(cfg["hull"], "hull", 2)))
 
 
 def build_measure(cfg: dict) -> Tuple[dict, Fraction]:
@@ -79,11 +78,11 @@ def build_measure(cfg: dict) -> Tuple[dict, Fraction]:
     absent) and the radius they are claimed up to: the explicit decay's
     rho0, else the measure's own (the decay derived from both doubling
     pairs claims a third of it).  An explicit decay wins over a derived one."""
-    pairs = {key: tuple(parse_rational(v) for v in cfg[key])
+    pairs = {key: tuple(json_rationals(cfg[key], key, 2))
              for key in ("federer", "efd") if key in cfg}
     power_law = None
     if "power_law" in cfg:
-        k1, k2, gamma = cfg["power_law"]
+        k1, k2, gamma = json_array(cfg["power_law"], "power_law", 3)
         power_law = (parse_rational(k1), parse_rational(k2),
                      exponent_from_json(gamma))
     rho0 = parse_rational(cfg.get("rho0", "1"))
@@ -109,7 +108,7 @@ def build_strategy(cfg: dict, decay: Optional[DecayParams]):
         return HoldCenter()
     if name == "exclude":
         rho0 = parse_rational(cfg["rho0"]) if "rho0" in cfg else None
-        return ExcludeCountable([parse_rational(p) for p in cfg["points"]], rho0)
+        return ExcludeCountable(json_rationals(cfg["points"], "points"), rho0)
     if name == "lacunary":
         return LacunaryStrategy(LacunarySpec.from_json(cfg), phi, decay)
     if name == "affine_orbit":
@@ -134,8 +133,8 @@ def build_bob(cfg: dict, alice, seed_override: Optional[int]):
     if kind == "keep":
         return KeepCenterBob()
     if kind == "greedy":
-        return GreedyBob(alice, [parse_rational(p)
-                                 for p in cfg.get("targets", [])])
+        return GreedyBob(alice, json_rationals(cfg.get("targets", []),
+                                               "targets"))
     if kind == "random":
         seed = json_int(cfg.get("seed", 0), "seed")
         return RandomBob(seed if seed_override is None else seed_override)

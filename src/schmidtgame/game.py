@@ -84,6 +84,10 @@ def is_legal(prev: Ball, nxt: Ball, whose_turn: str, params: GameParams) -> Tupl
     return True, ""
 
 
+# the player of move i is _PLAYERS[i % 2]: Bob opens, then they alternate
+_PLAYERS = ("bob", "alice")
+
+
 @dataclass
 class Transcript:
     params: GameParams
@@ -95,13 +99,7 @@ class Transcript:
 
     @property
     def whose_turn(self) -> str:
-        # Bob owns move 0, Alice move 1, and so on alternating
-        return "alice" if len(self.moves) % 2 == 1 else "bob"
-
-    @property
-    def alice_turn_index(self) -> int:
-        """1-based index of the Alice move about to be played."""
-        return (len(self.moves) + 1) // 2
+        return _PLAYERS[len(self.moves) % 2]
 
     def to_jsonl(self) -> str:
         lines = []
@@ -125,60 +123,64 @@ def transcript_from_jsonl(text: str, params: GameParams) -> Transcript:
     return t
 
 
-def _check_membership(support: FractalSupport, ball: Ball, player: str,
-                      transcript: Transcript):
+def hold(ball: Ball, ratio: Fraction) -> Ball:
+    """The keep-center answer: `ball`'s center and word, `ratio` times its
+    radius."""
+    return Ball(ball.center, ratio * ball.radius, ball.word)
+
+
+def _referee(support: FractalSupport, t: Transcript, i: int, player: str,
+             ball: Ball) -> None:
+    """Check `ball` as move i of `t`: turn order, the rules of `is_legal`
+    against move i - 1, and membership of the center in `support`.  Raises
+    IllegalMove, carrying `t`, on the first violation."""
+    if player != _PLAYERS[i % 2]:
+        raise IllegalMove(player, f"move {i} out of turn", ball, t)
+    if i > 0:
+        ok, reason = is_legal(t.moves[i - 1][1], ball, player, t.params)
+        if not ok:
+            raise IllegalMove(player, reason, ball, t)
     if ball.word is not None:
         if not support.verify_point(ball.center, ball.word):
             raise IllegalMove(player, f"word does not witness center "
-                              f"({_bits(ball.center)})", ball, transcript)
-        return
-    if support.locate(ball.center) is None:
+                              f"({_bits(ball.center)})", ball, t)
+    elif support.locate(ball.center) is None:
         raise IllegalMove(player, f"center ({_bits(ball.center)}) has no "
                           f"cylinder witness within {LOCATE_DEPTH} letters",
-                          ball, transcript)
+                          ball, t)
 
 
 def validate_transcript(t: Transcript, support: FractalSupport):
     """Re-referee a full transcript, the membership of every center in
     `support` included; raises IllegalMove on the first violation."""
     for i, (player, ball) in enumerate(t.moves):
-        expected_player = "bob" if i % 2 == 0 else "alice"
-        if player != expected_player:
-            raise IllegalMove(player, f"move {i} out of turn", ball, t)
-        if i > 0:
-            ok, reason = is_legal(t.moves[i - 1][1], ball, player, t.params)
-            if not ok:
-                raise IllegalMove(player, reason, ball, t)
-        _check_membership(support, ball, player, t)
+        _referee(support, t, i, player, ball)
 
 
 def run_game(support: FractalSupport, params: GameParams, alice, bob,
              rounds: int, opening: Optional[Ball] = None) -> Transcript:
     """Play `rounds` full rounds after Bob's opening: 2*rounds + 1 moves.
 
-    Strategies implement move(support, params, transcript) -> Ball and are
-    responsible for their own state; the engine only referees.  A strategy
-    raising NoPointFound loses by StrategyFailure; an illegal ball raises
-    IllegalMove.  Both exceptions carry the partial transcript.
+    Strategies implement move(support, params, ball) -> Ball, answering the
+    last ball played, and keep their own state; the engine alone keeps the
+    game record and referees each move.  A strategy raising NoPointFound
+    loses by StrategyFailure; an illegal ball raises IllegalMove.  Both
+    exceptions carry the partial transcript.
     """
     if rounds < 1:
         raise ValueError("rounds must be at least 1")
     if opening is None:
         opening = Ball(support.canonical_point, support.diameter, word=())
     t = Transcript(params=params)
-    _check_membership(support, opening, "bob", t)
+    _referee(support, t, 0, "bob", opening)
     t.moves.append(("bob", opening))
     for _ in range(rounds):
         for player, strategy in (("alice", alice), ("bob", bob)):
-            prev = t.last_ball
             try:
-                ball = strategy.move(support, params, t)
+                ball = strategy.move(support, params, t.last_ball)
             except NoPointFound as exc:
                 raise StrategyFailure(player, exc, t) from exc
-            ok, reason = is_legal(prev, ball, player, params)
-            if not ok:
-                raise IllegalMove(player, reason, ball, t)
-            _check_membership(support, ball, player, t)
+            _referee(support, t, len(t.moves), player, ball)
             t.moves.append((player, ball))
     return t
 
@@ -192,9 +194,7 @@ def outcome_interval(t: Transcript) -> Tuple[Fraction, Fraction]:
 
 
 class HoldCenter:
-    """The canonical arbitrary move: keep the center, shrink by rule."""
+    """Alice's canonical arbitrary move: keep the center, shrink by alpha."""
 
-    def move(self, support, params, transcript):
-        prev = transcript.last_ball
-        ratio = params.alpha if transcript.whose_turn == "alice" else params.beta
-        return Ball(prev.center, ratio * prev.radius, prev.word)
+    def move(self, support, params, ball):
+        return hold(ball, params.alpha)

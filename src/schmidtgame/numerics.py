@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Optional, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 from .errors import PrecisionCapExceeded, SpecError
 
@@ -62,6 +62,21 @@ def json_int(value, what: str) -> int:
     if type(value) is not int:
         raise SpecError("%s must be a JSON integer" % what)
     return value
+
+
+def json_array(value, what: str, length: Optional[int] = None) -> list:
+    """`value` if it is a list, of `length` entries when given: a string,
+    which would unpack and iterate as its characters, fails closed."""
+    if type(value) is not list or length not in (None, len(value)):
+        raise SpecError("%s must be a JSON array%s" % (
+            what, "" if length is None else " of %d entries" % length))
+    return value
+
+
+def json_rationals(value, what: str, length: Optional[int] = None
+                   ) -> List[Fraction]:
+    """A JSON array of "p/q" strings as Fractions; see json_array."""
+    return [parse_rational(v) for v in json_array(value, what, length)]
 
 
 def format_rational(q) -> str:

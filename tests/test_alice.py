@@ -12,6 +12,7 @@ from schmidtgame.alice import (BAStrategy, BiLipschitzMap, ConstTargets,
                                avoidance_step, _block_candidates,
                                _danger_entries, index_block, plan_ba,
                                plan_lacunary)
+from schmidtgame.bob import KeepCenterBob
 from schmidtgame.errors import (HorizonMismatch, InvalidAlpha,
                                 NoPointFound, ScheduleOverlap, SpecError)
 from schmidtgame.cli import bundled_spec_path, main
@@ -372,7 +373,7 @@ class TestLacunaryEndToEnd:
     def test_cantor_50_rounds(self, K, cantor_decay, cantor_alpha):
         params = GameParams(cantor_alpha, F(1, 4))
         alice = LacunaryStrategy(lac2(), decay=cantor_decay)
-        t = run_game(K, params, alice, HoldCenter(), rounds=50)
+        t = run_game(K, params, alice, KeepCenterBob(), rounds=50)
         st = alice.state
         assert (st.N, st.r, st.k0) == (80, 7, 2)
         assert st.blocks_cleared == 5
@@ -388,7 +389,7 @@ class TestLacunaryEndToEnd:
         spec = LacunarySpec(GeometricTerms(F(2731)), ConstTargets(F(1, 2)))
         params = GameParams(cantor_alpha, F(1, 4))
         alice = LacunaryStrategy(spec, decay=cantor_decay)
-        t = run_game(K, params, alice, HoldCenter(), rounds=20)
+        t = run_game(K, params, alice, KeepCenterBob(), rounds=20)
         st = alice.state
         assert (st.N, st.r) == (1, 1)
         assert st.blocks_cleared == 18
@@ -400,7 +401,7 @@ class TestLacunaryEndToEnd:
         phi = BiLipschitzMap((), (F(3, 2),), (F(0), F(1, 7)))
         params = GameParams(cantor_alpha, F(1, 4))
         alice = LacunaryStrategy(lac2(), phi=phi, decay=cantor_decay)
-        t = run_game(K, params, alice, HoldCenter(), rounds=45)
+        t = run_game(K, params, alice, KeepCenterBob(), rounds=45)
         st = alice.state
         assert st.L == F(3, 2)
         lo, hi = outcome_interval(t)
@@ -433,10 +434,34 @@ class TestBAEndToEnd:
         got = _block_candidates(st, ID, 1, F(49, 100), F(51, 100))
         assert got == [F(1, 2)]
 
+    def test_preview_keeps_the_nearest_candidate(self):
+        # the preview searches widening windows about the center; wherever
+        # the whole ball holds at most 16 candidates, greedy Bob's goal (the
+        # nearest) is the one the complete list gives
+        ba = BAStrategy(decay=LOOSE)
+        ba.state = plan_ba(ID, GameParams(F(1, 4), F(1, 9)), LOOSE,
+                           Ball(F(0), F(1)))
+        rng = random.Random(11)
+        hits = 0
+        for _ in range(400):
+            ba.state.blocks_done = rng.randint(0, 2)
+            ball = Ball(F(rng.randint(0, 10 ** 4), 10 ** 4),
+                        F(1, rng.randint(10, 10 ** 5)))
+            k = ba.state.blocks_done + 1
+            full = _block_candidates(ba.state, ID, k, *ball.interval)
+            if len(full) > 16:
+                continue
+            near = min(full, key=lambda z: abs(z - ball.center), default=None)
+            got = ba.danger_preview(ball)
+            assert min(got, key=lambda z: abs(z - ball.center),
+                       default=None) == near
+            hits += near is not None
+        assert hits >= 50
+
     def test_cantor_40_rounds(self, K, cantor_decay, cantor_alpha):
         params = GameParams(cantor_alpha, F(1, 4))
         ba = BAStrategy(decay=cantor_decay)
-        t = run_game(K, params, ba, HoldCenter(), rounds=40)
+        t = run_game(K, params, ba, KeepCenterBob(), rounds=40)
         st = ba.state
         assert st.blocks_done == 38
         lo, hi = outcome_interval(t)
@@ -451,14 +476,14 @@ class TestExcludeCountable:
     def test_excludes_current_center(self, K, cantor_alpha):
         params = GameParams(cantor_alpha, F(1, 4))
         alice = ExcludeCountable([F(0)])
-        t = run_game(K, params, alice, HoldCenter(), rounds=3)
+        t = run_game(K, params, alice, KeepCenterBob(), rounds=3)
         lo, hi = outcome_interval(t)
         assert lo > 0 or hi < 0  # the excluded point is outside
 
     def test_waits_for_rho0(self, K, cantor_alpha):
         params = GameParams(cantor_alpha, F(1, 4))
         alice = ExcludeCountable([F(0)], rho0=F(1, 10))
-        t = run_game(K, params, alice, HoldCenter(), rounds=4)
+        t = run_game(K, params, alice, KeepCenterBob(), rounds=4)
         # first move happens while radius 1 > 1/10: held center
         assert t.moves[1][1].center == t.moves[0][1].center
         lo, hi = outcome_interval(t)
@@ -467,7 +492,7 @@ class TestExcludeCountable:
     def test_empty_list_is_canonical(self, K, cantor_alpha):
         params = GameParams(cantor_alpha, F(1, 4))
         a = ExcludeCountable([])
-        t = run_game(K, params, a, HoldCenter(), rounds=3)
+        t = run_game(K, params, a, KeepCenterBob(), rounds=3)
         assert all(b.center == t.moves[0][1].center for _, b in t.moves)
 
 
@@ -486,10 +511,10 @@ class TestInterleave:
     def test_trivial_schedule_matches_solo(self, K, cantor_decay, cantor_alpha):
         params = GameParams(cantor_alpha, F(1, 4))
         solo = LacunaryStrategy(lac2(), decay=cantor_decay)
-        t1 = run_game(K, params, solo, HoldCenter(), rounds=25)
+        t1 = run_game(K, params, solo, KeepCenterBob(), rounds=25)
         wrapped = InterleaveStrategy(
             [LacunaryStrategy(lac2(), decay=cantor_decay)], [(1, 1)])
-        t2 = run_game(K, params, wrapped, HoldCenter(), rounds=25)
+        t2 = run_game(K, params, wrapped, KeepCenterBob(), rounds=25)
         assert t1.to_jsonl() == t2.to_jsonl()
 
     def test_two_way_certificates(self, K, cantor_decay, cantor_alpha):
@@ -497,7 +522,7 @@ class TestInterleave:
         lac = LacunaryStrategy(lac2(), decay=cantor_decay)
         ba = BAStrategy(decay=cantor_decay)
         duo = InterleaveStrategy([lac, ba], [(1, 2), (2, 2)])
-        t = run_game(K, params, duo, HoldCenter(), rounds=60)
+        t = run_game(K, params, duo, KeepCenterBob(), rounds=60)
         lo, hi = outcome_interval(t)
         # both sub-plans ran under beta_eff = beta*(alpha*beta)
         ab_eff = params.alpha * params.beta * (params.alpha * params.beta)

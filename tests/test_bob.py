@@ -1,6 +1,10 @@
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -180,3 +184,24 @@ class TestGreedyVersusLacunary:
             dmin, _ = circle_dist_range(F(2) ** n * lo, F(2) ** n * hi, F(0))
             assert dmin >= st.c, n
             n += 1
+
+
+class TestGreedyVersusInterleavedBA:
+    def test_twenty_rounds_within_the_time_bound(self, tmp_path):
+        # the BA part plans with alpha*beta cubed, so its first block reaches
+        # q = 142,693: the preview built all 1.8e7 such fractions in Alice's
+        # first ball before keeping 16, and 5 rounds ran past 60 s.  Stated
+        # bound: 20 rounds in 30 s, a child process so a hang is killed
+        doc = json.loads(open(bundled_spec_path("cantor_triple.json")).read())
+        doc["bob"] = {"kind": "greedy"}
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(doc))
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run(
+            [sys.executable, "-m", "schmidtgame.cli", "play", "--spec",
+             str(spec), "--rounds", "20", "--out", str(tmp_path / "out")],
+            env=env, capture_output=True, text=True, timeout=30)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.count(": PASS") == 3

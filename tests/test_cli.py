@@ -236,6 +236,68 @@ class TestSpecPhi:
         assert main(["play", "--spec", spec, "--out", str(tmp_path)]) == 2
 
 
+CANTOR_IFS = {"maps": [{"r": "1/3", "a": "0"}, {"r": "1/3", "a": "2/3"}],
+              "weights": ["1/2", "1/2"], "hull": ["0", "1"]}
+
+
+def _set(path, value):
+    """A mutation that sets doc[path[0]]...[path[-1]] to value."""
+    def mutate(doc):
+        for key in path[:-1]:
+            doc = doc[key]
+        doc[path[-1]] = value
+    return mutate
+
+
+class TestJsonArrays:
+    # a string in place of an array unpacked or iterated as its characters:
+    # "points": "01" excluded 0 and 1, and "hull": "01" read as [0, 1]
+    @pytest.mark.parametrize("command, name, mutate", [
+        ("play", "cantor_lacunary.json",
+         _set(["alice"], {"strategy": "exclude", "points": "01"})),
+        ("play", "cantor_lacunary.json",
+         _set(["bob"], {"kind": "greedy", "targets": "12"})),
+        ("play", "cantor_lacunary.json",
+         _set(["support"], dict(CANTOR_IFS, hull="01"))),
+        ("play", "cantor_lacunary.json",
+         _set(["support"], dict(CANTOR_IFS, weights="11"))),
+        ("play", "cantor_lacunary.json",
+         _set(["measure", "federer"], "12")),
+        ("play", "cantor_lacunary.json",
+         _set(["alice", "terms"], {"kind": "list", "values": "48"})),
+        ("play", "cantor_lacunary.json",
+         _set(["alice", "targets"], {"kind": "periodic", "values": "01"})),
+        ("play", "cantor_lacunary.json",
+         _set(["alice", "targets"], {"kind": "list", "values": "0"})),
+        ("play", "cantor_lacunary.json",
+         _set(["alice", "phi"], {"breakpoints": [], "slopes": ["1"],
+                                 "anchor": "01"})),
+        ("play", "cantor_lacunary.json",
+         _set(["alice", "phi"], {"breakpoints": [], "slopes": "1",
+                                 "anchor": ["0", "1"]})),
+        ("audit", "cantor_audit.json", _set(["measure", "power_law"], "123")),
+        ("audit", "lebesgue_audit.json",
+         _set(["measure", "power_law"], ["1", "2", {"log": "23"}])),
+        ("certify", None, _set(["interval"], "01")),
+    ], ids=["points", "targets", "hull", "weights", "federer", "term_values",
+            "periodic_values", "list_values", "anchor", "slopes", "power_law",
+            "log", "interval"])
+    def test_string_for_array_exits_2(self, tmp_path, capsys, command, name,
+                                      mutate):
+        if name is None:
+            cert = Certificate("bad_approx", (F(1, 2), F(1, 2)), F(1, 5), 10,
+                               "denominators").to_json()
+            mutate(cert)
+            spec = tmp_path / "cert.json"
+            spec.write_text(json.dumps(cert))
+            argv = [command, "--spec", str(spec)]
+        else:
+            argv = [command, "--spec", write_spec(tmp_path, mutate, name),
+                    "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        assert "must be a JSON array" in capsys.readouterr().err
+
+
 class TestCertify:
     @pytest.fixture()
     def bundle_path(self, tmp_path):

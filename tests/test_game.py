@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from schmidtgame.bob import KeepCenterBob
 from schmidtgame.errors import IllegalMove, NoPointFound, StrategyFailure
 from schmidtgame.fractal import cantor_support, find_point_in_gap
 from schmidtgame.game import (Ball, GameParams, HoldCenter, Transcript,
@@ -81,7 +82,7 @@ class TestIsLegal:
 class TestRunGame:
     def test_trivial_radii_pattern(self, K):
         p = classical(F(1, 3), F(1, 3))
-        t = run_game(K, p, HoldCenter(), HoldCenter(), rounds=5)
+        t = run_game(K, p, HoldCenter(), KeepCenterBob(), rounds=5)
         assert len(t.moves) == 11
         # Bob's k-th ball has radius (1/9)^(k-1)
         for i, (player, ball) in enumerate(t.moves):
@@ -93,43 +94,41 @@ class TestRunGame:
 
     def test_center_outside_K_rejected(self, K):
         class Cheater:
-            def move(self, support, params, transcript):
-                prev = transcript.last_ball
+            def move(self, support, params, prev):
                 return Ball(F(1, 2), params.alpha * prev.radius)
 
         p = classical(F(1, 3), F(1, 3))
         with pytest.raises(IllegalMove) as exc:
-            run_game(K, p, Cheater(), HoldCenter(), rounds=2)
+            run_game(K, p, Cheater(), KeepCenterBob(), rounds=2)
         assert exc.value.player == "alice"
         assert exc.value.ball.center == F(1, 2)
         assert len(exc.value.transcript.moves) == 1  # Bob's opening only
 
     def test_wrong_radius_rejected(self, K):
         class WrongRadius:
-            def move(self, support, params, transcript):
-                prev = transcript.last_ball
+            def move(self, support, params, prev):
                 return Ball(prev.center, prev.radius / 2, prev.word)
 
         p = classical(F(1, 3), F(1, 3))
         with pytest.raises(IllegalMove) as exc:
-            run_game(K, p, WrongRadius(), HoldCenter(), rounds=1)
+            run_game(K, p, WrongRadius(), KeepCenterBob(), rounds=1)
         assert "classical rule" in exc.value.reason
         assert len(exc.value.transcript.moves) == 1
 
     def test_strategy_failure_wraps_no_point(self, K):
         class GivesUp:
-            def move(self, support, params, transcript):
+            def move(self, support, params, prev):
                 raise NoPointFound("nothing to play")
 
         p = classical(F(1, 3), F(1, 3))
         with pytest.raises(StrategyFailure) as exc:
-            run_game(K, p, GivesUp(), HoldCenter(), rounds=1)
+            run_game(K, p, GivesUp(), KeepCenterBob(), rounds=1)
         assert exc.value.player == "alice"
         assert exc.value.transcript.moves  # partial transcript attached
 
     def test_containment_chain(self, K):
         p = classical(F(1, 4), F(1, 3))
-        t = run_game(K, p, HoldCenter(), HoldCenter(), rounds=6)
+        t = run_game(K, p, HoldCenter(), KeepCenterBob(), rounds=6)
         for (_, outer), (_, inner) in zip(t.moves, t.moves[1:]):
             assert outer.center - outer.radius <= inner.center - inner.radius
             assert inner.center + inner.radius <= outer.center + outer.radius
@@ -143,7 +142,7 @@ class TestTranscript:
 
     def test_jsonl_round_trip(self, K):
         p = classical(F(1, 3), F(1, 3))
-        t = run_game(K, p, HoldCenter(), HoldCenter(), rounds=4)
+        t = run_game(K, p, HoldCenter(), KeepCenterBob(), rounds=4)
         text = t.to_jsonl()
         back = transcript_from_jsonl(text, p)
         assert [(pl, b.center, b.radius) for pl, b in back.moves] == \
@@ -153,7 +152,7 @@ class TestTranscript:
 
     def test_jsonl_numbering(self, K):
         p = classical(F(1, 3), F(1, 3))
-        t = run_game(K, p, HoldCenter(), HoldCenter(), rounds=2)
+        t = run_game(K, p, HoldCenter(), KeepCenterBob(), rounds=2)
         import json
         lines = [json.loads(s) for s in t.to_jsonl().splitlines()]
         assert [(d["player"], d["k"]) for d in lines] == [
@@ -161,7 +160,7 @@ class TestTranscript:
 
     def test_radius_mutation_rejected(self, K):
         p = classical(F(1, 3), F(1, 3))
-        t = run_game(K, p, HoldCenter(), HoldCenter(), rounds=3)
+        t = run_game(K, p, HoldCenter(), KeepCenterBob(), rounds=3)
         rng = random.Random(5)
         for i in range(1, len(t.moves)):
             player, ball = t.moves[i]

@@ -1,0 +1,46 @@
+"""The strategy protocol: a strategy answers the last ball, move(support,
+params, ball) and danger_preview(ball), and only `game` keeps the game
+record, so no other module builds a `Transcript` or appends to its moves."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "schmidtgame"
+
+
+def protocol_breaches(tree):
+    """(line, what) for each second game record or transcript parameter."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            if name == "Transcript":
+                yield node.lineno, "Transcript()"
+            elif (name == "append" and isinstance(f.value, ast.Attribute)
+                  and f.value.attr == "moves"):
+                yield node.lineno, "moves.append"
+        elif (isinstance(node, ast.FunctionDef)
+              and node.name in ("move", "danger_preview")):
+            yield from ((node.lineno, "%s(transcript)" % node.name)
+                        for a in node.args.args if a.arg == "transcript")
+
+
+def test_guard_sees_each_kind():
+    code = ("t = Transcript(p)\nu = game.Transcript(p, [])\n"
+            "t.moves.append(x)\nclass S:\n"
+            "    def move(self, support, params, transcript):\n"
+            "        return None\n"
+            "    def danger_preview(self, transcript):\n"
+            "        return []\n")
+    assert sorted(protocol_breaches(ast.parse(code))) == [
+        (1, "Transcript()"), (2, "Transcript()"), (3, "moves.append"),
+        (5, "move(transcript)"), (7, "danger_preview(transcript)")]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_only_game_keeps_the_record(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    allowed = ("Transcript()", "moves.append") if path.name == "game.py" else ()
+    assert [b for b in protocol_breaches(tree) if b[1] not in allowed] == []
