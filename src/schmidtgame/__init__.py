@@ -9,8 +9,7 @@ from scratch.
 from .alice import (BAStrategy, BiLipschitzMap, ConstTargets, ExcludeCountable,
                     GeometricTerms, InterleaveStrategy, LacunarySpec,
                     LacunaryStrategy, ListTargets, ListTerms, PeriodicTargets,
-                    affine_to_sequence, avoidance_step, ba_move,
-                    index_block, lacunary_move, plan_ba, plan_lacunary)
+                    affine_to_sequence, avoidance_step)
 from .bob import (GreedyBob, KeepCenterBob, RandomBob, greedy_move,
                   random_move)
 from .certify import (Certificate, DimensionReport, VerificationResult,
@@ -42,13 +41,13 @@ __all__ = [
     "RandomBob", "ScheduleOverlap", "SimilarityMap",
     "SpecError", "StrategyFailure", "Transcript", "VerificationResult",
     "Variant", "affine_to_sequence", "audit_measure",
-    "avoidance_step", "ba_certificate", "ba_move", "binary_support",
+    "avoidance_step", "ba_certificate", "binary_support",
     "cantor_support", "check_alpha",
     "decay_from_federer_efd", "dimension_report", "efd_to_exponent",
     "federer_to_exponent", "find_point_in_gap", "greedy_move",
-    "index_block", "is_legal", "lacunary_move",
+    "is_legal",
     "lower_pointwise_dimension", "max_alpha",
-    "orbit_certificate", "outcome_interval", "plan_ba", "plan_lacunary",
+    "orbit_certificate", "outcome_interval",
     "random_move", "run_game", "transcript_from_jsonl", "validate_transcript",
     "verify", "verify_ba", "verify_orbit_separation",
 ]

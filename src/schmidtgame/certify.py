@@ -13,8 +13,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
-from .alice import (BiLipschitzMap, LacunarySpec, ba_constants,
-                    lacunary_constants, orbit_residues)
+from .alice import (BAStrategy, BiLipschitzMap, LacunarySpec,
+                    LacunaryStrategy, ba_constants, lacunary_constants,
+                    orbit_residues)
 from .errors import HorizonMismatch, SpecError
 from .fractal import DimensionEstimate, MeasureAuditReport
 from .numerics import (Exponent, LogRatio, Ordering, circle_dist,
@@ -104,26 +105,29 @@ class Certificate:
                    dict(data.get("snapshot") or {}))
 
 
-def _schedule_snapshot(state, phi: BiLipschitzMap) -> dict:
-    return {"alpha": str(state.alpha), "beta": str(state.beta),
-            "rho_prime": str(state.rho_prime), "rho0": str(state.rho0),
-            "turns": state.turn, "phi": phi.to_json()}
+def _schedule_snapshot(strategy) -> dict:
+    return {"alpha": str(strategy.alpha), "beta": str(strategy.beta),
+            "rho_prime": str(strategy.rho_prime),
+            "rho0": str(strategy.decay.rho0), "turns": strategy.turn,
+            "phi": strategy.phi.to_json()}
 
 
-def orbit_certificate(state, spec: LacunarySpec, phi: BiLipschitzMap,
+def orbit_certificate(strategy: LacunaryStrategy,
                       interval: Tuple[Fraction, Fraction]) -> Certificate:
-    """Claim of a lacunary run: the blocks cleared so far, at constant c."""
-    snap = _schedule_snapshot(state, phi)
-    snap["spec"] = spec.to_json()
-    return Certificate(ORBIT_SEPARATION, interval, state.c,
-                       state.blocks_cleared, "blocks", snap)
+    """Claim of a planned lacunary strategy: the blocks cleared so far, at
+    constant c."""
+    snap = _schedule_snapshot(strategy)
+    snap["spec"] = strategy.spec.to_json()
+    return Certificate(ORBIT_SEPARATION, interval, strategy.c,
+                       strategy.blocks_cleared, "blocks", snap)
 
 
-def ba_certificate(state, phi: BiLipschitzMap,
+def ba_certificate(strategy: BAStrategy,
                    interval: Tuple[Fraction, Fraction]) -> Certificate:
-    """Claim of a badly-approximable run: denominator blocks done so far."""
-    return Certificate(BAD_APPROX, interval, state.c, state.blocks_done,
-                       "blocks", _schedule_snapshot(state, phi))
+    """Claim of a planned badly-approximable strategy: denominator blocks
+    done so far."""
+    return Certificate(BAD_APPROX, interval, strategy.c, strategy.blocks_done,
+                       "blocks", _schedule_snapshot(strategy))
 
 
 # ---------------------------------------------------------------------------
@@ -197,8 +201,8 @@ def verify_orbit_separation(cert: Certificate) -> VerificationResult:
     spec = LacunarySpec.from_json(snap["spec"])
     if "alpha" in snap:
         phi, alpha, beta, rho_prime, rho0 = _schedule_inputs(snap)
-        _, r, k0, _, c = lacunary_constants(spec.M, phi.lipschitz, alpha,
-                                            beta, rho_prime, rho0)
+        _, r, k0, _, c = lacunary_constants(spec.lacunarity, phi.lipschitz,
+                                            alpha, beta, rho_prime, rho0)
         if c != cert.c:
             return _constant_mismatch(c, cert.c)
         if cert.horizon_kind != "blocks":
@@ -241,9 +245,10 @@ def verify_orbit_separation(cert: Certificate) -> VerificationResult:
 def verify_ba(cert: Certificate, max_q: int = DEFAULT_MAX_Q) -> VerificationResult:
     """Exhaustively re-check a badly-approximable claim up to denominator Q.
 
-    Q is floor(R^h) for h finished blocks, capped at max_q.  The walk
-    enumerates every reduced fraction within c of the preimage interval;
-    a violation is any p/q at q^2-weighted distance <= c from the hull.
+    Q is the largest q below R^h for h finished blocks, capped at max_q.
+    The walk enumerates every reduced fraction within c of the preimage
+    interval; a violation is any p/q at q^2-weighted distance <= c from
+    the hull.
     """
     if cert.kind != BAD_APPROX:
         raise SpecError("not a badly-approximable certificate")
@@ -263,7 +268,10 @@ def verify_ba(cert: Certificate, max_q: int = DEFAULT_MAX_Q) -> VerificationResu
             raise HorizonMismatch(
                 "certificate claims %d blocks but %d turns finish at most %d"
                 % (cert.horizon, turns, max(0, turns - k0 + 2)))
-        q_cap = min(floor_sqrt((1 / (alpha * beta)) ** cert.horizon), max_q)
+        # h blocks clear every q with q^2 < (alpha*beta)^-h, and no more
+        bound = (1 / (alpha * beta)) ** cert.horizon
+        q_cap = floor_sqrt(bound)
+        q_cap = min(q_cap - (q_cap * q_cap == bound), max_q)
     else:
         phi = BiLipschitzMap.from_json(snap.get("phi"))
         if cert.horizon_kind != "denominators":
@@ -313,14 +321,8 @@ class DimensionReport:
         return self.margin == 0
 
     def to_json(self) -> dict:
-        ests = []
-        for e in self.estimates:
-            if isinstance(e, DimensionEstimate):
-                ests.append({"rho": str(e.rho),
-                             "value": None if e.value is None
-                             else exponent_to_json(e.value)})
-            else:
-                ests.append({"rho": None, "value": exponent_to_json(e)})
+        ests = [{"rho": str(e.rho), "value": None if e.value is None
+                 else exponent_to_json(e.value)} for e in self.estimates]
         margin = self.margin
         if isinstance(margin, Fraction):
             margin = str(margin)
@@ -331,14 +333,9 @@ class DimensionReport:
                 "consistent": self.consistent}
 
 
-def _estimate_value(e) -> Optional[Exponent]:
-    if isinstance(e, DimensionEstimate):
-        return e.value
-    return e
-
-
 def dimension_report(audit: MeasureAuditReport,
-                     estimates: Sequence = ()) -> DimensionReport:
+                     estimates: Sequence[DimensionEstimate] = ()
+                     ) -> DimensionReport:
     """Combine the analytic bound dim >= gamma with sampled estimates.
 
     The bound comes from the audit's power-law exponent when it has one,
@@ -351,7 +348,7 @@ def dimension_report(audit: MeasureAuditReport,
         bound = audit.decay.gamma
     else:
         raise SpecError("no decay or power-law constants to bound dimension")
-    vals = [v for v in (_estimate_value(e) for e in estimates) if v is not None]
+    vals = [e.value for e in estimates if e.value is not None]
     if not vals:
         return DimensionReport(bound, tuple(estimates), None, 0)
     worst = vals[0]

@@ -187,12 +187,10 @@ def emit_certificates(strategy, interval) -> List[Tuple[str, Certificate]]:
     out: List[Tuple[str, Certificate]] = []
 
     def rec(s, name):
-        if isinstance(s, LacunaryStrategy) and s.state is not None:
-            out.append((name or "orbit", orbit_certificate(s.state, s.spec,
-                                                           s.phi, interval)))
-        elif isinstance(s, BAStrategy) and s.state is not None:
-            out.append((name or "bad_approx", ba_certificate(s.state, s.phi,
-                                                             interval)))
+        if isinstance(s, LacunaryStrategy) and s.planned:
+            out.append((name or "orbit", orbit_certificate(s, interval)))
+        elif isinstance(s, BAStrategy) and s.planned:
+            out.append((name or "bad_approx", ba_certificate(s, interval)))
         elif isinstance(s, InterleaveStrategy):
             for i, part in enumerate(s.strategies):
                 rec(part, "part%d" % (i + 1))

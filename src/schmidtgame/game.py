@@ -18,7 +18,7 @@ from typing import List, Optional, Tuple
 
 from .errors import IllegalMove, NoPointFound, StrategyFailure
 from .fractal import LOCATE_DEPTH, FractalSupport
-from .numerics import format_rational, parse_rational
+from .numerics import parse_rational
 
 
 class Variant(Enum):
@@ -105,8 +105,7 @@ class Transcript:
         lines = []
         for i, (player, ball) in enumerate(self.moves):
             doc = {"k": i // 2 + 1, "player": player,
-                   "center": format_rational(ball.center),
-                   "radius": format_rational(ball.radius)}
+                   "center": str(ball.center), "radius": str(ball.radius)}
             lines.append(json.dumps(doc, sort_keys=True, separators=(",", ":")))
         return "\n".join(lines) + "\n"
 

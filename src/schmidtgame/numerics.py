@@ -79,10 +79,6 @@ def json_rationals(value, what: str, length: Optional[int] = None
     return [parse_rational(v) for v in json_array(value, what, length)]
 
 
-def format_rational(q) -> str:
-    return str(Fraction(q))
-
-
 # ---------------------------------------------------------------------------
 # dyadic rounding and logarithm enclosures
 

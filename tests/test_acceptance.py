@@ -13,8 +13,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from schmidtgame.alice import (BAStrategy, BiLipschitzMap, ConstTargets,
-                               GeometricTerms, LacunarySpec, LacunaryStrategy,
+from schmidtgame.alice import (BAStrategy, ConstTargets, GeometricTerms,
+                               LacunarySpec, LacunaryStrategy,
                                affine_to_sequence, avoidance_step)
 from schmidtgame.bob import GreedyBob, RandomBob
 from schmidtgame.certify import (ba_certificate, dimension_report,
@@ -31,8 +31,6 @@ from schmidtgame.game import (Ball, GameParams, outcome_interval, run_game,
                               validate_transcript)
 from schmidtgame.numerics import (circle_dist, exponent_bounds, floor_sqrt,
                                   make_exponent)
-
-ID = BiLipschitzMap.identity()
 
 
 @pytest.fixture(scope="module")
@@ -64,11 +62,10 @@ def test_1_lacunary_end_to_end(K, decay):
     bob = GreedyBob(alice=alice)
     transcript = run_game(K, params, alice, bob, rounds=50)
     validate_transcript(transcript, K)
-    cert = orbit_certificate(alice.state, spec, ID,
-                             outcome_interval(transcript))
+    cert = orbit_certificate(alice, outcome_interval(transcript))
     result = verify_orbit_separation(cert)
-    ok = (result.passed and cert.c == alice.state.c
-          and alice.state.blocks_cleared >= 1 and result.checked >= 1)
+    ok = (result.passed and cert.c == alice.c
+          and alice.blocks_cleared >= 1 and result.checked >= 1)
     report(1, "lacunary vs greedy", ok, time.monotonic() - t0, budget=60)
 
 
@@ -79,14 +76,13 @@ def test_2_ba_end_to_end(K, decay):
     alice = BAStrategy(decay=decay)
     transcript = run_game(K, params, alice, RandomBob(29), rounds=40)
     validate_transcript(transcript, K)
-    st = alice.state
     # c = R^2 alpha rho / L with R^2 = 1/(alpha beta), exactly
-    formula_c = (1 / st.ab) * st.alpha * st.rho / alice.phi.lipschitz
-    cert = ba_certificate(st, ID, outcome_interval(transcript))
+    formula_c = (1 / alice.ab) * alice.alpha * alice.rho / alice.phi.lipschitz
+    cert = ba_certificate(alice, outcome_interval(transcript))
     result = verify_ba(cert)
-    q_cap = min(floor_sqrt((1 / st.ab) ** st.blocks_done), 10 ** 6)
-    ok = (result.passed and cert.c == formula_c == st.c
-          and st.blocks_done >= 30 and q_cap == 10 ** 6)
+    q_cap = min(floor_sqrt((1 / alice.ab) ** alice.blocks_done), 10 ** 6)
+    ok = (result.passed and cert.c == formula_c == alice.c
+          and alice.blocks_done >= 30 and q_cap == 10 ** 6)
     report(2, "badly approximable", ok, time.monotonic() - t0, budget=60)
 
 
@@ -209,9 +205,9 @@ def test_7_adversarial_robustness(K, decay):
                     continue
                 interval = outcome_interval(t)
                 if strat_name == "lacunary":
-                    cert = orbit_certificate(alice.state, spec, ID, interval)
+                    cert = orbit_certificate(alice, interval)
                 else:
-                    cert = ba_certificate(alice.state, ID, interval)
+                    cert = ba_certificate(alice, interval)
                 if not verify(cert).passed:
                     cert_failures += 1
                 if not verify(replace(cert, c=cert.c / 2)).passed:

@@ -8,10 +8,8 @@ from schmidtgame.alice import (BAStrategy, BiLipschitzMap, ConstTargets,
                                ExcludeCountable, GeometricTerms,
                                InterleaveStrategy, LacunarySpec,
                                LacunaryStrategy, ListTargets, ListTerms,
-                               PeriodicTargets, affine_to_sequence,
-                               avoidance_step, _block_candidates,
-                               _danger_entries, index_block, plan_ba,
-                               plan_lacunary)
+                               IDENTITY as ID, PeriodicTargets,
+                               affine_to_sequence, avoidance_step)
 from schmidtgame.bob import KeepCenterBob
 from schmidtgame.errors import (HorizonMismatch, InvalidAlpha,
                                 NoPointFound, ScheduleOverlap, SpecError)
@@ -46,11 +44,15 @@ def cantor_alpha(cantor_decay):
 # a permissive synthetic decay so alpha = 1/4 passes the admissibility check
 LOOSE = DecayParams(C=F(1, 4), gamma=F(1), rho0=F(1))
 QUARTER = GameParams(F(1, 4), F(1, 4))
-ID = BiLipschitzMap.identity()
 
 
 def lac2():
     return LacunarySpec(GeometricTerms(F(2)), ConstTargets(F(0)))
+
+
+def planned(spec, phi=ID):
+    """A lacunary strategy planned for QUARTER from the unit ball."""
+    return LacunaryStrategy(spec, phi, LOOSE).plan(QUARTER, Ball(F(0), F(1)))
 
 
 class TestBiLipschitzMap:
@@ -144,7 +146,7 @@ class TestRules:
             LacunarySpec(GeometricTerms(F(2)), ConstTargets(F(0)),
                          lacunarity=F(3))
         s = LacunarySpec(GeometricTerms(F(2)), ConstTargets(F(0)))
-        assert s.M == 2
+        assert s.lacunarity == 2
 
     def test_spec_json_round_trip(self):
         s = LacunarySpec(GeometricTerms(F(3), F(1, 2)),
@@ -152,7 +154,7 @@ class TestRules:
         back = LacunarySpec.from_json(s.to_json())
         assert back.terms.term(4) == s.terms.term(4)
         assert back.targets.target(2) == F(1, 2)
-        assert back.M == 3
+        assert back.lacunarity == 3
 
 
 class TestAvoidanceStep:
@@ -233,32 +235,33 @@ class TestAvoidanceStep:
 
 class TestPlanLacunary:
     def test_minimal_capacity_frozen(self):
-        st = plan_lacunary(lac2(), ID, QUARTER, LOOSE, Ball(F(0), F(1)))
+        st = planned(lac2())
         assert (st.N, st.r) == (20, 5)
         assert (st.k0, st.rho) == (2, F(1, 16))
         assert st.c == F(1, 16) ** 16
 
     def test_boundary_equality_capacity(self):
         spec = LacunarySpec(GeometricTerms(F(16)), ConstTargets(F(0)))
-        st = plan_lacunary(spec, ID, QUARTER, LOOSE, Ball(F(0), F(1)))
+        st = planned(spec)
         assert (st.N, st.r) == (1, 1)
 
     def test_rho_bound_with_small_rho0(self):
-        st = plan_lacunary(lac2(), ID, QUARTER,
-                           DecayParams(F(1, 4), F(1), F(1, 100)),
-                           Ball(F(0), F(1)))
+        st = LacunaryStrategy(lac2(), decay=DecayParams(F(1, 4), F(1),
+                                                         F(1, 100)))
+        st.plan(QUARTER, Ball(F(0), F(1)))
         assert st.rho < F(1, 100)
         assert st.rho == F(1, 16) ** (st.k0 - 1)
 
     def test_inadmissible_alpha(self, cantor_decay):
         with pytest.raises(InvalidAlpha):
-            plan_lacunary(lac2(), ID, QUARTER, cantor_decay, Ball(F(0), F(1)))
+            LacunaryStrategy(lac2(), decay=cantor_decay).plan(
+                QUARTER, Ball(F(0), F(1)))
 
     @pytest.mark.parametrize("M", [F(3, 2), F(2), F(3), F(11, 10), F(16),
                                    F(17)])
     def test_capacity_matches_linear_search(self, M):
         spec = LacunarySpec(GeometricTerms(M), ConstTargets(F(0)))
-        st = plan_lacunary(spec, ID, QUARTER, LOOSE, Ball(F(0), F(1)))
+        st = planned(spec)
         N = 1
         while 16 ** N.bit_length() > M ** N:
             N += 1
@@ -268,32 +271,32 @@ class TestPlanLacunary:
                                                cantor_alpha):
         # M near 1 makes N large; the search must not step N one by one
         spec = LacunarySpec(GeometricTerms(F(101, 100)), ConstTargets(F(0)))
-        st = plan_lacunary(spec, ID, GameParams(cantor_alpha, F(1, 4)),
-                           cantor_decay, Ball(F(0), F(1)))
+        st = LacunaryStrategy(spec, decay=cantor_decay).plan(
+            GameParams(cantor_alpha, F(1, 4)), Ball(F(0), F(1)))
         assert (st.N, st.r) == (11133, 14)
-        inv, M = 1 / st.ab, spec.M
+        inv, M = 1 / st.ab, spec.lacunarity
         assert inv ** st.r <= M ** st.N
         assert inv ** (st.N - 1).bit_length() > M ** (st.N - 1)
 
     def test_strong_variant_rejected(self):
         params = GameParams(F(1, 4), F(1, 4), Variant.STRONG)
         with pytest.raises(SpecError):
-            plan_lacunary(lac2(), ID, params, LOOSE, Ball(F(0), F(1)))
+            LacunaryStrategy(lac2(), decay=LOOSE).plan(params, Ball(F(0), F(1)))
 
 
 class TestIndexBlock:
     def test_blocks_frozen(self):
-        st = plan_lacunary(lac2(), ID, QUARTER, LOOSE, Ball(F(0), F(1)))
-        assert index_block(st, lac2(), 1) == list(range(1, 20))
-        assert index_block(st, lac2(), 2) == list(range(20, 40))
+        st = planned(lac2())
+        assert st.index_block(1) == list(range(1, 20))
+        assert st.index_block(2) == list(range(20, 40))
 
     def test_one_term_per_block(self):
         # terms 16^n / 2 with ratio 16: each block holds exactly one index
         spec = LacunarySpec(GeometricTerms(F(16), F(1, 2)), ConstTargets(F(0)))
-        st = plan_lacunary(spec, ID, QUARTER, LOOSE, Ball(F(0), F(1)))
+        st = planned(spec)
         assert st.r == 1
         for k in (1, 2, 3, 7):
-            assert index_block(st, spec, k) == [k]
+            assert st.index_block(k) == [k]
 
 
     @pytest.mark.parametrize("spec", [
@@ -303,7 +306,7 @@ class TestIndexBlock:
         LacunarySpec(ListTerms(tuple(F(2) ** n for n in range(1, 120)), F(2)),
                      ConstTargets(F(0)))])
     def test_blocks_match_terms_from_one(self, spec):
-        st = plan_lacunary(spec, ID, QUARTER, LOOSE, Ball(F(0), F(1)))
+        st = planned(spec)
         inv = 1 / st.ab
         last = spec.terms.horizon or 10 ** 6
         for k in range(1, 41):
@@ -315,48 +318,44 @@ class TestIndexBlock:
                     break
                 if t >= lower:
                     want.append(n)
-            assert index_block(st, spec, k) == want
+            assert st.index_block(k) == want
 
 
-def danger_set(state, spec, phi, k, ball):
-    """The distinct translates of block k inside the ball, sorted."""
-    entries = _danger_entries(state, spec, phi, k, ball.center - ball.radius,
-                              ball.center + ball.radius)
+def danger_set(spec, ball, phi=ID):
+    """The distinct translates of block 1 inside the ball, sorted."""
+    entries = planned(spec, phi)._danger_entries(
+        1, ball.center - ball.radius, ball.center + ball.radius)
     return sorted({z for _, _, z in entries})
 
 
 class TestDangerSet:
-    def setup_method(self):
-        self.st = plan_lacunary(
-            LacunarySpec(ListTerms((F(32),), F(2)), ConstTargets(F(0))),
-            ID, QUARTER, LOOSE, Ball(F(0), F(1)))
-
     def test_single_translate(self):
         spec = LacunarySpec(ListTerms((F(32),), F(2)), ConstTargets(F(0)))
-        got = danger_set(self.st, spec, ID, 1, Ball(F(1, 3), F(1, 64)))
+        got = danger_set(spec, Ball(F(1, 3), F(1, 64)))
         assert got == [F(11, 32)]
 
     def test_no_translate_in_tiny_ball(self):
         spec = LacunarySpec(ListTerms((F(32),), F(2)), ConstTargets(F(1, 2)))
-        assert danger_set(self.st, spec, ID, 1, Ball(F(0), F(1, 100))) == []
+        assert danger_set(spec, Ball(F(0), F(1, 100))) == []
 
     def test_far_ball_empty(self):
         spec = LacunarySpec(ListTerms((F(32),), F(2)), ConstTargets(F(0)))
-        assert danger_set(self.st, spec, ID, 1, Ball(F(1, 128), F(1, 1000))) == []
+        assert danger_set(spec, Ball(F(1, 128), F(1, 1000))) == []
 
     def test_phi_preimage_enumeration(self):
         # under x -> 2x the ball [2/3-1/32, 2/3+1/32] pulls back to
         # [1/3-1/64, 1/3+1/64], so the same translate answers, mapped forward
         phi = BiLipschitzMap((), (F(2),), (F(0), F(0)))
         spec = LacunarySpec(ListTerms((F(32),), F(2)), ConstTargets(F(0)))
-        got = danger_set(self.st, spec, phi, 1, Ball(F(2, 3), F(1, 32)))
+        got = danger_set(spec, Ball(F(2, 3), F(1, 32)), phi)
         assert got == [F(11, 16)]
 
 
-def orbit_claim_holds(spec, state, lo, hi, phi=ID):
+def orbit_claim_holds(strategy, lo, hi):
     """Exhaustively check circle separation over every covered term."""
-    bound = (1 / state.ab) ** (state.r * state.blocks_cleared)
-    u, v = phi.preimage_interval(lo, hi)
+    spec, c = strategy.spec, strategy.c
+    bound = (1 / strategy.ab) ** (strategy.r * strategy.blocks_cleared)
+    u, v = strategy.phi.preimage_interval(lo, hi)
     n = 0
     for n in range(1, (spec.terms.horizon or 10 ** 6) + 1):
         t = spec.terms.term(n)
@@ -364,7 +363,7 @@ def orbit_claim_holds(spec, state, lo, hi, phi=ID):
             break
         y = spec.targets.target(n)
         dmin, _ = circle_dist_range(t * u, t * v, y)
-        if dmin < state.c:
+        if dmin < c:
             return False, n
     return True, n
 
@@ -374,12 +373,11 @@ class TestLacunaryEndToEnd:
         params = GameParams(cantor_alpha, F(1, 4))
         alice = LacunaryStrategy(lac2(), decay=cantor_decay)
         t = run_game(K, params, alice, KeepCenterBob(), rounds=50)
-        st = alice.state
-        assert (st.N, st.r, st.k0) == (80, 7, 2)
-        assert st.blocks_cleared == 5
-        assert st.c == st.rho * st.ab ** 21
+        assert (alice.N, alice.r, alice.k0) == (80, 7, 2)
+        assert alice.blocks_cleared == 5
+        assert alice.c == alice.rho * alice.ab ** 21
         lo, hi = outcome_interval(t)
-        ok, last_n = orbit_claim_holds(lac2(), st, lo, hi)
+        ok, last_n = orbit_claim_holds(alice, lo, hi)
         assert ok and last_n >= 399
         validate_transcript(t, K)
 
@@ -390,11 +388,10 @@ class TestLacunaryEndToEnd:
         params = GameParams(cantor_alpha, F(1, 4))
         alice = LacunaryStrategy(spec, decay=cantor_decay)
         t = run_game(K, params, alice, KeepCenterBob(), rounds=20)
-        st = alice.state
-        assert (st.N, st.r) == (1, 1)
-        assert st.blocks_cleared == 18
+        assert (alice.N, alice.r) == (1, 1)
+        assert alice.blocks_cleared == 18
         lo, hi = outcome_interval(t)
-        ok, _ = orbit_claim_holds(spec, st, lo, hi)
+        ok, _ = orbit_claim_holds(alice, lo, hi)
         assert ok
 
     def test_piecewise_phi_run(self, K, cantor_decay, cantor_alpha):
@@ -402,21 +399,21 @@ class TestLacunaryEndToEnd:
         params = GameParams(cantor_alpha, F(1, 4))
         alice = LacunaryStrategy(lac2(), phi=phi, decay=cantor_decay)
         t = run_game(K, params, alice, KeepCenterBob(), rounds=45)
-        st = alice.state
-        assert st.L == F(3, 2)
+        assert alice.phi.lipschitz == F(3, 2)
         lo, hi = outcome_interval(t)
-        ok, _ = orbit_claim_holds(lac2(), st, lo, hi, phi=phi)
+        ok, _ = orbit_claim_holds(alice, lo, hi)
         assert ok
 
 
 class TestPlanBA:
     def test_growth_rate_frozen(self):
-        st = plan_ba(ID, GameParams(F(1, 4), F(1, 9)), LOOSE, Ball(F(0), F(1)))
+        st = BAStrategy(decay=LOOSE).plan(GameParams(F(1, 4), F(1, 9)),
+                                          Ball(F(0), F(1)))
         assert 1 / st.ab == 36
 
     def test_plan_cantor_frozen(self, cantor_decay, cantor_alpha):
-        st = plan_ba(ID, GameParams(cantor_alpha, F(1, 4)), cantor_decay,
-                     Ball(F(0), F(1)))
+        st = BAStrategy(decay=cantor_decay).plan(
+            GameParams(cantor_alpha, F(1, 4)), Ball(F(0), F(1)))
         ab = cantor_alpha / 4
         assert st.k0 == 4 and st.rho == ab ** 3
         assert st.c == st.rho / F(1, 4)
@@ -424,31 +421,31 @@ class TestPlanBA:
 
     def test_inadmissible_alpha(self, cantor_decay):
         with pytest.raises(InvalidAlpha):
-            plan_ba(ID, GameParams(F(1, 5), F(1, 4)), cantor_decay,
-                    Ball(F(0), F(1)))
+            BAStrategy(decay=cantor_decay).plan(GameParams(F(1, 5), F(1, 4)),
+                                                Ball(F(0), F(1)))
 
 
 class TestBAEndToEnd:
     def test_block_candidate_enumeration(self):
-        st = plan_ba(ID, GameParams(F(1, 4), F(1, 9)), LOOSE, Ball(F(0), F(1)))
-        got = _block_candidates(st, ID, 1, F(49, 100), F(51, 100))
+        st = BAStrategy(decay=LOOSE).plan(GameParams(F(1, 4), F(1, 9)),
+                                          Ball(F(0), F(1)))
+        got = st._block_candidates(1, F(49, 100), F(51, 100))
         assert got == [F(1, 2)]
 
     def test_preview_keeps_the_nearest_candidate(self):
         # the preview searches widening windows about the center; wherever
         # the whole ball holds at most 16 candidates, greedy Bob's goal (the
         # nearest) is the one the complete list gives
-        ba = BAStrategy(decay=LOOSE)
-        ba.state = plan_ba(ID, GameParams(F(1, 4), F(1, 9)), LOOSE,
-                           Ball(F(0), F(1)))
+        ba = BAStrategy(decay=LOOSE).plan(GameParams(F(1, 4), F(1, 9)),
+                                          Ball(F(0), F(1)))
         rng = random.Random(11)
         hits = 0
         for _ in range(400):
-            ba.state.blocks_done = rng.randint(0, 2)
+            ba.blocks_done = rng.randint(0, 2)
             ball = Ball(F(rng.randint(0, 10 ** 4), 10 ** 4),
                         F(1, rng.randint(10, 10 ** 5)))
-            k = ba.state.blocks_done + 1
-            full = _block_candidates(ba.state, ID, k, *ball.interval)
+            k = ba.blocks_done + 1
+            full = ba._block_candidates(k, *ball.interval)
             if len(full) > 16:
                 continue
             near = min(full, key=lambda z: abs(z - ball.center), default=None)
@@ -462,10 +459,9 @@ class TestBAEndToEnd:
         params = GameParams(cantor_alpha, F(1, 4))
         ba = BAStrategy(decay=cantor_decay)
         t = run_game(K, params, ba, KeepCenterBob(), rounds=40)
-        st = ba.state
-        assert st.blocks_done == 38
+        assert ba.blocks_done == 38
         lo, hi = outcome_interval(t)
-        c = st.c
+        c = ba.c
         for f in fractions_in_interval(lo - c, hi + c, 10 ** 6):
             d = max(F(0), lo - f, f - hi)
             assert d > c / f.denominator ** 2
@@ -526,15 +522,15 @@ class TestInterleave:
         lo, hi = outcome_interval(t)
         # both sub-plans ran under beta_eff = beta*(alpha*beta)
         ab_eff = params.alpha * params.beta * (params.alpha * params.beta)
-        assert lac.state.ab == ab_eff and ba.state.ab == ab_eff
-        assert lac.state.blocks_cleared >= 1
-        assert ba.state.blocks_done >= 1
-        ok, _ = orbit_claim_holds(lac2(), lac.state, lo, hi)
+        assert lac.ab == ab_eff and ba.ab == ab_eff
+        assert lac.blocks_cleared >= 1
+        assert ba.blocks_done >= 1
+        ok, _ = orbit_claim_holds(lac, lo, hi)
         assert ok
-        c = ba.state.c
-        inv = 1 / ba.state.ab
+        c = ba.c
+        inv = 1 / ba.ab
         from schmidtgame.numerics import floor_sqrt
-        Q = min(floor_sqrt(inv ** ba.state.blocks_done), 10 ** 5)
+        Q = min(floor_sqrt(inv ** ba.blocks_done), 10 ** 5)
         for f in fractions_in_interval(lo - c, hi + c, Q):
             d = max(F(0), lo - f, f - hi)
             assert d > c / f.denominator ** 2

@@ -175,14 +175,13 @@ class TestGreedyVersusLacunary:
         bob = GreedyBob(alice=alice)
         t = run_game(K, params, alice, bob, rounds=50)
         validate_transcript(t, K)
-        st = alice.state
-        assert st.blocks_cleared == 5
+        assert alice.blocks_cleared == 5
         lo, hi = outcome_interval(t)
-        bound = (1 / st.ab) ** (st.r * st.blocks_cleared)
+        bound = (1 / alice.ab) ** (alice.r * alice.blocks_cleared)
         n = 1
         while F(2) ** n < bound:
             dmin, _ = circle_dist_range(F(2) ** n * lo, F(2) ** n * hi, F(0))
-            assert dmin >= st.c, n
+            assert dmin >= alice.c, n
             n += 1
 
 

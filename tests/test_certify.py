@@ -6,7 +6,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from schmidtgame.alice import (BAStrategy, BiLipschitzMap, ConstTargets,
+from schmidtgame.alice import (IDENTITY, BAStrategy, BiLipschitzMap,
+                               ConstTargets, ba_constants,
                                GeometricTerms, LacunarySpec, LacunaryStrategy,
                                ListTargets)
 from schmidtgame.bob import RandomBob
@@ -16,8 +17,9 @@ from schmidtgame.certify import (Certificate, DimensionReport,
                                  exponent_to_json, orbit_certificate, verify,
                                  verify_ba, verify_orbit_separation)
 from schmidtgame.errors import HorizonMismatch, SpecError
-from schmidtgame.fractal import (AuditGrid, DecayParams, FractalMeasure,
-                                 MeasureAuditReport, audit_measure,
+from schmidtgame.fractal import (AuditGrid, DecayParams, DimensionEstimate,
+                                 FractalMeasure, MeasureAuditReport,
+                                 audit_measure,
                                  cantor_support,
                                  decay_from_federer_efd, efd_to_exponent,
                                  federer_to_exponent,
@@ -26,7 +28,6 @@ from schmidtgame.game import GameParams, outcome_interval, run_game
 from schmidtgame.numerics import (LogRatio, Ordering, exponent_cmp,
                                   make_exponent)
 
-ID = BiLipschitzMap.identity()
 
 
 @pytest.fixture(scope="module")
@@ -47,7 +48,7 @@ def lacunary_run(K, cantor_decay):
     spec = LacunarySpec(GeometricTerms(F(2)), ConstTargets(F(0)))
     alice = LacunaryStrategy(spec, decay=cantor_decay)
     t = run_game(K, params, alice, RandomBob(7), rounds=50)
-    return spec, alice.state, t
+    return alice, t
 
 
 @pytest.fixture(scope="module")
@@ -55,7 +56,7 @@ def ba_run(K, cantor_decay):
     params = GameParams(max_alpha(cantor_decay), F(1, 4))
     alice = BAStrategy(decay=cantor_decay)
     t = run_game(K, params, alice, RandomBob(11), rounds=40)
-    return alice.state, t
+    return alice, t
 
 
 def bare(kind, x, c, horizon, horizon_kind, **snap):
@@ -88,8 +89,8 @@ SNAPSHOT_EDITS = [(kind, edit) for kind in ("orbit", "ba")
 
 class TestCertificateObject:
     def test_json_round_trip(self, lacunary_run):
-        spec, state, t = lacunary_run
-        cert = orbit_certificate(state, spec, ID, outcome_interval(t))
+        alice, t = lacunary_run
+        cert = orbit_certificate(alice, outcome_interval(t))
         blob = json.dumps(cert.to_json(), sort_keys=True)
         back = Certificate.from_json(json.loads(blob))
         assert back == cert
@@ -108,8 +109,8 @@ class TestCertificateObject:
             Certificate("bad_approx", (F(0), F(1)), F(1, 2), 1, "terms")
 
     def test_kind_dispatch_guards(self, ba_run):
-        state, t = ba_run
-        cert = ba_certificate(state, ID, outcome_interval(t))
+        alice, t = ba_run
+        cert = ba_certificate(alice, outcome_interval(t))
         with pytest.raises(SpecError):
             verify_orbit_separation(cert)
 
@@ -190,10 +191,40 @@ class TestBAFrozen:
             verify_ba(cert, max_q)
 
 
+def ba_schedule_cert(x, horizon):
+    """A schedule certificate at alpha*beta = 1/36 for the one point x."""
+    snap = {"alpha": "1/4", "beta": "1/9", "rho_prime": "1", "rho0": "1",
+            "turns": 40, "phi": IDENTITY.to_json()}
+    c = ba_constants(F(1), F(1, 4), F(1, 9), F(1), F(1))[2]
+    return Certificate("bad_approx", (x, x), c, horizon, "blocks", snap)
+
+
+class TestBASchedulePerimeter:
+    """h blocks clear every q with q^2 < 36^h: q = 6^h is not cleared yet,
+    so a certificate sitting on p/6^h holds, and one on p/(6^h - 1) fails."""
+
+    @pytest.mark.parametrize("h", [1, 2, 3])
+    def test_square_root_denominator_not_checked(self, h):
+        got = verify_ba(ba_schedule_cert(F(1, 6 ** h), h))
+        assert got.passed
+        assert got.reason == ("no rational with denominator <= %d comes "
+                              "within c/q^2" % (6 ** h - 1))
+
+    @pytest.mark.parametrize("h", [1, 2, 3])
+    def test_denominator_below_is_checked(self, h):
+        got = verify_ba(ba_schedule_cert(F(1, 6 ** h - 1), h))
+        assert not got.passed
+        assert got.witness["fraction"] == "1/%d" % (6 ** h - 1)
+
+    def test_no_block_checks_nothing(self):
+        got = verify_ba(ba_schedule_cert(F(0), 0))
+        assert got.passed and got.checked == 0
+
+
 class TestEndToEnd:
     def test_lacunary_certificate_verifies(self, lacunary_run):
-        spec, state, t = lacunary_run
-        cert = orbit_certificate(state, spec, ID, outcome_interval(t))
+        alice, t = lacunary_run
+        cert = orbit_certificate(alice, outcome_interval(t))
         assert cert.horizon == 5
         got = verify_orbit_separation(cert)
         assert got.passed
@@ -202,16 +233,16 @@ class TestEndToEnd:
         assert verify_orbit_separation(back).passed
 
     def test_ba_certificate_verifies(self, ba_run):
-        state, t = ba_run
-        cert = ba_certificate(state, ID, outcome_interval(t))
+        alice, t = ba_run
+        cert = ba_certificate(alice, outcome_interval(t))
         assert cert.horizon == 38
         got = verify_ba(cert)
         assert got.passed
         assert verify(cert).passed
 
     def test_dispatcher(self, lacunary_run):
-        spec, state, t = lacunary_run
-        cert = orbit_certificate(state, spec, ID, outcome_interval(t))
+        alice, t = lacunary_run
+        cert = orbit_certificate(alice, outcome_interval(t))
         assert verify(cert).passed
 
 
@@ -219,31 +250,31 @@ class TestMutation:
     """Any tampering with c must fail closed through the re-derivation."""
 
     def test_halved_c_fails(self, lacunary_run):
-        spec, state, t = lacunary_run
-        cert = orbit_certificate(state, spec, ID, outcome_interval(t))
+        alice, t = lacunary_run
+        cert = orbit_certificate(alice, outcome_interval(t))
         bad = replace(cert, c=cert.c / 2)
         got = verify_orbit_separation(bad)
         assert not got.passed
         assert got.witness["field"] == "c"
 
     def test_doubled_c_fails(self, lacunary_run):
-        spec, state, t = lacunary_run
-        cert = orbit_certificate(state, spec, ID, outcome_interval(t))
+        alice, t = lacunary_run
+        cert = orbit_certificate(alice, outcome_interval(t))
         got = verify_orbit_separation(replace(cert, c=cert.c * 2))
         assert not got.passed
 
     def test_ba_halved_c_fails(self, ba_run):
-        state, t = ba_run
-        cert = ba_certificate(state, ID, outcome_interval(t))
+        alice, t = ba_run
+        cert = ba_certificate(alice, outcome_interval(t))
         got = verify_ba(replace(cert, c=cert.c / 2))
         assert not got.passed
         assert got.witness["field"] == "c"
 
     def test_snapshot_alpha_tamper_fails(self, lacunary_run):
-        spec, state, t = lacunary_run
-        cert = orbit_certificate(state, spec, ID, outcome_interval(t))
+        alice, t = lacunary_run
+        cert = orbit_certificate(alice, outcome_interval(t))
         snap = dict(cert.snapshot)
-        snap["alpha"] = str(state.alpha / 2)
+        snap["alpha"] = str(alice.alpha / 2)
         assert not verify_orbit_separation(replace(cert, snapshot=snap)).passed
 
     @pytest.mark.parametrize("kind, edit", SNAPSHOT_EDITS,
@@ -251,11 +282,11 @@ class TestMutation:
     def test_snapshot_edit_fails_closed(self, kind, edit, lacunary_run,
                                         ba_run):
         if kind == "orbit":
-            spec, state, t = lacunary_run
-            cert = orbit_certificate(state, spec, ID, outcome_interval(t))
+            alice, t = lacunary_run
+            cert = orbit_certificate(alice, outcome_interval(t))
         else:
-            state, t = ba_run
-            cert = ba_certificate(state, ID, outcome_interval(t))
+            alice, t = ba_run
+            cert = ba_certificate(alice, outcome_interval(t))
         snap = copy.deepcopy(cert.snapshot)
         edit(snap)
         got = verify(replace(cert, snapshot=snap))
@@ -265,20 +296,20 @@ class TestMutation:
     @pytest.mark.parametrize("key", ["rho0", "rho_prime"])
     @pytest.mark.parametrize("value", ["0", "-1/3"])
     def test_nonpositive_radius_is_bad_input(self, key, value, lacunary_run):
-        spec, state, t = lacunary_run
+        alice, t = lacunary_run
         snap = copy.deepcopy(
-            orbit_certificate(state, spec, ID, outcome_interval(t)).snapshot)
+            orbit_certificate(alice, outcome_interval(t)).snapshot)
         snap[key] = value
         with pytest.raises(SpecError):
             _schedule_inputs(snap)
 
     def test_inflated_horizon_raises(self, lacunary_run, ba_run):
-        spec, state, t = lacunary_run
-        cert = orbit_certificate(state, spec, ID, outcome_interval(t))
+        alice, t = lacunary_run
+        cert = orbit_certificate(alice, outcome_interval(t))
         with pytest.raises(HorizonMismatch):
             verify_orbit_separation(replace(cert, horizon=cert.horizon + 1))
-        ba_state, bt = ba_run
-        bcert = ba_certificate(ba_state, ID, outcome_interval(bt))
+        ba, bt = ba_run
+        bcert = ba_certificate(ba, outcome_interval(bt))
         with pytest.raises(HorizonMismatch):
             verify_ba(replace(bcert, horizon=bcert.horizon + 1))
 
@@ -355,22 +386,37 @@ class TestContinuedFractionOracle:
             assert f.denominator ** 2 * abs(x - f) == m
 
 
+def estimate(value):
+    """An exact pointwise estimate (one mass, not an enclosure) of value."""
+    return DimensionEstimate(F(1, 3), F(1, 9), F(1, 9), value)
+
+
 class TestDimensionReport:
     def test_frozen_margin(self):
         decay = DecayParams(F(1), F(1, 2), F(1))
         rep = dimension_report(MeasureAuditReport(decay=decay),
-                               estimates=[F(12, 25), F(1, 2)])
+                               estimates=[estimate(F(12, 25)),
+                                          estimate(F(1, 2))])
         assert rep.margin == F(1, 50)
         assert not rep.consistent
         assert rep.used == 2
         blob = rep.to_json()
         assert blob["margin"] == "1/50"
+        assert blob["estimates"][0] == {"rho": "1/3", "value": "12/25"}
+
+    def test_inconclusive_estimate_is_skipped(self):
+        decay = DecayParams(F(1), F(1, 2), F(1))
+        straddle = DimensionEstimate(F(1, 3), F(0), F(1, 9), F(1, 4))
+        rep = dimension_report(MeasureAuditReport(decay=decay),
+                               estimates=[straddle, estimate(F(1, 2))])
+        assert rep.used == 1 and rep.consistent
+        assert rep.to_json()["estimates"][0] == {"rho": "1/3", "value": None}
 
     def test_log_ratio_margin_is_an_enclosure(self):
         gamma = make_exponent(2, 3)
         rep = dimension_report(
             MeasureAuditReport(decay=DecayParams(F(8), gamma, F(1, 3))),
-            estimates=[F(1, 2)])
+            estimates=[estimate(F(1, 2))])
         assert not rep.consistent
         lo, hi = rep.to_json()["margin"]
         lo, hi = F(lo), F(hi)
@@ -393,7 +439,7 @@ class TestDimensionReport:
         decay = DecayParams(F(1), F(1, 3), F(1))
         audit = MeasureAuditReport(decay=decay,
                                    power_law=(F(1, 4), F(4), F(1, 2)))
-        rep = dimension_report(audit, estimates=[F(1, 2)])
+        rep = dimension_report(audit, estimates=[estimate(F(1, 2))])
         assert rep.analytic_bound == F(1, 2)
         assert rep.consistent
 
@@ -402,7 +448,7 @@ class TestDimensionReport:
         grid = AuditGrid.default(K, F(1, 3))
         gamma = make_exponent(2, 3)
         report = audit_measure(mu, grid, power_law=(F(1, 4), F(4), gamma))
-        rep = dimension_report(audit=report, estimates=[gamma])
+        rep = dimension_report(audit=report, estimates=[estimate(gamma)])
         assert rep.analytic_bound == gamma
         assert rep.consistent
 
@@ -413,7 +459,8 @@ class TestDimensionReport:
 
     def test_no_bound_raises(self):
         with pytest.raises(SpecError):
-            dimension_report(MeasureAuditReport(), estimates=[F(1, 2)])
+            dimension_report(MeasureAuditReport(),
+                             estimates=[estimate(F(1, 2))])
 
     def test_exponent_json(self):
         e = make_exponent(2, 3)

@@ -209,6 +209,41 @@ class TestPlay:
         assert "n_max must be a JSON integer" in capsys.readouterr().err
 
 
+class TestShortPlays:
+    """Certificates of plays too short for every part to finish a block."""
+
+    @pytest.mark.parametrize("name, rounds", [("cantor_ba.json", 1),
+                                              ("cantor_ba.json", 2),
+                                              ("cantor_triple.json", 1)])
+    def test_no_block_done_passes(self, tmp_path, capsys, name, rounds):
+        # no block has cleared the integers yet, so none is checked
+        assert main(["play", "--spec", bundled_spec_path(name), "--rounds",
+                     str(rounds), "--out", str(tmp_path)]) == 0
+        assert "FAIL" not in capsys.readouterr().out
+        bundle = json.loads((tmp_path / "certificates.json").read_text())
+        entry = bundle["certificates"][0]
+        assert entry["certificate"]["horizon"] == 0
+        assert entry["verification"]["checked"] == 0
+
+    @pytest.mark.parametrize("rounds, parts", [
+        (1, [("part1", "bad_approx", 1)]),
+        (20, [("part1", "bad_approx", 7), ("part2", "orbit_separation", 7),
+              ("part3", "orbit_separation", 6)])])
+    def test_interleave_certifies_each_planned_part(self, tmp_path, rounds,
+                                                    parts):
+        # a part that has not yet played a turn has no plan and no claim
+        assert main(["play", "--spec", bundled_spec_path("cantor_triple.json"),
+                     "--rounds", str(rounds), "--out", str(tmp_path)]) == 0
+        bundle = json.loads((tmp_path / "certificates.json").read_text())
+        got = [(e["name"], e["certificate"]["kind"],
+                e["certificate"]["snapshot"]["turns"])
+               for e in bundle["certificates"]]
+        assert got == parts
+        # every part plans with the effective beta*(alpha*beta)^2
+        assert {e["certificate"]["snapshot"]["beta"]
+                for e in bundle["certificates"]} == {"9/268435456"}
+
+
 class TestSpecPhi:
     """A spec's phi is the anchor form certificates write, end to end."""
 

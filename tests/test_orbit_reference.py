@@ -19,10 +19,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schmidtgame.alice import (BiLipschitzMap, ConstTargets, GeometricTerms,
-                               LacunarySpec, ListTargets, ListTerms,
-                               PeriodicTargets, _danger_entries,
-                               index_block, lacunary_constants, plan_lacunary)
+from schmidtgame.alice import (IDENTITY, BiLipschitzMap, ConstTargets,
+                               GeometricTerms, LacunarySpec, LacunaryStrategy,
+                               ListTargets, ListTerms, PeriodicTargets,
+                               lacunary_constants)
 from schmidtgame.certify import (ORBIT_SEPARATION, Certificate,
                                  VerificationResult, _orbit_witness,
                                  _schedule_inputs, verify_orbit_separation)
@@ -35,7 +35,7 @@ from circle_reference import circle_dist_range
 
 LOOSE = DecayParams(C=F(1, 4), gamma=F(1), rho0=F(1))
 QUARTER = GameParams(F(1, 4), F(1, 4))
-PHIS = [BiLipschitzMap.identity(),
+PHIS = [IDENTITY,
         BiLipschitzMap((), (F(-3, 2),), (F(0), F(1, 5))),
         BiLipschitzMap((F(0), F(1, 3)), (F(2), F(1, 2), F(3)),
                        (F(0), F(1, 7)))]
@@ -46,7 +46,7 @@ def reference_verify(cert: Certificate) -> VerificationResult:
     spec = LacunarySpec.from_json(snap["spec"])
     if "alpha" in snap:
         phi, alpha, beta, rho_prime, rho0 = _schedule_inputs(snap)
-        r = lacunary_constants(spec.M, phi.lipschitz, alpha, beta,
+        r = lacunary_constants(spec.lacunarity, phi.lipschitz, alpha, beta,
                                rho_prime, rho0)[1]
         top = (1 / (alpha * beta)) ** (r * cert.horizon)
 
@@ -75,10 +75,11 @@ def reference_verify(cert: Certificate) -> VerificationResult:
         "all %d covered terms stay %s-separated" % (checked, cert.c))
 
 
-def reference_danger(state, spec, phi, k, lo, hi):
+def reference_danger(strategy, k, lo, hi):
+    spec, phi = strategy.spec, strategy.phi
     u, v = phi.preimage_interval(lo, hi)
     entries = []
-    for n in index_block(state, spec, k):
+    for n in strategy.index_block(k):
         t = spec.terms.term(n)
         y = spec.targets.target(n)
         for m in range(math.ceil(t * u - y), math.floor(t * v - y) + 1):
@@ -191,16 +192,18 @@ def test_verifier_matches_reference(data):
 def test_danger_entries_match_reference(data):
     spec = LacunarySpec(data.draw(term_rules()), data.draw(target_rules()))
     phi = data.draw(st.sampled_from(PHIS))
-    state = plan_lacunary(spec, phi, QUARTER, LOOSE, Ball(F(0), F(1)))
+    strategy = LacunaryStrategy(spec, phi, LOOSE).plan(QUARTER,
+                                                        Ball(F(0), F(1)))
     k = data.draw(st.integers(1, 3))
-    block = index_block(state, spec, k)
+    block = strategy.index_block(k)
     # widths of a few of the block's smallest translate spacings
-    top = (1 / state.ab) ** (state.r * k)
+    top = (1 / strategy.ab) ** (strategy.r * k)
     ns = block or [1]
     u, v = data.draw(windows(spec, ns, ns[-1:], 1 / top))
     lo, hi = phi.apply_interval(u, v)
-    args = (state, spec, phi, k, lo, hi)
-    assert outcome(_danger_entries, *args) == outcome(reference_danger, *args)
+    args = (k, lo, hi)
+    assert outcome(strategy._danger_entries, *args) == \
+        outcome(reference_danger, strategy, *args)
 
 
 @pytest.fixture(scope="module")

@@ -1,6 +1,8 @@
 """The strategy protocol: a strategy answers the last ball, move(support,
 params, ball) and danger_preview(ball), and only `game` keeps the game
-record, so no other module builds a `Transcript` or appends to its moves."""
+record, so no other module builds a `Transcript` or appends to its moves.
+Each of Alice's schedules is one object that keeps its own state, so
+`alice` has no separate state class and no function of a state."""
 
 import ast
 from pathlib import Path
@@ -44,3 +46,31 @@ def test_only_game_keeps_the_record(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
     allowed = ("Transcript()", "moves.append") if path.name == "game.py" else ()
     assert [b for b in protocol_breaches(tree) if b[1] not in allowed] == []
+
+
+def state_breaches(tree):
+    """(line, what) for each state class, or module-level function taking
+    a state, outside the strategy objects."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and node.name.endswith("State"):
+            yield node.lineno, "class %s" % node.name
+        elif isinstance(node, ast.FunctionDef) and any(
+                a.arg == "state" for a in (*node.args.posonlyargs,
+                                           *node.args.args,
+                                           *node.args.kwonlyargs)):
+            yield node.lineno, "%s(state)" % node.name
+
+
+def test_state_guard_sees_each_kind():
+    code = ("class LacunaryStrategyState:\n    pass\n"
+            "def plan(x):\n    return x\n"
+            "def lacunary_move(state, ball):\n    return ball\n"
+            "class S:\n    def move(self, state):\n        return state\n")
+    assert list(state_breaches(ast.parse(code))) == [
+        (1, "class LacunaryStrategyState"), (5, "lacunary_move(state)")]
+
+
+def test_each_schedule_is_one_object():
+    path = SRC / "alice.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    assert list(state_breaches(tree)) == []
