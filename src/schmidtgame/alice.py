@@ -27,7 +27,7 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 from .errors import (HorizonMismatch, InvalidAlpha, InvariantViolation,
                      NoPointFound, ScheduleOverlap, SpecError)
 from .fractal import DecayParams, FractalSupport, check_alpha, find_point_in_gap
-from .game import Ball, GameParams, Variant, hold
+from .game import Ball, GameParams, Variant, _bits, hold
 from .numerics import (floor_sqrt, fractions_in_interval, json_rationals,
                        parse_rational)
 
@@ -37,8 +37,8 @@ __all__ = [
     "BiLipschitzMap", "GeometricTerms", "ListTerms", "ConstTargets",
     "PeriodicTargets", "ListTargets", "LacunarySpec", "orbit_residues",
     "ALPHA_DIAGNOSTIC", "avoidance_step", "lacunary_constants",
-    "ba_constants", "LacunaryStrategy", "BAStrategy", "ExcludeCountable",
-    "InterleaveStrategy", "affine_to_sequence",
+    "ba_constants", "ClearingStrategy", "LacunaryStrategy", "BAStrategy",
+    "ExcludeCountable", "InterleaveStrategy", "affine_to_sequence",
 ]
 
 
@@ -402,13 +402,6 @@ ALPHA_DIAGNOSTIC = "alpha exceeds 1/4(1/(3C))^(1/gamma) for this measure"
 MAX_BLOCK_CAPACITY = 10 ** 6
 
 
-def _check_plan_inputs(params: GameParams, decay: DecayParams) -> None:
-    if params.variant is not Variant.CLASSICAL:
-        raise SpecError("the clearing schedule needs exact classical radii")
-    if not check_alpha(params.alpha, decay):
-        raise InvalidAlpha(ALPHA_DIAGNOSTIC)
-
-
 def _block_capacity(inv: Fraction, M: Fraction) -> int:
     """Least N >= 1 with inv^r <= M^N for r = bit_length(N).
 
@@ -524,24 +517,24 @@ def avoidance_step(support: FractalSupport, ball: Ball, alpha: Fraction,
 
 
 # ---------------------------------------------------------------------------
-# lacunary orbit avoidance
+# the clearing schedule
 
 
-class LacunaryStrategy:
-    """Alice's lacunary clearing schedule, planned from the first ball.
+class ClearingStrategy:
+    """Alice's clearing schedule, planned from the first ball.
 
-    The plan fixes alpha and beta, the opening radius rho_prime and the
-    constants of lacunary_constants; rho is the ball radius at the first
-    post-warm-up turn, and every schedule radius is an exact power of
-    alpha*beta times rho.  The bookkeeping counts turns and cleared blocks
-    and keeps the current block's danger list.
+    The plan fixes alpha and beta, the opening radius rho_prime and, by the
+    source's ``_constants()``, the certified constant c and the schedule:
+    block capacity N, turns per block r, the turn ``start`` that opens
+    block 1, its radius ``rho_start`` and the ``spread`` that scales a
+    block's radius to its margin.  A source also lists the distinct danger
+    points of block k in [lo, hi]: ``_block_points(k, ball, lo, hi)``.
     """
 
-    def __init__(self, spec: LacunarySpec, phi: BiLipschitzMap = IDENTITY,
+    def __init__(self, phi: BiLipschitzMap = IDENTITY,
                  decay: Optional[DecayParams] = None):
         if decay is None:
-            raise SpecError("lacunary planning needs the measure's decay data")
-        self.spec = spec
+            raise SpecError("planning needs the measure's decay data")
         self.phi = phi
         self.decay = decay
         self.planned = False
@@ -550,22 +543,95 @@ class LacunaryStrategy:
         self.danger: List[Fraction] = []
         self.block_points: List[Fraction] = []
 
-    def plan(self, params: GameParams, opening: Ball) -> "LacunaryStrategy":
-        """Derive the schedule constants; see lacunary_constants.  Raises
-        InvalidAlpha when alpha fails the decay admissibility bound
-        (4*alpha)^gamma <= 1/(3C)."""
-        _check_plan_inputs(params, self.decay)
+    def plan(self, params: GameParams, opening: Ball) -> "ClearingStrategy":
+        """Derive the schedule constants.  Raises InvalidAlpha when alpha
+        fails the decay admissibility bound (4*alpha)^gamma <= 1/(3C)."""
+        if params.variant is not Variant.CLASSICAL:
+            raise SpecError("the clearing schedule needs exact classical radii")
+        if not check_alpha(params.alpha, self.decay):
+            raise InvalidAlpha(ALPHA_DIAGNOSTIC)
         self.alpha, self.beta = params.alpha, params.beta
         self.rho_prime = Fraction(opening.radius)
-        self.N, self.r, self.k0, self.rho, self.c = lacunary_constants(
-            self.spec.lacunarity, self.phi.lipschitz, self.alpha, self.beta,
-            self.rho_prime, self.decay.rho0)
+        self._constants()
         self.planned = True
         return self
 
     @property
     def ab(self) -> Fraction:
         return self.alpha * self.beta
+
+    def move(self, support: FractalSupport, params: GameParams,
+             bob_ball: Ball) -> Ball:
+        """Hold the center before ``start``.  Block k opens at turn
+        start + r(k-1) on radius rho_start*(alpha*beta)^{r(k-1)}, lists its
+        at most N < 2^r danger points within margin = spread*radius, and
+        halves the list at each of its r turns, leaving every point farther
+        than margin from the final ball."""
+        if not self.planned:
+            self.plan(params, bob_ball)
+        self.turn += 1
+        if self.turn < self.start:
+            return hold(bob_ball, params.alpha)
+        k, step = divmod(self.turn - self.start + self.r, self.r)
+        if step == 0:
+            expected = self.rho_start * self.ab ** (self.r * (k - 1))
+            if bob_ball.radius != expected:
+                raise InvariantViolation(
+                    "ball radius off schedule at block %d: %s != %s"
+                    % (k, _bits(bob_ball.radius), _bits(expected)))
+            # inflate by the margin so near-outside points count too
+            self.margin = self.spread * expected
+            lo, hi = bob_ball.interval
+            points = self._block_points(k, bob_ball, lo - self.margin,
+                                        hi + self.margin)
+            if len(points) > self.N:
+                raise InvariantViolation(
+                    "danger list of block %d exceeds the block capacity N" % k)
+            self.danger, self.block_points = points, list(points)
+        before = self.danger
+        ball = avoidance_step(support, bob_ball, self.alpha, before)
+        reach = 2 * self.alpha * bob_ball.radius
+        self.danger = [y for y in before if abs(y - ball.center) <= reach]
+        if 2 * len(self.danger) > len(before):
+            raise InvariantViolation(
+                "clearing step failed to halve the danger list")
+        if step == self.r - 1:
+            if self.danger:
+                raise InvariantViolation(
+                    "danger points survived block %d clearing" % k)
+            for z in self.block_points:
+                if abs(z - ball.center) - ball.radius < self.margin:
+                    raise InvariantViolation(
+                        "cleared point (%s) inside the margin" % _bits(z))
+            self.blocks_cleared = k
+        return ball
+
+    def danger_preview(self, ball) -> List[Fraction]:
+        return list(self.danger)
+
+
+# ---------------------------------------------------------------------------
+# lacunary orbit avoidance
+
+
+class LacunaryStrategy(ClearingStrategy):
+    """Orbit avoidance: block k's danger points are the translates
+    phi((y_n + m)/t_n) of its terms (alpha*beta)^{-r(k-1)} <= t_n <
+    (alpha*beta)^{-rk}.  See lacunary_constants; rho is the radius after
+    the k0 - 1 warm-up turns, and block 1 opens 2r - 1 turns later."""
+
+    def __init__(self, spec: LacunarySpec, phi: BiLipschitzMap = IDENTITY,
+                 decay: Optional[DecayParams] = None):
+        super().__init__(phi, decay)
+        self.spec = spec
+
+    def _constants(self):
+        self.N, self.r, self.k0, self.rho, self.c = lacunary_constants(
+            self.spec.lacunarity, self.phi.lipschitz, self.alpha, self.beta,
+            self.rho_prime, self.decay.rho0)
+        self.start = self.k0 + 2 * self.r - 1
+        self.rho_start = self.ab ** (2 * self.r - 1) * self.rho
+        self.spread = self.ab ** (self.r + 1)
 
     def index_block(self, k: int) -> List[int]:
         """All n with (alpha*beta)^{-r(k-1)} <= t_n < (alpha*beta)^{-rk}."""
@@ -593,120 +659,38 @@ class LacunaryStrategy:
                 entries.append((n, m, phi.apply((y + m) / t)))
         return entries
 
-    def _enter_block(self, k, bob_ball):
-        ab = self.ab
-        expected = ab ** (self.r * (k + 1) - 1) * self.rho
-        if bob_ball.radius != expected:
-            raise InvariantViolation(
-                "ball radius off schedule at block %d: %s != %s"
-                % (k, bob_ball.radius, expected))
+    def _block_points(self, k, ball, lo, hi) -> List[Fraction]:
         # premise: the ball is smaller than the translate spacing of block k
-        if not 2 * bob_ball.radius < ab ** (self.r * k) / self.phi.lipschitz:
+        if not 2 * ball.radius < self.ab ** (self.r * k) / self.phi.lipschitz:
             raise InvariantViolation("block %d ball exceeds translate spacing" % k)
-        # inflate by the final separation so near-outside translates count too
-        slack = ab ** (self.r * (k + 2)) * self.rho
-        entries = self._danger_entries(
-            k, bob_ball.center - bob_ball.radius - slack,
-            bob_ball.center + bob_ball.radius + slack)
+        entries = self._danger_entries(k, lo, hi)
         seen = {}
         for n, m, z in entries:
-            if n in seen and seen[n] != m:
+            if seen.setdefault(n, m) != m:
                 raise InvariantViolation(
                     "two translates of term %d in one clearing window" % n)
-            seen[n] = m
-        zs = sorted({z for _, _, z in entries})
-        if len(zs) > self.N:
-            raise InvariantViolation("danger list exceeds the block capacity N")
-        self.danger = zs
-        self.block_points = list(zs)
-
-    def _finish_block(self, k, ball):
-        if self.danger:
-            raise InvariantViolation(
-                "danger points survived block %d clearing" % k)
-        threshold = self.ab ** (self.r * (k + 2)) * self.rho
-        for z in self.block_points:
-            if abs(z - ball.center) - ball.radius < threshold:
-                raise InvariantViolation(
-                    "cleared translate %s closer than the block separation" % z)
-        self.blocks_cleared = k
-
-    def move(self, support: FractalSupport, params: GameParams,
-             bob_ball: Ball) -> Ball:
-        """Alice's next ball under the lacunary clearing schedule.
-
-        Warm-up turns hold the center.  Block k is cleared over the r turns
-        starting when the ball radius reaches (alpha*beta)^{r(k+1)-1} * rho;
-        each turn runs one avoidance step on the surviving danger list, which
-        at least halves it, so r turns empty a list of size <= N < 2^r.
-        """
-        if not self.planned:
-            self.plan(params, bob_ball)
-        self.turn += 1
-        e = self.turn
-        if e == self.k0 and bob_ball.radius != self.rho:
-            raise InvariantViolation("warm-up did not land on the planned rho")
-        j = e - self.k0 + 1
-        if j < 2 * self.r:
-            return hold(bob_ball, params.alpha)
-        k = j // self.r - 1
-        step = j - self.r * (k + 1) + 1
-        if step == 1:
-            self._enter_block(k, bob_ball)
-        before = list(self.danger)
-        ball = avoidance_step(support, bob_ball, self.alpha, before)
-        reach = 2 * self.alpha * bob_ball.radius
-        survivors = [y for y in before if abs(y - ball.center) <= reach]
-        if 2 * len(survivors) > len(before):
-            raise InvariantViolation(
-                "clearing step failed to halve the danger list")
-        self.danger = survivors
-        if step == self.r:
-            self._finish_block(k, ball)
-        return ball
-
-    def danger_preview(self, ball) -> List[Fraction]:
-        return list(self.danger)
+        return sorted({z for _, _, z in entries})
 
 
 # ---------------------------------------------------------------------------
 # badly approximable numbers
 
 
-class BAStrategy:
-    """Alice's rational-clearing schedule, planned from the first ball.
+class BAStrategy(ClearingStrategy):
+    """Badly approximable numbers: block k's danger points are the
+    phi-images of the reduced p/q with R^{k-1} <= q < R^k, R =
+    (alpha*beta)^{-1/2}.  One turn clears the at most one in the window
+    (r = N = 1), giving |phi^-1(x) - p/q| > c/q^2 on the final ball; see
+    ba_constants.  Ranges compare q^2 with powers of alpha*beta, so R
+    never needs surd arithmetic."""
 
-    The plan fixes alpha and beta, the opening radius rho_prime and the
-    constants of ba_constants.  Denominator ranges are compared through q^2
-    against powers of alpha*beta, so the growth rate R = (alpha*beta)^{-1/2}
-    never needs surd arithmetic.
-    """
-
-    def __init__(self, phi: BiLipschitzMap = IDENTITY,
-                 decay: Optional[DecayParams] = None):
-        if decay is None:
-            raise SpecError("planning needs the measure's decay data")
-        self.phi = phi
-        self.decay = decay
-        self.planned = False
-        self.turn = 0
-        self.blocks_done = 0
-
-    def plan(self, params: GameParams, opening: Ball) -> "BAStrategy":
-        """Derive the schedule constants; see ba_constants."""
-        _check_plan_inputs(params, self.decay)
-        self.alpha, self.beta = params.alpha, params.beta
-        self.rho_prime = Fraction(opening.radius)
-        L = self.phi.lipschitz
+    def _constants(self):
         self.k0, self.rho, self.c = ba_constants(
-            L, self.alpha, self.beta, self.rho_prime, self.decay.rho0)
-        assert self.rho < min(self.ab / (2 * L), self.decay.rho0)
-        self.planned = True
-        return self
-
-    @property
-    def ab(self) -> Fraction:
-        return self.alpha * self.beta
+            self.phi.lipschitz, self.alpha, self.beta, self.rho_prime,
+            self.decay.rho0)
+        self.N = self.r = 1
+        self.start, self.rho_start = self.k0 - 1, self.rho / self.ab
+        self.spread = self.alpha
 
     def _block_candidates(self, k: int, lo: Fraction,
                           hi: Fraction) -> List[Fraction]:
@@ -721,48 +705,15 @@ class BAStrategy:
                 out.append(f)
         return out
 
-    def move(self, support: FractalSupport, params: GameParams,
-             bob_ball: Ball) -> Ball:
-        """Alice's next ball under the rational-clearing schedule.
-
-        At the turn where the ball radius is (alpha*beta)^{k-2} * rho the
-        margin-inflated window holds at most one reduced p/q with denominator
-        in [R^{k-1}, R^k); one avoidance step pushes the ball farther than
-        alpha times the radius from its phi-image, which translates into
-        |phi^-1(x) - p/q| > c/q^2 on the whole final ball.
-        """
-        if not self.planned:
-            self.plan(params, bob_ball)
-        self.turn += 1
-        e = self.turn
-        if e < self.k0 - 1:
-            return hold(bob_ball, params.alpha)
-        k = e - self.k0 + 2
-        expected = self.ab ** (k - 2) * self.rho
-        if bob_ball.radius != expected:
-            raise InvariantViolation(
-                "ball radius off schedule at denominator block %d" % k)
-        margin = self.alpha * bob_ball.radius
-        cands = self._block_candidates(
-            k, bob_ball.center - bob_ball.radius - margin,
-            bob_ball.center + bob_ball.radius + margin)
-        if len(cands) > 1:
-            raise InvariantViolation(
-                "two rationals of block %d in one clearing window" % k)
-        targets = [self.phi.apply(f) for f in cands]
-        ball = avoidance_step(support, bob_ball, self.alpha, targets)
-        for z in targets:
-            if abs(z - ball.center) - ball.radius < margin:
-                raise InvariantViolation("rational translate not cleared")
-        self.blocks_done = k
-        return ball
+    def _block_points(self, k, ball, lo, hi) -> List[Fraction]:
+        return [self.phi.apply(f) for f in self._block_candidates(k, lo, hi)]
 
     def danger_preview(self, ball) -> List[Fraction]:
         """The block's rationals nearest the center, mapped by phi: windows
         about the center, from (alpha*beta)^k ~ 1/qmax^2 doubling up to the
         whole ball, until one holds a candidate.
 
-        The preview looks at block blocks_done + 1 but at most block 12, a
+        The preview looks at block blocks_cleared + 1, at most 12, a
         bound on cost: past block 11 the schedule has already cleared block
         12 out of the ball, so the preview is almost always empty and greedy
         Bob keeps the center.  Previewing the next block uncapped hands him
@@ -773,7 +724,7 @@ class BAStrategy:
         """
         if not self.planned:
             return []
-        k = min(self.blocks_done + 1, 12)
+        k = min(self.blocks_cleared + 1, 12)
         lo, hi = ball.interval
         w = self.ab ** k
         while True:
@@ -855,7 +806,7 @@ class InterleaveStrategy:
     def danger_preview(self, ball) -> List[Fraction]:
         out: List[Fraction] = []
         for strat, last in zip(self.strategies, self.last):
-            if last is not None and hasattr(strat, "danger_preview"):
+            if last is not None:
                 out.extend(strat.danger_preview(last))
         return out[:32]
 

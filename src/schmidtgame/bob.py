@@ -93,7 +93,7 @@ class GreedyBob:
     """White-box adversary: steers toward the opponent's danger points.
 
     ``alice`` is the strategy object being stressed; its danger_preview
-    (when it has one) names the points it is currently trying to clear.
+    names the points it is currently trying to clear.
     A static target list can be supplied instead.
     """
 
@@ -103,7 +103,7 @@ class GreedyBob:
 
     def move(self, support, params, ball) -> Ball:
         targets = list(self.targets)
-        if self.alice is not None and hasattr(self.alice, "danger_preview"):
+        if self.alice is not None:
             targets.extend(self.alice.danger_preview(ball))
         return greedy_move(support, ball, params, targets)
 

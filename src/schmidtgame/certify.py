@@ -124,10 +124,11 @@ def orbit_certificate(strategy: LacunaryStrategy,
 
 def ba_certificate(strategy: BAStrategy,
                    interval: Tuple[Fraction, Fraction]) -> Certificate:
-    """Claim of a planned badly-approximable strategy: denominator blocks
-    done so far."""
-    return Certificate(BAD_APPROX, interval, strategy.c, strategy.blocks_done,
-                       "blocks", _schedule_snapshot(strategy))
+    """Claim of a planned badly-approximable strategy: the blocks cleared
+    so far, at constant c."""
+    return Certificate(BAD_APPROX, interval, strategy.c,
+                       strategy.blocks_cleared, "blocks",
+                       _schedule_snapshot(strategy))
 
 
 # ---------------------------------------------------------------------------
@@ -173,6 +174,19 @@ def _constant_mismatch(expected: Fraction, got: Fraction) -> VerificationResult:
         witness={"field": "c", "expected": str(expected), "got": str(got)})
 
 
+def _check_blocks(cert: Certificate, start: int, r: int) -> None:
+    """Raise HorizonMismatch unless the snapshot's turns finish the claimed
+    blocks: block k opens at turn start + r(k-1) and takes r turns."""
+    if cert.horizon_kind != "blocks":
+        raise SpecError("schedule snapshots certify whole blocks")
+    turns = json_int(cert.snapshot["turns"], "snapshot turns")
+    done = max(0, (turns - start + 1) // r)
+    if cert.horizon > done:
+        raise HorizonMismatch(
+            "certificate claims %d blocks but %d turns finish at most %d"
+            % (cert.horizon, turns, done))
+
+
 def _orbit_witness(phi: BiLipschitzMap, u: Fraction, v: Fraction,
                    t: Fraction, y: Fraction, n: int) -> dict:
     """The interval point whose n-th orbit term lands nearest the target."""
@@ -205,14 +219,7 @@ def verify_orbit_separation(cert: Certificate) -> VerificationResult:
                                             alpha, beta, rho_prime, rho0)
         if c != cert.c:
             return _constant_mismatch(c, cert.c)
-        if cert.horizon_kind != "blocks":
-            raise SpecError("schedule snapshots certify whole blocks")
-        turns = json_int(snap["turns"], "snapshot turns")
-        reachable = (turns - k0 + 2) // r - 2
-        if cert.horizon > max(0, reachable):
-            raise HorizonMismatch(
-                "certificate claims %d blocks but %d turns finish at most %d"
-                % (cert.horizon, turns, max(0, reachable)))
+        _check_blocks(cert, k0 + 2 * r - 1, r)
         indices = spec.terms.indices_between(
             0, (1 / (alpha * beta)) ** (r * cert.horizon))
     else:
@@ -261,13 +268,7 @@ def verify_ba(cert: Certificate, max_q: int = DEFAULT_MAX_Q) -> VerificationResu
         k0, _, c = ba_constants(phi.lipschitz, alpha, beta, rho_prime, rho0)
         if c != cert.c:
             return _constant_mismatch(c, cert.c)
-        if cert.horizon_kind != "blocks":
-            raise SpecError("schedule snapshots certify whole blocks")
-        turns = json_int(snap["turns"], "snapshot turns")
-        if cert.horizon > max(0, turns - k0 + 2):
-            raise HorizonMismatch(
-                "certificate claims %d blocks but %d turns finish at most %d"
-                % (cert.horizon, turns, max(0, turns - k0 + 2)))
+        _check_blocks(cert, k0 - 1, 1)
         # h blocks clear every q with q^2 < (alpha*beta)^-h, and no more
         bound = (1 / (alpha * beta)) ** cert.horizon
         q_cap = floor_sqrt(bound)

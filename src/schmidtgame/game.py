@@ -197,3 +197,6 @@ class HoldCenter:
 
     def move(self, support, params, ball):
         return hold(ball, params.alpha)
+
+    def danger_preview(self, ball):
+        return []

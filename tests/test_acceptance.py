@@ -80,9 +80,9 @@ def test_2_ba_end_to_end(K, decay):
     formula_c = (1 / alice.ab) * alice.alpha * alice.rho / alice.phi.lipschitz
     cert = ba_certificate(alice, outcome_interval(transcript))
     result = verify_ba(cert)
-    q_cap = min(floor_sqrt((1 / alice.ab) ** alice.blocks_done), 10 ** 6)
+    q_cap = min(floor_sqrt((1 / alice.ab) ** alice.blocks_cleared), 10 ** 6)
     ok = (result.passed and cert.c == formula_c == alice.c
-          and alice.blocks_done >= 30 and q_cap == 10 ** 6)
+          and alice.blocks_cleared >= 30 and q_cap == 10 ** 6)
     report(2, "badly approximable", ok, time.monotonic() - t0, budget=60)
 
 

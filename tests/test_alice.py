@@ -12,12 +12,13 @@ from schmidtgame.alice import (BAStrategy, BiLipschitzMap, ConstTargets,
                                affine_to_sequence, avoidance_step)
 from schmidtgame.bob import KeepCenterBob
 from schmidtgame.errors import (HorizonMismatch, InvalidAlpha,
-                                NoPointFound, ScheduleOverlap, SpecError)
+                                InvariantViolation, NoPointFound,
+                                ScheduleOverlap, SpecError)
 from schmidtgame.cli import bundled_spec_path, main
 from schmidtgame.fractal import (DecayParams, FractalSupport, cantor_support,
                                  decay_from_federer_efd, efd_to_exponent,
                                  federer_to_exponent, max_alpha)
-from schmidtgame.game import (Ball, GameParams, HoldCenter, Variant,
+from schmidtgame.game import (Ball, GameParams, HoldCenter, Variant, hold,
                               outcome_interval, run_game, validate_transcript)
 from schmidtgame.numerics import circle_dist, fractions_in_interval
 
@@ -441,10 +442,10 @@ class TestBAEndToEnd:
         rng = random.Random(11)
         hits = 0
         for _ in range(400):
-            ba.blocks_done = rng.randint(0, 2)
+            ba.blocks_cleared = rng.randint(0, 2)
             ball = Ball(F(rng.randint(0, 10 ** 4), 10 ** 4),
                         F(1, rng.randint(10, 10 ** 5)))
-            k = ba.blocks_done + 1
+            k = ba.blocks_cleared + 1
             full = ba._block_candidates(k, *ball.interval)
             if len(full) > 16:
                 continue
@@ -459,7 +460,7 @@ class TestBAEndToEnd:
         params = GameParams(cantor_alpha, F(1, 4))
         ba = BAStrategy(decay=cantor_decay)
         t = run_game(K, params, ba, KeepCenterBob(), rounds=40)
-        assert ba.blocks_done == 38
+        assert ba.blocks_cleared == 38
         lo, hi = outcome_interval(t)
         c = ba.c
         for f in fractions_in_interval(lo - c, hi + c, 10 ** 6):
@@ -490,6 +491,54 @@ class TestExcludeCountable:
         a = ExcludeCountable([])
         t = run_game(K, params, a, KeepCenterBob(), rounds=3)
         assert all(b.center == t.moves[0][1].center for _, b in t.moves)
+
+
+# both danger sources, on the schedule that ClearingStrategy runs
+SOURCES = {"lacunary": lambda: LacunaryStrategy(lac2(), decay=LOOSE),
+           "ba": lambda: BAStrategy(decay=LOOSE)}
+
+
+def at_block_one(kind, opening=Ball(F(0), F(1))):
+    """A strategy planned for QUARTER whose next move opens block 1."""
+    st = SOURCES[kind]().plan(QUARTER, opening)
+    st.turn = st.start - 1
+    return st
+
+
+@pytest.mark.parametrize("kind", SOURCES)
+class TestScheduleFailsClosed:
+    def test_off_schedule_radius(self, K, kind):
+        # block 1's radius check is also lacunary's check that the warm-up
+        # landed on rho: under classical radii the two are one condition
+        st = at_block_one(kind)
+        with pytest.raises(InvariantViolation, match="off schedule at block 1"):
+            st.move(K, QUARTER, Ball(F(0), 2 * st.rho_start))
+
+    def test_off_schedule_radius_past_the_digit_limit(self, K, kind):
+        # str() of these radii raises ValueError (over 4,300 digits), which
+        # the CLI would report as bad input; the message gives bit sizes
+        st = at_block_one(kind, Ball(F(0), F(1, 3 ** 9000)))
+        with pytest.raises(InvariantViolation, match="bits"):
+            st.move(K, QUARTER, Ball(F(0), st.rho_start / 2))
+
+    def test_capacity_check(self, K, kind, monkeypatch):
+        st = at_block_one(kind)
+        crowd = [F(i, 10 ** 9) for i in range(st.N + 1)]
+        monkeypatch.setattr(st, "_block_points", lambda *args: crowd)
+        with pytest.raises(InvariantViolation, match="capacity"):
+            st.move(K, QUARTER, Ball(F(0), st.rho_start))
+
+    def test_halving_check(self, K, kind, monkeypatch):
+        st = at_block_one(kind)
+        # N points within a quarter radius of the center
+        crowd = [i * st.rho_start / (4 * st.N) for i in range(st.N)]
+        monkeypatch.setattr(st, "_block_points", lambda *args: crowd)
+        # a step that keeps the center leaves the whole crowd near the ball
+        monkeypatch.setattr(alice, "avoidance_step",
+                            lambda support, ball, ratio, points:
+                            hold(ball, ratio))
+        with pytest.raises(InvariantViolation, match="halve"):
+            st.move(K, QUARTER, Ball(F(0), st.rho_start))
 
 
 class TestInterleave:
@@ -524,13 +573,13 @@ class TestInterleave:
         ab_eff = params.alpha * params.beta * (params.alpha * params.beta)
         assert lac.ab == ab_eff and ba.ab == ab_eff
         assert lac.blocks_cleared >= 1
-        assert ba.blocks_done >= 1
+        assert ba.blocks_cleared >= 1
         ok, _ = orbit_claim_holds(lac, lo, hi)
         assert ok
         c = ba.c
         inv = 1 / ba.ab
         from schmidtgame.numerics import floor_sqrt
-        Q = min(floor_sqrt(inv ** ba.blocks_done), 10 ** 5)
+        Q = min(floor_sqrt(inv ** ba.blocks_cleared), 10 ** 5)
         for f in fractions_in_interval(lo - c, hi + c, Q):
             d = max(F(0), lo - f, f - hi)
             assert d > c / f.denominator ** 2

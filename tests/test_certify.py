@@ -10,7 +10,7 @@ from schmidtgame.alice import (IDENTITY, BAStrategy, BiLipschitzMap,
                                ConstTargets, ba_constants,
                                GeometricTerms, LacunarySpec, LacunaryStrategy,
                                ListTargets)
-from schmidtgame.bob import RandomBob
+from schmidtgame.bob import KeepCenterBob, RandomBob
 from schmidtgame.certify import (Certificate, DimensionReport,
                                  _schedule_inputs, ba_certificate,
                                  dimension_report, exponent_from_json,
@@ -24,7 +24,7 @@ from schmidtgame.fractal import (AuditGrid, DecayParams, DimensionEstimate,
                                  decay_from_federer_efd, efd_to_exponent,
                                  federer_to_exponent,
                                  lower_pointwise_dimension, max_alpha)
-from schmidtgame.game import GameParams, outcome_interval, run_game
+from schmidtgame.game import Ball, GameParams, outcome_interval, run_game
 from schmidtgame.numerics import (LogRatio, Ordering, exponent_cmp,
                                   make_exponent)
 
@@ -244,6 +244,40 @@ class TestEndToEnd:
         alice, t = lacunary_run
         cert = orbit_certificate(alice, outcome_interval(t))
         assert verify(cert).passed
+
+
+class CheckedEachTurn:
+    """Alice's strategy, her certificate put to the verifier after each
+    move: the blocks she has cleared pass, one block more is a horizon
+    mismatch.  This ties the schedule's start and r to the verifier's."""
+
+    def __init__(self, strategy, certificate):
+        self.strategy, self.certificate = strategy, certificate
+
+    def move(self, support, params, ball):
+        out = self.strategy.move(support, params, ball)
+        cert = self.certificate(self.strategy, out.interval)
+        assert verify(cert).passed
+        with pytest.raises(HorizonMismatch):
+            verify(replace(cert, horizon=cert.horizon + 1))
+        return out
+
+
+@pytest.mark.parametrize("make, certificate", [
+    (lambda decay: LacunaryStrategy(
+        LacunarySpec(GeometricTerms(F(2)), ConstTargets(F(0))), decay=decay),
+     orbit_certificate),
+    (lambda decay: BAStrategy(decay=decay), ba_certificate)],
+    ids=["lacunary", "ba"])
+def test_schedule_and_verifier_agree_on_every_turn(K, cantor_decay, make,
+                                                   certificate):
+    params = GameParams(max_alpha(cantor_decay), F(1, 4))
+    opening = Ball(K.canonical_point, K.diameter, word=())
+    alice = make(cantor_decay).plan(params, opening)
+    rounds = alice.start + 3 * alice.r + 2
+    run_game(K, params, CheckedEachTurn(alice, certificate), KeepCenterBob(),
+             rounds, opening)
+    assert alice.turn == rounds and alice.blocks_cleared >= 3
 
 
 class TestMutation:
