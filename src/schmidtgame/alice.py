@@ -74,46 +74,35 @@ class BiLipschitzMap:
                 raise SpecError("breakpoints must be strictly increasing")
         if self.breakpoints and self.anchor[0] != self.breakpoints[0]:
             raise SpecError("anchor must sit on the first breakpoint")
-
-    def _values(self) -> List[Fraction]:
-        # images of the breakpoints, by continuity from the anchor
-        vals = []
-        if self.breakpoints:
-            v = self.anchor[1]
-            vals.append(v)
-            for i in range(1, len(self.breakpoints)):
-                v = v + self.slopes[i] * (self.breakpoints[i] - self.breakpoints[i - 1])
-                vals.append(v)
-        return vals
+        # the breakpoints and their images, by continuity from the anchor;
+        # the anchor alone for a map with one piece
+        refs = [self.anchor]
+        for x, slope in zip(self.breakpoints[1:], self.slopes[1:]):
+            x0, y0 = refs[-1]
+            refs.append((x, y0 + slope * (x - x0)))
+        object.__setattr__(self, "_refs", tuple(refs))
 
     def apply(self, x) -> Fraction:
         x = Fraction(x)
-        if not self.breakpoints:
-            x0, y0 = self.anchor
-            return y0 + self.slopes[0] * (x - x0)
-        vals = self._values()
-        # piece i covers (breakpoints[i-1], breakpoints[i]]
-        i = 0
-        while i < len(self.breakpoints) and x > self.breakpoints[i]:
-            i += 1
-        ref = 0 if i == 0 else i - 1
-        return vals[ref] + self.slopes[i] * (x - self.breakpoints[ref])
+        x0, y0, slope = self._piece(x, 0, 1)
+        return y0 + slope * (x - x0)
 
     def inverse(self, y) -> Fraction:
         y = Fraction(y)
-        if not self.breakpoints:
-            x0, y0 = self.anchor
-            return x0 + (y - y0) / self.slopes[0]
-        vals = self._values()
-        inc = self.slopes[0] > 0
-        n = len(vals)
-        for i in range(n + 1):
-            above = i == 0 or (y >= vals[i - 1] if inc else y <= vals[i - 1])
-            below = i == n or (y <= vals[i] if inc else y >= vals[i])
-            if above and below:
-                ref = 0 if i == 0 else i - 1
-                return self.breakpoints[ref] + (y - vals[ref]) / self.slopes[i]
-        raise InvariantViolation("monotone map has no piece for value")
+        x0, y0, slope = self._piece(y, 1, 1 if self.slopes[0] > 0 else -1)
+        return x0 + (y - y0) / slope
+
+    def _piece(self, v: Fraction, axis: int, sign: int):
+        """(x0, y0, slope) of the piece holding v on ``axis`` (0: x, 1: y).
+
+        Piece i lies between reference points i-1 and i, so bisecting the
+        breakpoints' coordinates, times ``sign`` so that they increase,
+        finds it.  It is evaluated from its left reference point, the first
+        piece from its right one."""
+        i = bisect.bisect_left(self._refs, sign * v, hi=len(self.breakpoints),
+                               key=lambda p: sign * p[axis])
+        x0, y0 = self._refs[max(i - 1, 0)]
+        return x0, y0, self.slopes[i]
 
     def apply_interval(self, lo, hi) -> Tuple[Fraction, Fraction]:
         a, b = self.apply(lo), self.apply(hi)
@@ -359,10 +348,8 @@ class LacunarySpec:
         M = Fraction(M)
         if M <= 1:
             raise SpecError("lacunarity constant must exceed 1")
-        if isinstance(self.terms, GeometricTerms) and M > self.terms.base:
-            raise SpecError("lacunarity constant exceeds the geometric ratio")
-        if isinstance(self.terms, ListTerms) and M > self.terms.lacunarity:
-            raise SpecError("lacunarity constant exceeds the list's ratio bound")
+        if M > self.terms.lacunarity:
+            raise SpecError("lacunarity constant exceeds the terms' ratio bound")
         object.__setattr__(self, "lacunarity", M)
 
     def to_json(self) -> dict:
@@ -474,11 +461,12 @@ def ba_constants(L: Fraction, alpha: Fraction, beta: Fraction,
 
 
 def avoidance_step(support: FractalSupport, ball: Ball, alpha: Fraction,
-                   points: Sequence[Fraction]) -> Ball:
+                   points: Sequence[Fraction]) -> Tuple[Ball, List[Fraction]]:
     """One shrinking move that avoids at least half of ``points``.
 
     Returns a ball of radius alpha*rho contained in ``ball`` whose distance
-    to at least ceil(len(points)/2) of the points exceeds alpha*rho.  If at
+    to at least ceil(len(points)/2) of the points exceeds alpha*rho, and the
+    points it keeps: those still within 2*alpha*rho of its center.  If at
     most half the points sit within 2*alpha*rho of the center, keeping the
     center already clears the far ones; otherwise any support point farther
     than 4*alpha*rho from the center and from both endpoints clears the
@@ -508,12 +496,12 @@ def avoidance_step(support: FractalSupport, ball: Ball, alpha: Fraction,
     # exact postconditions: containment and clearing at least half
     if abs(new.center - x1) > rho - new.radius:
         raise InvariantViolation("avoidance move left the ball")
-    cleared = [y for y in points if abs(Fraction(y) - new.center) > reach]
-    if 2 * len(cleared) < len(points):
+    kept = [y for y in points if abs(Fraction(y) - new.center) <= reach]
+    if 2 * len(kept) > len(points):
         raise InvariantViolation("avoidance move cleared fewer than half")
-    if any(abs(Fraction(y) - new.center) == reach for y in points):
+    if any(abs(Fraction(y) - new.center) == reach for y in kept):
         log.info("avoidance distance met with equality at radius %s", rho)
-    return new
+    return new, kept
 
 
 # ---------------------------------------------------------------------------
@@ -587,14 +575,9 @@ class ClearingStrategy:
             if len(points) > self.N:
                 raise InvariantViolation(
                     "danger list of block %d exceeds the block capacity N" % k)
-            self.danger, self.block_points = points, list(points)
-        before = self.danger
-        ball = avoidance_step(support, bob_ball, self.alpha, before)
-        reach = 2 * self.alpha * bob_ball.radius
-        self.danger = [y for y in before if abs(y - ball.center) <= reach]
-        if 2 * len(self.danger) > len(before):
-            raise InvariantViolation(
-                "clearing step failed to halve the danger list")
+            self.danger = self.block_points = points
+        ball, self.danger = avoidance_step(support, bob_ball, self.alpha,
+                                           self.danger)
         if step == self.r - 1:
             if self.danger:
                 raise InvariantViolation(
@@ -754,10 +737,7 @@ class ExcludeCountable:
         if self.done < len(self.points):
             z = self.points[self.done]
             self.done += 1
-            ball = avoidance_step(support, prev, params.alpha, [z])
-            if abs(z - ball.center) <= 2 * params.alpha * prev.radius:
-                raise InvariantViolation("listed point not excluded")
-            return ball
+            return avoidance_step(support, prev, params.alpha, [z])[0]
         return hold(prev, params.alpha)
 
     def danger_preview(self, ball) -> List[Fraction]:
@@ -821,14 +801,14 @@ def affine_to_sequence(b: int, c: Fraction, y: Fraction,
 
     Unrolling n steps gives b^n*x + c*(b^n - 1)/(b - 1), so keeping the
     orbit away from y is the same as keeping b^n*x away from
-    y_n = y - c*(b^n - 1)/(b - 1) mod 1.
+    y_n = y - c*(b^n - 1)/(b - 1) mod 1.  The terms b^n stop at n_max
+    with the targets, so no block asks for a target past the list.
     """
-    if Fraction(b).denominator != 1 or b < 2:
+    b, c, y = Fraction(b), Fraction(c), Fraction(y)
+    if b.denominator != 1 or b < 2:
         raise SpecError("affine circle maps need an integer factor >= 2")
     if n_max < 1:
         raise SpecError("need at least one target")
-    c = Fraction(c)
-    y = Fraction(y)
-    targets = tuple(_mod1(y - c * (Fraction(b) ** n - 1) / (b - 1))
-                    for n in range(1, n_max + 1))
-    return LacunarySpec(GeometricTerms(Fraction(b)), ListTargets(targets))
+    terms = tuple(b ** n for n in range(1, n_max + 1))
+    targets = tuple(_mod1(y - c * (t - 1) / (b - 1)) for t in terms)
+    return LacunarySpec(ListTerms(terms, b), ListTargets(targets))

@@ -33,7 +33,6 @@ class StrategyFailure(RuntimeError):
     def __init__(self, player: str, cause: BaseException, transcript=None):
         super().__init__(f"strategy failure for {player}: {cause}")
         self.player = player
-        self.cause = cause
         self.transcript = transcript
 
 

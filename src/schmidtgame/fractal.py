@@ -606,7 +606,6 @@ class Verdict(Enum):
 
 @dataclass
 class AuditRow:
-    check: str
     point: dict
     verdict: Verdict
 
@@ -692,7 +691,7 @@ def _audit(check: str, params: dict, points, depths, decide) -> AuditOutcome:
             if decided is not None:
                 verdict = decided
                 break
-        outcome.rows.append(AuditRow(check, point, verdict))
+        outcome.rows.append(AuditRow(point, verdict))
         if verdict is not Verdict.PASS:
             outcome.verdict = verdict
             break
@@ -796,7 +795,7 @@ class MeasureAuditReport:
             params = " ".join(f"{k}={v}" for k, v in o.params.items())
             for r in o.rows:
                 point = " ".join(f"{k}={v}" for k, v in r.point.items())
-                rows.append([r.check, params, point, r.verdict.value])
+                rows.append([o.check, params, point, r.verdict.value])
         return rows
 
 
@@ -829,17 +828,7 @@ _DIMENSION_DEPTH = 48  # the deepest mass bounds a dimension estimate takes
 @dataclass(frozen=True)
 class DimensionEstimate:
     rho: Fraction
-    mass_lower: Fraction
-    mass_upper: Fraction
-    value_lower: Optional[Exponent]  # from mass_upper
-
-    @property
-    def exact(self) -> bool:
-        return self.mass_lower == self.mass_upper and self.mass_lower > 0
-
-    @property
-    def value(self) -> Optional[Exponent]:
-        return self.value_lower if self.exact else None
+    value: Optional[Exponent]  # None unless the mass bounds meet above 0
 
 
 def lower_pointwise_dimension(measure: FractalMeasure, x,
@@ -856,9 +845,10 @@ def lower_pointwise_dimension(measure: FractalMeasure, x,
             raise ValueError("dimension scales need 0 < rho < 1")
         depth = min(sup.depth_below(rho, cap=_DIMENSION_DEPTH) + 2, _DIMENSION_DEPTH)
         mlo, mhi = measure.ball_mass(x, rho, depth)
-        value_lower = make_exponent(mhi, rho) if 0 < mhi < 1 else (
-            Fraction(0) if mhi >= 1 else None)
-        out.append(DimensionEstimate(rho, mlo, mhi, value_lower))
+        value = None
+        if mlo == mhi > 0:
+            value = make_exponent(mhi, rho) if mhi < 1 else Fraction(0)
+        out.append(DimensionEstimate(rho, value))
     return out
 
 

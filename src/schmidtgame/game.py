@@ -97,10 +97,6 @@ class Transcript:
     def last_ball(self) -> Ball:
         return self.moves[-1][1]
 
-    @property
-    def whose_turn(self) -> str:
-        return _PLAYERS[len(self.moves) % 2]
-
     def to_jsonl(self) -> str:
         lines = []
         for i, (player, ball) in enumerate(self.moves):

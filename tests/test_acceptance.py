@@ -127,7 +127,7 @@ def test_4_avoidance_property_suite(K, decay):
                 points.append(center + rng.choice((-1, 1)) * 2 * alpha * rho)
         ball = Ball(center, rho, word)
         try:
-            moved = avoidance_step(K, ball, alpha, points)
+            moved, _ = avoidance_step(K, ball, alpha, points)
         except Exception:
             failures += 1
             continue

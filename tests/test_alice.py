@@ -18,7 +18,7 @@ from schmidtgame.cli import bundled_spec_path, main
 from schmidtgame.fractal import (DecayParams, FractalSupport, cantor_support,
                                  decay_from_federer_efd, efd_to_exponent,
                                  federer_to_exponent, max_alpha)
-from schmidtgame.game import (Ball, GameParams, HoldCenter, Variant, hold,
+from schmidtgame.game import (Ball, GameParams, HoldCenter, Variant,
                               outcome_interval, run_game, validate_transcript)
 from schmidtgame.numerics import circle_dist, fractions_in_interval
 
@@ -82,6 +82,40 @@ class TestBiLipschitzMap:
         for _ in range(200):
             x = F(rng.randint(-50, 50), rng.randint(1, 20))
             assert m.inverse(m.apply(x)) == x
+
+    def test_random_maps_against_slope_sums(self):
+        # increasing and decreasing maps with 0-4 breakpoints, evaluated on
+        # the breakpoints, between them and far outside them; the reference
+        # sums slope * length over the pieces between the anchor and x
+        rng = random.Random(17)
+
+        def reference(m, x):
+            x0, y0 = m.anchor
+            lo, hi = sorted((x0, x))
+            # piece i runs from ends[i] to ends[i + 1]
+            ends = [None, *m.breakpoints, None]
+            total = 0
+            for i, s in enumerate(m.slopes):
+                a = lo if ends[i] is None else max(lo, ends[i])
+                b = hi if ends[i + 1] is None else min(hi, ends[i + 1])
+                total += s * max(b - a, 0)
+            return y0 + total if x >= x0 else y0 - total
+
+        for trial in range(200):
+            n = rng.randint(0, 4)
+            cuts = sorted({F(rng.randint(-40, 40), rng.randint(1, 6))
+                           for _ in range(n)})
+            sign = 1 if trial % 2 else -1
+            slopes = tuple(sign * F(rng.randint(1, 30), rng.randint(1, 10))
+                           for _ in range(len(cuts) + 1))
+            x0 = cuts[0] if cuts else F(rng.randint(-9, 9), rng.randint(1, 4))
+            m = BiLipschitzMap(tuple(cuts), slopes, (x0, F(rng.randint(-9, 9))))
+            xs = list(cuts) + [c + F(1, 7) for c in cuts] + [
+                F(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 9))
+                for _ in range(4)] + [F(-10 ** 9), F(10 ** 9)]
+            for x in xs:
+                assert m.apply(x) == reference(m, x), (m, x)
+                assert m.inverse(m.apply(x)) == x, (m, x)
 
     def test_lipschitz_bound_property(self):
         m = BiLipschitzMap((F(0),), (F(2), F(1, 3)), (F(0), F(0)))
@@ -160,12 +194,13 @@ class TestRules:
 
 class TestAvoidanceStep:
     def test_no_points_keeps_center(self, K):
-        got = avoidance_step(K, Ball(F(1, 3), F(1, 9)), F(1, 12), [])
+        got, kept = avoidance_step(K, Ball(F(1, 3), F(1, 9)), F(1, 12), [])
         assert (got.center, got.radius) == (F(1, 3), F(1, 108))
+        assert kept == []
 
     def test_far_point_keeps_center(self, K):
-        got = avoidance_step(K, Ball(F(0), F(1, 9)), F(1, 12), [F(10)])
-        assert got.center == 0
+        got, kept = avoidance_step(K, Ball(F(0), F(1, 9)), F(1, 12), [F(10)])
+        assert got.center == 0 and kept == []
 
     def test_crowded_with_oversized_alpha_has_no_exit(self, K):
         # alpha = 1/12 is far above the decay bound for this support: the
@@ -177,7 +212,8 @@ class TestAvoidanceStep:
     def test_crowded_with_valid_alpha(self, K, cantor_alpha):
         a = cantor_alpha
         rho = F(1, 9)
-        got = avoidance_step(K, Ball(F(1, 3), rho), a, [F(1, 3)])
+        got, kept = avoidance_step(K, Ball(F(1, 3), rho), a, [F(1, 3)])
+        assert kept == []
         assert abs(got.center - F(1, 3)) > 2 * a * rho
         assert abs(got.center - F(1, 3)) <= rho - got.radius
         assert K.verify_point(got.center, got.word)
@@ -201,11 +237,13 @@ class TestAvoidanceStep:
                 off = F(rng.randint(-8, 8), rng.randint(1, 64))
                 pts.append(center + off * rho)
             ball = Ball(center, rho, word)
-            got = avoidance_step(K, ball, a, pts)
+            got, kept = avoidance_step(K, ball, a, pts)
             assert got.radius == a * rho
             assert abs(got.center - center) <= rho - got.radius
             cleared = [y for y in pts if abs(y - got.center) - got.radius > got.radius]
             assert 2 * len(cleared) >= len(pts)
+            # the points kept are exactly those within 2*alpha*rho, in order
+            assert kept == [y for y in pts if abs(y - got.center) <= 2 * a * rho]
 
     def test_gap_search_starts_at_the_ball(self, tmp_path, monkeypatch):
         # a search from the root walks the whole path down to the ball's
@@ -533,11 +571,12 @@ class TestScheduleFailsClosed:
         # N points within a quarter radius of the center
         crowd = [i * st.rho_start / (4 * st.N) for i in range(st.N)]
         monkeypatch.setattr(st, "_block_points", lambda *args: crowd)
-        # a step that keeps the center leaves the whole crowd near the ball
-        monkeypatch.setattr(alice, "avoidance_step",
-                            lambda support, ball, ratio, points:
-                            hold(ball, ratio))
-        with pytest.raises(InvariantViolation, match="halve"):
+        # a gap search that answers the center leaves the whole crowd near
+        # the ball: the avoidance step's own check must stop the move
+        monkeypatch.setattr(alice, "find_point_in_gap",
+                            lambda support, interval, gaps, word:
+                            (sum(interval) / 2, word))
+        with pytest.raises(InvariantViolation, match="fewer than half"):
             st.move(K, QUARTER, Ball(F(0), st.rho_start))
 
 

@@ -421,8 +421,8 @@ class TestContinuedFractionOracle:
 
 
 def estimate(value):
-    """An exact pointwise estimate (one mass, not an enclosure) of value."""
-    return DimensionEstimate(F(1, 3), F(1, 9), F(1, 9), value)
+    """A pointwise estimate at rho = 1/3 whose mass bounds met."""
+    return DimensionEstimate(F(1, 3), value)
 
 
 class TestDimensionReport:
@@ -440,7 +440,7 @@ class TestDimensionReport:
 
     def test_inconclusive_estimate_is_skipped(self):
         decay = DecayParams(F(1), F(1, 2), F(1))
-        straddle = DimensionEstimate(F(1, 3), F(0), F(1, 9), F(1, 4))
+        straddle = DimensionEstimate(F(1, 3), None)
         rep = dimension_report(MeasureAuditReport(decay=decay),
                                estimates=[straddle, estimate(F(1, 2))])
         assert rep.used == 1 and rep.consistent

@@ -201,6 +201,17 @@ class TestPlay:
         assert main(["play", "--spec", spec, "--out", str(tmp_path)]) == 2
         assert "integer factor" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("n_max", [12, 40, 400])
+    def test_affine_orbit_plays_past_n_max(self, tmp_path, capsys, n_max):
+        # the terms stop with the n_max targets: terms that ran on asked
+        # for a target beyond the list, and the play exited 1
+        spec = write_spec(tmp_path, lambda d: d.__setitem__("alice", {
+            "strategy": "affine_orbit", "b": "2", "c": "1/3", "y": "0",
+            "n_max": n_max}))
+        assert main(["play", "--spec", spec, "--rounds", "60",
+                     "--out", str(tmp_path)]) == 0
+        assert ("PASS (all %d covered terms" % n_max) in capsys.readouterr().out
+
     def test_non_integer_n_max_exits_2(self, tmp_path, capsys):
         spec = write_spec(tmp_path, lambda d: d.__setitem__("alice", {
             "strategy": "affine_orbit", "b": "2", "c": "1/3", "y": "0",

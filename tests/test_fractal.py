@@ -331,16 +331,16 @@ class TestDimension:
         ests = lower_pointwise_dimension(cantor, 0, [F(1, 3) ** k for k in range(1, 13)])
         bound = LogRatio(2, 3)
         for e in ests:
-            assert e.exact
             assert e.value == bound
 
     def test_lebesgue_interior(self, lebesgue):
         # mass of B(1/2, 2^-k) is 2^(1-k), so the estimate is (k-1)/k -> 1
         ests = lower_pointwise_dimension(lebesgue, F(1, 2), [F(1, 2) ** k for k in range(2, 9)])
         for k, e in zip(range(2, 9), ests):
-            assert e.exact
             assert e.value == F(k - 1, k)
 
     def test_mass_zero_scale(self, cantor):
+        # the mass bounds of B(1/3, 1/12) are 5/32 and 3/16 at the
+        # estimate's depth: they do not meet, so the scale gives no value
         est = lower_pointwise_dimension(cantor, F(1, 3), [F(1, 12)])[0]
-        assert est.mass_lower <= est.mass_upper
+        assert est.value is None

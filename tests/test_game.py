@@ -178,7 +178,7 @@ class TestTranscript:
         for _ in range(30):
             t = Transcript(params=p, moves=[("bob", Ball(0, 1, word=()))])
             for step in range(12):
-                player = t.whose_turn
+                player = "alice" if step % 2 == 0 else "bob"
                 ratio = p.alpha if player == "alice" else p.beta
                 prev = t.last_ball
                 slack = (1 - ratio) * prev.radius
