@@ -27,7 +27,7 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 from .errors import (HorizonMismatch, InvalidAlpha, InvariantViolation,
                      NoPointFound, ScheduleOverlap, SpecError)
 from .fractal import DecayParams, FractalSupport, check_alpha, find_point_in_gap
-from .game import Ball, GameParams, Variant, _bits, hold
+from .game import Ball, GameParams, Variant, _bits, _dist_cmp, hold
 from .numerics import (floor_sqrt, fractions_in_interval, json_rationals,
                        parse_rational)
 
@@ -81,6 +81,8 @@ class BiLipschitzMap:
             x0, y0 = refs[-1]
             refs.append((x, y0 + slope * (x - x0)))
         object.__setattr__(self, "_refs", tuple(refs))
+        object.__setattr__(self, "lipschitz",
+                           max(max(abs(s), 1 / abs(s)) for s in self.slopes))
 
     def apply(self, x) -> Fraction:
         x = Fraction(x)
@@ -112,13 +114,6 @@ class BiLipschitzMap:
         a, b = self.inverse(lo), self.inverse(hi)
         return (a, b) if a <= b else (b, a)
 
-    @property
-    def lipschitz(self) -> Fraction:
-        L = Fraction(1)
-        for s in self.slopes:
-            L = max(L, abs(s), 1 / abs(s))
-        return L
-
     def to_json(self) -> dict:
         return {
             "breakpoints": [str(b) for b in self.breakpoints],
@@ -144,13 +139,15 @@ IDENTITY = BiLipschitzMap((), (Fraction(1),), (Fraction(0), Fraction(0)))
 # lacunary sequence specifications
 
 
-def _first_index(holds) -> int:
-    """The least n >= 1 where ``holds(n)``, for a predicate that stays true
-    once true: double an upper end, then bisect below it."""
-    top = 1
+def _first_index(holds, start: int = 1) -> int:
+    """The least n >= start where ``holds(n)``, for a predicate that stays
+    true once true: gallop up from start by doubling steps, then bisect the
+    last step.  An answer m places past start costs about 2*log2(m) + 2
+    probes."""
+    top, step = start, 1
     while not holds(top):
-        top *= 2
-    return bisect.bisect_left(range(1, top + 1), True, key=holds) + 1
+        start, top, step = top + 1, top + step, 2 * step
+    return bisect.bisect_left(range(start, top), True, key=holds) + start
 
 
 @dataclass(frozen=True)
@@ -179,10 +176,19 @@ class GeometricTerms:
             raise HorizonMismatch("term index must be >= 1")
         return self.scale * self.base ** (n + self.shift)
 
-    def indices_between(self, lower, upper) -> List[int]:
-        """Every n with lower <= t_n < upper, in increasing order."""
-        return list(range(_first_index(lambda n: self.term(n) >= lower),
-                          _first_index(lambda n: self.term(n) >= upper)))
+    def indices_between(self, lower, upper, start: int = 1) -> range:
+        """Every n with lower <= t_n < upper, searched from ``start``: any
+        start up to the first such n gives the same range.  t_n >= x is
+        decided on integers, sn*bn^k*xd >= xn*sd*bd^k with k = n + shift."""
+        sn, sd = self.scale.numerator, self.scale.denominator
+        bn, bd = self.base.numerator, self.base.denominator
+
+        def reaches(x):
+            xn, xd = x.numerator, x.denominator
+            return lambda n: (sn * bn ** (n + self.shift) * xd
+                              >= xn * sd * bd ** (n + self.shift))
+        first = _first_index(reaches(lower), start)
+        return range(first, _first_index(reaches(upper), first))
 
     @property
     def horizon(self) -> Optional[int]:
@@ -213,10 +219,11 @@ class ListTerms:
             raise HorizonMismatch("term index beyond the explicit list")
         return self.values[n - 1]
 
-    def indices_between(self, lower, upper) -> List[int]:
-        """Every n with lower <= t_n < upper, in increasing order."""
-        return list(range(bisect.bisect_left(self.values, lower) + 1,
-                          bisect.bisect_left(self.values, upper) + 1))
+    def indices_between(self, lower, upper, start: int = 1) -> range:
+        """Every n with lower <= t_n < upper, bisected from ``start``: any
+        start up to the first such n gives the same range."""
+        first = bisect.bisect_left(self.values, lower, start - 1) + 1
+        return range(first, bisect.bisect_left(self.values, upper, first - 1) + 1)
 
     @property
     def horizon(self) -> Optional[int]:
@@ -477,12 +484,15 @@ def avoidance_step(support: FractalSupport, ball: Ball, alpha: Fraction,
     if not 0 < alpha < 1:
         raise InvalidAlpha("avoidance ratio must lie in (0, 1)")
     x1, rho = ball.center, ball.radius
-    reach = 2 * alpha * rho
-    near = [y for y in points if abs(Fraction(y) - x1) <= reach]
+    an, ad = alpha.numerator, alpha.denominator
+    # 2*alpha*rho = reach/den and rho - alpha*rho = room/den, on integers
+    den = ad * rho.denominator
+    reach, room = 2 * an * rho.numerator, (ad - an) * rho.numerator
+    near = [y for y in points if _dist_cmp(y, x1, reach, den) <= 0]
     if 2 * len(near) <= len(points):
         new = hold(ball, alpha)
     else:
-        margin = 2 * reach
+        margin = 4 * alpha * rho
         anchors = (x1 - rho, x1, x1 + rho)
         got = find_point_in_gap(support, (x1 - rho, x1 + rho),
                                 [(a - margin, a + margin) for a in anchors],
@@ -494,12 +504,13 @@ def avoidance_step(support: FractalSupport, ball: Ball, alpha: Fraction,
         x2, word = got
         new = Ball(x2, alpha * rho, word)
     # exact postconditions: containment and clearing at least half
-    if abs(new.center - x1) > rho - new.radius:
+    if _dist_cmp(new.center, x1, room, den) > 0:
         raise InvariantViolation("avoidance move left the ball")
-    kept = [y for y in points if abs(Fraction(y) - new.center) <= reach]
+    signs = [_dist_cmp(y, new.center, reach, den) for y in points]
+    kept = [y for y, sign in zip(points, signs) if sign <= 0]
     if 2 * len(kept) > len(points):
         raise InvariantViolation("avoidance move cleared fewer than half")
-    if any(abs(Fraction(y) - new.center) == reach for y in kept):
+    if 0 in signs:
         log.info("avoidance distance met with equality at radius %s", rho)
     return new, kept
 
@@ -516,7 +527,8 @@ class ClearingStrategy:
     block capacity N, turns per block r, the turn ``start`` that opens
     block 1, its radius ``rho_start`` and the ``spread`` that scales a
     block's radius to its margin.  A source also lists the distinct danger
-    points of block k in [lo, hi]: ``_block_points(k, ball, lo, hi)``.
+    points of block k in [lo, hi]: ``_block_points(k, ball, lo, hi)``, which
+    ``move`` calls once per block, in order.
     """
 
     def __init__(self, phi: BiLipschitzMap = IDENTITY,
@@ -539,14 +551,14 @@ class ClearingStrategy:
         if not check_alpha(params.alpha, self.decay):
             raise InvalidAlpha(ALPHA_DIAGNOSTIC)
         self.alpha, self.beta = params.alpha, params.beta
+        self.ab = self.alpha * self.beta
         self.rho_prime = Fraction(opening.radius)
         self._constants()
+        # each block opens on (alpha*beta)^r times the last block's radius
+        self.ab_r = self.ab ** self.r
+        self.block_radius = self.rho_start
         self.planned = True
         return self
-
-    @property
-    def ab(self) -> Fraction:
-        return self.alpha * self.beta
 
     def move(self, support: FractalSupport, params: GameParams,
              bob_ball: Ball) -> Ball:
@@ -562,7 +574,8 @@ class ClearingStrategy:
             return hold(bob_ball, params.alpha)
         k, step = divmod(self.turn - self.start + self.r, self.r)
         if step == 0:
-            expected = self.rho_start * self.ab ** (self.r * (k - 1))
+            expected = self.block_radius
+            self.block_radius = expected * self.ab_r
             if bob_ball.radius != expected:
                 raise InvariantViolation(
                     "ball radius off schedule at block %d: %s != %s"
@@ -607,6 +620,8 @@ class LacunaryStrategy(ClearingStrategy):
                  decay: Optional[DecayParams] = None):
         super().__init__(phi, decay)
         self.spec = spec
+        # (k, n): block k ends below index n, where block k + 1's search starts
+        self._resume = (0, 1)
 
     def _constants(self):
         self.N, self.r, self.k0, self.rho, self.c = lacunary_constants(
@@ -615,14 +630,21 @@ class LacunaryStrategy(ClearingStrategy):
         self.start = self.k0 + 2 * self.r - 1
         self.rho_start = self.ab ** (2 * self.r - 1) * self.rho
         self.spread = self.ab ** (self.r + 1)
+        # the translate spacing of block 1, (alpha*beta)^r / L
+        self.spacing = self.ab ** self.r / self.phi.lipschitz
 
     def index_block(self, k: int) -> List[int]:
-        """All n with (alpha*beta)^{-r(k-1)} <= t_n < (alpha*beta)^{-rk}."""
+        """All n with (alpha*beta)^{-r(k-1)} <= t_n < (alpha*beta)^{-rk}.
+        Called in order, as the schedule calls it, the search starts where
+        block k - 1 ended; otherwise at index 1."""
         if k < 1:
             raise SpecError("block index must be >= 1")
+        start = self._resume[1] if self._resume[0] == k - 1 else 1
         inv = 1 / self.ab
-        return self.spec.terms.indices_between(inv ** (self.r * (k - 1)),
-                                               inv ** (self.r * k))
+        block = self.spec.terms.indices_between(
+            inv ** (self.r * (k - 1)), inv ** (self.r * k), start)
+        self._resume = (k, block.stop)
+        return list(block)
 
     def _danger_entries(self, k, lo, hi):
         """(n, m, z) with z = phi((y_n + m)/t_n) in [lo, hi], n in block k."""
@@ -643,8 +665,10 @@ class LacunaryStrategy(ClearingStrategy):
         return entries
 
     def _block_points(self, k, ball, lo, hi) -> List[Fraction]:
-        # premise: the ball is smaller than the translate spacing of block k
-        if not 2 * ball.radius < self.ab ** (self.r * k) / self.phi.lipschitz:
+        # premise: the ball is smaller than the translate spacing of block
+        # k, (alpha*beta)^{rk} / L, carried forward one block per call
+        spacing, self.spacing = self.spacing, self.spacing * self.ab_r
+        if not 2 * ball.radius < spacing:
             raise InvariantViolation("block %d ball exceeds translate spacing" % k)
         entries = self._danger_entries(k, lo, hi)
         seen = {}

@@ -14,6 +14,7 @@ import json
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from math import gcd
 from typing import List, Optional, Tuple
 
 from .errors import IllegalMove, NoPointFound, StrategyFailure
@@ -49,9 +50,11 @@ class Ball:
     word: Optional[Tuple[int, ...]] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "center", Fraction(self.center))
-        object.__setattr__(self, "radius", Fraction(self.radius))
-        if self.radius <= 0:
+        if not isinstance(self.center, Fraction):
+            object.__setattr__(self, "center", Fraction(self.center))
+        if not isinstance(self.radius, Fraction):
+            object.__setattr__(self, "radius", Fraction(self.radius))
+        if self.radius.numerator <= 0:
             raise ValueError("ball radius must be positive")
 
     @property
@@ -64,21 +67,41 @@ def _bits(x: Fraction) -> str:
     return f"{x.numerator.bit_length()}/{x.denominator.bit_length()} bits"
 
 
+def _dist_cmp(x: Fraction, y: Fraction, num: int, den: int) -> int:
+    """The sign of |x - y| - num/den, for num, den > 0, by integer
+    cross-multiplication: |xn*yd - yn*xd| * den against num * xd * yd.
+    Equal points take no product."""
+    xn, xd, yn, yd = x.numerator, x.denominator, y.numerator, y.denominator
+    if xn == yn and xd == yd:
+        return -1
+    lhs, rhs = abs(xn * yd - yn * xd) * den, num * xd * yd
+    return (lhs > rhs) - (lhs < rhs)
+
+
 def is_legal(prev: Ball, nxt: Ball, whose_turn: str, params: GameParams) -> Tuple[bool, str]:
-    """Referee one move:  nested order plus the variant's radius rule."""
+    """Referee one move:  nested order plus the variant's radius rule,
+    decided on the integers of the radii and centers."""
     ratio = params.alpha if whose_turn == "alice" else params.beta
-    expected = ratio * prev.radius
+    pn, pd = prev.radius.numerator, prev.radius.denominator
+    nn, nd = nxt.radius.numerator, nxt.radius.denominator
     if params.variant is Variant.CLASSICAL:
-        if nxt.radius != expected:
+        an, ad = ratio.numerator, ratio.denominator
+        # ratio * prev.radius in lowest terms: each gcd has a small operand
+        g, h = gcd(an, pd), gcd(pn, ad)
+        if nn != an // g * (pn // h) or nd != ad // h * (pd // g):
             return False, (f"radius ({_bits(nxt.radius)}) != ratio * "
                            f"({_bits(prev.radius)}) required by the classical rule")
+        # the center may move prev.radius - nxt.radius = (1 - ratio) * prev.radius
+        room = (ad - an) * pn, ad * pd
     else:
+        expected = ratio * prev.radius
         if nxt.radius < expected:
             return False, (f"radius ({_bits(nxt.radius)}) below the "
                            f"strong-variant floor ({_bits(expected)})")
         if nxt.radius >= prev.radius:
             return False, "radius did not decrease"
-    if nxt.radius + abs(prev.center - nxt.center) > prev.radius:
+        room = pn * nd - nn * pd, pd * nd
+    if _dist_cmp(prev.center, nxt.center, *room) > 0:
         return False, (f"ball (center {_bits(nxt.center)}, radius "
                        f"{_bits(nxt.radius)}) not nested in the previous ball")
     return True, ""
