@@ -25,17 +25,19 @@ from math import gcd
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .errors import (HorizonMismatch, InvalidAlpha, InvariantViolation,
-                     NoPointFound, ScheduleOverlap, SpecError)
+                     NoPointFound, PrecisionCapExceeded, ScheduleOverlap,
+                     SpecError)
 from .fractal import DecayParams, FractalSupport, check_alpha, find_point_in_gap
 from .game import Ball, GameParams, Variant, _bits, _dist_cmp, hold
-from .numerics import (floor_sqrt, fractions_in_interval, json_rationals,
-                       parse_rational)
+from .numerics import (Ordering, floor_sqrt, fractions_in_interval,
+                       json_rationals, log_sign, parse_rational,
+                       rational_power_of)
 
 log = logging.getLogger(__name__)
 
 __all__ = [
     "BiLipschitzMap", "GeometricTerms", "ListTerms", "ConstTargets",
-    "PeriodicTargets", "ListTargets", "LacunarySpec", "orbit_residues",
+    "PeriodicTargets", "ListTargets", "LacunarySpec", "orbit_near",
     "ALPHA_DIAGNOSTIC", "avoidance_step", "lacunary_constants",
     "ba_constants", "ClearingStrategy", "LacunaryStrategy", "BAStrategy",
     "ExcludeCountable", "InterleaveStrategy", "affine_to_sequence",
@@ -139,14 +141,21 @@ IDENTITY = BiLipschitzMap((), (Fraction(1),), (Fraction(0), Fraction(0)))
 # lacunary sequence specifications
 
 
-def _first_index(holds, start: int = 1) -> int:
+def _first_index(holds, start: int = 1, guess: int = 0) -> int:
     """The least n >= start where ``holds(n)``, for a predicate that stays
-    true once true: gallop up from start by doubling steps, then bisect the
-    last step.  An answer m places past start costs about 2*log2(m) + 2
-    probes."""
-    top, step = start, 1
-    while not holds(top):
-        start, top, step = top + 1, top + step, 2 * step
+    true once true: probe start + guess, gallop from there by doubling
+    steps, up while the probe is false or down to start while it holds,
+    then bisect the last step.  An answer m places from start + guess
+    costs about 2*log2(m) + 2 probes."""
+    top, step = start + guess, 1
+    if holds(top):
+        while top - step >= start and holds(top - step):
+            top, step = top - step, 2 * step
+        start = max(top - step + 1, start)
+    else:
+        start, top, step = top + 1, top + 1, 2
+        while not holds(top):
+            start, top, step = top + 1, top + step, 2 * step
     return bisect.bisect_left(range(start, top), True, key=holds) + start
 
 
@@ -161,11 +170,27 @@ class GeometricTerms:
     def __post_init__(self):
         if self.base <= 1:
             raise SpecError("geometric base must exceed 1")
-        # tail shift: smallest s >= 1 with scale*base^s > 1
         if self.scale <= 0:
             raise SpecError("scale must be positive")
-        s = _first_index(lambda s: self.scale * self.base ** s > 1)
+        # tail shift: the least s >= 1 with scale*base^s > 1, that is
+        # s*ln(base) + ln(scale) > 0.  A scale base^e with rational e,
+        # the tie scale = base^-j included, gives s > -e outright; for any
+        # other scale the sum is never 0, so its logarithms order it
+        e = rational_power_of(self.scale, self.base)
+        if e is None:
+            s = _first_index(self._reaches_one)
+        else:
+            s = max(1, math.floor(-e) + 1)
         object.__setattr__(self, "shift", s - 1)
+
+    def _reaches_one(self, s: int) -> bool:
+        """scale*base^s > 1, from enclosures of the logarithms; an exact
+        power only where they are closer than log_sign's precision cap."""
+        try:
+            return log_sign([(s, [self.base]), (1, [self.scale])]) \
+                is Ordering.GREATER
+        except PrecisionCapExceeded:
+            return self.scale * self.base ** s > 1
 
     @property
     def lacunarity(self) -> Fraction:
@@ -176,9 +201,11 @@ class GeometricTerms:
             raise HorizonMismatch("term index must be >= 1")
         return self.scale * self.base ** (n + self.shift)
 
-    def indices_between(self, lower, upper, start: int = 1) -> range:
+    def indices_between(self, lower, upper, start: int = 1,
+                        length: int = 0) -> range:
         """Every n with lower <= t_n < upper, searched from ``start``: any
-        start up to the first such n gives the same range.  t_n >= x is
+        start up to the first such n gives the same range.  The search for
+        the end starts ``length`` terms past the first.  t_n >= x is
         decided on integers, sn*bn^k*xd >= xn*sd*bd^k with k = n + shift."""
         sn, sd = self.scale.numerator, self.scale.denominator
         bn, bd = self.base.numerator, self.base.denominator
@@ -188,7 +215,7 @@ class GeometricTerms:
             return lambda n: (sn * bn ** (n + self.shift) * xd
                               >= xn * sd * bd ** (n + self.shift))
         first = _first_index(reaches(lower), start)
-        return range(first, _first_index(reaches(upper), first))
+        return range(first, _first_index(reaches(upper), first, length))
 
     @property
     def horizon(self) -> Optional[int]:
@@ -219,9 +246,11 @@ class ListTerms:
             raise HorizonMismatch("term index beyond the explicit list")
         return self.values[n - 1]
 
-    def indices_between(self, lower, upper, start: int = 1) -> range:
+    def indices_between(self, lower, upper, start: int = 1,
+                        length: int = 0) -> range:
         """Every n with lower <= t_n < upper, bisected from ``start``: any
-        start up to the first such n gives the same range."""
+        start up to the first such n gives the same range.  A bisection
+        needs no ``length`` guess."""
         first = bisect.bisect_left(self.values, lower, start - 1) + 1
         return range(first, bisect.bisect_left(self.values, upper, first - 1) + 1)
 
@@ -291,49 +320,92 @@ TermRule = Union[GeometricTerms, ListTerms]
 TargetRule = Union[ConstTargets, PeriodicTargets, ListTargets]
 
 
-def orbit_residues(terms: TermRule, targets: TargetRule, u: Fraction,
-                   v: Fraction, indices: Iterable[int]
-                   ) -> Iterator[Tuple[int, int, int, int]]:
-    """(n, S, W, E) for each n in ``indices``, all integers, with
-    S/E = frac(t_n*u - y_n) and W/E = t_n*(v - u).
+# mantissa bits of orbit_near's bound on t_n*R
+_BOUND_BITS = 64
 
-    Put u = a/q and v = b/q.  For an integer base B the orbit steps as
-    x -> Bx mod 1: X = scale_num * B^(n+shift) * a stays reduced mod
-    D = scale_den * q, so operands are bounded by q, not by t_n.  Other
-    rules read t_n's numerator and denominator directly.  No term takes
-    a Fraction or a gcd; E may differ between terms.
+
+def _dyadic_up(num: int, den: int) -> Tuple[int, int]:
+    """(m, e) with num/den <= m*2^e and m of about _BOUND_BITS bits, for
+    num >= 0 and den > 0."""
+    e = num.bit_length() - den.bit_length() - _BOUND_BITS
+    if e < 0:
+        return -((-num << -e) // den), e
+    return -(-num // (den << e)), e
+
+
+def _exceeds(num: int, den: int, m: int, e: int) -> bool:
+    """num/den > m*2^e, for num, den > 0 and m >= 0: decided on bit
+    lengths, and by one product when they leave it within a factor of 4."""
+    lead = num.bit_length() - den.bit_length() - m.bit_length() - e
+    if not -1 <= lead <= 0:
+        return lead > 0
+    return (num << -e if e < 0 else num) > (m * den << e if e > 0 else m * den)
+
+
+def orbit_near(terms: TermRule, targets: TargetRule, u: Fraction, v: Fraction,
+               indices: Iterable[int], reach: Fraction = Fraction(0)
+               ) -> Iterator[Tuple[int, int, int, int]]:
+    """(n, S, W, E) for each n in ``indices`` whose orbit window
+    t_n*[u, v] - y_n may come within ``reach`` of an integer, all
+    integers, with S/E = frac(t_n*u - y_n) and W/E = t_n*(v - u).  The
+    other terms are skipped: their windows stay farther than reach from Z.
+
+    The test runs on the midpoint c = (u + v)/2 and the half-width R.
+    X/D = frac(t_n*c) lives over c's denominator; for a `GeometricTerms`
+    with an integer base B consecutive indices step X -> B*X mod D (the
+    paper's x -> Bx mod 1).  m*2^e >= t_n*R is a short mantissa, times B
+    per step and rounded up when renormalised.  A term is skipped when
+    dist(t_n*c - y_n, Z) - ceil(reach*E)/E > m*2^e, for the midpoint's
+    denominator E, decided on bit lengths and, on a near tie, one small
+    product; a zero distance is never skipped.  Only the terms left take
+    residues over q = lcm(den u, den v), the window's own denominator.
     """
-    q = u.denominator * v.denominator // gcd(u.denominator, v.denominator)
-    a = u.numerator * (q // u.denominator)
-    b = v.numerator * (q // v.denominator)
-    geometric = isinstance(terms, GeometricTerms)
-    if geometric:
-        sn, sd = terms.scale.numerator, terms.scale.denominator
-        bn, bd = terms.base.numerator, terms.base.denominator
-    stepped, prev = geometric and bd == 1, None
+    g = gcd(u.denominator, v.denominator)
+    q = u.denominator // g * v.denominator
+    a = u.numerator * (v.denominator // g)
+    b = v.numerator * (u.denominator // g)
+    c = (u + v) / 2
+    cn, cd = c.numerator, c.denominator
+    rn, rd = reach.numerator, reach.denominator
+    # R = (b - a)/(2q) <= mR*2^eR
+    mR, eR = _dyadic_up(b - a, 2 * q)
+    step = None
+    if isinstance(terms, GeometricTerms) and terms.base.denominator == 1:
+        step = terms.base.numerator
+    prev = last_y = last_E = None
     for n in indices:
-        if stepped and n - 1 == prev:
-            X, width = X * bn % D, width * bn
-        elif stepped:
-            k = n + terms.shift
-            D = sd * q
-            X = sn * a * pow(bn, k, D) % D
-            width = sn * (b - a) * bn ** k
+        if step and n - 1 == prev:
+            X, m = X * step % D, m * step
+            if m.bit_length() > 2 * _BOUND_BITS:
+                s = m.bit_length() - _BOUND_BITS
+                m, e = -(-m >> s), e + s
         else:
-            if geometric:
-                k = n + terms.shift
-                tn, td = sn * bn ** k, sd * bd ** k
-            else:
-                t = terms.term(n)
-                tn, td = t.numerator, t.denominator
-            D = td * q
-            X, width = tn * a % D, tn * (b - a)
+            t = terms.term(n)
+            D = t.denominator * cd
+            X = t.numerator * cn % D
+            m, e = _dyadic_up(t.numerator * mR, t.denominator)
+            e += eR
         prev = n
-        # 0 <= X < D and 0 <= y < 1 put S within one E of [0, E)
         y = targets.target(n)
-        E = D * y.denominator
-        S = X * y.denominator - y.numerator * D
-        yield n, S + E if S < 0 else S, width * y.denominator, E
+        if y is not last_y:
+            last_y, yn, yd = y, y.numerator, y.denominator
+        # 0 <= X < D and 0 <= y < 1 put S within one E of [0, E)
+        E = D * yd
+        S = X * yd - yn * D
+        if S < 0:
+            S += E
+        # dist(t_n*c - y_n, Z) - reach >= gap/E, with near = ceil(reach*E)
+        if E != last_E:
+            last_E, near = E, -(-rn * E // rd)
+        gap = min(S, E - S) - near
+        if gap > 0 and _exceeds(gap, E, m, e):
+            continue
+        # full width, over the window's denominator q; D keeps stepping
+        t = terms.term(n)
+        Dq = t.denominator * q
+        E = Dq * yd
+        S = t.numerator * a % Dq * yd - yn * Dq
+        yield n, S + E if S < 0 else S, t.numerator * (b - a) * yd, E
 
 
 @dataclass(frozen=True)
@@ -620,8 +692,9 @@ class LacunaryStrategy(ClearingStrategy):
                  decay: Optional[DecayParams] = None):
         super().__init__(phi, decay)
         self.spec = spec
-        # (k, n): block k ends below index n, where block k + 1's search starts
-        self._resume = (0, 1)
+        # (k, n, m, x): block k holds the m terms below index n, up to the
+        # bound x where block k + 1's search starts
+        self._resume = (0, 1, 0, Fraction(1))
 
     def _constants(self):
         self.N, self.r, self.k0, self.rho, self.c = lacunary_constants(
@@ -636,14 +709,19 @@ class LacunaryStrategy(ClearingStrategy):
     def index_block(self, k: int) -> List[int]:
         """All n with (alpha*beta)^{-r(k-1)} <= t_n < (alpha*beta)^{-rk}.
         Called in order, as the schedule calls it, the search starts where
-        block k - 1 ended; otherwise at index 1."""
+        block k - 1 ended, looks for the end as many terms on, and carries
+        the bound forward by one multiplication; otherwise it starts at
+        index 1 from the bound's power."""
         if k < 1:
             raise SpecError("block index must be >= 1")
-        start = self._resume[1] if self._resume[0] == k - 1 else 1
-        inv = 1 / self.ab
-        block = self.spec.terms.indices_between(
-            inv ** (self.r * (k - 1)), inv ** (self.r * k), start)
-        self._resume = (k, block.stop)
+        if self._resume[0] == k - 1:
+            _, start, length, lower = self._resume
+        else:
+            start, length = 1, 0
+            lower = (1 / self.ab) ** (self.r * (k - 1))
+        upper = lower / self.ab_r
+        block = self.spec.terms.indices_between(lower, upper, start, length)
+        self._resume = (k, block.stop, len(block), upper)
         return list(block)
 
     def _danger_entries(self, k, lo, hi):
@@ -651,8 +729,8 @@ class LacunaryStrategy(ClearingStrategy):
         spec, phi = self.spec, self.phi
         u, v = phi.preimage_interval(lo, hi)
         entries = []
-        for n, S, W, E in orbit_residues(spec.terms, spec.targets, u, v,
-                                         self.index_block(k)):
+        for n, S, W, E in orbit_near(spec.terms, spec.targets, u, v,
+                                     self.index_block(k)):
             # the integers in [t_n*u - y_n, t_n*v - y_n], counted off S and W
             count = (S + W) // E + (S == 0)
             if not count:

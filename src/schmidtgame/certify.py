@@ -15,7 +15,7 @@ from typing import Optional, Sequence, Tuple
 
 from .alice import (BAStrategy, BiLipschitzMap, LacunarySpec,
                     LacunaryStrategy, ba_constants, lacunary_constants,
-                    orbit_residues)
+                    orbit_near)
 from .errors import HorizonMismatch, SpecError
 from .fractal import DimensionEstimate, MeasureAuditReport
 from .numerics import (Exponent, LogRatio, Ordering, circle_dist,
@@ -231,22 +231,22 @@ def verify_orbit_separation(cert: Certificate) -> VerificationResult:
                         else min(cert.horizon, last) + 1)
     u, v = phi.preimage_interval(lo, hi)
     cn, cd = cert.c.numerator, cert.c.denominator
-    checked, denom = 0, None
-    for n, S, W, E in orbit_residues(spec.terms, spec.targets, u, v, indices):
-        checked += 1
+    # a skipped term's window stays farther than c from Z, so it passes;
+    # checked counts every covered term up to the first that fails
+    for n, S, W, E in orbit_near(spec.terms, spec.targets, u, v, indices,
+                                 cert.c):
         # t_n*[u, v] - y_n comes within min(s, 1 - s - w) of Z for s = S/E
         # and w = W/E, or within 0 once s = 0 or s + w >= 1; that is below
         # c exactly when S < ceil(cE) or S + W > E - ceil(cE)
-        if E != denom:
-            denom, near = E, -(-cn * E // cd)
+        near = -(-cn * E // cd)
         if S < near or S + W > E - near:
             t, y = spec.terms.term(n), spec.targets.target(n)
             return VerificationResult(
-                False, checked, "separation fails at term %d" % n,
+                False, indices.index(n) + 1, "separation fails at term %d" % n,
                 witness=_orbit_witness(phi, u, v, t, y, n))
     return VerificationResult(
-        True, checked,
-        "all %d covered terms stay %s-separated" % (checked, cert.c))
+        True, len(indices),
+        "all %d covered terms stay %s-separated" % (len(indices), cert.c))
 
 
 def verify_ba(cert: Certificate, max_q: int = DEFAULT_MAX_Q) -> VerificationResult:

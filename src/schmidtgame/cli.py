@@ -16,7 +16,7 @@ from typing import List, Optional, Tuple
 
 from .alice import (ALPHA_DIAGNOSTIC, BAStrategy, BiLipschitzMap,
                     ExcludeCountable, InterleaveStrategy, LacunarySpec,
-                    LacunaryStrategy, affine_to_sequence)
+                    LacunaryStrategy, ListTargets, affine_to_sequence)
 from .bob import GreedyBob, KeepCenterBob, RandomBob
 from .certify import (DEFAULT_MAX_Q, Certificate, ba_certificate,
                       dimension_report, exponent_from_json, orbit_certificate,
@@ -101,7 +101,8 @@ def build_measure(cfg: dict) -> Tuple[dict, Fraction]:
     return dict(pairs, decay=decay, power_law=power_law), rho0
 
 
-def build_strategy(cfg: dict, decay: Optional[DecayParams]):
+def build_strategy(cfg: dict, decay: Optional[DecayParams], path="alice"):
+    """Alice's strategy from its spec section, found at JSON ``path``."""
     name = cfg.get("strategy")
     phi = BiLipschitzMap.from_json(_section(cfg, "phi"))
     if name == "hold":
@@ -110,7 +111,11 @@ def build_strategy(cfg: dict, decay: Optional[DecayParams]):
         rho0 = parse_rational(cfg["rho0"]) if "rho0" in cfg else None
         return ExcludeCountable(json_rationals(cfg["points"], "points"), rho0)
     if name == "lacunary":
-        return LacunaryStrategy(LacunarySpec.from_json(cfg), phi, decay)
+        spec = LacunarySpec.from_json(cfg)
+        if spec.terms.horizon is None and isinstance(spec.targets, ListTargets):
+            raise SpecError("%s.targets: a target list ends, geometric terms "
+                            "do not" % path)
+        return LacunaryStrategy(spec, phi, decay)
     if name == "affine_orbit":
         spec = affine_to_sequence(parse_rational(cfg["b"]),
                                   parse_rational(cfg["c"]),
@@ -120,8 +125,9 @@ def build_strategy(cfg: dict, decay: Optional[DecayParams]):
     if name == "ba":
         return BAStrategy(phi, decay)
     if name == "interleave":
-        parts = [build_strategy(_object(p, "interleave part"), decay)
-                 for p in cfg["parts"]]
+        parts = [build_strategy(_object(p, "interleave part"), decay,
+                                "%s.parts[%d]" % (path, i))
+                 for i, p in enumerate(cfg["parts"])]
         schedule = [(json_int(s, "schedule start"), json_int(d, "schedule step"))
                     for s, d in cfg["schedule"]]
         return InterleaveStrategy(parts, schedule)

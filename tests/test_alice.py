@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -158,6 +159,32 @@ class TestRules:
                 assert GeometricTerms(base, scale).shift == s - 1
         # a linear scan takes seconds here
         assert GeometricTerms(F(3, 2), F(1, 10 ** 3000)).shift == 17036
+
+    @pytest.mark.parametrize("base", [F(2), F(9, 4), F(1001, 1000)],
+                             ids=["2", "9_over_4", "1001_over_1000"])
+    def test_tail_shift_on_powers_and_near_ties(self, base):
+        # scale base^-j is the tie scale*base^j = 1, so j is the shift;
+        # scales a factor 1 +- 2^-k off it are decided on logarithms, past
+        # log_sign's 1,024-bit cap on one exact power
+        def linear_shift(scale):
+            s, t = 1, scale * base
+            while t <= 1:
+                s, t = s + 1, t * base
+            return s - 1
+        scales = [base ** -j for j in (0, 1, 2, 7, 40)]
+        scales += [base ** -j * (1 + sign * F(1, 2 ** k)) for j in (1, 7, 40)
+                   for k in (3, 200, 1100) for sign in (1, -1)]
+        # rational exponents that are not integers: (2/3)^5 = (9/4)^(-5/2)
+        scales += [F(2, 3) ** 5, F(3, 2) ** 3, F(1, 2), F(8)]
+        for scale in scales:
+            assert GeometricTerms(base, scale).shift == linear_shift(scale)
+
+    def test_tail_shift_is_quick(self):
+        # exact powers took 7.5 s here: about 36 probes, the last near
+        # base^230373, a number of millions of bits
+        start = time.perf_counter()
+        assert GeometricTerms(F(1001, 1000), F(1, 10 ** 100)).shift == 230373
+        assert time.perf_counter() - start < 0.5
 
     def test_list_terms_drop_and_ratio(self):
         t = ListTerms((F(1, 2), F(1), F(3), F(6), F(12)), F(2))

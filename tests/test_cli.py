@@ -212,6 +212,21 @@ class TestPlay:
                      "--out", str(tmp_path)]) == 0
         assert ("PASS (all %d covered terms" % n_max) in capsys.readouterr().out
 
+    @pytest.mark.parametrize("name, part, where", [
+        ("cantor_lacunary.json", lambda d: d["alice"], "alice.targets"),
+        ("cantor_triple.json", lambda d: d["alice"]["parts"][2],
+         "alice.parts[2].targets")], ids=["lacunary", "interleave_part"])
+    def test_geometric_terms_with_target_list_exit_2(self, tmp_path, capsys,
+                                                     name, part, where):
+        # geometric terms never end, so once a block passes the fifth term
+        # the list has no target: the play ran, then exited 1
+        targets = {"kind": "list", "values": ["0", "1/3", "1/5", "1/7", "1/9"]}
+        spec = write_spec(tmp_path, lambda d: part(d).__setitem__(
+            "targets", targets), name)
+        assert main(["play", "--spec", spec, "--rounds", "60",
+                     "--out", str(tmp_path)]) == 2
+        assert where in capsys.readouterr().err
+
     def test_non_integer_n_max_exits_2(self, tmp_path, capsys):
         spec = write_spec(tmp_path, lambda d: d.__setitem__("alice", {
             "strategy": "affine_orbit", "b": "2", "c": "1/3", "y": "0",

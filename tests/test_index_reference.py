@@ -6,10 +6,10 @@
 Fraction; it exists only here.  Hypothesis draws geometric terms with
 integer and rational bases and scales below and above 1, and explicit
 lists, then calls the blocks in order, out of order and repeatedly, and
-calls `indices_between` from a start drawn up to a block's first index.  A
-400-round game of the bundled lacunary spec then counts the term
-comparisons each block makes: a count, not a timing, so host noise does
-not reach it.
+calls `indices_between` from a start drawn up to a block's first index,
+with a drawn guess of the block's length.  A 400-round game of the
+bundled lacunary spec then counts the term comparisons each block makes:
+a count, not a timing, so host noise does not reach it.
 """
 
 import math
@@ -70,29 +70,43 @@ def test_blocks_match_reference_in_any_order(terms, order, data):
     shuffled = planned(terms)
     for k in list(order) + list(order[:2]):
         assert shuffled.index_block(k) == want[k - 1]
-    # any start up to the block's first index gives the same block
+    # any start up to the block's first index, and any guess of its
+    # length, gives the same block
     k = data.draw(st.integers(1, BLOCKS))
     lower = (1 / in_order.ab) ** (in_order.r * (k - 1))
     first = terms.indices_between(lower, lower).start
     start = data.draw(st.integers(1, first))
-    got = terms.indices_between(lower, lower / in_order.ab ** in_order.r, start)
+    length = data.draw(st.integers(0, 2 * len(want[k - 1]) + 3))
+    got = terms.indices_between(lower, lower / in_order.ab ** in_order.r,
+                                start, length)
     assert list(got) == want[k - 1]
 
 
+def test_gallop_from_any_guess():
+    # every answer, on either side of start + guess or at start itself
+    for start in (1, 5):
+        for answer in range(start, start + 40):
+            for guess in range(45):
+                assert alice._first_index(lambda n: n >= answer, start,
+                                          guess) == answer
+
+
 def test_block_search_resumes(monkeypatch, tmp_path):
-    # each block of a 400-round game gallops from the end of the last one:
-    # one probe confirms the start, then about 2*log2(m) + 2 find the end of
-    # m terms; a search from index 1 would grow with the block number
+    # each block of a 400-round game starts from the end of the last one:
+    # one probe confirms the start.  Block 1 gallops up from there, about
+    # 2*log2(m) + 2 probes for m terms; every later block first probes as
+    # many terms on as the last block held, and lengths of geometric blocks
+    # differ by at most one, so at most four probes find the end
     blocks, probes = [], None
     real_first, real_block = alice._first_index, LacunaryStrategy.index_block
 
-    def first_index(holds, start=1):
+    def first_index(holds, start=1, guess=0):
         def counted(n):
             nonlocal probes
             if probes is not None:
                 probes += 1
             return holds(n)
-        return real_first(counted, start)
+        return real_first(counted, start, guess)
 
     def index_block(self, k):
         nonlocal probes
@@ -109,4 +123,5 @@ def test_block_search_resumes(monkeypatch, tmp_path):
     assert [k for k, _, _ in blocks] == list(range(1, len(blocks) + 1))
     assert len(blocks) > 40
     for k, m, count in blocks:
-        assert count <= 2 * math.log2(max(m, 1)) + 3, (k, m, count)
+        assert count <= (5 if k > 1 else 2 * math.log2(max(m, 1)) + 3), \
+            (k, m, count)

@@ -1,17 +1,21 @@
-"""The integer orbit walk (`alice.orbit_residues`) against a Fraction
-reference.
+"""The midpoint orbit kernel (`alice.orbit_near`) and its two consumers
+against a Fraction reference.
 
-`reference_verify` and `reference_danger` form t_n*u as a Fraction for
-every term and measure it with `circle_dist_range`; they are the
-straightforward reading of the separation claim and of the danger list and
-exist only here.  Hypothesis draws integer and rational bases, rational
-scales and explicit term lists, crossed with const, periodic and list
-targets, windows that start or end exactly on a translate, and constants c
-equal to a term's exact distance, so that every boundary case is reached.
+`reference_near`, `reference_verify` and `reference_danger` form t_n*u as
+a Fraction for every term and measure it with `circle_dist_range`; they
+are the straightforward reading of the kernel's skip rule, of the
+separation claim and of the danger list, and exist only here.  Hypothesis
+draws integer and rational bases, rational scales and explicit term
+lists, crossed with const, periodic and list targets, windows that start
+or end exactly on a translate, and reaches and constants c equal to a
+term's exact distance, so that every boundary case is reached.  Fixed
+cases add midpoints with large denominators, an orbit point on its target
+and a distance exactly t_n*R, where the kernel's bound on t_n*R is exact.
 """
 
 import json
 import math
+import random
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -19,16 +23,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from schmidtgame import alice, certify
 from schmidtgame.alice import (IDENTITY, BiLipschitzMap, ConstTargets,
                                GeometricTerms, LacunarySpec, LacunaryStrategy,
                                ListTargets, ListTerms, PeriodicTargets,
-                               lacunary_constants)
+                               lacunary_constants, orbit_near)
 from schmidtgame.certify import (ORBIT_SEPARATION, Certificate,
                                  VerificationResult, _orbit_witness,
                                  _schedule_inputs, verify_orbit_separation)
 from schmidtgame.cli import bundled_spec_path, main
 from schmidtgame.errors import HorizonMismatch
-from schmidtgame.fractal import DecayParams
+from schmidtgame.fractal import DecayParams, cantor_support
 from schmidtgame.game import Ball, GameParams
 
 from circle_reference import circle_dist_range
@@ -39,6 +44,28 @@ PHIS = [IDENTITY,
         BiLipschitzMap((), (F(-3, 2),), (F(0), F(1, 5))),
         BiLipschitzMap((F(0), F(1, 3)), (F(2), F(1, 2), F(3)),
                        (F(0), F(1, 7)))]
+
+
+def reference_near(terms, targets, u, v, indices, reach):
+    """The n in ``indices`` whose window t_n*[u, v] - y_n comes within
+    ``reach`` of an integer."""
+    return [n for n in indices
+            if circle_dist_range(terms.term(n) * u, terms.term(n) * v,
+                                 targets.target(n))[0] <= reach]
+
+
+def check_near(terms, targets, u, v, indices, reach=F(0)):
+    """orbit_near yields, in order, every term the reference finds near,
+    each with its exact residues; the n it yields."""
+    got = list(orbit_near(terms, targets, u, v, indices, reach))
+    ns = [n for n, _, _, _ in got]
+    assert ns == sorted(set(ns)) and set(ns) <= set(indices)
+    assert set(reference_near(terms, targets, u, v, indices, reach)) <= set(ns)
+    for n, S, W, E in got:
+        t, y = terms.term(n), targets.target(n)
+        assert 0 <= S < E
+        assert F(S, E) == (t * u - y) % 1 and F(W, E) == t * (v - u)
+    return ns
 
 
 def reference_verify(cert: Certificate) -> VerificationResult:
@@ -231,3 +258,121 @@ def test_widened_interval_fails_deep(lacunary_100, doublings):
     assert not got.passed and got.checked >= 200
     assert got.reason == "separation fails at term %d" % got.checked
     assert got == reference_verify(cert)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_kernel_matches_reference(data):
+    terms, targets = data.draw(term_rules()), data.draw(target_rules())
+    last = min(terms.horizon or 80, len(targets.values)
+               if isinstance(targets, ListTargets) else 80)
+    spec = LacunarySpec(terms, targets)
+    # consecutive indices step the midpoint residue, others restart it
+    if data.draw(st.booleans()):
+        indices = range(data.draw(st.integers(1, last)), last + 1)
+    else:
+        indices = sorted(data.draw(st.sets(st.integers(1, last), max_size=30)))
+    ns = list(indices) or [1]
+    m = data.draw(st.sampled_from(ns))
+    u, v = data.draw(windows(spec, ns, ns, 1 / terms.term(m)))
+    reach = data.draw(st.sampled_from([F(0), F(1, 64), F(1, 2 ** 40)]))
+    # a reach at a term's exact distance, or a hair either side of it
+    if data.draw(st.booleans()):
+        t = terms.term(m)
+        dmin, _ = circle_dist_range(t * u, t * v, targets.target(m))
+        reach = max(dmin + data.draw(st.sampled_from(
+            [0, F(1, 2 ** 2000), -F(1, 2 ** 2000)])), F(0))
+    check_near(terms, targets, u, v, indices, reach)
+
+
+def test_kernel_on_a_window_straddling_a_breakpoint():
+    # phi's slopes 2 and 1/2 meet at 1/3, so the preimage of a window
+    # centred on phi(1/3) is lopsided: its midpoint has the radius's
+    # denominator, not the center's.  The terms run on until t_n*R passes
+    # 1, so some are near and some far
+    phi = PHIS[2]
+    for radius in (F(1, 3 ** 400), F(5, 7 ** 200)):
+        u, v = phi.preimage_interval(phi.apply(F(1, 3)) - radius,
+                                     phi.apply(F(1, 3)) + radius)
+        assert ((u + v) / 2).denominator.bit_length() > 500
+        for terms, targets in ((GeometricTerms(F(2)), ConstTargets(F(0))),
+                               (GeometricTerms(F(3, 2)), ConstTargets(F(1, 3))),
+                               (ListTerms(tuple(F(5) ** n for n in
+                                                range(1, 1200)), F(5)),
+                                PeriodicTargets((F(0), F(1, 2))))):
+            for reach in (F(0), F(1, 10)):
+                ns = check_near(terms, targets, u, v, range(1, 1200), reach)
+                assert 0 < len(ns) < 1199
+
+
+@pytest.mark.parametrize("base, target", [(3, F(1, 2)), (2, F(0)),
+                                          (3, F(1, 4))],
+                         ids=["base3_half", "base2_zero", "base3_quarter"])
+def test_kernel_on_a_long_word_center(base, target):
+    # a Cantor point of a 1,000-letter word has a 1,585-bit denominator,
+    # past the 1,544 bits the bundled triple game reaches
+    rng = random.Random(base)
+    center = cantor_support().point([rng.randrange(2) for _ in range(1000)])
+    assert center.denominator.bit_length() == 1585
+    for radius in (F(1, 3 ** 1100), F(1, 2 ** 40)):
+        for reach in (F(0), F(1, 6)):
+            check_near(GeometricTerms(F(base)), ConstTargets(target),
+                       center - radius, center + radius, range(1, 1200), reach)
+
+
+def test_kernel_keeps_an_orbit_point_on_its_target():
+    # t_n*c - y_n = 5 exactly: a zero distance is never skipped, however
+    # small the window and the reach
+    terms, targets = GeometricTerms(F(2), F(1, 7)), ConstTargets(F(2, 9))
+    for n in (1, 30, 300):
+        c = (targets.target(n) + 5) / terms.term(n)
+        for radius in (F(0), F(1, 2 ** 4000)):
+            for reach in (F(0), F(1, 2 ** 10)):
+                assert n in check_near(terms, targets, c - radius, c + radius,
+                                       range(1, 320), reach)
+
+
+def test_kernel_keeps_a_distance_of_exactly_t_n_R():
+    # u on a translate of t_n = 2^n: the midpoint's distance is t_n*R, and
+    # R = 3/2^45 makes the kernel's bound on t_n*R exact, so only a strict
+    # comparison keeps the term
+    terms, targets = GeometricTerms(F(2)), ConstTargets(F(0))
+    R = F(3, 2 ** 45)
+    for n in (10, 20, 40):
+        u = F(7) / terms.term(n)
+        assert n in check_near(terms, targets, u, u + 2 * R, range(1, 60))
+        # with the window one part in 2^100 narrower the term is far
+        narrow = 2 * R * (1 - F(1, 2 ** 100))
+        assert n not in reference_near(terms, targets, u + 2 * R - narrow,
+                                       u + 2 * R, [n], F(0))
+
+
+def test_kernel_keeps_a_reach_at_the_exact_distance():
+    # reach equal to a term's exact distance keeps the term; the verifier
+    # then decides it passes
+    terms, targets = GeometricTerms(F(3)), ConstTargets(F(1, 2))
+    center = cantor_support().point([0, 1] * 50)
+    u, v = center - F(1, 3 ** 120), center + F(1, 3 ** 120)
+    for n in (1, 17, 60):
+        t = terms.term(n)
+        dmin, _ = circle_dist_range(t * u, t * v, F(1, 2))
+        assert dmin > 0
+        assert n in check_near(terms, targets, u, v, range(1, 100), dmin)
+
+
+def test_full_width_residues_are_few(tmp_path, monkeypatch):
+    # a 400-round play's danger lists and certificate cover 8,868 terms;
+    # the midpoint test leaves 79 of them for full-width residues
+    full = 0
+    real = alice.orbit_near
+
+    def counted(*args):
+        nonlocal full
+        for item in real(*args):
+            full += 1
+            yield item
+    monkeypatch.setattr(alice, "orbit_near", counted)
+    monkeypatch.setattr(certify, "orbit_near", counted)
+    assert main(["play", "--spec", bundled_spec_path("cantor_lacunary.json"),
+                 "--rounds", "400", "--out", str(tmp_path)]) == 0
+    assert 0 < full <= 200
