@@ -333,32 +333,22 @@ def _dyadic_up(num: int, den: int) -> Tuple[int, int]:
     return -(-num // (den << e)), e
 
 
-def _exceeds(num: int, den: int, m: int, e: int) -> bool:
-    """num/den > m*2^e, for num, den > 0 and m >= 0: decided on bit
-    lengths, and by one product when they leave it within a factor of 4."""
-    lead = num.bit_length() - den.bit_length() - m.bit_length() - e
-    if not -1 <= lead <= 0:
-        return lead > 0
-    return (num << -e if e < 0 else num) > (m * den << e if e > 0 else m * den)
-
-
 def orbit_near(terms: TermRule, targets: TargetRule, u: Fraction, v: Fraction,
                indices: Iterable[int], reach: Fraction = Fraction(0)
-               ) -> Iterator[Tuple[int, int, int, int]]:
-    """(n, S, W, E) for each n in ``indices`` whose orbit window
-    t_n*[u, v] - y_n may come within ``reach`` of an integer, all
-    integers, with S/E = frac(t_n*u - y_n) and W/E = t_n*(v - u).  The
-    other terms are skipped: their windows stay farther than reach from Z.
+               ) -> Iterator[int]:
+    """Each n in ``indices`` whose orbit window t_n*[u, v] - y_n may come
+    within ``reach`` of an integer.  A conservative filter: every skipped
+    term's window stays farther than reach from Z, and a kept term is for
+    the caller to decide on its exact window.
 
     The test runs on the midpoint c = (u + v)/2 and the half-width R.
     X/D = frac(t_n*c) lives over c's denominator; for a `GeometricTerms`
     with an integer base B consecutive indices step X -> B*X mod D (the
     paper's x -> Bx mod 1).  m*2^e >= t_n*R is a short mantissa, times B
     per step and rounded up when renormalised.  A term is skipped when
-    dist(t_n*c - y_n, Z) - ceil(reach*E)/E > m*2^e, for the midpoint's
-    denominator E, decided on bit lengths and, on a near tie, one small
-    product; a zero distance is never skipped.  Only the terms left take
-    residues over q = lcm(den u, den v), the window's own denominator.
+    dist(t_n*c - y_n, Z) - ceil(reach*E)/E clearly exceeds m*2^e, for the
+    midpoint's denominator E, by bit lengths alone; a zero distance is
+    never skipped.
     """
     g = gcd(u.denominator, v.denominator)
     q = u.denominator // g * v.denominator
@@ -394,18 +384,15 @@ def orbit_near(terms: TermRule, targets: TargetRule, u: Fraction, v: Fraction,
         S = X * yd - yn * D
         if S < 0:
             S += E
-        # dist(t_n*c - y_n, Z) - reach >= gap/E, with near = ceil(reach*E)
+        # dist(t_n*c - y_n, Z) - reach >= gap/E, with near = ceil(reach*E);
+        # the test below gives gap/E > 2^(gap bits - E bits - 1) >= 2^(m
+        # bits + e) > m*2^e
         if E != last_E:
             last_E, near = E, -(-rn * E // rd)
         gap = min(S, E - S) - near
-        if gap > 0 and _exceeds(gap, E, m, e):
+        if gap > 0 and gap.bit_length() - E.bit_length() - m.bit_length() > e:
             continue
-        # full width, over the window's denominator q; D keeps stepping
-        t = terms.term(n)
-        Dq = t.denominator * q
-        E = Dq * yd
-        S = t.numerator * a % Dq * yd - yn * Dq
-        yield n, S + E if S < 0 else S, t.numerator * (b - a) * yd, E
+        yield n
 
 
 @dataclass(frozen=True)
@@ -729,16 +716,9 @@ class LacunaryStrategy(ClearingStrategy):
         spec, phi = self.spec, self.phi
         u, v = phi.preimage_interval(lo, hi)
         entries = []
-        for n, S, W, E in orbit_near(spec.terms, spec.targets, u, v,
-                                     self.index_block(k)):
-            # the integers in [t_n*u - y_n, t_n*v - y_n], counted off S and W
-            count = (S + W) // E + (S == 0)
-            if not count:
-                continue
-            t = spec.terms.term(n)
-            y = spec.targets.target(n)
-            m_lo = math.ceil(t * u - y)
-            for m in range(m_lo, m_lo + count):
+        for n in orbit_near(spec.terms, spec.targets, u, v, self.index_block(k)):
+            t, y = spec.terms.term(n), spec.targets.target(n)
+            for m in range(math.ceil(t * u - y), math.floor(t * v - y) + 1):
                 entries.append((n, m, phi.apply((y + m) / t)))
         return entries
 

@@ -66,8 +66,6 @@ def random_move(support: FractalSupport, alice_ball: Ball, params: GameParams,
     """
     lo, hi = _legal_range(alice_ball, params.beta)
     slack = hi - lo
-    if slack == 0:
-        return hold(alice_ball, params.beta)
     depth = support.depth_below(slack / 4, cap=64)
     shortest = min(abs(m.r) for m in support.ifs.maps) ** depth
     if support.diameter * shortest > slack:

@@ -230,17 +230,13 @@ def verify_orbit_separation(cert: Certificate) -> VerificationResult:
         indices = range(1, cert.horizon + 1 if last is None
                         else min(cert.horizon, last) + 1)
     u, v = phi.preimage_interval(lo, hi)
-    cn, cd = cert.c.numerator, cert.c.denominator
     # a skipped term's window stays farther than c from Z, so it passes;
     # checked counts every covered term up to the first that fails
-    for n, S, W, E in orbit_near(spec.terms, spec.targets, u, v, indices,
-                                 cert.c):
-        # t_n*[u, v] - y_n comes within min(s, 1 - s - w) of Z for s = S/E
-        # and w = W/E, or within 0 once s = 0 or s + w >= 1; that is below
-        # c exactly when S < ceil(cE) or S + W > E - ceil(cE)
-        near = -(-cn * E // cd)
-        if S < near or S + W > E - near:
-            t, y = spec.terms.term(n), spec.targets.target(n)
+    for n in orbit_near(spec.terms, spec.targets, u, v, indices, cert.c):
+        t, y = spec.terms.term(n), spec.targets.target(n)
+        a, b = t * u - y, t * v - y
+        if math.ceil(a) <= b or \
+                min(a - math.floor(a), math.ceil(b) - b) < cert.c:
             return VerificationResult(
                 False, indices.index(n) + 1, "separation fails at term %d" % n,
                 witness=_orbit_witness(phi, u, v, t, y, n))

@@ -237,10 +237,11 @@ def cmd_play(args) -> int:
     support, params, decay, alice, bob, rounds, opening = build_game(doc, args)
     transcript = run_game(support, params, alice, bob, rounds, opening)
     validate_transcript(transcript, support)
+    text = transcript.to_jsonl()
     os.makedirs(args.out, exist_ok=True)
     tpath = os.path.join(args.out, "transcript.jsonl")
     with open(tpath, "w", encoding="utf-8") as fh:
-        fh.write(transcript.to_jsonl())
+        fh.write(text)
     print("transcript: %s (%d moves)" % (tpath, len(transcript.moves)))
     entries = emit_certificates(alice, outcome_interval(transcript))
     bundle, ok = _verify_and_report(entries, args.max_q)
@@ -348,10 +349,11 @@ def cmd_construct(args) -> int:
                                   " ".join(str(d) for d in digit_string)))
     entries = emit_certificates(alice, (lo, hi))
     bundle, ok = _verify_and_report(entries, args.max_q)
+    text = transcript.to_jsonl()
     os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "transcript.jsonl"), "w",
               encoding="utf-8") as fh:
-        fh.write(transcript.to_jsonl())
+        fh.write(text)
     _write_json(os.path.join(args.out, "construct.json"),
                 {"base": base, "digits": digit_string,
                  "interval": [str(lo), str(hi)], "rounds": rounds,

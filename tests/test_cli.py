@@ -185,6 +185,15 @@ class TestPlay:
         assert "max_q must be at least 1" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_unwritable_transcript_leaves_no_file(self, tmp_path, capsys):
+        # a 1,600-round lacunary transcript holds an integer past Python's
+        # 4,300-digit string limit: the text is built before the file opens
+        out = tmp_path / "out"
+        assert main(["play", "--spec", bundled_spec_path("cantor_lacunary.json"),
+                     "--out", str(out), "--rounds", "1600"]) == 2
+        assert "4300 digits" in capsys.readouterr().err
+        assert not (out / "transcript.jsonl").exists()
+
     def test_failing_certificate_prints_witness(self, tmp_path, capsys,
                                                 monkeypatch):
         monkeypatch.setattr(cli, "verify", lambda cert, max_q: VerificationResult(

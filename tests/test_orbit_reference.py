@@ -9,8 +9,9 @@ draws integer and rational bases, rational scales and explicit term
 lists, crossed with const, periodic and list targets, windows that start
 or end exactly on a translate, and reaches and constants c equal to a
 term's exact distance, so that every boundary case is reached.  Fixed
-cases add midpoints with large denominators, an orbit point on its target
-and a distance exactly t_n*R, where the kernel's bound on t_n*R is exact.
+cases add midpoints with large denominators, an orbit point on its target,
+a distance exactly t_n*R, where the kernel's bound on t_n*R is exact, and
+a midpoint 2*t_n*R out, which the filter keeps for the exact window.
 """
 
 import json
@@ -55,16 +56,11 @@ def reference_near(terms, targets, u, v, indices, reach):
 
 
 def check_near(terms, targets, u, v, indices, reach=F(0)):
-    """orbit_near yields, in order, every term the reference finds near,
-    each with its exact residues; the n it yields."""
-    got = list(orbit_near(terms, targets, u, v, indices, reach))
-    ns = [n for n, _, _, _ in got]
+    """orbit_near yields, in order, every term the reference finds near;
+    the n it yields."""
+    ns = list(orbit_near(terms, targets, u, v, indices, reach))
     assert ns == sorted(set(ns)) and set(ns) <= set(indices)
     assert set(reference_near(terms, targets, u, v, indices, reach)) <= set(ns)
-    for n, S, W, E in got:
-        t, y = terms.term(n), targets.target(n)
-        assert 0 <= S < E
-        assert F(S, E) == (t * u - y) % 1 and F(W, E) == t * (v - u)
     return ns
 
 
@@ -360,9 +356,33 @@ def test_kernel_keeps_a_reach_at_the_exact_distance():
         assert n in check_near(terms, targets, u, v, range(1, 100), dmin)
 
 
+def test_kernel_keeps_a_midpoint_two_t_n_R_out():
+    # the midpoint 2*t_n*R past reach from the target: the window keeps
+    # t_n*R clear, but bit lengths alone cannot tell a factor of 2, so the
+    # term is kept, and its exact window decides both consumers
+    terms, targets = GeometricTerms(F(2)), ConstTargets(F(0))
+    spec = LacunarySpec(terms, targets)
+    strategy = LacunaryStrategy(spec, IDENTITY, LOOSE).plan(QUARTER,
+                                                            Ball(F(0), F(1)))
+    R, c = F(3, 2 ** 45), F(1, 2 ** 50)
+    for k, n in ((1, 19), (2, 39)):
+        t = terms.term(n)
+        for reach in (F(0), c):
+            mid = (7 + reach + 2 * t * R) / t
+            u, v = mid - R, mid + R
+            assert n in check_near(terms, targets, u, v, [n], reach)
+        cert = Certificate(ORBIT_SEPARATION, (u, v), c, n, "terms",
+                           {"spec": spec.to_json(), "phi": IDENTITY.to_json()})
+        assert verify_orbit_separation(cert) == reference_verify(cert)
+        mid = (7 + 2 * t * R) / t
+        args = (k, mid - R, mid + R)
+        assert strategy._danger_entries(*args) == \
+            reference_danger(strategy, *args)
+
+
 def test_full_width_residues_are_few(tmp_path, monkeypatch):
     # a 400-round play's danger lists and certificate cover 8,868 terms;
-    # the midpoint test leaves 79 of them for full-width residues
+    # the midpoint filter keeps 79 of them for their exact windows
     full = 0
     real = alice.orbit_near
 
