@@ -21,8 +21,7 @@ from .errors import (HorizonMismatch, IllegalMove, InvalidAlpha,
 from .fractal import (IFS, AuditGrid, DecayParams, FractalMeasure,
                       FractalSupport, SimilarityMap, audit_measure,
                       binary_support, cantor_support, check_alpha,
-                      decay_from_federer_efd, efd_to_exponent,
-                      federer_to_exponent, find_point_in_gap,
+                      decay_from_federer_efd, find_point_in_gap,
                       lower_pointwise_dimension, max_alpha)
 from .game import (Ball, GameParams, HoldCenter, Transcript, Variant,
                    is_legal, outcome_interval, run_game,
@@ -43,8 +42,8 @@ __all__ = [
     "Variant", "affine_to_sequence", "audit_measure",
     "avoidance_step", "ba_certificate", "binary_support",
     "cantor_support", "check_alpha",
-    "decay_from_federer_efd", "dimension_report", "efd_to_exponent",
-    "federer_to_exponent", "find_point_in_gap", "greedy_move",
+    "decay_from_federer_efd", "dimension_report", "find_point_in_gap",
+    "greedy_move",
     "is_legal",
     "lower_pointwise_dimension", "max_alpha",
     "orbit_certificate", "outcome_interval",

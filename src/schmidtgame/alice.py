@@ -39,8 +39,9 @@ __all__ = [
     "BiLipschitzMap", "GeometricTerms", "ListTerms", "ConstTargets",
     "PeriodicTargets", "ListTargets", "LacunarySpec", "orbit_near",
     "ALPHA_DIAGNOSTIC", "avoidance_step", "lacunary_constants",
-    "ba_constants", "ClearingStrategy", "LacunaryStrategy", "BAStrategy",
-    "ExcludeCountable", "InterleaveStrategy", "affine_to_sequence",
+    "ba_constants", "ba_band_top", "ClearingStrategy", "LacunaryStrategy",
+    "BAStrategy", "ExcludeCountable", "InterleaveStrategy",
+    "affine_to_sequence",
 ]
 
 
@@ -107,10 +108,6 @@ class BiLipschitzMap:
                                key=lambda p: sign * p[axis])
         x0, y0 = self._refs[max(i - 1, 0)]
         return x0, y0, self.slopes[i]
-
-    def apply_interval(self, lo, hi) -> Tuple[Fraction, Fraction]:
-        a, b = self.apply(lo), self.apply(hi)
-        return (a, b) if a <= b else (b, a)
 
     def preimage_interval(self, lo, hi) -> Tuple[Fraction, Fraction]:
         a, b = self.inverse(lo), self.inverse(hi)
@@ -479,13 +476,14 @@ def _block_capacity(inv: Fraction, M: Fraction) -> int:
 
 def lacunary_constants(M: Fraction, L: Fraction, alpha: Fraction,
                        beta: Fraction, rho_prime: Fraction, rho0: Fraction
-                       ) -> Tuple[int, int, int, Fraction, Fraction]:
-    """(N, r, k0, rho, c) of the lacunary clearing schedule.
+                       ) -> Tuple[int, int, int, Fraction, Fraction, int]:
+    """(N, r, k0, rho, c, start) of the lacunary clearing schedule.
 
     N is the minimal block capacity with (alpha*beta)^-r <= M^N for its own
     r = floor(log2 N) + 1; k0 is the number of warm-up turns needed to
     shrink the opening radius rho_prime below the plan bound, reaching rho;
-    c is the separation the finished blocks certify.
+    c is the separation the finished blocks certify; block 1 opens at turn
+    start = k0 + 2r - 1, 2r - 1 turns after the warm-up.
     """
     ab = alpha * beta
     inv = 1 / ab
@@ -499,18 +497,19 @@ def lacunary_constants(M: Fraction, L: Fraction, alpha: Fraction,
         k0 += 1
         rho *= ab
     c = (rho / L) * ab ** (3 * r)
-    return N, r, k0, rho, c
+    return N, r, k0, rho, c, k0 + 2 * r - 1
 
 
 def ba_constants(L: Fraction, alpha: Fraction, beta: Fraction,
                  rho_prime: Fraction, rho0: Fraction
-                 ) -> Tuple[int, Fraction, Fraction]:
-    """(k0, rho, c) of the badly-approximable clearing schedule.
+                 ) -> Tuple[int, Fraction, Fraction, int]:
+    """(k0, rho, c, start) of the badly-approximable clearing schedule.
 
     The warm-up bound rho < (alpha*beta)^2 / (2L(1+alpha)) keeps at most
     one rational of each denominator block inside a clearing window even
     after margin inflation; it implies the basic rho < alpha*beta/(2L).
-    The certified constant is c = rho/(beta*L).
+    The certified constant is c = rho/(beta*L).  Block 1 opens at turn
+    start = k0 - 1, on the radius rho / (alpha*beta).
     """
     ab = alpha * beta
     bound = ab ** 2 / (2 * L * (1 + alpha))
@@ -519,7 +518,15 @@ def ba_constants(L: Fraction, alpha: Fraction, beta: Fraction,
     while not (rho < bound and rho < rho0):
         k0 += 1
         rho *= ab
-    return k0, rho, rho / (beta * L)
+    return k0, rho, rho / (beta * L), k0 - 1
+
+
+def ba_band_top(ab: Fraction, k: int) -> int:
+    """The largest q with q^2 < (alpha*beta)^-k: the top denominator of BA
+    block k, and the last that k cleared blocks certify."""
+    bound = (1 / ab) ** k
+    q = floor_sqrt(bound)
+    return q - (q * q == bound)
 
 
 # ---------------------------------------------------------------------------
@@ -684,10 +691,10 @@ class LacunaryStrategy(ClearingStrategy):
         self._resume = (0, 1, 0, Fraction(1))
 
     def _constants(self):
-        self.N, self.r, self.k0, self.rho, self.c = lacunary_constants(
-            self.spec.lacunarity, self.phi.lipschitz, self.alpha, self.beta,
-            self.rho_prime, self.decay.rho0)
-        self.start = self.k0 + 2 * self.r - 1
+        self.N, self.r, self.k0, self.rho, self.c, self.start = \
+            lacunary_constants(self.spec.lacunarity, self.phi.lipschitz,
+                               self.alpha, self.beta, self.rho_prime,
+                               self.decay.rho0)
         self.rho_start = self.ab ** (2 * self.r - 1) * self.rho
         self.spread = self.ab ** (self.r + 1)
         # the translate spacing of block 1, (alpha*beta)^r / L
@@ -750,25 +757,19 @@ class BAStrategy(ClearingStrategy):
     never needs surd arithmetic."""
 
     def _constants(self):
-        self.k0, self.rho, self.c = ba_constants(
+        self.k0, self.rho, self.c, self.start = ba_constants(
             self.phi.lipschitz, self.alpha, self.beta, self.rho_prime,
             self.decay.rho0)
         self.N = self.r = 1
-        self.start, self.rho_start = self.k0 - 1, self.rho / self.ab
+        self.rho_start = self.rho / self.ab
         self.spread = self.alpha
 
     def _block_candidates(self, k: int, lo: Fraction,
                           hi: Fraction) -> List[Fraction]:
         """Reduced p/q with R^{k-1} <= q < R^k and phi(p/q) in [lo, hi]."""
-        inv = 1 / self.ab
         u, v = self.phi.preimage_interval(lo, hi)
-        qmax = floor_sqrt(inv ** k)
-        out = []
-        for f in fractions_in_interval(u, v, qmax):
-            q2 = Fraction(f.denominator ** 2)
-            if q2 >= inv ** (k - 1) and q2 < inv ** k:
-                out.append(f)
-        return out
+        return [f for f in fractions_in_interval(u, v, ba_band_top(self.ab, k))
+                if f.denominator ** 2 * self.ab ** (k - 1) >= 1]
 
     def _block_points(self, k, ball, lo, hi) -> List[Fraction]:
         return [self.phi.apply(f) for f in self._block_candidates(k, lo, hi)]

@@ -14,14 +14,13 @@ from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
 from .alice import (BAStrategy, BiLipschitzMap, LacunarySpec,
-                    LacunaryStrategy, ba_constants, lacunary_constants,
-                    orbit_near)
+                    LacunaryStrategy, ba_band_top, ba_constants,
+                    lacunary_constants, orbit_near)
 from .errors import HorizonMismatch, SpecError
 from .fractal import DimensionEstimate, MeasureAuditReport
 from .numerics import (Exponent, LogRatio, Ordering, circle_dist,
-                       exponent_bounds, exponent_cmp, floor_sqrt,
-                       fractions_in_interval, json_int, json_rationals,
-                       make_exponent, parse_rational)
+                       exponent_bounds, exponent_cmp, fractions_in_interval,
+                       json_int, json_rationals, make_exponent, parse_rational)
 
 ORBIT_SEPARATION = "orbit_separation"
 BAD_APPROX = "bad_approx"
@@ -215,11 +214,11 @@ def verify_orbit_separation(cert: Certificate) -> VerificationResult:
     spec = LacunarySpec.from_json(snap["spec"])
     if "alpha" in snap:
         phi, alpha, beta, rho_prime, rho0 = _schedule_inputs(snap)
-        _, r, k0, _, c = lacunary_constants(spec.lacunarity, phi.lipschitz,
-                                            alpha, beta, rho_prime, rho0)
+        _, r, _, _, c, start = lacunary_constants(
+            spec.lacunarity, phi.lipschitz, alpha, beta, rho_prime, rho0)
         if c != cert.c:
             return _constant_mismatch(c, cert.c)
-        _check_blocks(cert, k0 + 2 * r - 1, r)
+        _check_blocks(cert, start, r)
         indices = spec.terms.indices_between(
             0, (1 / (alpha * beta)) ** (r * cert.horizon))
     else:
@@ -261,14 +260,13 @@ def verify_ba(cert: Certificate, max_q: int = DEFAULT_MAX_Q) -> VerificationResu
     snap = cert.snapshot
     if "alpha" in snap:
         phi, alpha, beta, rho_prime, rho0 = _schedule_inputs(snap)
-        k0, _, c = ba_constants(phi.lipschitz, alpha, beta, rho_prime, rho0)
+        _, _, c, start = ba_constants(phi.lipschitz, alpha, beta, rho_prime,
+                                      rho0)
         if c != cert.c:
             return _constant_mismatch(c, cert.c)
-        _check_blocks(cert, k0 - 1, 1)
+        _check_blocks(cert, start, 1)
         # h blocks clear every q with q^2 < (alpha*beta)^-h, and no more
-        bound = (1 / (alpha * beta)) ** cert.horizon
-        q_cap = floor_sqrt(bound)
-        q_cap = min(q_cap - (q_cap * q_cap == bound), max_q)
+        q_cap = min(ba_band_top(alpha * beta, cert.horizon), max_q)
     else:
         phi = BiLipschitzMap.from_json(snap.get("phi"))
         if cert.horizon_kind != "denominators":

@@ -27,8 +27,7 @@ from .errors import (HorizonMismatch, IllegalMove, InvalidAlpha,
 from .fractal import (IFS, AuditGrid, DecayParams, FractalMeasure,
                       FractalSupport, SimilarityMap, audit_measure,
                       binary_support, cantor_support, check_alpha,
-                      decay_from_federer_efd, efd_to_exponent,
-                      federer_to_exponent, lower_pointwise_dimension,
+                      decay_from_federer_efd, lower_pointwise_dimension,
                       max_alpha)
 from .game import (Ball, GameParams, HoldCenter, Variant, outcome_interval,
                    run_game, validate_transcript)
@@ -93,9 +92,7 @@ def build_measure(cfg: dict) -> Tuple[dict, Fraction]:
                             parse_rational(d["rho0"]))
         rho0 = decay.rho0
     elif len(pairs) == 2:
-        c1, g1 = federer_to_exponent(*pairs["federer"])
-        c2, g2 = efd_to_exponent(*pairs["efd"])
-        decay = decay_from_federer_efd(c1, g1, c2, g2, rho0)
+        decay = decay_from_federer_efd(pairs["federer"], pairs["efd"], rho0)
     else:
         decay = None
     return dict(pairs, decay=decay, power_law=power_law), rho0
@@ -158,8 +155,7 @@ def build_opening(support: FractalSupport, cfg) -> Optional[Ball]:
     return Ball(center, parse_rational(cfg["radius"]), word)
 
 
-def build_game(doc: dict, args) -> Tuple[FractalSupport, GameParams,
-                                         Optional[DecayParams], object,
+def build_game(doc: dict, args) -> Tuple[FractalSupport, GameParams, object,
                                          object, int, Optional[Ball]]:
     support = build_support(doc["support"])
     decay = build_measure(_section(doc, "measure", {}))[0]["decay"]
@@ -182,7 +178,7 @@ def build_game(doc: dict, args) -> Tuple[FractalSupport, GameParams,
     opening = build_opening(support, _section(g, "opening"))
     alice = build_strategy(_object(doc["alice"], "alice"), decay)
     bob = build_bob(_section(doc, "bob", {}), alice, args.seed)
-    return support, params, decay, alice, bob, rounds, opening
+    return support, params, alice, bob, rounds, opening
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +230,7 @@ def _write_json(path: str, payload) -> None:
 
 def cmd_play(args) -> int:
     doc = load_document(args.spec)
-    support, params, decay, alice, bob, rounds, opening = build_game(doc, args)
+    support, params, alice, bob, rounds, opening = build_game(doc, args)
     transcript = run_game(support, params, alice, bob, rounds, opening)
     validate_transcript(transcript, support)
     text = transcript.to_jsonl()
@@ -322,7 +318,7 @@ def _digit_alphabet(support: FractalSupport) -> Tuple[int, List[int]]:
 
 def cmd_construct(args) -> int:
     doc = load_document(args.spec)
-    support, params, decay, alice, bob, rounds, opening = build_game(doc, args)
+    support, params, alice, bob, rounds, opening = build_game(doc, args)
     base, alphabet = _digit_alphabet(support)
     digits_wanted = args.digits
     # rounds needed so the final ball is far smaller than a target cylinder

@@ -517,25 +517,12 @@ class DecayParams:
 
 
 def _doubling_constants(eps0, delta) -> Tuple[Fraction, Fraction]:
-    """A federer or efd pair (eps0, delta); only 0 < eps0, delta < 1 has
-    an exponent form, so the audits refuse the others too."""
+    """A federer or efd pair (eps0, delta); only 0 < eps0, delta < 1 gives
+    a decay exponent, so the audits refuse the others too."""
     eps0, delta = Fraction(eps0), Fraction(delta)
     if not (0 < eps0 < 1 and 0 < delta < 1):
         raise SpecError("conversion requires 0 < eps0, delta < 1")
     return eps0, delta
-
-
-def federer_to_exponent(eps0, delta) -> Tuple[Fraction, Exponent]:
-    """Doubling lower bound delta at scale factor eps0, in exponent form
-    (c, gamma) with c = delta and gamma = log delta / log eps0."""
-    eps0, delta = _doubling_constants(eps0, delta)
-    return delta, make_exponent(delta, eps0)
-
-
-def efd_to_exponent(eps0, delta) -> Tuple[Fraction, Exponent]:
-    """Upper-bound counterpart: c = 1/delta, same gamma."""
-    eps0, delta = _doubling_constants(eps0, delta)
-    return 1 / delta, make_exponent(delta, eps0)
 
 
 def _rational_pow(base: Fraction, e: Exponent) -> Optional[Fraction]:
@@ -549,16 +536,18 @@ def _rational_pow(base: Fraction, e: Exponent) -> Optional[Fraction]:
     return pow_exact(base, Fraction(e))
 
 
-def decay_from_federer_efd(c1, gamma1: Exponent, c2, gamma2: Exponent,
-                           rho0) -> DecayParams:
-    """Combine exponent-form doubling bounds into absolute-decay constants:
-    C = c2 * c1^-1 * 3^gamma1, gamma = gamma2, rho0' = rho0 / 3."""
-    c1, c2, rho0 = Fraction(c1), Fraction(c2), Fraction(rho0)
-    three = _rational_pow(Fraction(3), gamma1)
+def decay_from_federer_efd(federer, efd, rho0) -> DecayParams:
+    """Absolute-decay constants from a federer pair (eps1, delta1) and an
+    efd pair (eps2, delta2): C = 3^gamma1 / (delta1 * delta2) with
+    gamma_i = log delta_i / log eps_i, gamma = gamma2, rho0' = rho0 / 3."""
+    eps1, delta1 = _doubling_constants(*federer)
+    eps2, delta2 = _doubling_constants(*efd)
+    three = _rational_pow(Fraction(3), make_exponent(delta1, eps1))
     if three is None:
         raise SpecError(
             "3**gamma1 is not rational for these constants; C would be irrational")
-    return DecayParams(C=c2 / c1 * three, gamma=gamma2, rho0=rho0 / 3)
+    return DecayParams(three / (delta1 * delta2), make_exponent(delta2, eps2),
+                       Fraction(rho0) / 3)
 
 
 def check_alpha(alpha, decay: DecayParams) -> bool:
@@ -682,8 +671,10 @@ def _audit(check: str, params: dict, points, depths, decide) -> AuditOutcome:
     """One row per grid point, up to and including the first that does not
     pass.  `decide(depth, **point)` judges a point from mass bounds at one
     depth: a verdict, or None when the bounds are too coarse, and then the
-    next depth is tried (INCONCLUSIVE after the last)."""
-    outcome = AuditOutcome(check=check, params=params, verdict=Verdict.PASS)
+    next depth is tried (INCONCLUSIVE after the last).  The outcome is the
+    last row's verdict, so a grid with no points is INCONCLUSIVE."""
+    outcome = AuditOutcome(check=check, params=params,
+                           verdict=Verdict.INCONCLUSIVE)
     for point in points:
         verdict = Verdict.INCONCLUSIVE
         for depth in depths:
@@ -692,8 +683,8 @@ def _audit(check: str, params: dict, points, depths, decide) -> AuditOutcome:
                 verdict = decided
                 break
         outcome.rows.append(AuditRow(point, verdict))
+        outcome.verdict = verdict
         if verdict is not Verdict.PASS:
-            outcome.verdict = verdict
             break
     return outcome
 

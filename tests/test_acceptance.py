@@ -24,8 +24,7 @@ from schmidtgame.cli import bundled_spec_path, main
 from schmidtgame.fractal import (AuditGrid, DecayParams, FractalMeasure,
                                  MeasureAuditReport, audit_measure,
                                  binary_support, cantor_support,
-                                 decay_from_federer_efd, efd_to_exponent,
-                                 federer_to_exponent,
+                                 decay_from_federer_efd,
                                  lower_pointwise_dimension, max_alpha)
 from schmidtgame.game import (Ball, GameParams, outcome_interval, run_game,
                               validate_transcript)
@@ -40,9 +39,7 @@ def K():
 
 @pytest.fixture(scope="module")
 def decay():
-    c1, g1 = federer_to_exponent(F(1, 3), F(1, 2))
-    c2, g2 = efd_to_exponent(F(1, 3), F(1, 2))
-    return decay_from_federer_efd(c1, g1, c2, g2, F(1))
+    return decay_from_federer_efd((F(1, 3), F(1, 2)), (F(1, 3), F(1, 2)), F(1))
 
 
 def report(number, name, passed, elapsed, budget=None):
@@ -149,13 +146,9 @@ def test_5_measure_audits(K, decay):
     cantor = FractalMeasure(cantor_support())
     grid_c = AuditGrid.default(K, decay.rho0, depths=(6, 9, 12))
     rep_c = audit_measure(cantor, grid_c, decay=decay)
-    # conversion formulas, exactly
-    c1, g1 = federer_to_exponent(F(1, 3), F(1, 2))
-    c2, g2 = efd_to_exponent(F(1, 3), F(1, 2))
+    # the doubling pairs' decay constants, exactly
     gamma23 = make_exponent(2, 3)
-    conversions = (c1 == F(1, 2) and g1 == gamma23
-                   and c2 == F(2) and g2 == gamma23
-                   and decay.C == F(8) and decay.gamma == gamma23
+    conversions = (decay.C == F(8) and decay.gamma == gamma23
                    and decay.rho0 == F(1, 3))
     ok = rep_l.all_passed and rep_c.all_passed and conversions
     report(5, "measure audits", ok, time.monotonic() - t0, budget=120)

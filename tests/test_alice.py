@@ -17,8 +17,7 @@ from schmidtgame.errors import (HorizonMismatch, InvalidAlpha,
                                 ScheduleOverlap, SpecError)
 from schmidtgame.cli import bundled_spec_path, main
 from schmidtgame.fractal import (DecayParams, FractalSupport, cantor_support,
-                                 decay_from_federer_efd, efd_to_exponent,
-                                 federer_to_exponent, max_alpha)
+                                 decay_from_federer_efd, max_alpha)
 from schmidtgame.game import (Ball, GameParams, HoldCenter, Variant,
                               outcome_interval, run_game, validate_transcript)
 from schmidtgame.numerics import circle_dist, fractions_in_interval
@@ -33,9 +32,7 @@ def K():
 
 @pytest.fixture(scope="module")
 def cantor_decay():
-    c1, g1 = federer_to_exponent(F(1, 3), F(1, 2))
-    c2, g2 = efd_to_exponent(F(1, 3), F(1, 2))
-    return decay_from_federer_efd(c1, g1, c2, g2, F(1))
+    return decay_from_federer_efd((F(1, 3), F(1, 2)), (F(1, 3), F(1, 2)), F(1))
 
 
 @pytest.fixture(scope="module")

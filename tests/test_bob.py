@@ -15,7 +15,6 @@ from schmidtgame.bob import (GreedyBob, KeepCenterBob, RandomBob, greedy_move,
 from schmidtgame.cli import build_bob, bundled_spec_path, main
 from schmidtgame.fractal import (IFS, FractalSupport, SimilarityMap,
                                  cantor_support, decay_from_federer_efd,
-                                 efd_to_exponent, federer_to_exponent,
                                  max_alpha)
 from schmidtgame.game import (Ball, GameParams, is_legal, outcome_interval,
                               run_game, transcript_from_jsonl,
@@ -31,9 +30,7 @@ def K():
 
 @pytest.fixture(scope="module")
 def cantor_decay():
-    c1, g1 = federer_to_exponent(F(1, 3), F(1, 2))
-    c2, g2 = efd_to_exponent(F(1, 3), F(1, 2))
-    return decay_from_federer_efd(c1, g1, c2, g2, F(1))
+    return decay_from_federer_efd((F(1, 3), F(1, 2)), (F(1, 3), F(1, 2)), F(1))
 
 
 PARAMS = GameParams(F(1, 3), F(1, 3))

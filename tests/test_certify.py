@@ -21,8 +21,7 @@ from schmidtgame.fractal import (AuditGrid, DecayParams, DimensionEstimate,
                                  FractalMeasure, MeasureAuditReport,
                                  audit_measure,
                                  cantor_support,
-                                 decay_from_federer_efd, efd_to_exponent,
-                                 federer_to_exponent,
+                                 decay_from_federer_efd,
                                  lower_pointwise_dimension, max_alpha)
 from schmidtgame.game import Ball, GameParams, outcome_interval, run_game
 from schmidtgame.numerics import (LogRatio, Ordering, exponent_cmp,
@@ -37,9 +36,7 @@ def K():
 
 @pytest.fixture(scope="module")
 def cantor_decay():
-    c1, g1 = federer_to_exponent(F(1, 3), F(1, 2))
-    c2, g2 = efd_to_exponent(F(1, 3), F(1, 2))
-    return decay_from_federer_efd(c1, g1, c2, g2, F(1))
+    return decay_from_federer_efd((F(1, 3), F(1, 2)), (F(1, 3), F(1, 2)), F(1))
 
 
 @pytest.fixture(scope="module")

@@ -10,7 +10,6 @@ from schmidtgame.alice import BiLipschitzMap
 from schmidtgame.certify import Certificate, VerificationResult
 from schmidtgame.cli import bundled_spec_path, main
 from schmidtgame.fractal import (cantor_support, decay_from_federer_efd,
-                                 efd_to_exponent, federer_to_exponent,
                                  max_alpha)
 from schmidtgame.game import (GameParams, transcript_from_jsonl,
                               validate_transcript)
@@ -40,9 +39,8 @@ class TestPlay:
         assert main(["play", "--spec", bundled_spec_path("cantor_ba.json"),
                      "--out", str(tmp_path)]) == 0
         text = (tmp_path / "transcript.jsonl").read_text()
-        c1, g1 = federer_to_exponent(F(1, 3), F(1, 2))
-        c2, g2 = efd_to_exponent(F(1, 3), F(1, 2))
-        decay = decay_from_federer_efd(c1, g1, c2, g2, F(1))
+        pair = (F(1, 3), F(1, 2))
+        decay = decay_from_federer_efd(pair, pair, F(1))
         params = GameParams(max_alpha(decay), F(1, 4))
         K = cantor_support()
         t = transcript_from_jsonl(text, params)
@@ -557,6 +555,19 @@ class TestAudit:
         spec = write_spec(tmp_path, mutate, "cantor_audit.json")
         assert main(["audit", "--spec", spec, "--out", str(tmp_path)]) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["x_depth", "rho_count"])
+    def test_empty_grid_exits_1(self, tmp_path, capsys, key):
+        # a check that judged no grid point has not passed
+        doc = json.loads(open(bundled_spec_path("cantor_audit.json")).read())
+        doc["audit"][key] = 0
+        p = tmp_path / "empty.json"
+        p.write_text(json.dumps(doc))
+        assert main(["audit", "--spec", str(p), "--out", str(tmp_path)]) == 1
+        out = capsys.readouterr().out
+        assert out.count(": inconclusive") == 4 and ": pass" not in out
+        assert (tmp_path / "audit.csv").read_text().splitlines() == [
+            "check,params,grid_point,verdict"]
 
     def test_huge_grid_exits_2(self, tmp_path, capsys):
         # 2**30 grid words would take months; the cap refuses them at once

@@ -13,8 +13,7 @@ from schmidtgame.fractal import (AuditGrid, DecayParams, IFS, SimilarityMap,
                                  binary_support, cantor_support, check_alpha,
                                  check_absolute_decay, check_efd,
                                  check_federer, check_power_law,
-                                 decay_from_federer_efd, efd_to_exponent,
-                                 federer_to_exponent, find_point_in_gap,
+                                 decay_from_federer_efd, find_point_in_gap,
                                  lower_pointwise_dimension,
                                  max_alpha)
 from schmidtgame.numerics import LogRatio, make_exponent
@@ -32,9 +31,7 @@ def lebesgue():
 
 @pytest.fixture(scope="module")
 def cantor_decay():
-    c1, g1 = federer_to_exponent(F(1, 3), F(1, 2))
-    c2, g2 = efd_to_exponent(F(1, 3), F(1, 2))
-    return decay_from_federer_efd(c1, g1, c2, g2, 1)
+    return decay_from_federer_efd((F(1, 3), F(1, 2)), (F(1, 3), F(1, 2)), 1)
 
 
 class TestIFSValidation:
@@ -220,18 +217,23 @@ class TestFindPointInGap:
 
 
 class TestConversions:
-    def test_federer_frozen(self):
-        assert federer_to_exponent(F(1, 2), F(1, 4)) == (F(1, 4), F(2))
-        assert federer_to_exponent(F(1, 2), F(1, 2)) == (F(1, 2), F(1))
-
-    def test_efd_frozen(self):
-        assert efd_to_exponent(F(1, 2), F(1, 4)) == (F(4), F(2))
-
     def test_combination_frozen(self):
-        dp = decay_from_federer_efd(F(1, 4), F(2), F(4), F(1), 1)
+        # gamma1 = log(1/4)/log(1/2) = 2, so C = 3^2 / (1/4 * 1/4)
+        dp = decay_from_federer_efd((F(1, 2), F(1, 4)), (F(1, 4), F(1, 4)), 1)
         assert (dp.C, dp.gamma, dp.rho0) == (F(144), F(1), F(1, 3))
-        dp = decay_from_federer_efd(F(1), F(1), F(1), F(1), 3)
-        assert (dp.C, dp.gamma, dp.rho0) == (F(3), F(1), F(1))
+
+    def test_argument_order(self):
+        # swapped, gamma1 = 1 and gamma = 2: C = 3 / (1/4 * 1/4)
+        dp = decay_from_federer_efd((F(1, 4), F(1, 4)), (F(1, 2), F(1, 4)), 1)
+        assert (dp.C, dp.gamma) == (F(48), F(2))
+
+    @pytest.mark.parametrize("bad", [(F(1, 3), F(3, 2)), (F(1), F(1, 2)),
+                                     (F(0), F(1, 2)), (F(1, 3), F(1))])
+    def test_out_of_range_pair_rejected(self, bad):
+        good = (F(1, 3), F(1, 2))
+        for federer, efd in ((bad, good), (good, bad)):
+            with pytest.raises(SpecError, match="0 < eps0, delta < 1"):
+                decay_from_federer_efd(federer, efd, 1)
 
     def test_cantor_pipeline(self, cantor_decay):
         assert cantor_decay.C == 8
@@ -240,7 +242,7 @@ class TestConversions:
 
     def test_irrational_C_rejected(self):
         with pytest.raises(SpecError):
-            decay_from_federer_efd(F(1, 2), LogRatio(2, 5), F(2), F(1), 1)
+            decay_from_federer_efd((F(1, 5), F(1, 2)), (F(1, 2), F(1, 2)), 1)
 
 
 class TestAlphaBound:
@@ -300,12 +302,9 @@ class TestAudits:
 
     def test_audit_measure_pipeline(self, cantor):
         grid = AuditGrid.default(cantor.support, F(1, 3))
-        c1, g1 = federer_to_exponent(F(1, 3), F(1, 2))
-        c2, g2 = efd_to_exponent(F(1, 3), F(1, 2))
-        report = audit_measure(cantor, grid,
-                               federer=(F(1, 3), F(1, 2)),
-                               efd=(F(1, 3), F(1, 2)),
-                               decay=decay_from_federer_efd(c1, g1, c2, g2, 1),
+        pair = (F(1, 3), F(1, 2))
+        report = audit_measure(cantor, grid, federer=pair, efd=pair,
+                               decay=decay_from_federer_efd(pair, pair, 1),
                                power_law=(F(1, 4), 4, LogRatio(2, 3)))
         assert report.all_passed
         assert [o.check for o in report.outcomes] == [

@@ -23,7 +23,7 @@ def test_library_use_example_runs():
 
 def test_spec_format_example_plays():
     doc = json.loads(block("### Game spec format", "json"))
-    support, params, _, alice, bob, _, opening = cli.build_game(
+    support, params, alice, bob, _, opening = cli.build_game(
         doc, SimpleNamespace(rounds=None, seed=None))
     transcript = run_game(support, params, alice, bob, 5, opening)
     validate_transcript(transcript, support)
