@@ -768,8 +768,9 @@ class BAStrategy(ClearingStrategy):
                           hi: Fraction) -> List[Fraction]:
         """Reduced p/q with R^{k-1} <= q < R^k and phi(p/q) in [lo, hi]."""
         u, v = self.phi.preimage_interval(lo, hi)
+        below = ba_band_top(self.ab, k - 1)  # q > below iff q^2 >= R^(2k-2)
         return [f for f in fractions_in_interval(u, v, ba_band_top(self.ab, k))
-                if f.denominator ** 2 * self.ab ** (k - 1) >= 1]
+                if f.denominator > below]
 
     def _block_points(self, k, ball, lo, hi) -> List[Fraction]:
         return [self.phi.apply(f) for f in self._block_candidates(k, lo, hi)]

@@ -384,7 +384,13 @@ def circle_dist(u, y) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# Stern-Brocot / Farey machinery (used by the badly-approximable verifier)
+# Stern-Brocot / Farey machinery (the badly-approximable planner, its danger
+# preview and its verifier)
+
+# The last positive window `simplest_between` expanded and its convergent
+# matrix (p, q, p1, q1) where the ends split, starting as the root.  One
+# tuple, replaced whole, so a window is never read with another's matrix.
+_split = (Fraction(0), Fraction(0), 1, 0, 0, 1)
 
 
 def simplest_between(lo, hi) -> Fraction:
@@ -393,7 +399,15 @@ def simplest_between(lo, hi) -> Fraction:
     Expands both ends' continued fractions together on integer pairs
     ln/ld, hn/hd (Stern-Brocot descent) and carries the convergents p/q,
     so the only Fraction is the result.
+
+    Resumes across nested windows: the last positive window and its
+    convergent matrix at the split are kept, and a positive window inside
+    it (last_lo <= lo, hi <= last_hi) shares that prefix, so its ends are
+    mapped through the inverse matrix and only the new terms expand.  Any
+    other window starts from the root.  The answer is unique, so the
+    resume changes only the cost.
     """
+    global _split
     lo, hi = Fraction(lo), Fraction(hi)
     if lo > hi:
         raise ValueError("empty interval")
@@ -404,7 +418,19 @@ def simplest_between(lo, hi) -> Fraction:
     if lo <= 0:
         return Fraction(0)
     (ln, ld), (hn, hd) = lo.as_integer_ratio(), hi.as_integer_ratio()
-    p, q, p1, q1 = 1, 0, 0, 1  # convergents k-1 and k-2
+    last_lo, last_hi, p, q, p1, q1 = _split
+    if last_lo <= lo and hi <= last_hi:
+        # x = (p x' + p1)/(q x' + q1) for x' the tail past the prefix, so
+        # an end n/d maps to x' = (q1 n - p1 d)/(p d - q n), whose denominator
+        # has the sign of det = p q1 - p1 q = +-1; det flips at each term,
+        # and with it the order of the ends
+        det = p * q1 - p1 * q
+        ln, ld = det * (q1 * ln - p1 * ld), det * (p * ld - q * ln)
+        hn, hd = det * (q1 * hn - p1 * hd), det * (p * hd - q * hn)
+        if det < 0:
+            ln, ld, hn, hd = hn, hd, ln, ld
+    else:
+        p, q, p1, q1 = 1, 0, 0, 1  # convergents k-1 and k-2
     while True:
         a = -(-ln // ld)  # ceil(lo)
         if a * hd <= hn:
@@ -412,6 +438,7 @@ def simplest_between(lo, hi) -> Fraction:
         a -= 1  # = floor(lo) = floor(hi): no integer inside
         p, q, p1, q1 = a * p + p1, a * q + q1, p, q
         ln, ld, hn, hd = hd, hn - a * hd, ld, ln - a * ld
+    _split = (lo, hi, p, q, p1, q1)
     return Fraction(a * p + p1, a * q + q1)
 
 
@@ -437,7 +464,9 @@ def fractions_in_interval(lo, hi, qmax: int) -> list:
     """All reduced fractions with denominator <= qmax in [lo, hi], sorted.
 
     Walks Farey neighbors outward from the simplest fraction, so the cost
-    is proportional to the number of fractions found, not to qmax.
+    is proportional to the number of fractions found, not to qmax; the
+    descent to that first fraction costs only the continued-fraction
+    terms new since the last enclosing window (see simplest_between).
     """
     lo, hi = Fraction(lo), Fraction(hi)
     if qmax < 1 or lo > hi:

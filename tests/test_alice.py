@@ -10,7 +10,8 @@ from schmidtgame.alice import (BAStrategy, BiLipschitzMap, ConstTargets,
                                InterleaveStrategy, LacunarySpec,
                                LacunaryStrategy, ListTargets, ListTerms,
                                IDENTITY as ID, PeriodicTargets,
-                               affine_to_sequence, avoidance_step)
+                               affine_to_sequence, avoidance_step,
+                               ba_band_top)
 from schmidtgame.bob import KeepCenterBob
 from schmidtgame.errors import (HorizonMismatch, InvalidAlpha,
                                 InvariantViolation, NoPointFound,
@@ -481,6 +482,17 @@ class TestPlanBA:
         assert st.k0 == 4 and st.rho == ab ** 3
         assert st.c == st.rho / F(1, 4)
         assert st.rho < min(ab / 2, F(1, 3))
+
+    @pytest.mark.parametrize("ab", [F(1, 4), F(2, 9)])
+    def test_band_low_end_as_integer(self, ab):
+        # block k keeps q with q^2 (alpha*beta)^(k-1) >= 1, tested as
+        # q > ba_band_top(ab, k - 1)
+        for k in range(1, 41):
+            below = ba_band_top(ab, k - 1)
+            for q in range(max(1, below - 3), below + 4):
+                assert (q > below) == (q * q * ab ** (k - 1) >= 1), (k, q)
+            if ab == F(1, 4):  # the exact tie q = 2^(k-1) is kept
+                assert below + 1 == 2 ** (k - 1)
 
     def test_inadmissible_alpha(self, cantor_decay):
         with pytest.raises(InvalidAlpha):

@@ -10,6 +10,10 @@ straddling ends, degenerate windows, ends placed exactly on a simple
 fraction, and the badly-approximable game's shape: ends with 2,000-4,000-bit
 denominators around points with long continued fractions, widths near the
 inverse square root of the denominator and Farey orders past 2^500.
+Chains of windows check the resume across nested windows: nested ones,
+ones sharing an end, ones that do not nest, negative and straddling ones,
+each against the reference, and the stored prefix against the one the
+reference's own expansion reaches.
 """
 
 import math
@@ -19,8 +23,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from schmidtgame import numerics
 from schmidtgame.numerics import (farey_left, farey_right,
                                   fractions_in_interval, simplest_between)
+
+
+def reference_terms(lo, hi):
+    """The simplest fraction's continued-fraction terms, for 0 < lo < hi."""
+    terms = []
+    while True:
+        n = math.ceil(lo)
+        if n <= hi:
+            terms.append(n)
+            return terms
+        a = math.floor(lo)
+        terms.append(a)
+        lo, hi = 1 / (hi - a), 1 / (lo - a)
 
 
 def reference_simplest(lo, hi):
@@ -31,19 +49,15 @@ def reference_simplest(lo, hi):
         return -reference_simplest(-hi, -lo)
     if lo <= 0:
         return F(0)
-    terms = []
-    while True:
-        n = math.ceil(lo)
-        if n <= hi:
-            terms.append(n)
-            break
-        a = math.floor(lo)
-        terms.append(a)
-        lo, hi = 1 / (hi - a), 1 / (lo - a)
-    val = F(terms[-1])
-    for a in reversed(terms[:-1]):
-        val = a + 1 / val
-    return val
+    return continued_fraction(reference_terms(lo, hi))
+
+
+def reference_prefix(lo, hi):
+    """Convergents k-1 and k-2 (p, q, p1, q1) before the last term."""
+    p, q, p1, q1 = 1, 0, 0, 1
+    for a in reference_terms(lo, hi)[:-1]:
+        p, q, p1, q1 = a * p + p1, a * q + q1, p, q
+    return p, q, p1, q1
 
 
 def reference_fractions(lo, hi, qmax):
@@ -133,6 +147,46 @@ def test_game_windows(window, data):
                      | st.integers(1, order))
     assert fractions_in_interval(lo, hi, qmax) == \
         reference_fractions(lo, hi, qmax)
+
+
+@st.composite
+def window_chains(draw):
+    """A game window, then steps that nest in the last window (the
+    planner's case), share one of its ends, overlap it without nesting,
+    jump elsewhere, mirror it to negative, or straddle 0."""
+    chain = [draw(game_windows())]
+    for _ in range(draw(st.integers(1, 8))):
+        lo, hi = chain[-1]
+        w, s = hi - lo, draw(st.integers(1, 64))
+        i = draw(st.integers(0, 2 ** s))
+        j = draw(st.integers(0, 2 ** s - i))
+        a, b = lo + w * F(i, 2 ** s), lo + w * F(i + j, 2 ** s)
+        kind = draw(st.sampled_from(
+            ["nested", "nested", "nested", "same_lo", "same_hi", "same",
+             "below", "above", "fresh", "mirror", "straddle"]))
+        chain.append({"nested": (a, b), "same_lo": (lo, b),
+                      "same_hi": (a, hi), "same": (lo, hi),
+                      "below": (lo - w * F(i + 1, 2 ** s), b),
+                      "above": (a, hi + w * F(j + 1, 2 ** s)),
+                      "fresh": draw(game_windows()), "mirror": (-hi, -lo),
+                      "straddle": (-abs(a), abs(b))}[kind])
+    return chain
+
+
+@settings(max_examples=60, deadline=None)
+@given(window_chains())
+def test_resume_across_windows(chain):
+    for lo, hi in chain:
+        before = numerics._split
+        assert simplest_between(lo, hi) == reference_simplest(lo, hi)
+        last_lo, last_hi, *prefix = numerics._split
+        # the memo holds the last positive window, mirrored from a negative
+        # one, and the prefix a root expansion of that window reaches
+        if lo == hi or lo <= 0 <= hi:
+            assert numerics._split == before
+        else:
+            assert (last_lo, last_hi) == ((lo, hi) if lo > 0 else (-hi, -lo))
+            assert tuple(prefix) == reference_prefix(last_lo, last_hi)
 
 
 def test_degenerate_and_empty():
