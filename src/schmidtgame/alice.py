@@ -29,9 +29,8 @@ from .errors import (HorizonMismatch, InvalidAlpha, InvariantViolation,
                      SpecError)
 from .fractal import DecayParams, FractalSupport, check_alpha, find_point_in_gap
 from .game import Ball, GameParams, Variant, _bits, _dist_cmp, hold
-from .numerics import (Ordering, floor_sqrt, fractions_in_interval,
-                       json_rationals, log_sign, parse_rational,
-                       rational_power_of)
+from .numerics import (floor_sqrt, fractions_in_interval, json_rationals,
+                       log_sign, parse_rational, rational_power_of)
 
 log = logging.getLogger(__name__)
 
@@ -184,8 +183,7 @@ class GeometricTerms:
         """scale*base^s > 1, from enclosures of the logarithms; an exact
         power only where they are closer than log_sign's precision cap."""
         try:
-            return log_sign([(s, [self.base]), (1, [self.scale])]) \
-                is Ordering.GREATER
+            return log_sign([(s, [self.base]), (1, [self.scale])]) > 0
         except PrecisionCapExceeded:
             return self.scale * self.base ** s > 1
 
@@ -260,17 +258,12 @@ class ListTerms:
                 "lacunarity": str(self.lacunarity)}
 
 
-def _mod1(x) -> Fraction:
-    x = Fraction(x)
-    return x - math.floor(x)
-
-
 @dataclass(frozen=True)
 class ConstTargets:
     value: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "value", _mod1(self.value))
+        object.__setattr__(self, "value", Fraction(self.value) % 1)
 
     def target(self, n: int) -> Fraction:
         return self.value
@@ -286,7 +279,8 @@ class PeriodicTargets:
     def __post_init__(self):
         if not self.values:
             raise SpecError("periodic target rule needs at least one value")
-        object.__setattr__(self, "values", tuple(_mod1(v) for v in self.values))
+        object.__setattr__(self, "values",
+                           tuple(Fraction(v) % 1 for v in self.values))
 
     def target(self, n: int) -> Fraction:
         return self.values[(n - 1) % len(self.values)]
@@ -302,7 +296,8 @@ class ListTargets:
     def __post_init__(self):
         if not self.values:
             raise SpecError("target list must not be empty")
-        object.__setattr__(self, "values", tuple(_mod1(v) for v in self.values))
+        object.__setattr__(self, "values",
+                           tuple(Fraction(v) % 1 for v in self.values))
 
     def target(self, n: int) -> Fraction:
         if not 1 <= n <= len(self.values):
@@ -457,21 +452,18 @@ def _block_capacity(inv: Fraction, M: Fraction) -> int:
 
     Inside one bit-length band r is fixed and M^N grows with N, so the
     condition is monotone there: find the first band whose top satisfies
-    it, then binary-search that band with exact powers.
+    it, then bisect the N below that top with exact powers, as
+    _first_index does.
     """
     r = 1
     while inv ** r > M ** min(2 ** r - 1, MAX_BLOCK_CAPACITY):
         if 2 ** r > MAX_BLOCK_CAPACITY:
             raise SpecError("no block capacity below 10^6; M too close to 1")
         r += 1
-    lo, hi = 2 ** (r - 1), min(2 ** r - 1, MAX_BLOCK_CAPACITY)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if inv ** r <= M ** mid:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+    lo, top = 2 ** (r - 1), min(2 ** r - 1, MAX_BLOCK_CAPACITY)
+    bound = inv ** r
+    return bisect.bisect_left(range(lo, top), True,
+                              key=lambda N: bound <= M ** N) + lo
 
 
 def lacunary_constants(M: Fraction, L: Fraction, alpha: Fraction,
@@ -894,5 +886,5 @@ def affine_to_sequence(b: int, c: Fraction, y: Fraction,
     if n_max < 1:
         raise SpecError("need at least one target")
     terms = tuple(b ** n for n in range(1, n_max + 1))
-    targets = tuple(_mod1(y - c * (t - 1) / (b - 1)) for t in terms)
+    targets = tuple((y - c * (t - 1) / (b - 1)) % 1 for t in terms)
     return LacunarySpec(ListTerms(terms, b), ListTargets(targets))

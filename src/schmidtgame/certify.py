@@ -8,6 +8,7 @@ arithmetic, so a hand-edited certificate fails closed even when the
 edited claim happens to be true.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -18,9 +19,9 @@ from .alice import (BAStrategy, BiLipschitzMap, LacunarySpec,
                     lacunary_constants, orbit_near)
 from .errors import HorizonMismatch, SpecError
 from .fractal import DimensionEstimate, MeasureAuditReport
-from .numerics import (Exponent, LogRatio, Ordering, circle_dist,
-                       exponent_bounds, exponent_cmp, fractions_in_interval,
-                       json_int, json_rationals, make_exponent, parse_rational)
+from .numerics import (Exponent, LogRatio, circle_dist, exponent_bounds,
+                       exponent_cmp, fractions_in_interval, json_int,
+                       json_rationals, make_exponent, parse_rational)
 
 ORBIT_SEPARATION = "orbit_separation"
 BAD_APPROX = "bad_approx"
@@ -346,11 +347,8 @@ def dimension_report(audit: MeasureAuditReport,
     vals = [e.value for e in estimates if e.value is not None]
     if not vals:
         return DimensionReport(bound, tuple(estimates), None, 0)
-    worst = vals[0]
-    for v in vals[1:]:
-        if exponent_cmp(v, worst) is Ordering.LESS:
-            worst = v
-    if exponent_cmp(worst, bound) is not Ordering.LESS:
+    worst = min(vals, key=functools.cmp_to_key(exponent_cmp))
+    if exponent_cmp(worst, bound) >= 0:
         margin = Fraction(0)
     elif isinstance(worst, Fraction) and isinstance(bound, Fraction):
         margin = bound - worst

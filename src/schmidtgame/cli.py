@@ -24,11 +24,11 @@ from .certify import (DEFAULT_MAX_Q, Certificate, ba_certificate,
 from .errors import (HorizonMismatch, IllegalMove, InvalidAlpha,
                      InvariantViolation, NoPointFound, PrecisionCapExceeded,
                      ScheduleOverlap, SpecError, StrategyFailure)
-from .fractal import (IFS, AuditGrid, DecayParams, FractalMeasure,
-                      FractalSupport, SimilarityMap, audit_measure,
-                      binary_support, cantor_support, check_alpha,
-                      decay_from_federer_efd, lower_pointwise_dimension,
-                      max_alpha)
+from .fractal import (AUDIT_MAX_SCALES, IFS, AuditGrid, DecayParams,
+                      FractalMeasure, FractalSupport, SimilarityMap,
+                      audit_measure, binary_support, cantor_support,
+                      check_alpha, decay_from_federer_efd,
+                      lower_pointwise_dimension, max_alpha)
 from .game import (Ball, GameParams, HoldCenter, Variant, outcome_interval,
                    run_game, validate_transcript)
 from .numerics import json_array, json_int, json_rationals, parse_rational
@@ -258,6 +258,15 @@ def cmd_audit(args) -> int:
         rho_count=json_int(acfg.get("rho_count", 5), "rho_count"),
         depths=tuple(json_int(d, "depths entry")
                      for d in acfg.get("depths", (6, 9, 12))))
+    d = _section(acfg, "dimension")
+    if d is not None:
+        x = parse_rational(d.get("x", "0"))
+        k_max = json_int(d.get("k_max", 12), "k_max")
+        if k_max > AUDIT_MAX_SCALES:
+            raise SpecError("dimension k_max %d is more than %d"
+                            % (k_max, AUDIT_MAX_SCALES))
+        base = parse_rational(d["rho_base"]) if "rho_base" in d \
+            else support.contraction
     report = audit_measure(measure, grid, **constants)
     os.makedirs(args.out, exist_ok=True)
     cpath = os.path.join(args.out, "audit.csv")
@@ -265,12 +274,7 @@ def cmd_audit(args) -> int:
         csv.writer(fh).writerows(report.csv_rows())
     for o in report.outcomes:
         print("audit %s: %s" % (o.check, o.verdict.value))
-    d = _section(acfg, "dimension")
     if d is not None:
-        x = parse_rational(d.get("x", "0"))
-        k_max = json_int(d.get("k_max", 12), "k_max")
-        base = parse_rational(d["rho_base"]) if "rho_base" in d \
-            else support.contraction
         ests = lower_pointwise_dimension(measure, x,
                                          [base ** k for k in range(1, k_max + 1)])
         rep = dimension_report(estimates=ests, audit=report)

@@ -9,6 +9,7 @@ cylinders against the query interval, so audit verdicts are never floats.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -17,8 +18,8 @@ from fractions import Fraction
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .errors import SpecError
-from .numerics import (Exponent, LogRatio, Ordering, make_exponent,
-                       pow_exact, rational_power_of, scaled_pow_cmp)
+from .numerics import (Exponent, LogRatio, make_exponent, pow_exact,
+                       rational_power_of, scaled_pow_cmp)
 
 Interval = Tuple[Fraction, Fraction]
 
@@ -555,9 +556,8 @@ def check_alpha(alpha, decay: DecayParams) -> bool:
     alpha = Fraction(alpha)
     if not 0 < alpha < 1:
         return False
-    got = scaled_pow_cmp(Fraction(1) / (3 * decay.C), Fraction(1),
-                         4 * alpha, decay.gamma)
-    return got in (Ordering.GREATER, Ordering.EQUAL)
+    return scaled_pow_cmp(Fraction(1) / (3 * decay.C), Fraction(1),
+                          4 * alpha, decay.gamma) >= 0
 
 
 _ALPHA_BITS = 12
@@ -568,19 +568,17 @@ def max_alpha(decay: DecayParams) -> Fraction:
 
     The true threshold (1/4)(1/(3C))^(1/gamma) is usually irrational;
     a dyadic lower approximation keeps every downstream constant rational.
+    check_alpha holds up to the threshold and fails past it, so a bisect
+    over the numerators 1 .. 2**_ALPHA_BITS - 1 counts those that pass,
+    and the count is the largest of them.
     """
     scale = 1 << _ALPHA_BITS
-    lo_num, hi_num = 0, scale - 1
-    while lo_num < hi_num:  # binary search on check_alpha, monotone in alpha
-        mid = (lo_num + hi_num + 1) // 2
-        if check_alpha(Fraction(mid, scale), decay):
-            lo_num = mid
-        else:
-            hi_num = mid - 1
-    if lo_num == 0:
+    num = bisect.bisect_left(range(1, scale), True,
+                             key=lambda n: not check_alpha(Fraction(n, scale), decay))
+    if num == 0:
         raise SpecError(f"alpha \"max\" finds no admissible multiple of "
                         f"2**-{_ALPHA_BITS}; give a smaller alpha explicitly")
-    return Fraction(lo_num, scale)
+    return Fraction(num, scale)
 
 
 # ---------------------------------------------------------------------------
@@ -614,6 +612,10 @@ class AuditOutcome:
 # largest number of x_depth words an audit grid takes: 1,024 words (the
 # interval at x_depth 10) take about 10 s of audit
 _AUDIT_MAX_WORDS = 1024
+# largest audit rho_count and dimension k_max: each builds a Fraction of
+# about k*log2(1/r) bits for every k up to its count, r the contraction or
+# the dimension's rho_base, so the cost grows with the square of the count
+AUDIT_MAX_SCALES = 1024
 
 
 @dataclass
@@ -641,6 +643,12 @@ class AuditGrid:
                 rho_count: int = 5,
                 depths: Tuple[int, ...] = (6, 9, 12)) -> "AuditGrid":
         rho0 = Fraction(rho0)
+        if rho0 <= 0:
+            # no radius shrinks to rho0: the grid would never fill
+            raise SpecError(f"audit rho0 must be positive, not {rho0}")
+        if rho_count > AUDIT_MAX_SCALES:
+            raise SpecError(f"audit rho_count {rho_count} is more than "
+                            f"{AUDIT_MAX_SCALES}")
         n = len(support.ifs.maps)
         # n >= 2, so any depth past the cap's bit length is over the cap
         if n ** min(x_depth, _AUDIT_MAX_WORDS.bit_length()) > _AUDIT_MAX_WORDS:
@@ -705,9 +713,9 @@ def check_absolute_decay(measure: FractalMeasure, params: DecayParams,
             clo, chi = Fraction(0), Fraction(0)
         else:
             clo, chi = measure.interval_mass(ilo, ihi, depth)
-        if blo > 0 and scaled_pow_cmp(chi, C * blo, eps, gamma) is Ordering.LESS:
+        if blo > 0 and scaled_pow_cmp(chi, C * blo, eps, gamma) < 0:
             return Verdict.PASS
-        if scaled_pow_cmp(clo, C * bhi, eps, gamma) is not Ordering.LESS:
+        if scaled_pow_cmp(clo, C * bhi, eps, gamma) >= 0:
             return Verdict.FAIL
         return None
 
@@ -756,12 +764,12 @@ def check_power_law(measure: FractalMeasure, k1, k2, gamma: Exponent,
 
     def decide(depth, x, rho):
         blo, bhi = measure.ball_mass(x, rho, depth)
-        low_ok = scaled_pow_cmp(blo, k1, rho, gamma) in (Ordering.GREATER, Ordering.EQUAL)
-        high_ok = scaled_pow_cmp(bhi, k2, rho, gamma) in (Ordering.LESS, Ordering.EQUAL)
+        low_ok = scaled_pow_cmp(blo, k1, rho, gamma) >= 0
+        high_ok = scaled_pow_cmp(bhi, k2, rho, gamma) <= 0
         if low_ok and high_ok:
             return Verdict.PASS
-        low_bad = scaled_pow_cmp(bhi, k1, rho, gamma) is Ordering.LESS
-        high_bad = scaled_pow_cmp(blo, k2, rho, gamma) is Ordering.GREATER
+        low_bad = scaled_pow_cmp(bhi, k1, rho, gamma) < 0
+        high_bad = scaled_pow_cmp(blo, k2, rho, gamma) > 0
         if low_bad or high_bad:
             return Verdict.FAIL
         return None

@@ -7,16 +7,16 @@ integer roots (rational_power_of); make_exponent returns a rational ratio as
 a Fraction, so a LogRatio is always irrational.  Two LogRatios of equal
 value share one canonical form; every other comparison goes to log_sign,
 which orders a sum of products of logarithms against 0 on dyadic enclosures
-refined by doubling precision.  No float appears anywhere: an enclosure
-that cannot exclude 0 within the precision budget raises
-PrecisionCapExceeded rather than guess.
+refined by doubling precision.  Every three-way comparison answers with an
+int sign, -1, 0 or 1, as (a > b) - (a < b) does for two Fractions.  No
+float appears anywhere: an enclosure that cannot exclude 0 within the
+precision budget raises PrecisionCapExceeded rather than guess.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from typing import List, Optional, Tuple, Union
 
@@ -26,20 +26,6 @@ from .errors import PrecisionCapExceeded, SpecError
 # so hitting this cap signals a genuine tie (or a misuse), not bad luck
 DEFAULT_MAX_BITS = 1024
 _START_BITS = 32
-
-
-class Ordering(Enum):
-    LESS = -1
-    EQUAL = 0
-    GREATER = 1
-
-
-def ordering_of(a: Fraction, b: Fraction) -> Ordering:
-    if a < b:
-        return Ordering.LESS
-    if a > b:
-        return Ordering.GREATER
-    return Ordering.EQUAL
 
 
 def parse_rational(text: str) -> Fraction:
@@ -142,15 +128,15 @@ def ln_bounds(x, bits: int) -> Tuple[Fraction, Fraction]:
             Fraction(2 * (ahi + e * lhi), one))
 
 
-def log_sign(terms, max_bits: int = DEFAULT_MAX_BITS) -> Ordering:
-    """Order the sum of c * prod(ln x for x in xs) over (c, xs) in `terms`
-    against 0; every c is rational and every x a positive rational.
+def log_sign(terms, max_bits: int = DEFAULT_MAX_BITS) -> int:
+    """The sign, -1, 0 or 1, of the sum of c * prod(ln x for x in xs) over
+    (c, xs) in `terms`; every c is rational and every x a positive rational.
 
     Each precision level encloses ln x once per distinct x, multiplies the
     enclosures endpoint by endpoint and sums them, then doubles the
-    precision until the sum excludes 0.  EQUAL only when the sum is the
-    exact point 0, which needs every term to be a rational constant or to
-    have a factor ln 1: a genuine tie between irrational terms is
+    precision until the sum excludes 0.  The sign is 0 only when the sum is
+    the exact point 0, which needs every term to be a rational constant or
+    to have a factor ln 1: a genuine tie between irrational terms is
     indistinguishable from too little precision and raises
     PrecisionCapExceeded once max_bits is spent.
     """
@@ -169,11 +155,11 @@ def log_sign(terms, max_bits: int = DEFAULT_MAX_BITS) -> Ordering:
             lo += tlo
             hi += thi
         if lo > 0:
-            return Ordering.GREATER
+            return 1
         if hi < 0:
-            return Ordering.LESS
+            return -1
         if lo == hi:
-            return Ordering.EQUAL
+            return 0
         if bits >= max_bits:
             raise PrecisionCapExceeded(
                 f"cannot order [{lo}, {hi}] against 0 within {max_bits} bits")
@@ -326,21 +312,21 @@ def _log_quotient(e: Exponent):
     return (e.numerator, []), (e.denominator, [])
 
 
-def exponent_cmp(a: Exponent, b: Exponent) -> Ordering:
-    """Order two exponents; exact on every multiplicatively dependent pair."""
-    if not isinstance(a, LogRatio) and not isinstance(b, LogRatio):
-        return ordering_of(Fraction(a), Fraction(b))
+def exponent_cmp(a: Exponent, b: Exponent) -> int:
+    """The sign of a - b; exact on every multiplicatively dependent pair."""
     if a == b:
         # LogRatios of equal value by dependence share one canonical form
-        return Ordering.EQUAL
+        return 0
+    if not isinstance(a, LogRatio) and not isinstance(b, LogRatio):
+        return -1 if a < b else 1
     # a - b has the sign of the cross-product na*db - nb*da
     (na, nxa), (da, dxa) = _log_quotient(a)
     (nb, nxb), (db, dxb) = _log_quotient(b)
     return log_sign([(na * db, nxa + dxb), (-nb * da, nxb + dxa)])
 
 
-def scaled_pow_cmp(lhs, coeff, eps, gamma: Exponent) -> Ordering:
-    """Order lhs against coeff * eps**gamma.
+def scaled_pow_cmp(lhs, coeff, eps, gamma: Exponent) -> int:
+    """The sign of lhs - coeff * eps**gamma.
 
     lhs >= 0, coeff > 0, eps > 0 rationals.  Exact whenever gamma is
     rational or eps is a rational power of gamma's base (the audit grids
@@ -350,19 +336,20 @@ def scaled_pow_cmp(lhs, coeff, eps, gamma: Exponent) -> Ordering:
     if lhs < 0 or coeff <= 0 or eps <= 0:
         raise ValueError("scaled_pow_cmp needs lhs >= 0, coeff > 0, eps > 0")
     if lhs == 0:
-        return Ordering.LESS
-    if not isinstance(gamma, LogRatio):
-        g = Fraction(gamma)
-        m, n = g.numerator, g.denominator
-        return ordering_of(lhs ** n, coeff ** n * eps ** m)
-    e = rational_power_of(eps, gamma.base)
-    if e is not None:
+        return -1
+    if isinstance(gamma, LogRatio):
+        e = rational_power_of(eps, gamma.base)
+        if e is None:
+            # ln lhs  vs  ln coeff + gamma ln eps, cleared of the
+            # denominator ln base > 0
+            return log_sign([(1, [lhs, gamma.base]), (-1, [coeff, gamma.base]),
+                             (-1, [gamma.top, eps])])
         # eps**gamma collapses: (base**e)**(log top/log base) = top**e
-        m, n = e.numerator, e.denominator
-        return ordering_of(lhs ** n, coeff ** n * gamma.top ** m)
-    # ln lhs  vs  ln coeff + gamma ln eps, cleared of the denominator ln base > 0
-    return log_sign([(1, [lhs, gamma.base]), (-1, [coeff, gamma.base]),
-                     (-1, [gamma.top, eps])])
+        eps, (m, n) = gamma.top, e.as_integer_ratio()
+    else:
+        m, n = Fraction(gamma).as_integer_ratio()
+    a, b = lhs ** n, coeff ** n * eps ** m
+    return (a > b) - (a < b)
 
 
 def floor_sqrt(x) -> int:

@@ -1,3 +1,4 @@
+import itertools
 import random
 import time
 from fractions import Fraction as F
@@ -330,6 +331,19 @@ class TestPlanLacunary:
         while 16 ** N.bit_length() > M ** N:
             N += 1
         assert st.N == N
+
+    # N = 2**r - 1 is a band's last N.  A band's first N = 2**(r - 1)
+    # answers only at r = 1: for r >= 2 the band below fails at its top,
+    # ln inv / ln M > (N - 1)/(r - 1) >= N/r, so N fails too
+    @pytest.mark.parametrize("inv, M, N", [
+        (F(2), F(2), 1), (F(3), F(10), 1), (F(4), F(3), 3), (F(16), F(10), 3),
+        (F(9, 2), F(2), 7), (F(16), F(7, 2), 7), (F(9, 2), F(3, 2), 15),
+        (F(16), F(11, 5), 15), (F(16), F(157, 100), 31), (F(3), F(5, 4), 25),
+        (F(100), F(33, 32), 1647)])
+    def test_capacity_search_ends(self, inv, M, N):
+        scan = next(n for n in itertools.count(1)
+                    if inv ** n.bit_length() <= M ** n)
+        assert alice._block_capacity(inv, M) == scan == N
 
     def test_capacity_with_lacunarity_near_one(self, cantor_decay,
                                                cantor_alpha):

@@ -24,8 +24,7 @@ from schmidtgame.fractal import (AuditGrid, DecayParams, DimensionEstimate,
                                  decay_from_federer_efd,
                                  lower_pointwise_dimension, max_alpha)
 from schmidtgame.game import Ball, GameParams, outcome_interval, run_game
-from schmidtgame.numerics import (LogRatio, Ordering, exponent_cmp,
-                                  make_exponent)
+from schmidtgame.numerics import LogRatio, exponent_cmp, make_exponent
 
 
 
@@ -453,8 +452,8 @@ class TestDimensionReport:
         lo, hi = F(lo), F(hi)
         assert 0 < hi - lo <= F(1, 2 ** 30)
         # lo <= log 2/log 3 - 1/2 <= hi, decided exactly
-        assert exponent_cmp(gamma, lo + F(1, 2)) is Ordering.GREATER
-        assert exponent_cmp(gamma, hi + F(1, 2)) is Ordering.LESS
+        assert exponent_cmp(gamma, lo + F(1, 2)) == 1
+        assert exponent_cmp(gamma, hi + F(1, 2)) == -1
 
     def test_cantor_exact_consistency(self, K, cantor_decay):
         mu = FractalMeasure(cantor_support())

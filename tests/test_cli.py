@@ -549,8 +549,25 @@ class TestAudit:
          "depths entry must be a JSON integer"),
         (lambda d: d["audit"]["dimension"].__setitem__("k_max", 12.0),
          "k_max must be a JSON integer"),
+        # no radius shrinks to rho0 <= 0: the grid never filled
+        (_set(["audit", "rho0"], "0"), "audit rho0 must be positive, not 0"),
+        (lambda d: d.update(
+            support="interval", audit={"rho0": "-1/2"},
+            measure={"decay": {"C": "2", "gamma": "1", "rho0": "1"},
+                     "power_law": ["1", "2", "1"]}),
+         "audit rho0 must be positive, not -1/2"),
+        (lambda d: d.update(audit={}, measure={
+            "power_law": ["1/4", "4", {"log": ["2", "3"]}], "rho0": "0"}),
+         "audit rho0 must be positive, not 0"),
+        # counts in the millions would build Fractions for minutes
+        (_set(["audit", "rho_count"], fractal.AUDIT_MAX_SCALES + 1),
+         "rho_count %d is more than" % (fractal.AUDIT_MAX_SCALES + 1)),
+        (_set(["audit", "dimension", "k_max"], fractal.AUDIT_MAX_SCALES + 1),
+         "k_max %d is more than" % (fractal.AUDIT_MAX_SCALES + 1)),
     ], ids=["list_audit", "null_dimension", "string_decay", "float_x_depth",
-            "bool_rho_count", "string_depth", "float_k_max"])
+            "bool_rho_count", "string_depth", "float_k_max", "zero_rho0",
+            "negative_rho0_lebesgue", "zero_measure_rho0", "huge_rho_count",
+            "huge_k_max"])
     def test_malformed_audit_exits_2(self, tmp_path, capsys, mutate, message):
         spec = write_spec(tmp_path, mutate, "cantor_audit.json")
         assert main(["audit", "--spec", spec, "--out", str(tmp_path)]) == 2

@@ -258,6 +258,19 @@ class TestAlphaBound:
         assert check_alpha(F(1, 4), dp)
         assert not check_alpha(F(1, 4) + F(1, 1000), dp)
 
+    @pytest.mark.parametrize("C, alpha", [
+        (F(1, 12), F(4095, 4096)),  # 4 alpha <= 4: the top numerator
+        (F(1, 3), F(1, 4)),  # 4 alpha <= 1: a tie at numerator 1024
+    ], ids=["top_numerator", "exact_tie"])
+    def test_max_alpha_search_ends(self, C, alpha):
+        assert max_alpha(DecayParams(C, F(1), 1)) == alpha
+
+    def test_max_alpha_none_admissible(self):
+        # 4 alpha <= 1/(3 * 10**6) holds for no numerator from 1
+        with pytest.raises(SpecError, match=r"finds no admissible multiple "
+                                            r"of 2\*\*-12"):
+            max_alpha(DecayParams(F(10 ** 6), F(1), 1))
+
 
 class TestAudits:
     def test_lebesgue_decay_passes(self, lebesgue):

@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 
 from schmidtgame import numerics
 from schmidtgame.errors import PrecisionCapExceeded
-from schmidtgame.numerics import (LogRatio, Ordering, circle_dist,
+from schmidtgame.numerics import (LogRatio, circle_dist,
                                   exponent_bounds, exponent_cmp, farey_left,
                                   farey_right, floor_sqrt,
                                   fractions_in_interval,
                                   ln_bounds, log_sign,
-                                  make_exponent, ordering_of, parse_rational,
+                                  make_exponent, parse_rational,
                                   pow_exact, rational_power_of,
                                   scaled_pow_cmp, simplest_between)
 
@@ -75,23 +75,23 @@ class TestCircleDist:
 
 class TestLogSign:
     def test_separates_ln2(self):
-        assert log_sign([(1, [2]), (F(-69, 100), [])]) is Ordering.GREATER
-        assert log_sign([(1, [2]), (F(-7, 10), [])]) is Ordering.LESS
+        assert log_sign([(1, [2]), (F(-69, 100), [])]) == 1
+        assert log_sign([(1, [2]), (F(-7, 10), [])]) == -1
 
     def test_refines_past_the_start(self):
         # a rational within 2**-64 below ln 2: 32 bits cannot place it
         lo, _ = ln_bounds(2, 64)
         with pytest.raises(PrecisionCapExceeded):
             log_sign([(1, [2]), (-lo, [])], max_bits=32)
-        assert log_sign([(1, [2]), (-lo, [])]) is Ordering.GREATER
-        assert log_sign([(-1, [2]), (lo, [])]) is Ordering.LESS
+        assert log_sign([(1, [2]), (-lo, [])]) == 1
+        assert log_sign([(-1, [2]), (lo, [])]) == -1
 
     def test_negative_factors(self):
         # ln(1/2) ln(1/3) = ln 2 ln 3 = 0.7615...; -ln(1/2) = ln 2
-        assert log_sign([(1, [F(1, 2), F(1, 3)]), (F(-76, 100), [])]) is Ordering.GREATER
-        assert log_sign([(-1, [F(1, 2), F(1, 3)]), (F(77, 100), [])]) is Ordering.GREATER
-        assert log_sign([(-1, [F(1, 2)]), (F(-7, 10), [])]) is Ordering.LESS
-        assert log_sign([(-2, [F(1, 2), 3, 3])]) is Ordering.GREATER
+        assert log_sign([(1, [F(1, 2), F(1, 3)]), (F(-76, 100), [])]) == 1
+        assert log_sign([(-1, [F(1, 2), F(1, 3)]), (F(77, 100), [])]) == 1
+        assert log_sign([(-1, [F(1, 2)]), (F(-7, 10), [])]) == -1
+        assert log_sign([(-2, [F(1, 2), 3, 3])]) == 1
 
     def test_tie_raises(self):
         with pytest.raises(PrecisionCapExceeded):
@@ -101,8 +101,8 @@ class TestLogSign:
             log_sign([(1, [4]), (-2, [2])])
 
     def test_exact_zero_is_equal(self):
-        assert log_sign([(1, [1]), (-3, [1, 5]), (F(2, 7), [7, 1])]) is Ordering.EQUAL
-        assert log_sign([]) is Ordering.EQUAL
+        assert log_sign([(1, [1]), (-3, [1, 5]), (F(2, 7), [7, 1])]) == 0
+        assert log_sign([]) == 0
 
 
 @given(a=rationals, b=rationals, c=rationals)
@@ -141,7 +141,7 @@ class TestLogRatio:
 
     def test_make_exponent_past_denominator_64(self):
         assert make_exponent(2, 2 ** 65) == F(1, 65)
-        assert exponent_cmp(make_exponent(2, 2 ** 65), F(1, 65)) is Ordering.EQUAL
+        assert exponent_cmp(make_exponent(2, 2 ** 65), F(1, 65)) == 0
 
     @pytest.mark.parametrize("top, base", [(4, 2), (F(1, 8), 2), (2, F(1, 8)),
                                            (1, 5), (F(4, 9), F(3, 2))])
@@ -151,10 +151,10 @@ class TestLogRatio:
 
     def test_exponent_cmp(self):
         g = LogRatio(2, 3)
-        assert exponent_cmp(g, F(6309, 10000)) is Ordering.GREATER
-        assert exponent_cmp(g, F(631, 1000)) is Ordering.LESS
-        assert exponent_cmp(g, LogRatio(8, 3)) is Ordering.LESS
-        assert exponent_cmp(LogRatio(4, 9), g) is Ordering.EQUAL
+        assert exponent_cmp(g, F(6309, 10000)) == 1
+        assert exponent_cmp(g, F(631, 1000)) == -1
+        assert exponent_cmp(g, LogRatio(8, 3)) == -1
+        assert exponent_cmp(LogRatio(4, 9), g) == 0
 
 
 def test_rational_power_of():
@@ -209,12 +209,12 @@ class TestScaledPowCmp:
     def test_exact_logratio_paths(self):
         g = LogRatio(2, 3)
         # (1/9)^g = 1/4 exactly
-        assert scaled_pow_cmp(F(1, 8), F(8), F(1, 9), g) is Ordering.LESS
-        assert scaled_pow_cmp(F(1, 4), F(1), F(1, 9), g) is Ordering.EQUAL
-        assert scaled_pow_cmp(F(1, 3), F(1), F(1, 9), g) is Ordering.GREATER
+        assert scaled_pow_cmp(F(1, 8), F(8), F(1, 9), g) == -1
+        assert scaled_pow_cmp(F(1, 4), F(1), F(1, 9), g) == 0
+        assert scaled_pow_cmp(F(1, 3), F(1), F(1, 9), g) == 1
 
     def test_zero_lhs(self):
-        assert scaled_pow_cmp(F(0), F(5), F(1, 2), F(1)) is Ordering.LESS
+        assert scaled_pow_cmp(F(0), F(5), F(1, 2), F(1)) == -1
 
     @given(lhs=positive_rationals, coeff=positive_rationals,
            eps=st.fractions(min_value=F(1, 16), max_value=2, max_denominator=16),
@@ -223,12 +223,12 @@ class TestScaledPowCmp:
     def test_rational_gamma_matches_direct(self, lhs, coeff, eps, num, den):
         gamma = F(num, den)
         got = scaled_pow_cmp(lhs, coeff, eps, gamma)
-        direct = ordering_of(lhs ** den, coeff ** den * eps ** num)
-        assert got is direct
+        a, b = lhs ** den, coeff ** den * eps ** num
+        assert got == (a > b) - (a < b)
 
     def test_interval_fallback(self):
         got = scaled_pow_cmp(F(10), F(3), F(1, 7), LogRatio(2, 5))
-        assert got is Ordering.GREATER
+        assert got == 1
 
 
 # decimal reference for the log_sign fallbacks, at 100 significant digits
@@ -255,7 +255,7 @@ def _exponent_value(e):
 
 def _reference_order(diff):
     assume(abs(diff) >= _REF_TIE)
-    return Ordering.GREATER if diff > 0 else Ordering.LESS
+    return 1 if diff > 0 else -1
 
 
 # the reference value rounded to 6-25 significant digits: a near tie whose
@@ -273,8 +273,8 @@ def test_exponent_cmp_matches_decimal(a, b, digits):
     if digits is not None:
         b = _near(_exponent_value(a), digits)
     want = _reference_order(_DEC.subtract(_exponent_value(a), _exponent_value(b)))
-    assert exponent_cmp(a, b) is want
-    assert exponent_cmp(b, a) is Ordering(-want.value)
+    assert exponent_cmp(a, b) == want
+    assert exponent_cmp(b, a) == -want
 
 
 @settings(max_examples=200, deadline=None)
@@ -286,7 +286,7 @@ def test_scaled_pow_cmp_matches_decimal(lhs, coeff, eps, gamma, digits):
     if digits is not None:
         lhs = _near(rhs.exp(_DEC), digits)
     want = _reference_order(_DEC.subtract(_ln(lhs), rhs))
-    assert scaled_pow_cmp(lhs, coeff, eps, gamma) is want
+    assert scaled_pow_cmp(lhs, coeff, eps, gamma) == want
 
 
 @settings(max_examples=200, deadline=None)
