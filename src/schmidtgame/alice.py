@@ -29,8 +29,8 @@ from .errors import (HorizonMismatch, InvalidAlpha, InvariantViolation,
                      SpecError)
 from .fractal import DecayParams, FractalSupport, check_alpha, find_point_in_gap
 from .game import Ball, GameParams, Variant, _bits, _dist_cmp, hold
-from .numerics import (floor_sqrt, fractions_in_interval, json_rationals,
-                       log_sign, parse_rational, rational_power_of)
+from .numerics import (_first_index, floor_sqrt, fractions_in_interval,
+                       json_rationals, log_sign, parse_rational)
 
 log = logging.getLogger(__name__)
 
@@ -137,24 +137,6 @@ IDENTITY = BiLipschitzMap((), (Fraction(1),), (Fraction(0), Fraction(0)))
 # lacunary sequence specifications
 
 
-def _first_index(holds, start: int = 1, guess: int = 0) -> int:
-    """The least n >= start where ``holds(n)``, for a predicate that stays
-    true once true: probe start + guess, gallop from there by doubling
-    steps, up while the probe is false or down to start while it holds,
-    then bisect the last step.  An answer m places from start + guess
-    costs about 2*log2(m) + 2 probes."""
-    top, step = start + guess, 1
-    if holds(top):
-        while top - step >= start and holds(top - step):
-            top, step = top - step, 2 * step
-        start = max(top - step + 1, start)
-    else:
-        start, top, step = top + 1, top + 1, 2
-        while not holds(top):
-            start, top, step = top + 1, top + step, 2 * step
-    return bisect.bisect_left(range(start, top), True, key=holds) + start
-
-
 @dataclass(frozen=True)
 class GeometricTerms:
     """Terms t_n = scale * base^n, re-indexed so that t_1 > 1."""
@@ -168,20 +150,12 @@ class GeometricTerms:
             raise SpecError("geometric base must exceed 1")
         if self.scale <= 0:
             raise SpecError("scale must be positive")
-        # tail shift: the least s >= 1 with scale*base^s > 1, that is
-        # s*ln(base) + ln(scale) > 0.  A scale base^e with rational e,
-        # the tie scale = base^-j included, gives s > -e outright; for any
-        # other scale the sum is never 0, so its logarithms order it
-        e = rational_power_of(self.scale, self.base)
-        if e is None:
-            s = _first_index(self._reaches_one)
-        else:
-            s = max(1, math.floor(-e) + 1)
-        object.__setattr__(self, "shift", s - 1)
+        # tail shift: the least s >= 1 with scale*base^s > 1
+        object.__setattr__(self, "shift", _first_index(self._reaches_one) - 1)
 
     def _reaches_one(self, s: int) -> bool:
         """scale*base^s > 1, from enclosures of the logarithms; an exact
-        power only where they are closer than log_sign's precision cap."""
+        power only at a tie, scale = base^-s, where they never separate."""
         try:
             return log_sign([(s, [self.base]), (1, [self.scale])]) > 0
         except PrecisionCapExceeded:
@@ -482,12 +456,11 @@ def lacunary_constants(M: Fraction, L: Fraction, alpha: Fraction,
     N = _block_capacity(inv, M)
     r = N.bit_length()
     bound = inv ** (r - 1) / L
-    k0 = 1
-    rho = rho_prime
-    # hardened smallness: window inflation must preserve translate spacing
-    while not (rho < rho0 and 2 * rho * (1 + ab ** (r + 1)) < bound):
-        k0 += 1
-        rho *= ab
+    # hardened smallness: window inflation must preserve translate
+    # spacing, 2*rho*(1 + (alpha*beta)^(r+1)) < bound
+    limit = min(rho0, bound / (2 * (1 + ab ** (r + 1))))
+    k0 = _first_index(lambda k: rho_prime * ab ** (k - 1) < limit)
+    rho = rho_prime * ab ** (k0 - 1)
     c = (rho / L) * ab ** (3 * r)
     return N, r, k0, rho, c, k0 + 2 * r - 1
 
@@ -505,11 +478,9 @@ def ba_constants(L: Fraction, alpha: Fraction, beta: Fraction,
     """
     ab = alpha * beta
     bound = ab ** 2 / (2 * L * (1 + alpha))
-    k0 = 2
-    rho = ab * rho_prime
-    while not (rho < bound and rho < rho0):
-        k0 += 1
-        rho *= ab
+    limit = min(bound, rho0)
+    k0 = _first_index(lambda k: rho_prime * ab ** (k - 1) < limit, 2)
+    rho = rho_prime * ab ** (k0 - 1)
     return k0, rho, rho / (beta * L), k0 - 1
 
 
@@ -612,19 +583,16 @@ class ClearingStrategy:
         self.ab = self.alpha * self.beta
         self.rho_prime = Fraction(opening.radius)
         self._constants()
-        # each block opens on (alpha*beta)^r times the last block's radius
-        self.ab_r = self.ab ** self.r
-        self.block_radius = self.rho_start
         self.planned = True
         return self
 
     def move(self, support: FractalSupport, params: GameParams,
              bob_ball: Ball) -> Ball:
         """Hold the center before ``start``.  Block k opens at turn
-        start + r(k-1) on radius rho_start*(alpha*beta)^{r(k-1)}, lists its
-        at most N < 2^r danger points within margin = spread*radius, and
-        halves the list at each of its r turns, leaving every point farther
-        than margin from the final ball."""
+        start + r(k-1) on radius rho_start*(alpha*beta)^{r(k-1)}, a power
+        computed from k, lists its at most N < 2^r danger points within
+        margin = spread*radius, and halves the list at each of its r turns,
+        leaving every point farther than margin from the final ball."""
         if not self.planned:
             self.plan(params, bob_ball)
         self.turn += 1
@@ -632,8 +600,7 @@ class ClearingStrategy:
             return hold(bob_ball, params.alpha)
         k, step = divmod(self.turn - self.start + self.r, self.r)
         if step == 0:
-            expected = self.block_radius
-            self.block_radius = expected * self.ab_r
+            expected = self.rho_start * self.ab ** (self.r * (k - 1))
             if bob_ball.radius != expected:
                 raise InvariantViolation(
                     "ball radius off schedule at block %d: %s != %s"
@@ -678,9 +645,9 @@ class LacunaryStrategy(ClearingStrategy):
                  decay: Optional[DecayParams] = None):
         super().__init__(phi, decay)
         self.spec = spec
-        # (k, n, m, x): block k holds the m terms below index n, up to the
-        # bound x where block k + 1's search starts
-        self._resume = (0, 1, 0, Fraction(1))
+        # (k, n, m): block k holds the m terms below index n, where block
+        # k + 1's search starts
+        self._resume = (0, 1, 0)
 
     def _constants(self):
         self.N, self.r, self.k0, self.rho, self.c, self.start = \
@@ -689,25 +656,22 @@ class LacunaryStrategy(ClearingStrategy):
                                self.decay.rho0)
         self.rho_start = self.ab ** (2 * self.r - 1) * self.rho
         self.spread = self.ab ** (self.r + 1)
-        # the translate spacing of block 1, (alpha*beta)^r / L
-        self.spacing = self.ab ** self.r / self.phi.lipschitz
 
     def index_block(self, k: int) -> List[int]:
-        """All n with (alpha*beta)^{-r(k-1)} <= t_n < (alpha*beta)^{-rk}.
-        Called in order, as the schedule calls it, the search starts where
-        block k - 1 ended, looks for the end as many terms on, and carries
-        the bound forward by one multiplication; otherwise it starts at
-        index 1 from the bound's power."""
+        """All n with (alpha*beta)^{-r(k-1)} <= t_n < (alpha*beta)^{-rk},
+        both bounds powers computed from k.  Called in order, as the
+        schedule calls it, the search starts where block k - 1 ended and
+        looks for the end as many terms on; otherwise it starts at index 1
+        with no guess of the length."""
         if k < 1:
             raise SpecError("block index must be >= 1")
-        if self._resume[0] == k - 1:
-            _, start, length, lower = self._resume
-        else:
+        done, start, length = self._resume
+        if done != k - 1:
             start, length = 1, 0
-            lower = (1 / self.ab) ** (self.r * (k - 1))
-        upper = lower / self.ab_r
-        block = self.spec.terms.indices_between(lower, upper, start, length)
-        self._resume = (k, block.stop, len(block), upper)
+        inv = 1 / self.ab
+        block = self.spec.terms.indices_between(
+            inv ** (self.r * (k - 1)), inv ** (self.r * k), start, length)
+        self._resume = (k, block.stop, len(block))
         return list(block)
 
     def _danger_entries(self, k, lo, hi):
@@ -723,9 +687,8 @@ class LacunaryStrategy(ClearingStrategy):
 
     def _block_points(self, k, ball, lo, hi) -> List[Fraction]:
         # premise: the ball is smaller than the translate spacing of block
-        # k, (alpha*beta)^{rk} / L, carried forward one block per call
-        spacing, self.spacing = self.spacing, self.spacing * self.ab_r
-        if not 2 * ball.radius < spacing:
+        # k, (alpha*beta)^{rk} / L
+        if not 2 * ball.radius < self.ab ** (self.r * k) / self.phi.lipschitz:
             raise InvariantViolation("block %d ball exceeds translate spacing" % k)
         entries = self._danger_entries(k, lo, hi)
         seen = {}
@@ -836,13 +799,23 @@ class InterleaveStrategy:
         for start, step in schedule:
             if start < 1 or step < 1:
                 raise ScheduleOverlap("progressions need start, step >= 1")
-        # the owners of a turn repeat with period lcm(steps) once every
-        # progression has started, so this horizon sees every overlap and gap
-        horizon = max(s for s, _ in schedule) + math.lcm(*(d for _, d in schedule))
-        for turn in range(1, horizon + 1):
-            owners = sum(turn >= s and (turn - s) % d == 0 for s, d in schedule)
-            if owners != 1:
-                raise ScheduleOverlap("turn %d has %d owners, not 1" % (turn, owners))
+        # two progressions share a turn, and then infinitely many, exactly
+        # when their starts agree modulo the gcd of their steps
+        for i, (s, d) in enumerate(schedule):
+            for j, (t, e) in enumerate(schedule[:i]):
+                if (s - t) % gcd(d, e) == 0:
+                    raise ScheduleOverlap(
+                        "progressions %d and %d meet: their common turns have "
+                        "2 owners" % (j + 1, i + 1))
+        # disjoint residue classes cover every integer once exactly when
+        # their densities 1/d sum to 1, and a progression then owns all of
+        # its class's turns when it starts on the first, s <= d
+        for s, d in schedule:
+            if s > d:
+                raise ScheduleOverlap("turn %d has 0 owners, not 1" % (s - d))
+        if sum(Fraction(1, d) for _, d in schedule) != 1:
+            raise ScheduleOverlap("the steps' densities sum below 1: some "
+                                  "turns have 0 owners")
         self.strategies = list(strategies)
         self.schedule = list(schedule)
         self.turn = 0

@@ -31,7 +31,8 @@ from .fractal import (AUDIT_MAX_SCALES, IFS, AuditGrid, DecayParams,
                       lower_pointwise_dimension, max_alpha)
 from .game import (Ball, GameParams, HoldCenter, Variant, outcome_interval,
                    run_game, validate_transcript)
-from .numerics import json_array, json_int, json_rationals, parse_rational
+from .numerics import (_first_index, json_array, json_int, json_rationals,
+                       parse_rational)
 
 
 def bundled_spec_path(name: str) -> str:
@@ -325,15 +326,12 @@ def cmd_construct(args) -> int:
     support, params, alice, bob, rounds, opening = build_game(doc, args)
     base, alphabet = _digit_alphabet(support)
     digits_wanted = args.digits
-    # rounds needed so the final ball is far smaller than a target cylinder
-    open_radius = opening.radius if opening else support.diameter
+    # rounds needed so the final ball is far smaller than a target cylinder:
+    # the least n with radius * (alpha*beta)^n <= base^-digits / 4
+    radius = opening.radius if opening else support.diameter
     ab = params.alpha * params.beta
-    need, radius = 0, Fraction(open_radius)
     limit = Fraction(1, base) ** digits_wanted / 4
-    while radius > limit:
-        need += 1
-        radius *= ab
-    rounds = max(rounds, need)
+    rounds = max(rounds, _first_index(lambda n: radius * ab ** n <= limit, 0))
     transcript = run_game(support, params, alice, bob, rounds, opening)
     validate_transcript(transcript, support)
     lo, hi = outcome_interval(transcript)

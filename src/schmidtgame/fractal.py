@@ -18,8 +18,8 @@ from fractions import Fraction
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .errors import SpecError
-from .numerics import (Exponent, LogRatio, make_exponent, pow_exact,
-                       rational_power_of, scaled_pow_cmp)
+from .numerics import (Exponent, LogRatio, _first_index, make_exponent,
+                       pow_exact, rational_power_of, scaled_pow_cmp)
 
 Interval = Tuple[Fraction, Fraction]
 
@@ -143,8 +143,8 @@ class FractalSupport:
         self._weights = [int(w * V) for w in ifs.weights]
         self._L, self._U, self._P = (int(v * H) for v in
                                      (lo, hi, self.canonical_point))
-        self._last = ((), 1, 0)  # the last word `_affine` folded
-        self._located = ()  # the last word `locate` returned
+        # the last word `_affine` folded, or `locate` found, and its map
+        self._last = ((), 1, 0)
 
     @property
     def diameter(self) -> Fraction:
@@ -153,17 +153,20 @@ class FractalSupport:
     def depth_below(self, bound, strict: bool = False,
                     cap: Optional[int] = None) -> int:
         """Least depth d, at most `cap`, with diameter * contraction**d
-        below `bound` (`<` when strict, else `<=`), by integer
-        cross-multiplication.  Without a cap `bound` must be positive."""
+        below `bound` (`<` when strict, else `<=`), decided on integers as
+        size * cn**d against limit * cd**d and found by `_first_index`.
+        The cap is a clause of the predicate, d >= cap, so a probe past
+        the cap holds too.  Without a cap `bound` must be positive."""
         bn, bd = Fraction(bound).as_integer_ratio()
         cn, cd = self.contraction.as_integer_ratio()
         size, limit = (self._U - self._L) * bd, bn * self._H
-        depth = 0
-        while (cap is None or depth < cap) and (
-                size >= limit if strict else size > limit):
-            depth += 1
-            size, limit = size * cn, limit * cd
-        return depth
+
+        def below(d):
+            if cap is not None and d >= cap:
+                return True
+            a, b = size * cn ** d, limit * cd ** d
+            return a < b if strict else a <= b
+        return _first_index(below, 0)
 
     def _affine(self, word: Sequence[int]) -> Tuple[int, int]:
         """(rho, alpha) of w_word; alpha by Horner's rule, outermost letter
@@ -326,9 +329,10 @@ class FractalSupport:
         the first word, in the preorder walk from the root over depths up
         to `max_depth`, whose point is x; None when there is none.
 
-        The walk resumes from the last word `locate` returned, so a replay
-        whose centers' words extend one another walks only the new letters.
-        `_climb` takes that word up to U, its deepest prefix of depth at
+        The walk resumes from the last word `_affine` folded, which
+        `locate` sets to the node it found, so a replay whose centers'
+        words extend one another walks only the new letters.  `_climb`
+        takes that word up to U, its deepest prefix of depth at
         most `max_depth` whose open cylinder holds x; the walk from the
         root meets only U's ancestors before it walks U's subtree, exactly
         as the walk started at U does.  An ancestor's point is x only when
@@ -340,12 +344,12 @@ class FractalSupport:
         x = Fraction(x)
         xn, xd = x.as_integer_ratio()
         P, H = self._P, self._H
-        last = self._located
+        last = self._last[0]
         n, rho, alpha, _ = self._climb(last, x, x, max_depth)
         for node in self._walk(x, x, max_depth, (last[:n], rho, alpha)):
             if (node.rho * P + node.alpha * H) * xd == xn * node.scale:
-                self._located = _shallowest(node.word)
-                return self._located
+                self._last = (tuple(node.word), node.rho, node.alpha)
+                return _shallowest(node.word)
         return None
 
 
@@ -654,14 +658,18 @@ class AuditGrid:
         if n ** min(x_depth, _AUDIT_MAX_WORDS.bit_length()) > _AUDIT_MAX_WORDS:
             raise SpecError(f"audit x_depth {x_depth} makes {n}**{x_depth} grid "
                             f"words, more than {_AUDIT_MAX_WORDS}")
+        # the radii are diameter * contraction**k from the first k >= 1
+        # that reaches rho0; a first k past the cap builds Fractions as
+        # large as a rho_count past it would
+        first = support.depth_below(rho0, cap=AUDIT_MAX_SCALES + 1)
+        if first > AUDIT_MAX_SCALES:
+            raise SpecError(f"audit rho0 is more than {AUDIT_MAX_SCALES} "
+                            "contractions below the support's diameter")
+        first = max(1, first)
+        rhos = [support.diameter * support.contraction ** k
+                for k in range(first, first + rho_count)]
         words = itertools.product(range(n), repeat=x_depth)
         xs = sorted({support.point(w) for w in words} | {support.canonical_point})
-        rhos = []
-        rho = support.diameter
-        while len(rhos) < rho_count:
-            rho *= support.contraction
-            if rho <= rho0:
-                rhos.append(rho)
         eps = [support.contraction ** j for j in range(1, 4)]
         offsets = [Fraction(0), Fraction(1, 2), Fraction(-1, 2), Fraction(1), Fraction(-1)]
         return AuditGrid(xs=xs, rhos=rhos, eps=eps, offsets=offsets, depths=depths)

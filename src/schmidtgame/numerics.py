@@ -15,6 +15,7 @@ precision budget raises PrecisionCapExceeded rather than guess.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -358,6 +359,34 @@ def floor_sqrt(x) -> int:
     if x < 0:
         raise ValueError
     return math.isqrt(x.numerator * x.denominator) // x.denominator
+
+
+# ---------------------------------------------------------------------------
+# the monotone search
+
+
+def _first_index(holds, start: int = 1, guess: int = 0) -> int:
+    """The least n >= start where ``holds(n)``, for a predicate that stays
+    true once true and holds somewhere: probe start + guess, gallop from
+    there by doubling steps, up while the probe is false or down to start
+    while it holds, then bisect the last step.  An answer m places from
+    start + guess costs about 2*log2(m) + 2 probes.
+
+    Every least-k threshold of the package goes through here, each over a
+    closed form in k: the tail shift and the blocks of geometric terms,
+    a support's `depth_below`, the warm-ups of the schedule constants, and
+    the rounds a digit construction needs.
+    """
+    top, step = start + guess, 1
+    if holds(top):
+        while top - step >= start and holds(top - step):
+            top, step = top - step, 2 * step
+        start = max(top - step + 1, start)
+    else:
+        start, top, step = top + 1, top + 1, 2
+        while not holds(top):
+            start, top, step = top + 1, top + step, 2 * step
+    return bisect.bisect_left(range(start, top), True, key=holds) + start
 
 
 # ---------------------------------------------------------------------------

@@ -564,10 +564,19 @@ class TestAudit:
          "rho_count %d is more than" % (fractal.AUDIT_MAX_SCALES + 1)),
         (_set(["audit", "dimension", "k_max"], fractal.AUDIT_MAX_SCALES + 1),
          "k_max %d is more than" % (fractal.AUDIT_MAX_SCALES + 1)),
+        # millions of contractions by 999/1000 down to rho0 would loop for
+        # minutes; the first radius is searched, and refused past the cap
+        (lambda d: d.update(support={
+            "maps": [{"r": "999/1000", "a": "0"},
+                     {"r": "1/1000", "a": "999/1000"}],
+            "weights": ["1/2", "1/2"], "hull": ["0", "1"]},
+            audit=dict(d["audit"], rho0="1/%d" % 10 ** 3000)),
+         "audit rho0 is more than %d contractions below"
+         % fractal.AUDIT_MAX_SCALES),
     ], ids=["list_audit", "null_dimension", "string_decay", "float_x_depth",
             "bool_rho_count", "string_depth", "float_k_max", "zero_rho0",
             "negative_rho0_lebesgue", "zero_measure_rho0", "huge_rho_count",
-            "huge_k_max"])
+            "huge_k_max", "deep_rho0"])
     def test_malformed_audit_exits_2(self, tmp_path, capsys, mutate, message):
         spec = write_spec(tmp_path, mutate, "cantor_audit.json")
         assert main(["audit", "--spec", spec, "--out", str(tmp_path)]) == 2
