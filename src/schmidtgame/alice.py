@@ -620,8 +620,10 @@ class ClearingStrategy:
             if self.danger:
                 raise InvariantViolation(
                     "danger points survived block %d clearing" % k)
+            reach = ball.radius + self.margin
+            num, den = reach.numerator, reach.denominator
             for z in self.block_points:
-                if abs(z - ball.center) - ball.radius < self.margin:
+                if _dist_cmp(z, ball.center, num, den) < 0:
                     raise InvariantViolation(
                         "cleared point (%s) inside the margin" % _bits(z))
             self.blocks_cleared = k

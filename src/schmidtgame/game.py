@@ -11,7 +11,10 @@ each center in K.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
+from decimal import (MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact,
+                     Rounded)
 from enum import Enum
 from fractions import Fraction
 from math import gcd
@@ -121,24 +124,95 @@ class Transcript:
         return self.moves[-1][1]
 
     def to_jsonl(self) -> str:
-        lines = []
-        for i, (player, ball) in enumerate(self.moves):
-            doc = {"k": i // 2 + 1, "player": player,
-                   "center": str(ball.center), "radius": str(ball.radius)}
-            lines.append(json.dumps(doc, sort_keys=True, separators=(",", ":")))
-        return "\n".join(lines) + "\n"
+        lines = _Lines(self.params)
+        return "\n".join(lines.write(i, player, ball)
+                         for i, (player, ball) in enumerate(self.moves)) + "\n"
 
 
 def transcript_from_jsonl(text: str, params: GameParams) -> Transcript:
     t = Transcript(params=params)
+    lines = _Lines(params)
     for line in text.splitlines():
         line = line.strip()
-        if not line:
-            continue
-        doc = json.loads(line)
-        ball = Ball(parse_rational(doc["center"]), parse_rational(doc["radius"]))
-        t.moves.append((doc["player"], ball))
+        if line:
+            t.moves.append(lines.read(line))
     return t
+
+
+# integer arithmetic on decimal digits, where a product or quotient with a
+# small int is linear in the digits (str() and int() of an int are
+# quadratic); a step that would round raises instead
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN,
+                 traps=[Inexact, Rounded])
+
+
+class _Lines:
+    """The transcript's line format, one move a line in `json.dumps`'s
+    compact sorted layout, keeping the last line's center and radius with
+    their text.  A repeated center reuses its text, and a repeated center
+    text its Fraction.  A classical radius, ratio * last, is stepped from
+    the last radius's digits, linear in them: the writer steps once the
+    rule holds, and the reader accepts only the stepped text.  Any other
+    radius goes through str() or `parse_rational`, which raise as they
+    would alone, and re-seeds the digits."""
+
+    def __init__(self, params: GameParams):
+        self.params = params
+        self.center = self.center_text = None
+        self.radius: Optional[Fraction] = None
+        self.digits: Optional[Tuple[Decimal, Decimal]] = None
+
+    def _ratio(self, player) -> Optional[Fraction]:
+        """The ratio of a stepped radius, or None where there is no last
+        radius or the variant leaves the radius free."""
+        if self.radius is None or self.params.variant is not Variant.CLASSICAL:
+            return None
+        return self.params.alpha if player == "alice" else self.params.beta
+
+    def _step(self, ratio: Fraction):
+        """(digits, text) of ratio * the last radius, or (None, None) when
+        a number passes the int string digit limit."""
+        pn, pd = self.radius.numerator, self.radius.denominator
+        an, ad = ratio.numerator, ratio.denominator
+        g, h = gcd(an, pd), gcd(pn, ad)
+        dn, dd = self.digits or map(_EXACT.create_decimal, (pn, pd))
+        dn = _EXACT.multiply(_EXACT.divide_int(dn, h), an // g)
+        dd = _EXACT.multiply(_EXACT.divide_int(dd, g), ad // h)
+        # the int string digit limit, 0 for none (CPython 3.10.7 and later)
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if limit and max(dn.adjusted(), dd.adjusted()) >= limit:
+            return None, None
+        return (dn, dd), (f"{dn}" if dd == 1 else f"{dn}/{dd}")
+
+    def write(self, i: int, player, ball: Ball) -> str:
+        if ball.center != self.center:
+            self.center, self.center_text = ball.center, str(ball.center)
+        ratio, digits = self._ratio(player), None
+        if ratio is not None and ratio * self.radius == ball.radius:
+            digits, text = self._step(ratio)
+        if digits is None:
+            text = str(ball.radius)
+        self.radius, self.digits = ball.radius, digits
+        name = f'"{player}"' if player in _PLAYERS else json.dumps(player)
+        return (f'{{"center":"{self.center_text}","k":{i // 2 + 1},'
+                f'"player":{name},"radius":"{text}"}}')
+
+    def read(self, line: str) -> Tuple[str, Ball]:
+        doc = json.loads(line)
+        text = doc["center"]
+        if self.center is None or text != self.center_text:
+            self.center, self.center_text = parse_rational(text), text
+        text = doc["radius"]
+        ratio, digits = self._ratio(doc.get("player")), None
+        if ratio is not None:
+            digits, stepped = self._step(ratio)
+        if digits is not None and text == stepped:
+            radius = ratio * self.radius
+        else:
+            radius, digits = parse_rational(text), None
+        self.radius, self.digits = radius, digits
+        ball = Ball(self.center, radius)    # raises before a missing player
+        return doc["player"], ball
 
 
 def hold(ball: Ball, ratio: Fraction) -> Ball:
@@ -150,14 +224,20 @@ def hold(ball: Ball, ratio: Fraction) -> Ball:
 def _referee(support: FractalSupport, t: Transcript, i: int, player: str,
              ball: Ball) -> None:
     """Check `ball` as move i of `t`: turn order, the rules of `is_legal`
-    against move i - 1, and membership of the center in `support`.  Raises
-    IllegalMove, carrying `t`, on the first violation."""
+    against move i - 1, and membership of the center in `support`.  A
+    center equal to move i - 1's, with no word or the same word, inherits
+    that move's membership proof.  Raises IllegalMove, carrying `t`, on
+    the first violation."""
     if player != _PLAYERS[i % 2]:
         raise IllegalMove(player, f"move {i} out of turn", ball, t)
     if i > 0:
-        ok, reason = is_legal(t.moves[i - 1][1], ball, player, t.params)
+        prev = t.moves[i - 1][1]
+        ok, reason = is_legal(prev, ball, player, t.params)
         if not ok:
             raise IllegalMove(player, reason, ball, t)
+        # move i - 1 proved this center, by its word or by `locate`
+        if ball.center == prev.center and ball.word in (None, prev.word):
+            return
     if ball.word is not None:
         if not support.verify_point(ball.center, ball.word):
             raise IllegalMove(player, f"word does not witness center "

@@ -20,7 +20,7 @@ from schmidtgame.errors import (HorizonMismatch, InvalidAlpha,
 from schmidtgame.cli import bundled_spec_path, main
 from schmidtgame.fractal import (DecayParams, FractalSupport, cantor_support,
                                  decay_from_federer_efd, max_alpha)
-from schmidtgame.game import (Ball, GameParams, HoldCenter, Variant,
+from schmidtgame.game import (Ball, GameParams, HoldCenter, Variant, hold,
                               outcome_interval, run_game, validate_transcript)
 from schmidtgame.numerics import circle_dist, fractions_in_interval
 
@@ -628,6 +628,28 @@ class TestScheduleFailsClosed:
                             (sum(interval) / 2, word))
         with pytest.raises(InvariantViolation, match="fewer than half"):
             st.move(K, QUARTER, Ball(F(0), st.rho_start))
+
+    def test_margin_tie_is_no_violation(self, K, kind, monkeypatch):
+        # a cleared point exactly radius + margin from the block's final
+        # center sits on the margin, not inside it
+        monkeypatch.setattr(alice, "avoidance_step",
+                            lambda support, ball, a, points: (hold(ball, a), []))
+        for inside in (False, True):
+            st = at_block_one(kind)
+            final = QUARTER.alpha * st.ab ** (st.r - 1) * st.rho_start
+            edge = final + st.spread * st.rho_start - inside * final / 10 ** 6
+            monkeypatch.setattr(st, "_block_points", lambda *args: [edge])
+            bob = Ball(F(0), st.rho_start)
+            for turn in range(st.r):
+                if inside and turn == st.r - 1:
+                    with pytest.raises(InvariantViolation,
+                                       match="inside the margin"):
+                        st.move(K, QUARTER, bob)
+                    break
+                bob = hold(st.move(K, QUARTER, bob), QUARTER.beta)
+            else:
+                assert st.blocks_cleared == 1 and bob.radius == \
+                    QUARTER.beta * final
 
 
 class TestInterleave:

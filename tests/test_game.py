@@ -1,9 +1,11 @@
 import random
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 import pytest
 
 from schmidtgame.bob import KeepCenterBob
+from schmidtgame.cli import build_game, bundled_spec_path, load_document
 from schmidtgame.errors import IllegalMove, NoPointFound, StrategyFailure
 from schmidtgame.fractal import cantor_support, find_point_in_gap
 from schmidtgame.game import (Ball, GameParams, HoldCenter, Transcript,
@@ -192,3 +194,67 @@ class TestTranscript:
                 assert ok, reason
                 t.moves.append((player, ball))
             validate_transcript(t, K)
+
+
+def bundled_game(name, rounds):
+    """The transcript `play` makes of a bundled spec, and its support."""
+    doc = load_document(bundled_spec_path(name))
+    support, params, alice, bob, _, opening = build_game(
+        doc, SimpleNamespace(rounds=rounds, seed=None))
+    return run_game(support, params, alice, bob, rounds, opening), support
+
+
+class TestRefereeReuse:
+    """A move whose center equals the last move's, with no word or the same
+    word, inherits its membership proof; every other check still runs."""
+
+    def test_repeated_center_with_a_false_word_is_rejected(self, K):
+        p = classical(F(1, 3), F(1, 3))
+        opening = Ball(K.canonical_point, K.diameter, word=())
+        for word in ((), None):
+            t = Transcript(p, [("bob", opening),
+                               ("alice", Ball(opening.center, F(1, 3), word))])
+            validate_transcript(t, K)
+        t.moves[1] = ("alice", Ball(opening.center, F(1, 3), (1,)))
+        with pytest.raises(IllegalMove, match="word does not witness"):
+            validate_transcript(t, K)
+
+    def test_repeated_center_still_refereed(self, K):
+        p = classical(F(1, 3), F(1, 3))
+        opening = Ball(K.canonical_point, K.diameter)
+        t = Transcript(p, [("bob", opening), ("bob", Ball(opening.center,
+                                                          F(1, 3)))])
+        with pytest.raises(IllegalMove, match="out of turn"):
+            validate_transcript(t, K)
+        t.moves[1] = ("alice", Ball(opening.center, F(1, 2)))
+        with pytest.raises(IllegalMove, match="classical rule"):
+            validate_transcript(t, K)
+
+    def test_replay_fails_at_the_first_center_past_the_cap(self, K):
+        # the 200-round triple game's first center whose word passes 512
+        # letters is a new center, so no proof is inherited there
+        played, support = bundled_game("cantor_triple.json", 200)
+        back = transcript_from_jsonl(played.to_jsonl(), played.params)
+        first = next(i for i, (_, ball) in enumerate(played.moves)
+                     if len(ball.word) > 512)
+        center = back.moves[first][1].center
+        with pytest.raises(IllegalMove) as exc:
+            validate_transcript(back, support)
+        assert exc.value.ball is back.moves[first][1]
+        bits = "%d/%d bits" % (center.numerator.bit_length(),
+                               center.denominator.bit_length())
+        assert exc.value.reason == ("center (%s) has no cylinder witness "
+                                    "within 512 letters" % bits)
+
+    def test_replay_locates_each_new_center_once(self, monkeypatch):
+        played, support = bundled_game("cantor_lacunary.json", 400)
+        back = transcript_from_jsonl(played.to_jsonl(), played.params)
+        centers = [ball.center for _, ball in back.moves]
+        changes = 1 + sum(a != b for a, b in zip(centers, centers[1:]))
+        calls = []
+        locate = type(support).locate
+        monkeypatch.setattr(type(support), "locate",
+                            lambda self, x, *args: calls.append(x)
+                            or locate(self, x, *args))
+        validate_transcript(back, support)
+        assert len(calls) == changes
