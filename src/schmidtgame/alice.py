@@ -29,8 +29,8 @@ from .errors import (HorizonMismatch, InvalidAlpha, InvariantViolation,
                      SpecError)
 from .fractal import DecayParams, FractalSupport, check_alpha, find_point_in_gap
 from .game import Ball, GameParams, Variant, _bits, _dist_cmp, hold
-from .numerics import (_first_index, floor_sqrt, fractions_in_interval,
-                       json_rationals, log_sign, parse_rational)
+from .numerics import (_first_index, fractions_in_interval, json_rationals,
+                       log_sign, parse_rational)
 
 log = logging.getLogger(__name__)
 
@@ -89,11 +89,15 @@ class BiLipschitzMap:
     def apply(self, x) -> Fraction:
         x = Fraction(x)
         x0, y0, slope = self._piece(x, 0, 1)
+        if slope == 1 and x0 == y0:     # the identity on this piece
+            return x
         return y0 + slope * (x - x0)
 
     def inverse(self, y) -> Fraction:
         y = Fraction(y)
         x0, y0, slope = self._piece(y, 1, 1 if self.slopes[0] > 0 else -1)
+        if slope == 1 and x0 == y0:
+            return y
         return x0 + (y - y0) / slope
 
     def _piece(self, v: Fraction, axis: int, sign: int):
@@ -485,11 +489,13 @@ def ba_constants(L: Fraction, alpha: Fraction, beta: Fraction,
 
 
 def ba_band_top(ab: Fraction, k: int) -> int:
-    """The largest q with q^2 < (alpha*beta)^-k: the top denominator of BA
-    block k, and the last that k cleared blocks certify."""
-    bound = (1 / ab) ** k
-    q = floor_sqrt(bound)
-    return q - (q * q == bound)
+    """The largest q with q^2 < (alpha*beta)^-k, for k >= 0: the top
+    denominator of BA block k, and the last that k cleared blocks certify.
+    With alpha*beta = A/B, on integers: isqrt(B**k // A**k) is the floor of
+    the root, and it is dropped by one when its square is B**k / A**k."""
+    a, b = ab.numerator ** k, ab.denominator ** k
+    q = math.isqrt(b // a)
+    return q - (q * q * a == b)
 
 
 # ---------------------------------------------------------------------------
@@ -605,11 +611,12 @@ class ClearingStrategy:
                 raise InvariantViolation(
                     "ball radius off schedule at block %d: %s != %s"
                     % (k, _bits(bob_ball.radius), _bits(expected)))
-            # inflate by the margin so near-outside points count too
+            # inflate by the margin so near-outside points count too: the
+            # ball's interval widened by it, one sum per end
             self.margin = self.spread * expected
-            lo, hi = bob_ball.interval
-            points = self._block_points(k, bob_ball, lo - self.margin,
-                                        hi + self.margin)
+            reach = expected + self.margin
+            points = self._block_points(k, bob_ball, bob_ball.center - reach,
+                                        bob_ball.center + reach)
             if len(points) > self.N:
                 raise InvariantViolation(
                     "danger list of block %d exceeds the block capacity N" % k)

@@ -59,25 +59,29 @@ def random_move(support: FractalSupport, alice_ball: Ball, params: GameParams,
     still fits inside the legal center range; the choice is deterministic
     in the seed.  Falls back to keeping the center when no cylinder fits.
 
-    The depth stops at 64, so once the legal range is narrower than the
-    shortest depth-64 cylinder Bob keeps the center, without a walk.  On
-    the middle-thirds set that holds from a radius of a few times 3**-64
-    down: 199 of the 200 moves of the 200-round triple game.
+    The depth stops at 64, so Bob keeps the center when the legal range,
+    2(1 - beta) * radius long, is shorter than the shortest depth-64
+    cylinder.  That test reads the radius alone, on integers, before any
+    sum of center and radius, any depth search or walk.  On the
+    middle-thirds set it holds from a radius of a few times 3**-64 down:
+    199 of the 200 moves of the 200-round triple game.
     """
-    lo, hi = _legal_range(alice_ball, params.beta)
-    slack = hi - lo
-    depth = support.depth_below(slack / 4, cap=64)
-    shortest = min(abs(m.r) for m in support.ifs.maps) ** depth
-    if support.diameter * shortest > slack:
-        return hold(alice_ball, params.beta)
+    beta, radius = params.beta, alice_ball.radius
+    floor = support.shortest_cylinder(64)
+    # floor > 2(1 - beta) * radius, cross-multiplied
+    if (floor.numerator * beta.denominator * radius.denominator >
+            2 * (beta.denominator - beta.numerator) * radius.numerator
+            * floor.denominator):
+        return hold(alice_ball, beta)
+    lo, hi = _legal_range(alice_ball, beta)
+    depth = support.depth_below((hi - lo) / 4, cap=64)
     cands = [c for c in support.cylinders_meeting(lo, hi, depth)
              if lo <= c.lo and c.hi <= hi]
     if not cands:
-        return hold(alice_ball, params.beta)
+        return hold(alice_ball, beta)
     rng = random.Random(str(seed))
     cyl = cands[rng.randrange(len(cands))]
-    return Ball(support.point(cyl.word), params.beta * alice_ball.radius,
-                cyl.word)
+    return Ball(support.point(cyl.word), beta * radius, cyl.word)
 
 
 class KeepCenterBob:

@@ -145,10 +145,21 @@ class FractalSupport:
                                      (lo, hi, self.canonical_point))
         # the last word `_affine` folded, or `locate` found, and its map
         self._last = ((), 1, 0)
+        # `shortest_cylinder` by depth
+        self._shortest = {}
 
     @property
     def diameter(self) -> Fraction:
         return self.hull[1] - self.hull[0]
+
+    def shortest_cylinder(self, depth: int) -> Fraction:
+        """diameter * min|r|**depth: no cylinder of `depth` letters is
+        shorter.  Each depth is computed once."""
+        got = self._shortest.get(depth)
+        if got is None:
+            shortest = min(abs(m.r) for m in self.ifs.maps)
+            got = self._shortest[depth] = self.diameter * shortest ** depth
+        return got
 
     def depth_below(self, bound, strict: bool = False,
                     cap: Optional[int] = None) -> int:

@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import gcd
 from typing import List, Optional, Tuple
 
-from .errors import IllegalMove, NoPointFound, StrategyFailure
+from .errors import IllegalMove, NoPointFound, SpecError, StrategyFailure
 from .fractal import LOCATE_DEPTH, FractalSupport
 from .numerics import parse_rational
 
@@ -135,7 +135,7 @@ def transcript_from_jsonl(text: str, params: GameParams) -> Transcript:
     for line in text.splitlines():
         line = line.strip()
         if line:
-            t.moves.append(lines.read(line))
+            t.moves.append(lines.read(len(t.moves), line))
     return t
 
 
@@ -154,7 +154,8 @@ class _Lines:
     the last radius's digits, linear in them: the writer steps once the
     rule holds, and the reader accepts only the stepped text.  Any other
     radius goes through str() or `parse_rational`, which raise as they
-    would alone, and re-seeds the digits."""
+    would alone, and re-seeds the digits.  Move i's line carries its round
+    number, i // 2 + 1, as "k"; the reader refuses any other."""
 
     def __init__(self, params: GameParams):
         self.params = params
@@ -197,7 +198,7 @@ class _Lines:
         return (f'{{"center":"{self.center_text}","k":{i // 2 + 1},'
                 f'"player":{name},"radius":"{text}"}}')
 
-    def read(self, line: str) -> Tuple[str, Ball]:
+    def read(self, i: int, line: str) -> Tuple[str, Ball]:
         doc = json.loads(line)
         text = doc["center"]
         if self.center is None or text != self.center_text:
@@ -212,7 +213,11 @@ class _Lines:
             radius, digits = parse_rational(text), None
         self.radius, self.digits = radius, digits
         ball = Ball(self.center, radius)    # raises before a missing player
-        return doc["player"], ball
+        player, k = doc["player"], doc.get("k")
+        if type(k) is not int or k != i // 2 + 1:
+            raise SpecError(f'transcript line {i + 1}: "k" is not the round '
+                            f'number {i // 2 + 1}')
+        return player, ball
 
 
 def hold(ball: Ball, ratio: Fraction) -> Ball:

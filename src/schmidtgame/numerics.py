@@ -353,14 +353,6 @@ def scaled_pow_cmp(lhs, coeff, eps, gamma: Exponent) -> int:
     return (a > b) - (a < b)
 
 
-def floor_sqrt(x) -> int:
-    """Largest integer q with q*q <= x, for rational x >= 0."""
-    x = Fraction(x)
-    if x < 0:
-        raise ValueError
-    return math.isqrt(x.numerator * x.denominator) // x.denominator
-
-
 # ---------------------------------------------------------------------------
 # the monotone search
 

@@ -6,6 +6,7 @@ are exact rational arithmetic.
 """
 
 import json
+import math
 import random
 import time
 from dataclasses import replace
@@ -28,8 +29,7 @@ from schmidtgame.fractal import (AuditGrid, DecayParams, FractalMeasure,
                                  lower_pointwise_dimension, max_alpha)
 from schmidtgame.game import (Ball, GameParams, outcome_interval, run_game,
                               validate_transcript)
-from schmidtgame.numerics import (circle_dist, exponent_bounds, floor_sqrt,
-                                  make_exponent)
+from schmidtgame.numerics import circle_dist, exponent_bounds, make_exponent
 
 
 @pytest.fixture(scope="module")
@@ -77,7 +77,8 @@ def test_2_ba_end_to_end(K, decay):
     formula_c = (1 / alice.ab) * alice.alpha * alice.rho / alice.phi.lipschitz
     cert = ba_certificate(alice, outcome_interval(transcript))
     result = verify_ba(cert)
-    q_cap = min(floor_sqrt((1 / alice.ab) ** alice.blocks_cleared), 10 ** 6)
+    bound = (1 / alice.ab) ** alice.blocks_cleared
+    q_cap = min(math.isqrt(bound.numerator // bound.denominator), 10 ** 6)
     ok = (result.passed and cert.c == formula_c == alice.c
           and alice.blocks_cleared >= 30 and q_cap == 10 ** 6)
     report(2, "badly approximable", ok, time.monotonic() - t0, budget=60)

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import time
 from fractions import Fraction as F
@@ -688,9 +689,8 @@ class TestInterleave:
         ok, _ = orbit_claim_holds(lac, lo, hi)
         assert ok
         c = ba.c
-        inv = 1 / ba.ab
-        from schmidtgame.numerics import floor_sqrt
-        Q = min(floor_sqrt(inv ** ba.blocks_cleared), 10 ** 5)
+        bound = (1 / ba.ab) ** ba.blocks_cleared
+        Q = min(math.isqrt(bound.numerator // bound.denominator), 10 ** 5)
         for f in fractions_in_interval(lo - c, hi + c, Q):
             d = max(F(0), lo - f, f - hi)
             assert d > c / f.denominator ** 2

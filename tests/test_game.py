@@ -6,7 +6,8 @@ import pytest
 
 from schmidtgame.bob import KeepCenterBob
 from schmidtgame.cli import build_game, bundled_spec_path, load_document
-from schmidtgame.errors import IllegalMove, NoPointFound, StrategyFailure
+from schmidtgame.errors import (IllegalMove, NoPointFound, SpecError,
+                                StrategyFailure)
 from schmidtgame.fractal import cantor_support, find_point_in_gap
 from schmidtgame.game import (Ball, GameParams, HoldCenter, Transcript,
                               Variant, is_legal, outcome_interval, run_game,
@@ -159,6 +160,23 @@ class TestTranscript:
         lines = [json.loads(s) for s in t.to_jsonl().splitlines()]
         assert [(d["player"], d["k"]) for d in lines] == [
             ("bob", 1), ("alice", 1), ("bob", 2), ("alice", 2), ("bob", 3)]
+
+    # (move, its new "k"): true equals 1 in Python, so it edits a round-1
+    # line; None drops the key
+    @pytest.mark.parametrize("i, k", [(3, "7"), (3, '"2"'), (3, "2.0"),
+                                      (1, "true"), (3, None)])
+    def test_edited_round_number_rejected(self, K, i, k):
+        # a 3-round file with one line's round number edited or dropped:
+        # every other field of the line is still valid
+        p = classical(F(1, 3), F(1, 3))
+        text = run_game(K, p, HoldCenter(), KeepCenterBob(), rounds=3).to_jsonl()
+        lines = text.splitlines()
+        was = '"k":%d,' % (i // 2 + 1)
+        assert lines[i].count(was) == 1
+        lines[i] = lines[i].replace(was, "" if k is None else f'"k":{k},')
+        with pytest.raises(SpecError, match='line %d: "k" is not the round '
+                           'number %d' % (i + 1, i // 2 + 1)):
+            transcript_from_jsonl("\n".join(lines) + "\n", p)
 
     def test_radius_mutation_rejected(self, K):
         p = classical(F(1, 3), F(1, 3))

@@ -11,7 +11,7 @@ from schmidtgame import numerics
 from schmidtgame.errors import PrecisionCapExceeded
 from schmidtgame.numerics import (LogRatio, circle_dist,
                                   exponent_bounds, exponent_cmp, farey_left,
-                                  farey_right, floor_sqrt,
+                                  farey_right,
                                   fractions_in_interval,
                                   ln_bounds, log_sign,
                                   make_exponent, parse_rational,
@@ -300,13 +300,6 @@ def test_exponent_bounds_enclose(e):
         assert lo == hi == e
     as_decimal = lambda f: _DEC.divide(Decimal(f.numerator), Decimal(f.denominator))
     assert as_decimal(lo) <= _exponent_value(e) <= as_decimal(hi)
-
-
-def test_floor_sqrt():
-    assert floor_sqrt(F(35)) == 5
-    assert floor_sqrt(F(36)) == 6
-    assert floor_sqrt(F(8192, 3)) == 52
-    assert floor_sqrt(F(1, 2)) == 0
 
 
 class TestFarey:
