@@ -23,9 +23,9 @@ from .fractal import (IFS, AuditGrid, DecayParams, FractalMeasure,
                       binary_support, cantor_support, check_alpha,
                       decay_from_federer_efd, find_point_in_gap,
                       lower_pointwise_dimension, max_alpha)
-from .game import (Ball, GameParams, HoldCenter, Transcript, Variant,
-                   is_legal, outcome_interval, run_game,
-                   transcript_from_jsonl, validate_transcript)
+from .game import (Ball, GameParams, HoldCenter, Transcript, is_legal,
+                   outcome_interval, run_game, transcript_from_jsonl,
+                   validate_transcript)
 
 __version__ = "0.1.0"
 
@@ -39,7 +39,7 @@ __all__ = [
     "ListTerms", "NoPointFound", "PeriodicTargets", "PrecisionCapExceeded",
     "RandomBob", "ScheduleOverlap", "SimilarityMap",
     "SpecError", "StrategyFailure", "Transcript", "VerificationResult",
-    "Variant", "affine_to_sequence", "audit_measure",
+    "affine_to_sequence", "audit_measure",
     "avoidance_step", "ba_certificate", "binary_support",
     "cantor_support", "check_alpha",
     "decay_from_federer_efd", "dimension_report", "find_point_in_gap",

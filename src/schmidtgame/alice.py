@@ -28,7 +28,7 @@ from .errors import (HorizonMismatch, InvalidAlpha, InvariantViolation,
                      NoPointFound, PrecisionCapExceeded, ScheduleOverlap,
                      SpecError)
 from .fractal import DecayParams, FractalSupport, check_alpha, find_point_in_gap
-from .game import Ball, GameParams, Variant, _bits, _dist_cmp, hold
+from .game import Ball, GameParams, _bits, _dist_cmp, hold
 from .numerics import (_first_index, fractions_in_interval, json_rationals,
                        log_sign, parse_rational)
 
@@ -581,8 +581,6 @@ class ClearingStrategy:
     def plan(self, params: GameParams, opening: Ball) -> "ClearingStrategy":
         """Derive the schedule constants.  Raises InvalidAlpha when alpha
         fails the decay admissibility bound (4*alpha)^gamma <= 1/(3C)."""
-        if params.variant is not Variant.CLASSICAL:
-            raise SpecError("the clearing schedule needs exact classical radii")
         if not check_alpha(params.alpha, self.decay):
             raise InvalidAlpha(ALPHA_DIAGNOSTIC)
         self.alpha, self.beta = params.alpha, params.beta
@@ -837,7 +835,7 @@ class InterleaveStrategy:
         i, step = next((i, d) for i, (s, d) in enumerate(self.schedule)
                        if self.turn >= s and (self.turn - s) % d == 0)
         beta_eff = params.beta * (params.alpha * params.beta) ** (step - 1)
-        eff = GameParams(params.alpha, beta_eff, params.variant)
+        eff = GameParams(params.alpha, beta_eff)
         self.last[i] = self.strategies[i].move(support, eff, ball)
         return self.last[i]
 

@@ -29,8 +29,8 @@ from .fractal import (AUDIT_MAX_SCALES, IFS, AuditGrid, DecayParams,
                       audit_measure, binary_support, cantor_support,
                       check_alpha, decay_from_federer_efd,
                       lower_pointwise_dimension, max_alpha)
-from .game import (Ball, GameParams, HoldCenter, Variant, outcome_interval,
-                   run_game, validate_transcript)
+from .game import (Ball, GameParams, HoldCenter, outcome_interval, run_game,
+                   validate_transcript)
 from .numerics import (_first_index, json_array, json_int, json_rationals,
                        parse_rational)
 
@@ -167,8 +167,10 @@ def build_game(doc: dict, args) -> Tuple[FractalSupport, GameParams, object,
         alpha = max_alpha(decay)
     else:
         alpha = parse_rational(g["alpha"])
-    params = GameParams(alpha, parse_rational(g["beta"]),
-                        Variant(g.get("variant", "classical")))
+    if g.get("variant", "classical") != "classical":
+        raise SpecError('game.variant must be "classical", the one rule '
+                        'played, not %s' % json.dumps(g["variant"]))
+    params = GameParams(alpha, parse_rational(g["beta"]))
     if decay is not None and not check_alpha(alpha, decay):
         raise InvalidAlpha(ALPHA_DIAGNOSTIC)
     rounds = json_int(g.get("rounds", 20), "rounds")
@@ -263,11 +265,17 @@ def cmd_audit(args) -> int:
     if d is not None:
         x = parse_rational(d.get("x", "0"))
         k_max = json_int(d.get("k_max", 12), "k_max")
+        if k_max < 1:
+            raise SpecError("dimension k_max must be at least 1, not %d"
+                            % k_max)
         if k_max > AUDIT_MAX_SCALES:
             raise SpecError("dimension k_max %d is more than %d"
                             % (k_max, AUDIT_MAX_SCALES))
         base = parse_rational(d["rho_base"]) if "rho_base" in d \
             else support.contraction
+        # before the audit, so a bad x or scale writes no file
+        ests = lower_pointwise_dimension(measure, x,
+                                         [base ** k for k in range(1, k_max + 1)])
     report = audit_measure(measure, grid, **constants)
     os.makedirs(args.out, exist_ok=True)
     cpath = os.path.join(args.out, "audit.csv")
@@ -276,8 +284,6 @@ def cmd_audit(args) -> int:
     for o in report.outcomes:
         print("audit %s: %s" % (o.check, o.verdict.value))
     if d is not None:
-        ests = lower_pointwise_dimension(measure, x,
-                                         [base ** k for k in range(1, k_max + 1)])
         rep = dimension_report(estimates=ests, audit=report)
         _write_json(os.path.join(args.out, "dimension.json"), rep.to_json())
         margin = rep.margin

@@ -1,11 +1,10 @@
 """The Schmidt game state machine on a fractal support.
 
 Bob opens with a configured ball; thereafter Alice picks a ball inside the
-last one with radius alpha times it, Bob answers inside hers with beta
-times, and so on (the strong variant relaxes both equalities to >=).  The
-referee checks every move exactly: containment through the center-distance
-inequality, the radius rule of the variant, and constructive membership of
-each center in K.
+last one with radius exactly alpha times it, Bob answers inside hers with
+exactly beta times, and so on.  The referee checks every move exactly: the
+radius rule, containment through the center-distance inequality, and
+constructive membership of each center in K.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ import sys
 from dataclasses import dataclass, field
 from decimal import (MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact,
                      Rounded)
-from enum import Enum
 from fractions import Fraction
 from math import gcd
 from typing import List, Optional, Tuple
@@ -25,16 +23,10 @@ from .fractal import LOCATE_DEPTH, FractalSupport
 from .numerics import parse_rational
 
 
-class Variant(Enum):
-    CLASSICAL = "classical"
-    STRONG = "strong"
-
-
 @dataclass(frozen=True)
 class GameParams:
     alpha: Fraction
     beta: Fraction
-    variant: Variant = Variant.CLASSICAL
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", Fraction(self.alpha))
@@ -82,28 +74,19 @@ def _dist_cmp(x: Fraction, y: Fraction, num: int, den: int) -> int:
 
 
 def is_legal(prev: Ball, nxt: Ball, whose_turn: str, params: GameParams) -> Tuple[bool, str]:
-    """Referee one move:  nested order plus the variant's radius rule,
+    """Referee one move:  radius exactly ratio * prev.radius, then nesting,
     decided on the integers of the radii and centers."""
     ratio = params.alpha if whose_turn == "alice" else params.beta
     pn, pd = prev.radius.numerator, prev.radius.denominator
     nn, nd = nxt.radius.numerator, nxt.radius.denominator
-    if params.variant is Variant.CLASSICAL:
-        an, ad = ratio.numerator, ratio.denominator
-        # ratio * prev.radius in lowest terms: each gcd has a small operand
-        g, h = gcd(an, pd), gcd(pn, ad)
-        if nn != an // g * (pn // h) or nd != ad // h * (pd // g):
-            return False, (f"radius ({_bits(nxt.radius)}) != ratio * "
-                           f"({_bits(prev.radius)}) required by the classical rule")
-        # the center may move prev.radius - nxt.radius = (1 - ratio) * prev.radius
-        room = (ad - an) * pn, ad * pd
-    else:
-        expected = ratio * prev.radius
-        if nxt.radius < expected:
-            return False, (f"radius ({_bits(nxt.radius)}) below the "
-                           f"strong-variant floor ({_bits(expected)})")
-        if nxt.radius >= prev.radius:
-            return False, "radius did not decrease"
-        room = pn * nd - nn * pd, pd * nd
+    an, ad = ratio.numerator, ratio.denominator
+    # ratio * prev.radius in lowest terms: each gcd has a small operand
+    g, h = gcd(an, pd), gcd(pn, ad)
+    if nn != an // g * (pn // h) or nd != ad // h * (pd // g):
+        return False, (f"radius ({_bits(nxt.radius)}) != ratio * "
+                       f"({_bits(prev.radius)}) required by the classical rule")
+    # the center may move prev.radius - nxt.radius = (1 - ratio) * prev.radius
+    room = (ad - an) * pn, ad * pd
     if _dist_cmp(prev.center, nxt.center, *room) > 0:
         return False, (f"ball (center {_bits(nxt.center)}, radius "
                        f"{_bits(nxt.radius)}) not nested in the previous ball")
@@ -150,7 +133,7 @@ class _Lines:
     """The transcript's line format, one move a line in `json.dumps`'s
     compact sorted layout, keeping the last line's center and radius with
     their text.  A repeated center reuses its text, and a repeated center
-    text its Fraction.  A classical radius, ratio * last, is stepped from
+    text its Fraction.  A radius on the rule, ratio * last, is stepped from
     the last radius's digits, linear in them: the writer steps once the
     rule holds, and the reader accepts only the stepped text.  Any other
     radius goes through str() or `parse_rational`, which raise as they
@@ -165,8 +148,8 @@ class _Lines:
 
     def _ratio(self, player) -> Optional[Fraction]:
         """The ratio of a stepped radius, or None where there is no last
-        radius or the variant leaves the radius free."""
-        if self.radius is None or self.params.variant is not Variant.CLASSICAL:
+        radius."""
+        if self.radius is None:
             return None
         return self.params.alpha if player == "alice" else self.params.beta
 

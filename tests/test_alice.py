@@ -21,7 +21,7 @@ from schmidtgame.errors import (HorizonMismatch, InvalidAlpha,
 from schmidtgame.cli import bundled_spec_path, main
 from schmidtgame.fractal import (DecayParams, FractalSupport, cantor_support,
                                  decay_from_federer_efd, max_alpha)
-from schmidtgame.game import (Ball, GameParams, HoldCenter, Variant, hold,
+from schmidtgame.game import (Ball, GameParams, HoldCenter, hold,
                               outcome_interval, run_game, validate_transcript)
 from schmidtgame.numerics import circle_dist, fractions_in_interval
 
@@ -356,11 +356,6 @@ class TestPlanLacunary:
         inv, M = 1 / st.ab, spec.lacunarity
         assert inv ** st.r <= M ** st.N
         assert inv ** (st.N - 1).bit_length() > M ** (st.N - 1)
-
-    def test_strong_variant_rejected(self):
-        params = GameParams(F(1, 4), F(1, 4), Variant.STRONG)
-        with pytest.raises(SpecError):
-            LacunaryStrategy(lac2(), decay=LOOSE).plan(params, Ball(F(0), F(1)))
 
 
 class TestIndexBlock:

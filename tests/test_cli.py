@@ -86,6 +86,35 @@ class TestPlay:
         assert (a / "transcript.jsonl").read_bytes() != \
             (c / "transcript.jsonl").read_bytes()
 
+    @pytest.mark.parametrize("variant", ["strong", "Strong", 5, {}],
+                             ids=["strong", "Strong", "int", "object"])
+    def test_other_variant_exits_2(self, tmp_path, capsys, variant):
+        # one rule is played: a "strong" spec with strategies that accepted
+        # it used to play and exit 0, and other values exited 2 with
+        # "'5' is not a valid Variant", naming no key
+        def mutate(doc):
+            doc["game"]["variant"] = variant
+            doc["alice"], doc["bob"] = {"strategy": "hold"}, {"kind": "keep"}
+        spec = write_spec(tmp_path, mutate, "cantor_triple.json")
+        assert main(["play", "--spec", spec, "--out", str(tmp_path)]) == 2
+        assert "game.variant" in capsys.readouterr().err
+        assert not (tmp_path / "transcript.jsonl").exists()
+
+    @pytest.mark.parametrize("name", ["cantor_lacunary.json", "cantor_ba.json",
+                                      "cantor_triple.json"])
+    def test_variant_key_is_optional(self, tmp_path, name):
+        def drop(doc):
+            assert doc["game"].pop("variant") == "classical"
+        spec = write_spec(tmp_path, drop, name)
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert main(["play", "--spec", spec, "--rounds", "5",
+                     "--out", str(a)]) == 0
+        assert main(["play", "--spec", bundled_spec_path(name), "--rounds",
+                     "5", "--out", str(b)]) == 0
+        text = (a / "transcript.jsonl").read_bytes()
+        assert len(text.splitlines()) == 11
+        assert text == (b / "transcript.jsonl").read_bytes()
+
     def test_alpha_violation_exits_2(self, tmp_path, capsys):
         spec = write_spec(tmp_path,
                           lambda d: d["game"].__setitem__("alpha", "1/4"))
@@ -564,6 +593,19 @@ class TestAudit:
          "rho_count %d is more than" % (fractal.AUDIT_MAX_SCALES + 1)),
         (_set(["audit", "dimension", "k_max"], fractal.AUDIT_MAX_SCALES + 1),
          "k_max %d is more than" % (fractal.AUDIT_MAX_SCALES + 1)),
+        # k_max < 1 wrote an empty estimate list and exit 0; a scale or x
+        # out of range was refused only after audit.csv was written
+        (_set(["audit", "dimension", "k_max"], 0),
+         "k_max must be at least 1, not 0"),
+        (_set(["audit", "dimension", "k_max"], -3),
+         "k_max must be at least 1, not -3"),
+        (_set(["audit", "dimension", "rho_base"], "2"),
+         "dimension scales need 0 < rho < 1"),
+        (_set(["audit", "dimension", "rho_base"], "0"),
+         "dimension scales need 0 < rho < 1"),
+        (_set(["audit", "dimension", "rho_base"], "-1/3"),
+         "dimension scales need 0 < rho < 1"),
+        (_set(["audit", "dimension", "x"], "2"), "x outside the hull"),
         # millions of contractions by 999/1000 down to rho0 would loop for
         # minutes; the first radius is searched, and refused past the cap
         (lambda d: d.update(support={
@@ -576,11 +618,16 @@ class TestAudit:
     ], ids=["list_audit", "null_dimension", "string_decay", "float_x_depth",
             "bool_rho_count", "string_depth", "float_k_max", "zero_rho0",
             "negative_rho0_lebesgue", "zero_measure_rho0", "huge_rho_count",
-            "huge_k_max", "deep_rho0"])
+            "huge_k_max", "zero_k_max", "negative_k_max", "rho_base_above_1",
+            "zero_rho_base", "negative_rho_base", "x_outside_hull",
+            "deep_rho0"])
     def test_malformed_audit_exits_2(self, tmp_path, capsys, mutate, message):
         spec = write_spec(tmp_path, mutate, "cantor_audit.json")
-        assert main(["audit", "--spec", spec, "--out", str(tmp_path)]) == 2
-        assert message in capsys.readouterr().err
+        out = tmp_path / "out"
+        assert main(["audit", "--spec", spec, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err and "audit " not in captured.out
+        assert not out.exists()
 
     @pytest.mark.parametrize("key", ["x_depth", "rho_count"])
     def test_empty_grid_exits_1(self, tmp_path, capsys, key):

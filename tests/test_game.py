@@ -10,7 +10,7 @@ from schmidtgame.errors import (IllegalMove, NoPointFound, SpecError,
                                 StrategyFailure)
 from schmidtgame.fractal import cantor_support, find_point_in_gap
 from schmidtgame.game import (Ball, GameParams, HoldCenter, Transcript,
-                              Variant, is_legal, outcome_interval, run_game,
+                              is_legal, outcome_interval, run_game,
                               transcript_from_jsonl, validate_transcript)
 
 
@@ -30,9 +30,9 @@ class TestIsLegal:
         assert ok
         ok, reason = is_legal(Ball(0, 1), Ball(F(2, 3), F(1, 2)), "alice", p)
         assert not ok and "nested" in reason
-        strong = GameParams(F(1, 2), F(1, 2), Variant.STRONG)
-        ok, _ = is_legal(Ball(0, 1), Ball(0, F(3, 5)), "alice", strong)
-        assert ok
+        # a radius between ratio * prev and prev breaks the one rule
+        ok, reason = is_legal(Ball(0, 1), Ball(0, F(3, 5)), "alice", p)
+        assert not ok and "classical rule" in reason
 
     def test_classical_radius_rule_is_exact(self):
         p = classical(F(1, 3), F(1, 4))
@@ -42,13 +42,6 @@ class TestIsLegal:
         assert not ok and "radius" in reason
         ok, _ = is_legal(Ball(0, F(1, 3)), Ball(0, F(1, 12)), "bob", p)
         assert ok
-
-    def test_strong_rejects_growth(self):
-        strong = GameParams(F(1, 2), F(1, 2), Variant.STRONG)
-        ok, reason = is_legal(Ball(0, 1), Ball(0, 1), "alice", strong)
-        assert not ok and "decrease" in reason
-        ok, _ = is_legal(Ball(0, 1), Ball(0, F(2, 5)), "alice", strong)
-        assert not ok  # below the alpha floor 1/2
 
     def test_boundary_containment_is_legal(self):
         # the order is non-strict: touching the boundary is allowed
@@ -64,9 +57,6 @@ class TestIsLegal:
         assert not ok and "classical rule" in reason
         ok, reason = is_legal(Ball(0, 1), Ball(2 - tiny, F(1, 2)), "alice", p)
         assert not ok and "nested" in reason
-        strong = GameParams(F(1, 2), F(1, 2), Variant.STRONG)
-        ok, reason = is_legal(Ball(0, 1), Ball(0, tiny), "bob", strong)
-        assert not ok and "radius" in reason
         with pytest.raises(IllegalMove, match="witness"):
             validate_transcript(Transcript(p, [("bob", Ball(tiny, 1, ()))]), K)
 

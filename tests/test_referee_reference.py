@@ -1,14 +1,14 @@
 """The integer referee (`game.is_legal`) against a Fraction reference.
 
 `reference_is_legal` is the referee written with Fraction arithmetic: the
-classical or strong radius rule, then nesting as
+radius rule nxt.radius == ratio * prev.radius, then nesting as
 nxt.radius + |prev.center - nxt.center| <= prev.radius.  It exists only
-here.  Hypothesis draws both variants and both players, radii from the
-game's schedule shape alpha^a * beta^b and with 1,000-bit denominators,
-next radii exact or one unit off in the last place, and next centers equal
-to the last one, tangent to its boundary, inside or outside it by half the
-finest gap the radii can express, or anywhere; centers have small, dyadic or triadic denominators of
-over 1,000 bits.
+here.  Hypothesis draws both players, radii from the game's schedule
+shape alpha^a * beta^b and with 1,000-bit denominators, next radii exact,
+one unit off in the last place or free, and next centers equal to the last
+one, tangent to its boundary, inside or outside it by half the finest gap
+the radii can express, or anywhere; centers have small, dyadic or triadic
+denominators of over 1,000 bits.
 """
 
 from fractions import Fraction as F
@@ -16,21 +16,14 @@ from fractions import Fraction as F
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schmidtgame.game import Ball, GameParams, Variant, is_legal
+from schmidtgame.game import Ball, GameParams, is_legal
 
 
 def reference_is_legal(prev, nxt, whose_turn, params):
     """(ok, rule): the rule the move breaks, or "" when it is legal."""
     ratio = params.alpha if whose_turn == "alice" else params.beta
-    expected = ratio * prev.radius
-    if params.variant is Variant.CLASSICAL:
-        if nxt.radius != expected:
-            return False, "classical rule"
-    else:
-        if nxt.radius < expected:
-            return False, "strong-variant floor"
-        if nxt.radius >= prev.radius:
-            return False, "did not decrease"
+    if nxt.radius != ratio * prev.radius:
+        return False, "classical rule"
     if nxt.radius + abs(prev.center - nxt.center) > prev.radius:
         return False, "not nested"
     return True, ""
@@ -68,8 +61,7 @@ def radii(draw, alpha, beta):
 @st.composite
 def moves(draw):
     """(prev, nxt, player, params) in one of the shapes above."""
-    params = GameParams(draw(ratios), draw(ratios),
-                        draw(st.sampled_from(list(Variant))))
+    params = GameParams(draw(ratios), draw(ratios))
     player = draw(st.sampled_from(["alice", "bob"]))
     ratio = params.alpha if player == "alice" else params.beta
     prev = Ball(draw(centers()), draw(radii(params.alpha, params.beta)))
@@ -112,12 +104,11 @@ def test_referee_matches_fraction_reference(move):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.sampled_from(list(Variant)), ratios, centers(),
-       st.integers(1, 400), st.sampled_from([1, -1]))
-def test_tangent_schedule_balls_are_legal(variant, alpha, center, a, sign):
-    # a ball touching the boundary from inside is legal under both rules,
-    # on the game's own radii and big centers
-    params = GameParams(alpha, F(1, 4), variant)
+@given(ratios, centers(), st.integers(1, 400), st.sampled_from([1, -1]))
+def test_tangent_schedule_balls_are_legal(alpha, center, a, sign):
+    # a ball touching the boundary from inside is legal, on the game's own
+    # radii and big centers
+    params = GameParams(alpha, F(1, 4))
     prev = Ball(center, alpha ** a / 3)
     nxt = Ball(center + sign * (1 - alpha) * prev.radius, alpha * prev.radius)
     assert is_legal(prev, nxt, "alice", params) == (True, "")
