@@ -28,7 +28,7 @@ from .errors import (HorizonMismatch, InvalidAlpha, InvariantViolation,
                      NoPointFound, PrecisionCapExceeded, ScheduleOverlap,
                      SpecError)
 from .fractal import DecayParams, FractalSupport, check_alpha, find_point_in_gap
-from .game import Ball, GameParams, _bits, _dist_cmp, hold
+from .game import Ball, GameParams, Point, _bits, _dist_cmp
 from .numerics import (_first_index, fractions_in_interval, json_rationals,
                        log_sign, parse_rational)
 
@@ -503,17 +503,17 @@ def ba_band_top(ab: Fraction, k: int) -> int:
 
 
 def avoidance_step(support: FractalSupport, ball: Ball, alpha: Fraction,
-                   points: Sequence[Fraction]) -> Tuple[Ball, List[Fraction]]:
+                   points: Sequence[Fraction]) -> Tuple[Point, List[Fraction]]:
     """One shrinking move that avoids at least half of ``points``.
 
-    Returns a ball of radius alpha*rho contained in ``ball`` whose distance
-    to at least ceil(len(points)/2) of the points exceeds alpha*rho, and the
-    points it keeps: those still within 2*alpha*rho of its center.  If at
-    most half the points sit within 2*alpha*rho of the center, keeping the
-    center already clears the far ones; otherwise any support point farther
-    than 4*alpha*rho from the center and from both endpoints clears the
-    crowd.  Raises NoPointFound when no such support point exists, which
-    signals that alpha is too large for this support's decay constants.
+    Returns the (center, word) of a ball of radius alpha*rho inside ``ball``
+    whose distance to at least ceil(len(points)/2) of the points exceeds
+    alpha*rho, and the points it keeps: those still within 2*alpha*rho of that
+    center.  If at most half the points sit within 2*alpha*rho of the center,
+    keeping it already clears the far ones; otherwise any support point farther
+    than 4*alpha*rho from the center and from both endpoints clears the crowd.
+    Raises NoPointFound when no such support point exists, which signals that
+    alpha is too large for this support's decay constants.
     """
     alpha = Fraction(alpha)
     if not 0 < alpha < 1:
@@ -524,9 +524,8 @@ def avoidance_step(support: FractalSupport, ball: Ball, alpha: Fraction,
     den = ad * rho.denominator
     reach, room = 2 * an * rho.numerator, (ad - an) * rho.numerator
     near = [y for y in points if _dist_cmp(y, x1, reach, den) <= 0]
-    if 2 * len(near) <= len(points):
-        new = hold(ball, alpha)
-    else:
+    x2, word = x1, ball.word
+    if 2 * len(near) > len(points):
         margin = 4 * alpha * rho
         anchors = (x1 - rho, x1, x1 + rho)
         got = find_point_in_gap(support, (x1 - rho, x1 + rho),
@@ -537,17 +536,16 @@ def avoidance_step(support: FractalSupport, ball: Ball, alpha: Fraction,
                 "no support point clears the crowded ball; "
                 "alpha is too large for this support")
         x2, word = got
-        new = Ball(x2, alpha * rho, word)
     # exact postconditions: containment and clearing at least half
-    if _dist_cmp(new.center, x1, room, den) > 0:
+    if _dist_cmp(x2, x1, room, den) > 0:
         raise InvariantViolation("avoidance move left the ball")
-    signs = [_dist_cmp(y, new.center, reach, den) for y in points]
+    signs = [_dist_cmp(y, x2, reach, den) for y in points]
     kept = [y for y, sign in zip(points, signs) if sign <= 0]
     if 2 * len(kept) > len(points):
         raise InvariantViolation("avoidance move cleared fewer than half")
     if 0 in signs:
         log.info("avoidance distance met with equality at radius %s", rho)
-    return new, kept
+    return (x2, word), kept
 
 
 # ---------------------------------------------------------------------------
@@ -591,7 +589,7 @@ class ClearingStrategy:
         return self
 
     def move(self, support: FractalSupport, params: GameParams,
-             bob_ball: Ball) -> Ball:
+             bob_ball: Ball) -> Point:
         """Hold the center before ``start``.  Block k opens at turn
         start + r(k-1) on radius rho_start*(alpha*beta)^{r(k-1)}, a power
         computed from k, lists its at most N < 2^r danger points within
@@ -601,7 +599,7 @@ class ClearingStrategy:
             self.plan(params, bob_ball)
         self.turn += 1
         if self.turn < self.start:
-            return hold(bob_ball, params.alpha)
+            return bob_ball.center, bob_ball.word
         k, step = divmod(self.turn - self.start + self.r, self.r)
         if step == 0:
             expected = self.rho_start * self.ab ** (self.r * (k - 1))
@@ -619,20 +617,20 @@ class ClearingStrategy:
                 raise InvariantViolation(
                     "danger list of block %d exceeds the block capacity N" % k)
             self.danger = self.block_points = points
-        ball, self.danger = avoidance_step(support, bob_ball, self.alpha,
-                                           self.danger)
+        (center, word), self.danger = avoidance_step(
+            support, bob_ball, self.alpha, self.danger)
         if step == self.r - 1:
             if self.danger:
                 raise InvariantViolation(
                     "danger points survived block %d clearing" % k)
-            reach = ball.radius + self.margin
+            reach = self.alpha * bob_ball.radius + self.margin
             num, den = reach.numerator, reach.denominator
             for z in self.block_points:
-                if _dist_cmp(z, ball.center, num, den) < 0:
+                if _dist_cmp(z, center, num, den) < 0:
                     raise InvariantViolation(
                         "cleared point (%s) inside the margin" % _bits(z))
             self.blocks_cleared = k
-        return ball
+        return center, word
 
     def danger_preview(self, ball) -> List[Fraction]:
         return list(self.danger)
@@ -777,14 +775,14 @@ class ExcludeCountable:
         self.rho0 = Fraction(rho0) if rho0 is not None else None
         self.done = 0
 
-    def move(self, support, params, prev) -> Ball:
+    def move(self, support, params, prev) -> Point:
         if self.rho0 is not None and prev.radius > self.rho0:
-            return hold(prev, params.alpha)
+            return prev.center, prev.word
         if self.done < len(self.points):
             z = self.points[self.done]
             self.done += 1
             return avoidance_step(support, prev, params.alpha, [z])[0]
-        return hold(prev, params.alpha)
+        return prev.center, prev.word
 
     def danger_preview(self, ball) -> List[Fraction]:
         return self.points[self.done:self.done + 16]
@@ -829,15 +827,16 @@ class InterleaveStrategy:
         # each part's last answer, the ball its danger preview looks at
         self.last: List[Optional[Ball]] = [None] * len(strategies)
 
-    def move(self, support, params, ball) -> Ball:
+    def move(self, support, params, ball) -> Point:
         self.turn += 1
         # the constructor checked that exactly one progression holds each turn
         i, step = next((i, d) for i, (s, d) in enumerate(self.schedule)
                        if self.turn >= s and (self.turn - s) % d == 0)
         beta_eff = params.beta * (params.alpha * params.beta) ** (step - 1)
         eff = GameParams(params.alpha, beta_eff)
-        self.last[i] = self.strategies[i].move(support, eff, ball)
-        return self.last[i]
+        center, word = self.strategies[i].move(support, eff, ball)
+        self.last[i] = Ball(center, params.alpha * ball.radius, word)
+        return center, word
 
     def danger_preview(self, ball) -> List[Fraction]:
         out: List[Fraction] = []

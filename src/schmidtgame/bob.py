@@ -11,10 +11,13 @@ from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
 from .fractal import FractalSupport, find_point_in_gap
-from .game import Ball, GameParams, hold
+from .game import Ball, GameParams, Point
 
 __all__ = ["greedy_move", "random_move",
            "KeepCenterBob", "GreedyBob", "RandomBob"]
+
+# random Bob's deepest cylinder layer
+RANDOM_DEPTH = 64
 
 
 def _legal_range(ball: Ball, ratio: Fraction) -> Tuple[Fraction, Fraction]:
@@ -23,7 +26,7 @@ def _legal_range(ball: Ball, ratio: Fraction) -> Tuple[Fraction, Fraction]:
 
 
 def greedy_move(support: FractalSupport, alice_ball: Ball, params: GameParams,
-                targets: Sequence[Fraction]) -> Ball:
+                targets: Sequence[Fraction]) -> Point:
     """Center the reply as close to the nearest target as legality allows.
 
     The target list is whatever the other player wants to stay away from;
@@ -32,7 +35,7 @@ def greedy_move(support: FractalSupport, alice_ball: Ball, params: GameParams,
     keeps the center.
     """
     if not targets:
-        return hold(alice_ball, params.beta)
+        return alice_ball.center, alice_ball.word
     lo, hi = _legal_range(alice_ball, params.beta)
     goal = min((Fraction(t) for t in targets),
                key=lambda t: abs(t - alice_ball.center))
@@ -47,48 +50,48 @@ def greedy_move(support: FractalSupport, alice_ball: Ball, params: GameParams,
         if got is not None:
             break
     if got is not None and abs(got[0] - goal) < abs(alice_ball.center - goal):
-        return Ball(got[0], params.beta * alice_ball.radius, got[1])
-    return hold(alice_ball, params.beta)
+        return got
+    return alice_ball.center, alice_ball.word
 
 
 def random_move(support: FractalSupport, alice_ball: Ball, params: GameParams,
-                seed) -> Ball:
-    """Uniformly pick a legal cylinder point as the new center.
+                seed) -> Point:
+    """Uniformly pick a legal cylinder point, with its word, as the center.
 
     Candidates are the canonical points of the deepest cylinder layer that
     still fits inside the legal center range; the choice is deterministic
     in the seed.  Falls back to keeping the center when no cylinder fits.
 
-    The depth stops at 64, so Bob keeps the center when the legal range,
-    2(1 - beta) * radius long, is shorter than the shortest depth-64
-    cylinder.  That test reads the radius alone, on integers, before any
-    sum of center and radius, any depth search or walk.  On the
+    The depth stops at RANDOM_DEPTH, 64, so Bob keeps the center when the
+    legal range, 2(1 - beta) * radius long, is shorter than the shortest
+    depth-64 cylinder.  That test reads the radius alone, on integers,
+    before any sum of center and radius, any depth search or walk.  On the
     middle-thirds set it holds from a radius of a few times 3**-64 down:
     199 of the 200 moves of the 200-round triple game.
     """
     beta, radius = params.beta, alice_ball.radius
-    floor = support.shortest_cylinder(64)
+    floor = support.shortest_cylinder(RANDOM_DEPTH)
     # floor > 2(1 - beta) * radius, cross-multiplied
     if (floor.numerator * beta.denominator * radius.denominator >
             2 * (beta.denominator - beta.numerator) * radius.numerator
             * floor.denominator):
-        return hold(alice_ball, beta)
+        return alice_ball.center, alice_ball.word
     lo, hi = _legal_range(alice_ball, beta)
-    depth = support.depth_below((hi - lo) / 4, cap=64)
+    depth = support.depth_below((hi - lo) / 4, cap=RANDOM_DEPTH)
     cands = [c for c in support.cylinders_meeting(lo, hi, depth)
              if lo <= c.lo and c.hi <= hi]
     if not cands:
-        return hold(alice_ball, beta)
+        return alice_ball.center, alice_ball.word
     rng = random.Random(str(seed))
     cyl = cands[rng.randrange(len(cands))]
-    return Ball(support.point(cyl.word), beta * radius, cyl.word)
+    return support.point(cyl.word), cyl.word
 
 
 class KeepCenterBob:
     """The laziest legal adversary."""
 
-    def move(self, support, params, ball) -> Ball:
-        return hold(ball, params.beta)
+    def move(self, support, params, ball) -> Point:
+        return ball.center, ball.word
 
 
 class GreedyBob:
@@ -103,7 +106,7 @@ class GreedyBob:
         self.alice = alice
         self.targets = [Fraction(t) for t in targets] if targets else []
 
-    def move(self, support, params, ball) -> Ball:
+    def move(self, support, params, ball) -> Point:
         targets = list(self.targets)
         if self.alice is not None:
             targets.extend(self.alice.danger_preview(ball))
@@ -117,7 +120,7 @@ class RandomBob:
         self.seed = seed
         self.count = 0
 
-    def move(self, support, params, ball) -> Ball:
+    def move(self, support, params, ball) -> Point:
         self.count += 1
         return random_move(support, ball, params,
                            "%s/%d" % (self.seed, self.count))

@@ -159,8 +159,9 @@ def _schedule_inputs(snap: dict):
     phi = BiLipschitzMap.from_json(snap["phi"])
     alpha, beta, rho_prime, rho0 = (parse_rational(snap[key]) for key in
                                     ("alpha", "beta", "rho_prime", "rho0"))
-    if not 0 < alpha * beta < 1:
-        raise SpecError("snapshot ratios leave (0, 1)")
+    for key, ratio in (("alpha", alpha), ("beta", beta)):
+        if not 0 < ratio < 1:
+            raise SpecError("snapshot %s must lie in (0, 1)" % key)
     # the warm-up shrinks rho_prime until it drops below rho0
     if rho_prime <= 0 or rho0 <= 0:
         raise SpecError("snapshot radii rho_prime and rho0 must be positive")

@@ -661,6 +661,10 @@ class AuditGrid:
         if rho0 <= 0:
             # no radius shrinks to rho0: the grid would never fill
             raise SpecError(f"audit rho0 must be positive, not {rho0}")
+        for key, value in (("x_depth", x_depth), ("rho_count", rho_count),
+                           *(("depths entry", d) for d in depths)):
+            if value < 0:
+                raise SpecError(f"audit {key} must be at least 0, not {value}")
         if rho_count > AUDIT_MAX_SCALES:
             raise SpecError(f"audit rho_count {rho_count} is more than "
                             f"{AUDIT_MAX_SCALES}")

@@ -57,6 +57,9 @@ class Ball:
         return (self.center - self.radius, self.center + self.radius)
 
 
+Point = Tuple[Fraction, Optional[Tuple[int, ...]]]
+
+
 def _bits(x: Fraction) -> str:
     # not str(x): that is quadratic, and raises ValueError past 4,300 digits
     return f"{x.numerator.bit_length()}/{x.denominator.bit_length()} bits"
@@ -203,12 +206,6 @@ class _Lines:
         return player, ball
 
 
-def hold(ball: Ball, ratio: Fraction) -> Ball:
-    """The keep-center answer: `ball`'s center and word, `ratio` times its
-    radius."""
-    return Ball(ball.center, ratio * ball.radius, ball.word)
-
-
 def _referee(support: FractalSupport, t: Transcript, i: int, player: str,
              ball: Ball) -> None:
     """Check `ball` as move i of `t`: turn order, the rules of `is_legal`
@@ -247,9 +244,10 @@ def run_game(support: FractalSupport, params: GameParams, alice, bob,
              rounds: int, opening: Optional[Ball] = None) -> Transcript:
     """Play `rounds` full rounds after Bob's opening: 2*rounds + 1 moves.
 
-    Strategies implement move(support, params, ball) -> Ball, answering the
-    last ball played, and keep their own state; the engine alone keeps the
-    game record and referees each move.  A strategy raising NoPointFound
+    Strategies implement move(support, params, ball) -> Point, answering the
+    last ball played with a center in K and its word (None for no proof),
+    and keep their own state; the engine alone supplies each radius, keeps
+    the game record and referees each move.  A strategy raising NoPointFound
     loses by StrategyFailure; an illegal ball raises IllegalMove.  Both
     exceptions carry the partial transcript.
     """
@@ -263,9 +261,11 @@ def run_game(support: FractalSupport, params: GameParams, alice, bob,
     for _ in range(rounds):
         for player, strategy in (("alice", alice), ("bob", bob)):
             try:
-                ball = strategy.move(support, params, t.last_ball)
+                center, word = strategy.move(support, params, t.last_ball)
             except NoPointFound as exc:
                 raise StrategyFailure(player, exc, t) from exc
+            ratio = params.alpha if player == "alice" else params.beta
+            ball = Ball(center, ratio * t.last_ball.radius, word)
             _referee(support, t, len(t.moves), player, ball)
             t.moves.append((player, ball))
     return t
@@ -283,7 +283,7 @@ class HoldCenter:
     """Alice's canonical arbitrary move: keep the center, shrink by alpha."""
 
     def move(self, support, params, ball):
-        return hold(ball, params.alpha)
+        return ball.center, ball.word
 
     def danger_preview(self, ball):
         return []

@@ -21,8 +21,8 @@ from schmidtgame.errors import (HorizonMismatch, InvalidAlpha,
 from schmidtgame.cli import bundled_spec_path, main
 from schmidtgame.fractal import (DecayParams, FractalSupport, cantor_support,
                                  decay_from_federer_efd, max_alpha)
-from schmidtgame.game import (Ball, GameParams, HoldCenter, hold,
-                              outcome_interval, run_game, validate_transcript)
+from schmidtgame.game import (Ball, GameParams, HoldCenter, outcome_interval,
+                              run_game, validate_transcript)
 from schmidtgame.numerics import circle_dist, fractions_in_interval
 
 from circle_reference import circle_dist_range
@@ -222,12 +222,11 @@ class TestRules:
 class TestAvoidanceStep:
     def test_no_points_keeps_center(self, K):
         got, kept = avoidance_step(K, Ball(F(1, 3), F(1, 9)), F(1, 12), [])
-        assert (got.center, got.radius) == (F(1, 3), F(1, 108))
-        assert kept == []
+        assert got == (F(1, 3), None) and kept == []
 
     def test_far_point_keeps_center(self, K):
         got, kept = avoidance_step(K, Ball(F(0), F(1, 9)), F(1, 12), [F(10)])
-        assert got.center == 0 and kept == []
+        assert got == (0, None) and kept == []
 
     def test_crowded_with_oversized_alpha_has_no_exit(self, K):
         # alpha = 1/12 is far above the decay bound for this support: the
@@ -239,11 +238,12 @@ class TestAvoidanceStep:
     def test_crowded_with_valid_alpha(self, K, cantor_alpha):
         a = cantor_alpha
         rho = F(1, 9)
-        got, kept = avoidance_step(K, Ball(F(1, 3), rho), a, [F(1, 3)])
+        (center, word), kept = avoidance_step(K, Ball(F(1, 3), rho), a,
+                                              [F(1, 3)])
         assert kept == []
-        assert abs(got.center - F(1, 3)) > 2 * a * rho
-        assert abs(got.center - F(1, 3)) <= rho - got.radius
-        assert K.verify_point(got.center, got.word)
+        assert abs(center - F(1, 3)) > 2 * a * rho
+        assert abs(center - F(1, 3)) <= rho - a * rho
+        assert K.verify_point(center, word)
 
     def test_alpha_domain(self, K):
         with pytest.raises(InvalidAlpha):
@@ -264,13 +264,15 @@ class TestAvoidanceStep:
                 off = F(rng.randint(-8, 8), rng.randint(1, 64))
                 pts.append(center + off * rho)
             ball = Ball(center, rho, word)
-            got, kept = avoidance_step(K, ball, a, pts)
-            assert got.radius == a * rho
-            assert abs(got.center - center) <= rho - got.radius
-            cleared = [y for y in pts if abs(y - got.center) - got.radius > got.radius]
+            (x, w), kept = avoidance_step(K, ball, a, pts)
+            # the ball the engine builds from the answer has radius a*rho
+            r = a * rho
+            assert abs(x - center) <= rho - r
+            assert K.verify_point(x, w)
+            cleared = [y for y in pts if abs(y - x) - r > r]
             assert 2 * len(cleared) >= len(pts)
             # the points kept are exactly those within 2*alpha*rho, in order
-            assert kept == [y for y in pts if abs(y - got.center) <= 2 * a * rho]
+            assert kept == [y for y in pts if abs(y - x) <= 2 * r]
 
     def test_gap_search_starts_at_the_ball(self, tmp_path, monkeypatch):
         # a search from the root walks the whole path down to the ball's
@@ -629,7 +631,8 @@ class TestScheduleFailsClosed:
         # a cleared point exactly radius + margin from the block's final
         # center sits on the margin, not inside it
         monkeypatch.setattr(alice, "avoidance_step",
-                            lambda support, ball, a, points: (hold(ball, a), []))
+                            lambda support, ball, a, points:
+                            ((ball.center, ball.word), []))
         for inside in (False, True):
             st = at_block_one(kind)
             final = QUARTER.alpha * st.ab ** (st.r - 1) * st.rho_start
@@ -642,7 +645,8 @@ class TestScheduleFailsClosed:
                                        match="inside the margin"):
                         st.move(K, QUARTER, bob)
                     break
-                bob = hold(st.move(K, QUARTER, bob), QUARTER.beta)
+                center, word = st.move(K, QUARTER, bob)
+                bob = Ball(center, st.ab * bob.radius, word)
             else:
                 assert st.blocks_cleared == 1 and bob.radius == \
                     QUARTER.beta * final

@@ -36,20 +36,25 @@ def cantor_decay():
 PARAMS = GameParams(F(1, 3), F(1, 3))
 
 
+def reply(ball, point):
+    """The ball the engine builds from Bob's answer (center, word)."""
+    return Ball(point[0], PARAMS.beta * ball.radius, point[1])
+
+
 class TestGreedy:
     def test_no_targets_keeps_center(self, K):
-        got = greedy_move(K, Ball(F(1, 3), F(1, 9)), PARAMS, [])
-        assert got.center == F(1, 3)
-        assert got.radius == F(1, 27)
+        got = greedy_move(K, Ball(F(1, 3), F(1, 9), (0, 1)), PARAMS, [])
+        assert got == (F(1, 3), (0, 1))
 
     def test_moves_toward_left_endpoint(self, K):
         ball = Ball(F(1, 3), F(1, 9), (0, 1))
         target = ball.center - ball.radius
-        got = greedy_move(K, ball, PARAMS, [target])
+        center, word = greedy_move(K, ball, PARAMS, [target])
         slack = (1 - PARAMS.beta) * ball.radius
-        assert ball.center - slack <= got.center < ball.center
-        assert abs(got.center - target) <= abs(ball.center - target)
-        ok, why = is_legal(ball, got, "bob", PARAMS)
+        assert ball.center - slack <= center < ball.center
+        assert abs(center - target) <= abs(ball.center - target)
+        assert K.verify_point(center, word)
+        ok, why = is_legal(ball, reply(ball, (center, word)), "bob", PARAMS)
         assert ok, why
 
     def test_distance_never_increases(self, K):
@@ -60,29 +65,29 @@ class TestGreedy:
             center = K.point(word)
             rho = K.diameter * K.contraction ** d
             target = center + F(rng.randint(-10, 10), 37) * rho
-            got = greedy_move(K, Ball(center, rho, word), PARAMS, [target])
-            assert abs(got.center - target) <= abs(center - target)
-            ok, why = is_legal(Ball(center, rho, word), got, "bob", PARAMS)
+            ball = Ball(center, rho, word)
+            got = greedy_move(K, ball, PARAMS, [target])
+            assert abs(got[0] - target) <= abs(center - target)
+            ok, why = is_legal(ball, reply(ball, got), "bob", PARAMS)
             assert ok, why
 
 
 class TestRandom:
     def test_same_seed_same_move(self, K):
         ball = Ball(F(1, 3), F(1, 9), (0, 1))
-        a = random_move(K, ball, PARAMS, 42)
-        b = random_move(K, ball, PARAMS, 42)
-        assert (a.center, a.radius) == (b.center, b.radius)
+        assert random_move(K, ball, PARAMS, 42) == \
+            random_move(K, ball, PARAMS, 42)
 
     def test_seeds_spread(self, K):
         ball = Ball(F(1, 2), F(1, 2))
-        centers = {random_move(K, ball, PARAMS, s).center for s in range(12)}
+        centers = {random_move(K, ball, PARAMS, s)[0] for s in range(12)}
         assert len(centers) > 1
 
     def test_zero_slack_keeps_center(self, K):
         one = GameParams(F(1, 3), F(1, 3))
         ball = Ball(F(0), F(1, 9), (0, 0))
         got = random_move(K, Ball(F(0), F(0, 1) + F(1, 10 ** 9)), one, 1)
-        assert got.center == 0  # slack smaller than any cylinder
+        assert got[0] == 0  # slack smaller than any cylinder
 
     def test_no_walk_when_no_cylinder_fits(self, K, monkeypatch):
         # the depth stops at 64; this legal range is narrower than every
@@ -94,7 +99,7 @@ class TestRandom:
         word = (0, 1) * 40
         ball = Ball(K.point(word), F(1, 3 ** 66), word)
         got = random_move(K, ball, PARAMS, 7)
-        assert got == Ball(ball.center, PARAMS.beta * ball.radius, word)
+        assert got == (ball.center, word)
         # a range wider than one depth-64 cylinder still walks
         with pytest.raises(AssertionError, match="cylinder walk"):
             random_move(K, Ball(ball.center, F(1, 3 ** 64), word), PARAMS, 7)
@@ -117,11 +122,10 @@ class TestRandom:
             center = K.point(word)
             rho = K.diameter * K.contraction ** d / rng.choice((1, 2, 3))
             ball = Ball(center, rho, word)
-            got = random_move(K, ball, PARAMS, checked)
-            ok, why = is_legal(ball, got, "bob", PARAMS)
+            x, w = random_move(K, ball, PARAMS, checked)
+            ok, why = is_legal(ball, reply(ball, (x, w)), "bob", PARAMS)
             assert ok, why
-            assert K.verify_point(got.center, got.word) or \
-                K.locate(got.center) is not None
+            assert K.verify_point(x, w) or K.locate(x) is not None
             checked += 1
 
 

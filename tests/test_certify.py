@@ -252,7 +252,9 @@ class CheckedEachTurn:
 
     def move(self, support, params, ball):
         out = self.strategy.move(support, params, ball)
-        cert = self.certificate(self.strategy, out.interval)
+        # the ball the engine builds from the answer
+        played = Ball(out[0], params.alpha * ball.radius, out[1])
+        cert = self.certificate(self.strategy, played.interval)
         assert verify(cert).passed
         with pytest.raises(HorizonMismatch):
             verify(replace(cert, horizon=cert.horizon + 1))

@@ -454,6 +454,27 @@ class TestCertify:
         assert main(["certify", "--spec", str(path)]) == 2
         assert "must be positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("alpha, beta, field", [
+        ("2", "3/16384", "alpha"), ("3/16384", "2", "beta"),
+        ("-3/2048", "-1/4", "alpha")])
+    def test_snapshot_ratio_outside_0_1_exits_2(self, tmp_path, capsys,
+                                                 alpha, beta, field):
+        # each edit keeps the bundled product alpha * beta = 3/8192, which
+        # was all the verifier checked: the certificate passed with exit 0
+        assert main(["play", "--spec",
+                     bundled_spec_path("cantor_lacunary.json"),
+                     "--out", str(tmp_path), "--rounds", "50"]) == 0
+        path = tmp_path / "certificates.json"
+        bundle = json.loads(path.read_text())
+        snap = bundle["certificates"][0]["certificate"]["snapshot"]
+        assert F(snap["alpha"]) * F(snap["beta"]) == F(alpha) * F(beta)
+        snap["alpha"], snap["beta"] = alpha, beta
+        path.write_text(json.dumps(bundle))
+        capsys.readouterr()
+        assert main(["certify", "--spec", str(path)]) == 2
+        assert "snapshot %s must lie in (0, 1)" % field in \
+            capsys.readouterr().err
+
     @pytest.mark.parametrize("field", ["horizon", "turns"])
     @pytest.mark.parametrize("value", [5.9, True, "5"])
     def test_non_integer_count_exits_2(self, tmp_path, capsys, field, value):
@@ -615,12 +636,24 @@ class TestAudit:
             audit=dict(d["audit"], rho0="1/%d" % 10 ** 3000)),
          "audit rho0 is more than %d contractions below"
          % fractal.AUDIT_MAX_SCALES),
+        # a negative x_depth failed in itertools, naming no key; a negative
+        # rho_count wrote a header-only audit.csv and exit 1; depth -1 made
+        # a float mass bound, and [6, -2] passed every check
+        (_set(["audit", "x_depth"], -1),
+         "audit x_depth must be at least 0, not -1"),
+        (_set(["audit", "rho_count"], -2),
+         "audit rho_count must be at least 0, not -2"),
+        (_set(["audit", "depths"], [-1]),
+         "audit depths entry must be at least 0, not -1"),
+        (_set(["audit", "depths"], [6, -2]),
+         "audit depths entry must be at least 0, not -2"),
     ], ids=["list_audit", "null_dimension", "string_decay", "float_x_depth",
             "bool_rho_count", "string_depth", "float_k_max", "zero_rho0",
             "negative_rho0_lebesgue", "zero_measure_rho0", "huge_rho_count",
             "huge_k_max", "zero_k_max", "negative_k_max", "rho_base_above_1",
             "zero_rho_base", "negative_rho_base", "x_outside_hull",
-            "deep_rho0"])
+            "deep_rho0", "negative_x_depth", "negative_rho_count",
+            "negative_depth", "negative_second_depth"])
     def test_malformed_audit_exits_2(self, tmp_path, capsys, mutate, message):
         spec = write_spec(tmp_path, mutate, "cantor_audit.json")
         out = tmp_path / "out"

@@ -1,8 +1,10 @@
 """The strategy protocol: a strategy answers the last ball, move(support,
 params, ball) and danger_preview(ball), and only `game` keeps the game
 record, so no other module builds a `Transcript` or appends to its moves.
-Each of Alice's schedules is one object that keeps its own state, so
-`alice` has no separate state class and no function of a state."""
+A move is a point of K, (center, word), and `game` supplies its radius, so
+the strategies build no `Ball` but the one a preview reads.  Each of
+Alice's schedules is one object that keeps its own state, so `alice` has
+no separate state class and no function of a state."""
 
 import ast
 from pathlib import Path
@@ -46,6 +48,34 @@ def test_only_game_keeps_the_record(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
     allowed = ("Transcript()", "moves.append") if path.name == "game.py" else ()
     assert [b for b in protocol_breaches(tree) if b[1] not in allowed] == []
+
+
+def ball_builders(tree):
+    """The module's functions, as "name" or "Class.name", that call Ball."""
+    defs = [(node, "") for node in tree.body]
+    for node, owner in defs:
+        if isinstance(node, ast.ClassDef):
+            defs.extend((item, node.name + ".") for item in node.body)
+        elif isinstance(node, ast.FunctionDef) and any(
+                isinstance(call, ast.Call)
+                and getattr(call.func, "id", None) == "Ball"
+                for call in ast.walk(node)):
+            yield owner + node.name
+
+
+def test_ball_guard_sees_each_kind():
+    code = ("def f(x):\n    return Ball(x, 1)\n"
+            "def g(x):\n    return x.center, x.word\n"
+            "class S:\n    def move(self, b):\n        return [Ball(b, 1)]\n")
+    assert list(ball_builders(ast.parse(code))) == ["f", "S.move"]
+
+
+@pytest.mark.parametrize("name, allowed", [
+    ("alice.py", ["InterleaveStrategy.move"]), ("bob.py", [])])
+def test_the_engine_supplies_every_radius(name, allowed):
+    path = SRC / name
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    assert list(ball_builders(tree)) == allowed
 
 
 def state_breaches(tree):
