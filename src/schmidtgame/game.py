@@ -38,11 +38,19 @@ class GameParams:
 @dataclass(frozen=True)
 class Ball:
     """Closed ball B(center, radius); `word` is an optional membership proof
-    (center must equal the cylinder image of the canonical point)."""
+    (center must equal the cylinder image of the canonical point).
+
+    A ball that `game` builds for a game also carries its counts, its place
+    on the game's radius ladder: ((R0, params), a, b), where radius is
+    R0 * alpha**a * beta**b.  Only `_with_counts` sets them, for a radius
+    computed in the same step; `Ball(...)` and `dataclasses.replace` give
+    a ball without counts."""
 
     center: Fraction
     radius: Fraction
     word: Optional[Tuple[int, ...]] = None
+    _counts: Optional[tuple] = field(default=None, init=False, compare=False,
+                                     repr=False)
 
     def __post_init__(self):
         if not isinstance(self.center, Fraction):
@@ -65,6 +73,12 @@ def _bits(x: Fraction) -> str:
     return f"{x.numerator.bit_length()}/{x.denominator.bit_length()} bits"
 
 
+def _same(x: Optional[Fraction], y: Fraction) -> bool:
+    """x == y.  A kept center is passed on as the same object, so identity
+    decides most calls without Fraction's type dispatch."""
+    return x is y or x == y
+
+
 def _dist_cmp(x: Fraction, y: Fraction, num: int, den: int) -> int:
     """The sign of |x - y| - num/den, for num, den > 0, by integer
     cross-multiplication: |xn*yd - yn*xd| * den against num * xd * yd.
@@ -76,21 +90,62 @@ def _dist_cmp(x: Fraction, y: Fraction, num: int, den: int) -> int:
     return (lhs > rhs) - (lhs < rhs)
 
 
+def _with_counts(ball: Ball, counts) -> Ball:
+    """`ball` with its counts set: the one place that sets them, for
+    `_ladder_start` and `_ladder_step`."""
+    object.__setattr__(ball, "_counts", counts)
+    return ball
+
+
+def _ladder_start(center, radius, word, params: GameParams) -> Ball:
+    """A ball that starts a radius ladder of `params` at its radius."""
+    return _with_counts(Ball(center, radius, word), ((radius, params), 0, 0))
+
+
+def _ladder_step(last: Ball, player, center, word) -> Ball:
+    """The ball one move of `player` past the counted ball `last`: radius
+    alpha (for Alice) or beta (anyone else) times last.radius, and one
+    more a or b."""
+    ladder, a, b = last._counts
+    if player == "alice":
+        a, ratio = a + 1, ladder[1].alpha
+    else:
+        b, ratio = b + 1, ladder[1].beta
+    return _with_counts(Ball(center, ratio * last.radius, word),
+                        (ladder, a, b))
+
+
+def _one_step(prev, nxt, alice: bool, params: GameParams) -> bool:
+    """Whether counts `nxt` lie one move of Alice (or Bob) past counts
+    `prev`, on one ladder of `params`: then nxt's radius is exactly the
+    ratio times prev's."""
+    if prev is None or nxt is None or prev[0] != nxt[0] \
+            or prev[0][1] != params:
+        return False
+    _, a, b = prev
+    return nxt[1:] == ((a + 1, b) if alice else (a, b + 1))
+
+
 def is_legal(prev: Ball, nxt: Ball, whose_turn: str, params: GameParams) -> Tuple[bool, str]:
-    """Referee one move:  radius exactly ratio * prev.radius, then nesting,
-    decided on the integers of the radii and centers."""
-    ratio = params.alpha if whose_turn == "alice" else params.beta
+    """Referee one move:  radius exactly ratio * prev.radius, then nesting.
+    Balls counted one move apart on one ladder of `params` pass the radius
+    rule by their counts; any other pair is decided on the integers of the
+    radii, as is nesting, where equal centers take no product."""
+    alice = whose_turn == "alice"
+    ratio = params.alpha if alice else params.beta
     pn, pd = prev.radius.numerator, prev.radius.denominator
-    nn, nd = nxt.radius.numerator, nxt.radius.denominator
     an, ad = ratio.numerator, ratio.denominator
-    # ratio * prev.radius in lowest terms: each gcd has a small operand
-    g, h = gcd(an, pd), gcd(pn, ad)
-    if nn != an // g * (pn // h) or nd != ad // h * (pd // g):
-        return False, (f"radius ({_bits(nxt.radius)}) != ratio * "
-                       f"({_bits(prev.radius)}) required by the classical rule")
+    if not _one_step(prev._counts, nxt._counts, alice, params):
+        nn, nd = nxt.radius.numerator, nxt.radius.denominator
+        # ratio * prev.radius in lowest terms: each gcd has a small operand
+        g, h = gcd(an, pd), gcd(pn, ad)
+        if nn != an // g * (pn // h) or nd != ad // h * (pd // g):
+            return False, (f"radius ({_bits(nxt.radius)}) != ratio * "
+                           f"({_bits(prev.radius)}) required by the "
+                           f"classical rule")
     # the center may move prev.radius - nxt.radius = (1 - ratio) * prev.radius
-    room = (ad - an) * pn, ad * pd
-    if _dist_cmp(prev.center, nxt.center, *room) > 0:
+    if not _same(nxt.center, prev.center) and _dist_cmp(
+            prev.center, nxt.center, (ad - an) * pn, ad * pd) > 0:
         return False, (f"ball (center {_bits(nxt.center)}, radius "
                        f"{_bits(nxt.radius)}) not nested in the previous ball")
     return True, ""
@@ -134,32 +189,34 @@ _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN,
 
 class _Lines:
     """The transcript's line format, one move a line in `json.dumps`'s
-    compact sorted layout, keeping the last line's center and radius with
-    their text.  A repeated center reuses its text, and a repeated center
+    compact sorted layout, keeping the last line's center with its text and
+    the last ball.  A repeated center reuses its text, and a repeated center
     text its Fraction.  A radius on the rule, ratio * last, is stepped from
-    the last radius's digits, linear in them: the writer steps once the
-    rule holds, and the reader accepts only the stepped text.  Any other
-    radius goes through str() or `parse_rational`, which raise as they
-    would alone, and re-seeds the digits.  Move i's line carries its round
-    number, i // 2 + 1, as "k"; the reader refuses any other."""
+    the last radius's digits, linear in them: the writer steps when the
+    ball's counts lie one move past the last ball's, or else once the exact
+    rule holds, and the reader accepts only the stepped text, building the
+    ball one count past the last.  Any other radius goes through str() or
+    `parse_rational`, which raise as they would alone, and re-seeds the
+    digits; read back, it starts a new radius ladder.  Move i's line carries
+    its round number, i // 2 + 1, as "k"; the reader refuses any other."""
 
     def __init__(self, params: GameParams):
         self.params = params
         self.center = self.center_text = None
-        self.radius: Optional[Fraction] = None
+        self.last: Optional[Ball] = None
         self.digits: Optional[Tuple[Decimal, Decimal]] = None
 
     def _ratio(self, player) -> Optional[Fraction]:
         """The ratio of a stepped radius, or None where there is no last
-        radius."""
-        if self.radius is None:
+        ball."""
+        if self.last is None:
             return None
         return self.params.alpha if player == "alice" else self.params.beta
 
     def _step(self, ratio: Fraction):
         """(digits, text) of ratio * the last radius, or (None, None) when
         a number passes the int string digit limit."""
-        pn, pd = self.radius.numerator, self.radius.denominator
+        pn, pd = self.last.radius.numerator, self.last.radius.denominator
         an, ad = ratio.numerator, ratio.denominator
         g, h = gcd(an, pd), gcd(pn, ad)
         dn, dd = self.digits or map(_EXACT.create_decimal, (pn, pd))
@@ -172,14 +229,17 @@ class _Lines:
         return (dn, dd), (f"{dn}" if dd == 1 else f"{dn}/{dd}")
 
     def write(self, i: int, player, ball: Ball) -> str:
-        if ball.center != self.center:
+        if not _same(self.center, ball.center):
             self.center, self.center_text = ball.center, str(ball.center)
         ratio, digits = self._ratio(player), None
-        if ratio is not None and ratio * self.radius == ball.radius:
+        if ratio is not None and (
+                _one_step(self.last._counts, ball._counts, player == "alice",
+                          self.params)
+                or ratio * self.last.radius == ball.radius):
             digits, text = self._step(ratio)
         if digits is None:
             text = str(ball.radius)
-        self.radius, self.digits = ball.radius, digits
+        self.last, self.digits = ball, digits
         name = f'"{player}"' if player in _PLAYERS else json.dumps(player)
         return (f'{{"center":"{self.center_text}","k":{i // 2 + 1},'
                 f'"player":{name},"radius":"{text}"}}')
@@ -190,15 +250,17 @@ class _Lines:
         if self.center is None or text != self.center_text:
             self.center, self.center_text = parse_rational(text), text
         text = doc["radius"]
-        ratio, digits = self._ratio(doc.get("player")), None
+        player = doc.get("player")
+        ratio, digits = self._ratio(player), None
         if ratio is not None:
             digits, stepped = self._step(ratio)
         if digits is not None and text == stepped:
-            radius = ratio * self.radius
+            ball = _ladder_step(self.last, player, self.center, None)
         else:
-            radius, digits = parse_rational(text), None
-        self.radius, self.digits = radius, digits
-        ball = Ball(self.center, radius)    # raises before a missing player
+            ball, digits = _ladder_start(self.center, parse_rational(text),
+                                         None, self.params), None
+        self.last, self.digits = ball, digits
+        # a bad radius raised above, before a missing player
         player, k = doc["player"], doc.get("k")
         if type(k) is not int or k != i // 2 + 1:
             raise SpecError(f'transcript line {i + 1}: "k" is not the round '
@@ -221,7 +283,8 @@ def _referee(support: FractalSupport, t: Transcript, i: int, player: str,
         if not ok:
             raise IllegalMove(player, reason, ball, t)
         # move i - 1 proved this center, by its word or by `locate`
-        if ball.center == prev.center and ball.word in (None, prev.word):
+        if (_same(ball.center, prev.center)
+                and ball.word in (None, prev.word)):
             return
     if ball.word is not None:
         if not support.verify_point(ball.center, ball.word):
@@ -246,8 +309,10 @@ def run_game(support: FractalSupport, params: GameParams, alice, bob,
 
     Strategies implement move(support, params, ball) -> Point, answering the
     last ball played with a center in K and its word (None for no proof),
-    and keep their own state; the engine alone supplies each radius, keeps
-    the game record and referees each move.  A strategy raising NoPointFound
+    and keep their own state; the engine alone supplies each radius, alpha
+    or beta times the last, keeps the game record and referees each move.
+    Each ball carries its counts on the radius ladder that starts at the
+    opening's radius, so the referee checks the radius rule by count.  A strategy raising NoPointFound
     loses by StrategyFailure; an illegal ball raises IllegalMove.  Both
     exceptions carry the partial transcript.
     """
@@ -255,6 +320,8 @@ def run_game(support: FractalSupport, params: GameParams, alice, bob,
         raise ValueError("rounds must be at least 1")
     if opening is None:
         opening = Ball(support.canonical_point, support.diameter, word=())
+    opening = _ladder_start(opening.center, opening.radius, opening.word,
+                            params)
     t = Transcript(params=params)
     _referee(support, t, 0, "bob", opening)
     t.moves.append(("bob", opening))
@@ -264,8 +331,7 @@ def run_game(support: FractalSupport, params: GameParams, alice, bob,
                 center, word = strategy.move(support, params, t.last_ball)
             except NoPointFound as exc:
                 raise StrategyFailure(player, exc, t) from exc
-            ratio = params.alpha if player == "alice" else params.beta
-            ball = Ball(center, ratio * t.last_ball.radius, word)
+            ball = _ladder_step(t.last_ball, player, center, word)
             _referee(support, t, len(t.moves), player, ball)
             t.moves.append((player, ball))
     return t

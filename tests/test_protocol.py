@@ -4,7 +4,8 @@ record, so no other module builds a `Transcript` or appends to its moves.
 A move is a point of K, (center, word), and `game` supplies its radius, so
 the strategies build no `Ball` but the one a preview reads.  Each of
 Alice's schedules is one object that keeps its own state, so `alice` has
-no separate state class and no function of a state."""
+no separate state class and no function of a state.  Only `game` sets a
+ball's radius counts, in one helper that computes the radius they count."""
 
 import ast
 from pathlib import Path
@@ -76,6 +77,49 @@ def test_the_engine_supplies_every_radius(name, allowed):
     path = SRC / name
     tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
     assert list(ball_builders(tree)) == allowed
+
+
+def count_setters(tree):
+    """(line, how) for each place that sets a ball's `_counts` field."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "_counts" \
+                and not isinstance(node.ctx, ast.Load):
+            yield node.lineno, "attribute"
+        elif (isinstance(node, ast.Subscript)
+              and not isinstance(node.ctx, ast.Load)
+              and getattr(node.slice, "value", None) == "_counts"):
+            yield node.lineno, "item"
+        elif isinstance(node, ast.Call):
+            f = node.func
+            name = getattr(f, "id", None) or getattr(f, "attr", None)
+            if name in ("setattr", "__setattr__") and any(
+                    getattr(a, "value", None) == "_counts" for a in node.args):
+                yield node.lineno, "setattr"
+            yield from ((node.lineno, "keyword") for k in node.keywords
+                        if k.arg == "_counts")
+
+
+def test_count_guard_sees_each_kind():
+    code = ('object.__setattr__(b, "_counts", c)\nsetattr(b, "_counts", c)\n'
+            'b._counts = c\nb.__dict__["_counts"] = c\n'
+            'Ball(x, r, _counts=c)\nreplace(b, _counts=c)\n'
+            'c = b._counts\nc = getattr(b, "_counts")\n'
+            'c = b.__dict__["_counts"]\n'
+            'class Ball:\n    _counts: tuple = None\n')
+    assert sorted(count_setters(ast.parse(code))) == [
+        (1, "setattr"), (2, "setattr"), (3, "attribute"), (4, "item"),
+        (5, "keyword"), (6, "keyword")]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_only_game_sets_counts(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    setters = [node.name for node in tree.body
+               if isinstance(node, ast.FunctionDef)
+               for _ in count_setters(node)]
+    expected = ["_with_counts"] if path.name == "game.py" else []
+    assert setters == expected
+    assert len(list(count_setters(tree))) == len(expected)
 
 
 def state_breaches(tree):
