@@ -795,7 +795,9 @@ class InterleaveStrategy:
     Alice's 1-based turn indices.  Each sub-strategy sees only the balls of
     its own turns, whose radii follow the classical rule with the effective
     parameters (alpha, beta*(alpha*beta)^{step-1}); its plans and
-    certificates are stated in those parameters.
+    certificates are stated in those parameters.  It keeps no balls:
+    danger_preview(ball) asks every part about `ball`, the ball Bob is
+    answering, and returns the first 32 points.
     """
 
     def __init__(self, strategies: Sequence, schedule: Sequence[Tuple[int, int]]):
@@ -824,8 +826,6 @@ class InterleaveStrategy:
         self.strategies = list(strategies)
         self.schedule = list(schedule)
         self.turn = 0
-        # each part's last answer, the ball its danger preview looks at
-        self.last: List[Optional[Ball]] = [None] * len(strategies)
 
     def move(self, support, params, ball) -> Point:
         self.turn += 1
@@ -834,16 +834,11 @@ class InterleaveStrategy:
                        if self.turn >= s and (self.turn - s) % d == 0)
         beta_eff = params.beta * (params.alpha * params.beta) ** (step - 1)
         eff = GameParams(params.alpha, beta_eff)
-        center, word = self.strategies[i].move(support, eff, ball)
-        self.last[i] = Ball(center, params.alpha * ball.radius, word)
-        return center, word
+        return self.strategies[i].move(support, eff, ball)
 
     def danger_preview(self, ball) -> List[Fraction]:
-        out: List[Fraction] = []
-        for strat, last in zip(self.strategies, self.last):
-            if last is not None:
-                out.extend(strat.danger_preview(last))
-        return out[:32]
+        return [z for strat in self.strategies
+                for z in strat.danger_preview(ball)][:32]
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
 from .fractal import FractalSupport, find_point_in_gap
-from .game import Ball, GameParams, Point
+from .game import Ball, GameParams, HoldCenter, Point
 
 __all__ = ["greedy_move", "random_move",
            "KeepCenterBob", "GreedyBob", "RandomBob"]
@@ -87,11 +87,9 @@ def random_move(support: FractalSupport, alice_ball: Ball, params: GameParams,
     return support.point(cyl.word), cyl.word
 
 
-class KeepCenterBob:
-    """The laziest legal adversary."""
-
-    def move(self, support, params, ball) -> Point:
-        return ball.center, ball.word
+class KeepCenterBob(HoldCenter):
+    """The laziest legal adversary: `HoldCenter` played for Bob, keeping
+    the center while the engine shrinks the radius by beta."""
 
 
 class GreedyBob:

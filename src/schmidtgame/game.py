@@ -187,56 +187,60 @@ _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN,
                  traps=[Inexact, Rounded])
 
 
+def _scaled(d: Decimal, num: int, den: int) -> Decimal:
+    """d // den * num on exact digits; a factor of 1 takes no step."""
+    if den != 1:
+        d = _EXACT.divide_int(d, den)
+    return d if num == 1 else _EXACT.multiply(d, num)
+
+
 class _Lines:
     """The transcript's line format, one move a line in `json.dumps`'s
     compact sorted layout, keeping the last line's center with its text and
     the last ball.  A repeated center reuses its text, and a repeated center
-    text its Fraction.  A radius on the rule, ratio * last, is stepped from
-    the last radius's digits, linear in them: the writer steps when the
-    ball's counts lie one move past the last ball's, or else once the exact
-    rule holds, and the reader accepts only the stepped text, building the
-    ball one count past the last.  Any other radius goes through str() or
+    text its Fraction.  A radius one move past the last ball's, ratio *
+    last, is stepped from the last radius's digits, linear in them: the
+    writer steps when the ball's counts lie one move past the last ball's,
+    and the reader accepts only the stepped text, building the ball one
+    count past the last.  Any other radius goes through str() or
     `parse_rational`, which raise as they would alone, and re-seeds the
-    digits; read back, it starts a new radius ladder.  Move i's line carries
-    its round number, i // 2 + 1, as "k"; the reader refuses any other."""
+    digits; an uncounted ball on the rule writes the same text, since the
+    stepped digits are the reduced fraction.  Read back, any other radius
+    starts a new radius ladder.  Move i's line carries its round number,
+    i // 2 + 1, as "k"; the reader refuses any other."""
 
     def __init__(self, params: GameParams):
         self.params = params
         self.center = self.center_text = None
         self.last: Optional[Ball] = None
         self.digits: Optional[Tuple[Decimal, Decimal]] = None
+        # the int string digit limit, 0 for none (CPython 3.10.7 and later)
+        self.limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
-    def _ratio(self, player) -> Optional[Fraction]:
-        """The ratio of a stepped radius, or None where there is no last
-        ball."""
+    def _step(self, player):
+        """(digits, text) of the radius one move of `player` past the last
+        ball, or (None, None) where there is no last ball or a number
+        passes the int string digit limit."""
         if self.last is None:
-            return None
-        return self.params.alpha if player == "alice" else self.params.beta
-
-    def _step(self, ratio: Fraction):
-        """(digits, text) of ratio * the last radius, or (None, None) when
-        a number passes the int string digit limit."""
+            return None, None
+        ratio = self.params.alpha if player == "alice" else self.params.beta
         pn, pd = self.last.radius.numerator, self.last.radius.denominator
         an, ad = ratio.numerator, ratio.denominator
         g, h = gcd(an, pd), gcd(pn, ad)
         dn, dd = self.digits or map(_EXACT.create_decimal, (pn, pd))
-        dn = _EXACT.multiply(_EXACT.divide_int(dn, h), an // g)
-        dd = _EXACT.multiply(_EXACT.divide_int(dd, g), ad // h)
-        # the int string digit limit, 0 for none (CPython 3.10.7 and later)
-        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-        if limit and max(dn.adjusted(), dd.adjusted()) >= limit:
+        dn, dd = _scaled(dn, an // g, h), _scaled(dd, ad // h, g)
+        if self.limit and max(dn.adjusted(), dd.adjusted()) >= self.limit:
             return None, None
         return (dn, dd), (f"{dn}" if dd == 1 else f"{dn}/{dd}")
 
     def write(self, i: int, player, ball: Ball) -> str:
         if not _same(self.center, ball.center):
             self.center, self.center_text = ball.center, str(ball.center)
-        ratio, digits = self._ratio(player), None
-        if ratio is not None and (
-                _one_step(self.last._counts, ball._counts, player == "alice",
-                          self.params)
-                or ratio * self.last.radius == ball.radius):
-            digits, text = self._step(ratio)
+        digits = None
+        if self.last is not None and _one_step(
+                self.last._counts, ball._counts, player == "alice",
+                self.params):
+            digits, text = self._step(player)
         if digits is None:
             text = str(ball.radius)
         self.last, self.digits = ball, digits
@@ -251,9 +255,7 @@ class _Lines:
             self.center, self.center_text = parse_rational(text), text
         text = doc["radius"]
         player = doc.get("player")
-        ratio, digits = self._ratio(player), None
-        if ratio is not None:
-            digits, stepped = self._step(ratio)
+        digits, stepped = self._step(player)
         if digits is not None and text == stepped:
             ball = _ladder_step(self.last, player, self.center, None)
         else:
@@ -318,10 +320,9 @@ def run_game(support: FractalSupport, params: GameParams, alice, bob,
     """
     if rounds < 1:
         raise ValueError("rounds must be at least 1")
-    if opening is None:
-        opening = Ball(support.canonical_point, support.diameter, word=())
-    opening = _ladder_start(opening.center, opening.radius, opening.word,
-                            params)
+    start = ((support.canonical_point, support.diameter, ()) if opening is None
+             else (opening.center, opening.radius, opening.word))
+    opening = _ladder_start(*start, params)
     t = Transcript(params=params)
     _referee(support, t, 0, "bob", opening)
     t.moves.append(("bob", opening))

@@ -14,7 +14,7 @@ from schmidtgame.alice import (BAStrategy, BiLipschitzMap, ConstTargets,
                                IDENTITY as ID, PeriodicTargets,
                                affine_to_sequence, avoidance_step,
                                ba_band_top)
-from schmidtgame.bob import KeepCenterBob
+from schmidtgame.bob import GreedyBob, KeepCenterBob
 from schmidtgame.errors import (HorizonMismatch, InvalidAlpha,
                                 InvariantViolation, NoPointFound,
                                 ScheduleOverlap, SpecError)
@@ -693,6 +693,28 @@ class TestInterleave:
         for f in fractions_in_interval(lo - c, hi + c, Q):
             d = max(F(0), lo - f, f - hi)
             assert d > c / f.denominator ** 2
+
+    def test_preview_asks_every_part_about_bobs_ball(self, K, cantor_decay,
+                                                     cantor_alpha):
+        # greedy Bob aims at the points every part still clears near the
+        # ball Bob answers, a part that has not moved yet included
+        params = GameParams(cantor_alpha, F(1, 4))
+        parts = [BAStrategy(decay=cantor_decay),
+                 ExcludeCountable([F(2, 9), F(2, 3)])]
+        duo = InterleaveStrategy(parts, [(1, 2), (2, 2)])
+        previews = []
+
+        def preview(ball):
+            want = [z for part in parts for z in part.danger_preview(ball)]
+            previews.append((InterleaveStrategy.danger_preview(duo, ball),
+                             want[:32]))
+            return previews[-1][0]
+
+        duo.danger_preview = preview
+        run_game(K, params, duo, GreedyBob(duo), rounds=12)
+        assert len(previews) == 12
+        assert [got for got, _ in previews] == [want for _, want in previews]
+        assert previews[0][0][-2:] == [F(2, 9), F(2, 3)]
 
 
 class TestAffineReduction:

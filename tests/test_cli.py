@@ -100,6 +100,21 @@ class TestPlay:
         assert "game.variant" in capsys.readouterr().err
         assert not (tmp_path / "transcript.jsonl").exists()
 
+    def test_hold_against_keep(self, tmp_path):
+        def mutate(doc):
+            doc["alice"], doc["bob"] = {"strategy": "hold"}, {"kind": "keep"}
+        spec = write_spec(tmp_path, mutate, "cantor_triple.json")
+        assert main(["play", "--spec", spec, "--rounds", "5",
+                     "--out", str(tmp_path)]) == 0
+        lines = [json.loads(line) for line in
+                 (tmp_path / "transcript.jsonl").read_text().splitlines()]
+        assert len(lines) == 11
+        assert all(line["center"] == prev["center"]
+                   for prev, line in zip(lines, lines[1:])
+                   if line["player"] == "alice")
+        bundle = json.loads((tmp_path / "certificates.json").read_text())
+        assert bundle == {"certificates": []}
+
     @pytest.mark.parametrize("name", ["cantor_lacunary.json", "cantor_ba.json",
                                       "cantor_triple.json"])
     def test_variant_key_is_optional(self, tmp_path, name):
@@ -522,6 +537,27 @@ class TestAudit:
                      "--out", str(tmp_path)]) == 0
         assert (out / "dimension.json").read_bytes() == \
             (tmp_path / "dimension.json").read_bytes()
+
+    @pytest.mark.parametrize("check, delta", [("federer", "3/4"),
+                                              ("efd", "1/4")])
+    def test_failing_doubling_pair_exits_1(self, tmp_path, capsys, check,
+                                           delta):
+        # federer asks mu(B(x, rho/3)) >= delta mu(B(x, rho)) and efd
+        # <= delta: the bundled delta = 1/2 passes both on the grid, and
+        # each of these fails at some grid point
+        doc = json.loads(open(bundled_spec_path("cantor_audit.json")).read())
+        doc["measure"][check][1] = delta
+        p = tmp_path / "spec.json"
+        p.write_text(json.dumps(doc))
+        assert main(["audit", "--spec", str(p), "--out", str(tmp_path)]) == 1
+        assert "audit %s: fail" % check in capsys.readouterr().out
+        last = {}
+        for row in (tmp_path / "audit.csv").read_text().splitlines()[1:]:
+            last[row.split(",")[0]] = row.rsplit(",", 1)[1]
+        expected = dict.fromkeys(("federer", "efd", "absolute_decay",
+                                  "power_law"), "pass")
+        expected[check] = "fail"
+        assert last == expected
 
     def test_unread_flag_exits_2(self, tmp_path):
         # audit reads no rounds, seed or max-q, so it does not accept them

@@ -1,8 +1,9 @@
 """The strategy protocol: a strategy answers the last ball, move(support,
 params, ball) and danger_preview(ball), and only `game` keeps the game
 record, so no other module builds a `Transcript` or appends to its moves.
-A move is a point of K, (center, word), and `game` supplies its radius, so
-the strategies build no `Ball` but the one a preview reads.  Each of
+A move is a point of K, (center, word), and `game` supplies its radius:
+only its radius ladder builds a `Ball`, besides the spec's opening that
+`cli` reads, and a preview reads the ball Bob is answering.  Each of
 Alice's schedules is one object that keeps its own state, so `alice` has
 no separate state class and no function of a state.  Only `game` sets a
 ball's radius counts, in one helper that computes the radius they count."""
@@ -58,8 +59,9 @@ def ball_builders(tree):
         if isinstance(node, ast.ClassDef):
             defs.extend((item, node.name + ".") for item in node.body)
         elif isinstance(node, ast.FunctionDef) and any(
-                isinstance(call, ast.Call)
-                and getattr(call.func, "id", None) == "Ball"
+                isinstance(call, ast.Call) and "Ball" in (
+                    getattr(call.func, "id", None),
+                    getattr(call.func, "attr", None))
                 for call in ast.walk(node)):
             yield owner + node.name
 
@@ -67,16 +69,20 @@ def ball_builders(tree):
 def test_ball_guard_sees_each_kind():
     code = ("def f(x):\n    return Ball(x, 1)\n"
             "def g(x):\n    return x.center, x.word\n"
+            "def h(x):\n    return game.Ball(x, 1)\n"
             "class S:\n    def move(self, b):\n        return [Ball(b, 1)]\n")
-    assert list(ball_builders(ast.parse(code))) == ["f", "S.move"]
+    assert list(ball_builders(ast.parse(code))) == ["f", "h", "S.move"]
 
 
-@pytest.mark.parametrize("name, allowed", [
-    ("alice.py", ["InterleaveStrategy.move"]), ("bob.py", [])])
-def test_the_engine_supplies_every_radius(name, allowed):
-    path = SRC / name
+# the ladder's two steps, and the spec's opening, which starts a ladder
+BALL_BUILDERS = {"game.py": ["_ladder_start", "_ladder_step"],
+                 "cli.py": ["build_opening"]}
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_the_engine_supplies_every_radius(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
-    assert list(ball_builders(tree)) == allowed
+    assert list(ball_builders(tree)) == BALL_BUILDERS.get(path.name, [])
 
 
 def count_setters(tree):
