@@ -17,7 +17,6 @@ circle maps to lacunary target sequences.
 """
 
 import bisect
-import logging
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -31,8 +30,6 @@ from .fractal import DecayParams, FractalSupport, check_alpha, find_point_in_gap
 from .game import Ball, GameParams, Point, _bits, _dist_cmp
 from .numerics import (_first_index, fractions_in_interval, json_rationals,
                        log_sign, parse_rational)
-
-log = logging.getLogger(__name__)
 
 __all__ = [
     "BiLipschitzMap", "GeometricTerms", "ListTerms", "ConstTargets",
@@ -539,12 +536,9 @@ def avoidance_step(support: FractalSupport, ball: Ball, alpha: Fraction,
     # exact postconditions: containment and clearing at least half
     if _dist_cmp(x2, x1, room, den) > 0:
         raise InvariantViolation("avoidance move left the ball")
-    signs = [_dist_cmp(y, x2, reach, den) for y in points]
-    kept = [y for y, sign in zip(points, signs) if sign <= 0]
+    kept = [y for y in points if _dist_cmp(y, x2, reach, den) <= 0]
     if 2 * len(kept) > len(points):
         raise InvariantViolation("avoidance move cleared fewer than half")
-    if 0 in signs:
-        log.info("avoidance distance met with equality at radius %s", rho)
     return (x2, word), kept
 
 

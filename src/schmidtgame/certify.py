@@ -27,6 +27,9 @@ ORBIT_SEPARATION = "orbit_separation"
 BAD_APPROX = "bad_approx"
 
 DEFAULT_MAX_Q = 10 ** 6
+# the largest "blocks" or "terms" horizon a certificate may claim; the
+# verifiers build bounds such as (1/(alpha*beta))^(r*h) before any check
+MAX_HORIZON = 10 ** 4
 
 
 # ---------------------------------------------------------------------------
@@ -60,7 +63,8 @@ class Certificate:
     c/q^2 from every reduced p/q with q <= Q for the horizon's Q.
 
     The horizon counts finished schedule blocks when the snapshot carries
-    schedule inputs ("blocks"), otherwise raw terms or denominators.
+    schedule inputs ("blocks"), otherwise orbit terms ("terms") or BA
+    denominators ("denominators"); blocks and terms stop at MAX_HORIZON.
     """
 
     kind: str
@@ -83,11 +87,15 @@ class Certificate:
             raise SpecError("separation constant must be positive")
         if json_int(self.horizon, "horizon") < 0:
             raise SpecError("horizon must be a non-negative integer")
-        allowed = ("blocks", "terms") if self.kind == ORBIT_SEPARATION \
-            else ("blocks", "denominators")
-        if self.horizon_kind not in allowed:
-            raise SpecError("horizon kind %r does not fit %s"
-                            % (self.horizon_kind, self.kind))
+        counts = "blocks" if "alpha" in self.snapshot else \
+            "terms" if self.kind == ORBIT_SEPARATION else "denominators"
+        if self.horizon_kind != counts:
+            raise SpecError("horizon kind %r does not fit this %s snapshot, "
+                            "which counts %s"
+                            % (self.horizon_kind, self.kind, counts))
+        if counts != "denominators" and self.horizon > MAX_HORIZON:
+            raise SpecError("horizon %d %s exceeds the verifiable %d"
+                            % (self.horizon, counts, MAX_HORIZON))
 
     def to_json(self) -> dict:
         return {"kind": self.kind,
@@ -178,8 +186,6 @@ def _constant_mismatch(expected: Fraction, got: Fraction) -> VerificationResult:
 def _check_blocks(cert: Certificate, start: int, r: int) -> None:
     """Raise HorizonMismatch unless the snapshot's turns finish the claimed
     blocks: block k opens at turn start + r(k-1) and takes r turns."""
-    if cert.horizon_kind != "blocks":
-        raise SpecError("schedule snapshots certify whole blocks")
     turns = json_int(cert.snapshot["turns"], "snapshot turns")
     done = max(0, (turns - start + 1) // r)
     if cert.horizon > done:
@@ -225,8 +231,6 @@ def verify_orbit_separation(cert: Certificate) -> VerificationResult:
             0, (1 / (alpha * beta)) ** (r * cert.horizon))
     else:
         phi = BiLipschitzMap.from_json(snap.get("phi"))
-        if cert.horizon_kind != "terms":
-            raise SpecError("bare orbit certificates cover explicit terms")
         last = spec.terms.horizon
         indices = range(1, cert.horizon + 1 if last is None
                         else min(cert.horizon, last) + 1)
@@ -271,8 +275,6 @@ def verify_ba(cert: Certificate, max_q: int = DEFAULT_MAX_Q) -> VerificationResu
         q_cap = min(ba_band_top(alpha * beta, cert.horizon), max_q)
     else:
         phi = BiLipschitzMap.from_json(snap.get("phi"))
-        if cert.horizon_kind != "denominators":
-            raise SpecError("bare certificates bound the denominator directly")
         q_cap = min(cert.horizon, max_q)
     u, v = phi.preimage_interval(lo, hi)
     checked = 0

@@ -197,8 +197,8 @@ def emit_certificates(strategy, interval) -> List[Tuple[str, Certificate]]:
         elif isinstance(s, BAStrategy) and s.planned:
             out.append((name or "bad_approx", ba_certificate(s, interval)))
         elif isinstance(s, InterleaveStrategy):
-            for i, part in enumerate(s.strategies):
-                rec(part, "part%d" % (i + 1))
+            for i, part in enumerate(s.strategies, start=1):
+                rec(part, "%s.%d" % (name, i) if name else "part%d" % i)
 
     rec(strategy, "")
     return out

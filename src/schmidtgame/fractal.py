@@ -465,21 +465,12 @@ def find_point_in_gap(support: FractalSupport, inside: Interval,
         word = support.locate(ilo)
         return (ilo, word) if word is not None else None
 
-    # narrowest positive gap left uncovered inside [ilo, ihi]
-    gap = None
-    cursor = ilo
-    for flo, fhi in merged:
-        if fhi < ilo:
-            continue
-        if flo > ihi:
-            break
-        if flo > cursor:
-            piece = flo - cursor
-            gap = piece if gap is None else min(gap, piece)
-        cursor = max(cursor, fhi)
-    if cursor < ihi:
-        piece = ihi - cursor
-        gap = piece if gap is None else min(gap, piece)
+    # narrowest uncovered piece of [ilo, ihi]: before, between and after
+    # the sorted, disjoint merged intervals that meet it
+    ends = [ilo, *(x for flo, fhi in merged if fhi >= ilo and flo <= ihi
+                   for x in (flo, fhi)), ihi]
+    gap = min((b - a for a, b in zip(ends[::2], ends[1::2]) if b > a),
+              default=None)
     if gap is None:
         return None  # forbidden covers every point of inside
 

@@ -1,3 +1,4 @@
+import copy
 import json
 from fractions import Fraction as F
 from pathlib import Path
@@ -7,7 +8,8 @@ import pytest
 
 from schmidtgame import cli, fractal
 from schmidtgame.alice import BiLipschitzMap
-from schmidtgame.certify import Certificate, VerificationResult
+from schmidtgame.certify import (MAX_HORIZON, Certificate,
+                                 VerificationResult)
 from schmidtgame.cli import bundled_spec_path, main
 from schmidtgame.fractal import (cantor_support, decay_from_federer_efd,
                                  max_alpha)
@@ -320,6 +322,26 @@ class TestShortPlays:
         assert {e["certificate"]["snapshot"]["beta"]
                 for e in bundle["certificates"]} == {"9/268435456"}
 
+    def test_nested_parts_are_named_by_path(self, tmp_path):
+        # by its index in its own interleave alone, the inner lacunary
+        # part and the outer one would both be "part2"
+        def lacunary(base, target):
+            return {"strategy": "lacunary",
+                    "terms": {"kind": "geometric", "base": base, "scale": "1"},
+                    "targets": {"kind": "const", "value": target}}
+        inner = {"strategy": "interleave", "schedule": [[1, 2], [2, 2]],
+                 "parts": [{"strategy": "ba"}, lacunary("2", "0")]}
+        spec = write_spec(tmp_path, _set(["alice"], {
+            "strategy": "interleave", "schedule": [[1, 2], [2, 2]],
+            "parts": [inner, lacunary("3", "1/2")]}), "cantor_triple.json")
+        assert main(["play", "--spec", spec, "--rounds", "60",
+                     "--out", str(tmp_path)]) == 0
+        bundle = json.loads((tmp_path / "certificates.json").read_text())
+        assert [(e["name"], e["certificate"]["kind"])
+                for e in bundle["certificates"]] == [
+            ("part1.1", "bad_approx"), ("part1.2", "orbit_separation"),
+            ("part2", "orbit_separation")]
+
 
 class TestSpecPhi:
     """A spec's phi is the anchor form certificates write, end to end."""
@@ -411,6 +433,83 @@ class TestJsonArrays:
 
 
 class TestCertify:
+    @pytest.fixture(scope="class")
+    def claims(self, tmp_path_factory):
+        """A passing certificate of each claim, scheduled and bare, as JSON."""
+        out = {}
+        for claim, name in (("orbit", "cantor_lacunary.json"),
+                            ("ba", "cantor_ba.json")):
+            d = tmp_path_factory.mktemp(claim)
+            assert main(["play", "--spec", bundled_spec_path(name),
+                         "--rounds", "50", "--out", str(d)]) == 0
+            bundle = json.loads((d / "certificates.json").read_text())
+            out[claim, "scheduled"] = bundle["certificates"][0]["certificate"]
+        # 2^n/3 mod 1 alternates 2/3, 1/3; 13/21 is far from small q
+        doubling = {"terms": {"kind": "geometric", "base": "2", "scale": "1"},
+                    "targets": {"kind": "const", "value": "0"},
+                    "lacunarity": "2"}
+        out["orbit", "bare"] = Certificate(
+            "orbit_separation", (F(1, 3), F(1, 3)), F(1, 3), 24, "terms",
+            {"spec": doubling}).to_json()
+        out["ba", "bare"] = Certificate(
+            "bad_approx", (F(13, 21), F(13, 21)), F(1, 100), 20,
+            "denominators").to_json()
+        return out
+
+    def certify(self, tmp_path, capsys, cert):
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps(cert))
+        capsys.readouterr()
+        return main(["certify", "--spec", str(path)])
+
+    @pytest.mark.parametrize("stated",
+                             ["blocks", "terms", "denominators", None])
+    @pytest.mark.parametrize("snapshot", ["scheduled", "bare"])
+    @pytest.mark.parametrize("claim", ["orbit", "ba"])
+    def test_horizon_kind_follows_claim_and_snapshot(self, claims, tmp_path,
+                                                     capsys, claim, snapshot,
+                                                     stated):
+        # schedule inputs count blocks; a bare snapshot counts orbit terms
+        # or BA denominators; an absent kind reads as "blocks"
+        cert = dict(claims[claim, snapshot])
+        del cert["horizon_kind"]
+        if stated is not None:
+            cert["horizon_kind"] = stated
+        counts = "blocks" if snapshot == "scheduled" else \
+            "terms" if claim == "orbit" else "denominators"
+        code = self.certify(tmp_path, capsys, cert)
+        if (stated or "blocks") == counts:
+            assert code == 0
+        else:
+            assert code == 2
+            assert "horizon kind" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("claim, snapshot", [
+        ("orbit", "scheduled"), ("ba", "scheduled"), ("orbit", "bare")])
+    @pytest.mark.parametrize("past", [0, 1])
+    def test_horizon_past_the_cap_exits_2(self, claims, tmp_path, capsys,
+                                          claim, snapshot, past):
+        # the verifiers build (1/(alpha*beta))^(r*h) or the BA band top
+        # before they check a term, so the horizon is bounded on load
+        cert = copy.deepcopy(claims[claim, snapshot])
+        cert["horizon"] = MAX_HORIZON + past
+        if snapshot == "scheduled":
+            cert["snapshot"]["turns"] = 100 * cert["horizon"]
+        code = self.certify(tmp_path, capsys, cert)
+        if past:
+            assert code == 2
+            assert "exceeds the verifiable" in capsys.readouterr().err
+        else:
+            assert code in (0, 1)
+
+    def test_unfinished_block_exits_1(self, claims, tmp_path, capsys):
+        # HorizonMismatch is a ValueError, yet a run failure, not bad input
+        cert = copy.deepcopy(claims["orbit", "scheduled"])
+        cert["horizon"] += 1  # 50 turns finish exactly the claimed blocks
+        assert self.certify(tmp_path, capsys, cert) == 1
+        assert capsys.readouterr().err.startswith(
+            "run failed: certificate claims")
+
     @pytest.fixture()
     def bundle_path(self, tmp_path):
         assert main(["play", "--spec", bundled_spec_path("cantor_ba.json"),
