@@ -14,7 +14,7 @@ from .bob import (GreedyBob, KeepCenterBob, RandomBob, greedy_move,
                   random_move)
 from .certify import (Certificate, DimensionReport, VerificationResult,
                       ba_certificate, dimension_report, orbit_certificate,
-                      verify, verify_ba, verify_orbit_separation)
+                      verify)
 from .errors import (HorizonMismatch, IllegalMove, InvalidAlpha,
                      InvariantViolation, NoPointFound, PrecisionCapExceeded,
                      ScheduleOverlap, SpecError, StrategyFailure)
@@ -48,5 +48,5 @@ __all__ = [
     "lower_pointwise_dimension", "max_alpha",
     "orbit_certificate", "outcome_interval",
     "random_move", "run_game", "transcript_from_jsonl", "validate_transcript",
-    "verify", "verify_ba", "verify_orbit_separation",
+    "verify",
 ]

@@ -26,7 +26,11 @@ from .numerics import (Exponent, LogRatio, circle_dist, exponent_bounds,
 ORBIT_SEPARATION = "orbit_separation"
 BAD_APPROX = "bad_approx"
 
-DEFAULT_MAX_Q = 10 ** 6
+# the largest denominator a BA certificate's check reaches
+MAX_Q = 10 ** 6
+# the most reduced fractions a BA check may enumerate: its one window
+# [u - c, v + c] is sorted in memory before the first fraction is checked
+MAX_FRACTIONS = 2 * 10 ** 6
 # the largest "blocks" or "terms" horizon a certificate may claim; the
 # verifiers build bounds such as (1/(alpha*beta))^(r*h) before any check
 MAX_HORIZON = 10 ** 4
@@ -208,15 +212,9 @@ def _orbit_witness(phi: BiLipschitzMap, u: Fraction, v: Fraction,
             "point": str(phi.apply(xin)), "distance": str(dist)}
 
 
-def verify_orbit_separation(cert: Certificate) -> VerificationResult:
-    """Exhaustively re-check an orbit-separation claim.
-
-    Every term the horizon covers is checked with exact circle arithmetic
-    over the whole interval at once.  Raises HorizonMismatch when the
-    claimed blocks need more turns than the snapshot records.
-    """
-    if cert.kind != ORBIT_SEPARATION:
-        raise SpecError("not an orbit-separation certificate")
+def _verify_orbit(cert: Certificate) -> VerificationResult:
+    """Every term the horizon covers, checked with exact circle arithmetic
+    over the whole interval at once."""
     lo, hi = cert.interval
     snap = cert.snapshot
     spec = LacunarySpec.from_json(snap["spec"])
@@ -250,18 +248,11 @@ def verify_orbit_separation(cert: Certificate) -> VerificationResult:
         "all %d covered terms stay %s-separated" % (len(indices), cert.c))
 
 
-def verify_ba(cert: Certificate, max_q: int = DEFAULT_MAX_Q) -> VerificationResult:
-    """Exhaustively re-check a badly-approximable claim up to denominator Q.
-
-    Q is the largest q below R^h for h finished blocks, capped at max_q.
-    The walk enumerates every reduced fraction within c of the preimage
-    interval; a violation is any p/q at q^2-weighted distance <= c from
-    the hull.
-    """
-    if cert.kind != BAD_APPROX:
-        raise SpecError("not a badly-approximable certificate")
-    if max_q < 1:
-        raise SpecError("max_q must be at least 1, not %d" % max_q)
+def _verify_ba(cert: Certificate) -> VerificationResult:
+    """Every reduced fraction within c of the preimage interval, up to
+    denominator Q: the largest q below R^h for h finished blocks, at most
+    MAX_Q.  A violation is any p/q at q^2-weighted distance <= c from the
+    hull."""
     lo, hi = cert.interval
     snap = cert.snapshot
     if "alpha" in snap:
@@ -272,11 +263,18 @@ def verify_ba(cert: Certificate, max_q: int = DEFAULT_MAX_Q) -> VerificationResu
             return _constant_mismatch(c, cert.c)
         _check_blocks(cert, start, 1)
         # h blocks clear every q with q^2 < (alpha*beta)^-h, and no more
-        q_cap = min(ba_band_top(alpha * beta, cert.horizon), max_q)
+        q_cap = min(ba_band_top(alpha * beta, cert.horizon), MAX_Q)
     else:
         phi = BiLipschitzMap.from_json(snap.get("phi"))
-        q_cap = min(cert.horizon, max_q)
+        q_cap = min(cert.horizon, MAX_Q)
     u, v = phi.preimage_interval(lo, hi)
+    # the window holds at most floor(w*q) + 1 fractions of each q <= q_cap
+    w = v - u + 2 * cert.c
+    bound = w * q_cap * (q_cap + 1) / 2 + q_cap
+    if bound > MAX_FRACTIONS:
+        raise SpecError("BA window of width %s up to denominator %d holds up "
+                        "to %d fractions, more than the verifiable %d"
+                        % (w, q_cap, math.floor(bound), MAX_FRACTIONS))
     checked = 0
     for f in fractions_in_interval(u - cert.c, v + cert.c, q_cap):
         d = max(Fraction(0), u - f, f - v)
@@ -293,10 +291,16 @@ def verify_ba(cert: Certificate, max_q: int = DEFAULT_MAX_Q) -> VerificationResu
         "no rational with denominator <= %d comes within c/q^2" % q_cap)
 
 
-def verify(cert: Certificate, max_q: int = DEFAULT_MAX_Q) -> VerificationResult:
+def verify(cert: Certificate) -> VerificationResult:
+    """Exhaustively re-check a certificate's claim from its snapshot alone.
+
+    Raises HorizonMismatch when the claimed blocks need more turns than
+    the snapshot records, and SpecError when a BA window holds more than
+    MAX_FRACTIONS fractions to check.
+    """
     if cert.kind == ORBIT_SEPARATION:
-        return verify_orbit_separation(cert)
-    return verify_ba(cert, max_q)
+        return _verify_orbit(cert)
+    return _verify_ba(cert)
 
 
 # ---------------------------------------------------------------------------

@@ -18,9 +18,8 @@ from .alice import (ALPHA_DIAGNOSTIC, BAStrategy, BiLipschitzMap,
                     ExcludeCountable, InterleaveStrategy, LacunarySpec,
                     LacunaryStrategy, ListTargets, affine_to_sequence)
 from .bob import GreedyBob, KeepCenterBob, RandomBob
-from .certify import (DEFAULT_MAX_Q, Certificate, ba_certificate,
-                      dimension_report, exponent_from_json, orbit_certificate,
-                      verify)
+from .certify import (Certificate, ba_certificate, dimension_report,
+                      exponent_from_json, orbit_certificate, verify)
 from .errors import (HorizonMismatch, IllegalMove, InvalidAlpha,
                      InvariantViolation, NoPointFound, PrecisionCapExceeded,
                      ScheduleOverlap, SpecError, StrategyFailure)
@@ -204,12 +203,12 @@ def emit_certificates(strategy, interval) -> List[Tuple[str, Certificate]]:
     return out
 
 
-def _verify_and_report(entries, max_q: int) -> Tuple[list, bool]:
+def _verify_and_report(entries) -> Tuple[list, bool]:
     """Verify each (name, certificate) and print its verdict, with the
     witness of a failure; returns the JSON bundle and whether all passed."""
     bundle, ok = [], True
     for name, cert in entries:
-        result = verify(cert, max_q)
+        result = verify(cert)
         ok = ok and result.passed
         bundle.append({"name": name, "certificate": cert.to_json(),
                        "verification": result.to_json()})
@@ -243,7 +242,7 @@ def cmd_play(args) -> int:
         fh.write(text)
     print("transcript: %s (%d moves)" % (tpath, len(transcript.moves)))
     entries = emit_certificates(alice, outcome_interval(transcript))
-    bundle, ok = _verify_and_report(entries, args.max_q)
+    bundle, ok = _verify_and_report(entries)
     _write_json(os.path.join(args.out, "certificates.json"),
                 {"certificates": bundle})
     return 0 if ok else 1
@@ -303,7 +302,7 @@ def cmd_certify(args) -> int:
                  for i, e in enumerate(payload["certificates"], start=1)]
     else:
         items = [("certificate", Certificate.from_json(payload))]
-    _, ok = _verify_and_report(items, args.max_q)
+    _, ok = _verify_and_report(items)
     return 0 if ok else 1
 
 
@@ -328,6 +327,8 @@ def _digit_alphabet(support: FractalSupport) -> Tuple[int, List[int]]:
 
 
 def cmd_construct(args) -> int:
+    if args.digits < 1:
+        raise SpecError("digits must be at least 1, not %d" % args.digits)
     doc = load_document(args.spec)
     support, params, alice, bob, rounds, opening = build_game(doc, args)
     base, alphabet = _digit_alphabet(support)
@@ -352,7 +353,7 @@ def cmd_construct(args) -> int:
     print("base-%d digits: %s" % (base,
                                   " ".join(str(d) for d in digit_string)))
     entries = emit_certificates(alice, (lo, hi))
-    bundle, ok = _verify_and_report(entries, args.max_q)
+    bundle, ok = _verify_and_report(entries)
     text = transcript.to_jsonl()
     os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "transcript.jsonl"), "w",
@@ -377,13 +378,12 @@ def _parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
     flags = {"out": {"default": "."},
              "rounds": {"type": int, "default": None},
-             "max-q": {"type": int, "default": DEFAULT_MAX_Q},
              "seed": {"type": int, "default": None},
              "digits": {"type": int, "default": 20}}
-    game = ("out", "rounds", "max-q", "seed")
+    game = ("out", "rounds", "seed")
     for name, fn, names in (("play", cmd_play, game),
                             ("audit", cmd_audit, ("out",)),
-                            ("certify", cmd_certify, ("max-q",)),
+                            ("certify", cmd_certify, ()),
                             ("construct", cmd_construct, game + ("digits",))):
         q = sub.add_parser(name)
         q.add_argument("--spec", required=True)
@@ -393,18 +393,9 @@ def _parser() -> argparse.ArgumentParser:
     return p
 
 
-def _check_args(args) -> None:
-    """Reject out-of-range flags before any command runs."""
-    if getattr(args, "max_q", 1) < 1:
-        raise SpecError("max_q must be at least 1, not %d" % args.max_q)
-    if getattr(args, "digits", 1) < 1:
-        raise SpecError("digits must be at least 1, not %d" % args.digits)
-
-
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        _check_args(args)
         return args.fn(args)
     except (IllegalMove, StrategyFailure, InvariantViolation, NoPointFound,
             HorizonMismatch, PrecisionCapExceeded) as exc:

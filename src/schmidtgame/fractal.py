@@ -18,8 +18,9 @@ from fractions import Fraction
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .errors import SpecError
-from .numerics import (Exponent, LogRatio, _first_index, make_exponent,
-                       pow_exact, rational_power_of, scaled_pow_cmp)
+from .numerics import (Exponent, LogRatio, _first_index, exponent_cmp,
+                       make_exponent, pow_exact, rational_power_of,
+                       scaled_pow_cmp)
 
 Interval = Tuple[Fraction, Fraction]
 
@@ -501,12 +502,6 @@ def find_point_in_gap(support: FractalSupport, inside: Interval,
 # decay parameters and conversions
 
 
-def _exponent_is_positive(e: Exponent) -> bool:
-    if isinstance(e, LogRatio):
-        return e.sign() > 0
-    return Fraction(e) > 0
-
-
 @dataclass(frozen=True)
 class DecayParams:
     """Constants (C, gamma, rho0) of absolute decay:
@@ -519,7 +514,7 @@ class DecayParams:
     def __post_init__(self):
         object.__setattr__(self, "C", Fraction(self.C))
         object.__setattr__(self, "rho0", Fraction(self.rho0))
-        if self.C <= 0 or self.rho0 <= 0 or not _exponent_is_positive(self.gamma):
+        if self.C <= 0 or self.rho0 <= 0 or exponent_cmp(self.gamma, 0) <= 0:
             raise SpecError("decay constants must be positive")
 
 

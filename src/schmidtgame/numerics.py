@@ -272,10 +272,6 @@ class LogRatio:
         object.__setattr__(self, "top", rt ** (kt // g))
         object.__setattr__(self, "base", rb ** (kb // g))
 
-    def sign(self) -> int:
-        # base > 1 and top != 1, so the sign is the sign of ln(top)
-        return -1 if self.top < 1 else 1
-
     def __repr__(self) -> str:
         return f"log({self.top})/log({self.base})"
 

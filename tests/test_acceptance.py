@@ -19,8 +19,7 @@ from schmidtgame.alice import (BAStrategy, ConstTargets, GeometricTerms,
                                affine_to_sequence, avoidance_step)
 from schmidtgame.bob import GreedyBob, RandomBob
 from schmidtgame.certify import (ba_certificate, dimension_report,
-                                 orbit_certificate, verify, verify_ba,
-                                 verify_orbit_separation)
+                                 orbit_certificate, verify)
 from schmidtgame.cli import bundled_spec_path, main
 from schmidtgame.fractal import (AuditGrid, DecayParams, FractalMeasure,
                                  MeasureAuditReport, audit_measure,
@@ -60,7 +59,7 @@ def test_1_lacunary_end_to_end(K, decay):
     transcript = run_game(K, params, alice, bob, rounds=50)
     validate_transcript(transcript, K)
     cert = orbit_certificate(alice, outcome_interval(transcript))
-    result = verify_orbit_separation(cert)
+    result = verify(cert)
     ok = (result.passed and cert.c == alice.c
           and alice.blocks_cleared >= 1 and result.checked >= 1)
     report(1, "lacunary vs greedy", ok, time.monotonic() - t0, budget=60)
@@ -76,7 +75,7 @@ def test_2_ba_end_to_end(K, decay):
     # c = R^2 alpha rho / L with R^2 = 1/(alpha beta), exactly
     formula_c = (1 / alice.ab) * alice.alpha * alice.rho / alice.phi.lipschitz
     cert = ba_certificate(alice, outcome_interval(transcript))
-    result = verify_ba(cert)
+    result = verify(cert)
     bound = (1 / alice.ab) ** alice.blocks_cleared
     q_cap = min(math.isqrt(bound.numerator // bound.denominator), 10 ** 6)
     ok = (result.passed and cert.c == formula_c == alice.c

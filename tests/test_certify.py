@@ -6,6 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import schmidtgame
 from schmidtgame.alice import (IDENTITY, BAStrategy, BiLipschitzMap,
                                ConstTargets, ba_constants,
                                GeometricTerms, LacunarySpec, LacunaryStrategy,
@@ -14,8 +15,7 @@ from schmidtgame.bob import KeepCenterBob, RandomBob
 from schmidtgame.certify import (Certificate, DimensionReport,
                                  _schedule_inputs, ba_certificate,
                                  dimension_report, exponent_from_json,
-                                 exponent_to_json, orbit_certificate, verify,
-                                 verify_ba, verify_orbit_separation)
+                                 exponent_to_json, orbit_certificate, verify)
 from schmidtgame.errors import HorizonMismatch, SpecError
 from schmidtgame.fractal import (AuditGrid, DecayParams, DimensionEstimate,
                                  FractalMeasure, MeasureAuditReport,
@@ -104,11 +104,11 @@ class TestCertificateObject:
         with pytest.raises(SpecError):
             Certificate("bad_approx", (F(0), F(1)), F(1, 2), 1, "terms")
 
-    def test_kind_dispatch_guards(self, ba_run):
-        alice, t = ba_run
-        cert = ba_certificate(alice, outcome_interval(t))
-        with pytest.raises(SpecError):
-            verify_orbit_separation(cert)
+    def test_one_public_verifier(self):
+        # verify dispatches on the certificate's kind; no per-kind name
+        assert "verify" in schmidtgame.__all__
+        assert not {"verify_ba", "verify_orbit_separation"} & \
+            set(schmidtgame.__all__)
 
 
 class TestOrbitFrozen:
@@ -121,13 +121,13 @@ class TestOrbitFrozen:
         # 2^n/3 mod 1 alternates 2/3, 1/3: distance to 0 is exactly 1/3
         cert = bare("orbit_separation", F(1, 3), F(1, 3), 24, "terms",
                     spec=self.SPEC)
-        got = verify_orbit_separation(cert)
+        got = verify(cert)
         assert got.passed and got.checked == 24
 
     def test_half_dies_immediately(self):
         cert = bare("orbit_separation", F(1, 2), F(1, 100), 5, "terms",
                     spec=self.SPEC)
-        got = verify_orbit_separation(cert)
+        got = verify(cert)
         assert not got.passed
         assert got.witness["n"] == 1
         assert got.witness["distance"] == "0"
@@ -136,7 +136,7 @@ class TestOrbitFrozen:
     def test_zero_horizon_is_vacuous(self):
         cert = bare("orbit_separation", F(1, 2), F(1, 100), 0, "terms",
                     spec=self.SPEC)
-        got = verify_orbit_separation(cert)
+        got = verify(cert)
         assert got.passed and got.checked == 0
 
     def test_targets_shorter_than_horizon(self):
@@ -145,46 +145,41 @@ class TestOrbitFrozen:
         cert = bare("orbit_separation", F(1, 3), F(1, 3), 5, "terms",
                     spec=spec.to_json())
         with pytest.raises(HorizonMismatch):
-            verify_orbit_separation(cert)
+            verify(cert)
 
     def test_phi_conjugation(self):
         # phi(x) = x/2: the interval {1/6} pulls back to {1/3}
         phi = BiLipschitzMap((), (F(1, 2),), (F(0), F(0)))
         cert = bare("orbit_separation", F(1, 6), F(1, 3), 10, "terms",
                     spec=self.SPEC, phi=phi.to_json())
-        assert verify_orbit_separation(cert).passed
+        assert verify(cert).passed
 
 
 class TestBAFrozen:
     def test_13_over_21(self):
         cert = bare("bad_approx", F(13, 21), F(1, 100), 20, "denominators")
-        got = verify_ba(cert)
+        got = verify(cert)
         assert got.passed
         assert got.checked > 0
 
     def test_rational_point_fails(self):
         cert = bare("bad_approx", F(1, 2), F(1, 5), 10, "denominators")
-        got = verify_ba(cert)
+        got = verify(cert)
         assert not got.passed
         assert got.witness["fraction"] == "1/2"
         assert got.witness["distance"] == "0"
 
     def test_zero_horizon_is_vacuous(self):
         cert = bare("bad_approx", F(1, 2), F(1, 5), 0, "denominators")
-        got = verify_ba(cert)
+        got = verify(cert)
         assert got.passed and got.checked == 0
 
-    def test_max_q_caps_the_walk(self):
+    def test_window_too_large_to_enumerate_fails_closed(self):
+        # Q = MAX_Q over a window 1/50 wide bounds about 10^10 fractions
         cert = bare("bad_approx", F(13, 21), F(1, 100), 10 ** 9,
                     "denominators")
-        got = verify_ba(cert, max_q=20)
-        assert got.passed
-
-    @pytest.mark.parametrize("max_q", [0, -1])
-    def test_nonpositive_max_q_fails_closed(self, max_q):
-        cert = bare("bad_approx", F(1, 2), F(1, 5), 10, "denominators")
-        with pytest.raises(SpecError, match="max_q must be at least 1"):
-            verify_ba(cert, max_q)
+        with pytest.raises(SpecError, match="more than the verifiable"):
+            verify(cert)
 
 
 def ba_schedule_cert(x, horizon):
@@ -201,19 +196,19 @@ class TestBASchedulePerimeter:
 
     @pytest.mark.parametrize("h", [1, 2, 3])
     def test_square_root_denominator_not_checked(self, h):
-        got = verify_ba(ba_schedule_cert(F(1, 6 ** h), h))
+        got = verify(ba_schedule_cert(F(1, 6 ** h), h))
         assert got.passed
         assert got.reason == ("no rational with denominator <= %d comes "
                               "within c/q^2" % (6 ** h - 1))
 
     @pytest.mark.parametrize("h", [1, 2, 3])
     def test_denominator_below_is_checked(self, h):
-        got = verify_ba(ba_schedule_cert(F(1, 6 ** h - 1), h))
+        got = verify(ba_schedule_cert(F(1, 6 ** h - 1), h))
         assert not got.passed
         assert got.witness["fraction"] == "1/%d" % (6 ** h - 1)
 
     def test_no_block_checks_nothing(self):
-        got = verify_ba(ba_schedule_cert(F(0), 0))
+        got = verify(ba_schedule_cert(F(0), 0))
         assert got.passed and got.checked == 0
 
 
@@ -222,18 +217,16 @@ class TestEndToEnd:
         alice, t = lacunary_run
         cert = orbit_certificate(alice, outcome_interval(t))
         assert cert.horizon == 5
-        got = verify_orbit_separation(cert)
+        got = verify(cert)
         assert got.passed
         assert got.checked == 399  # terms below (8192/3)^35
         back = Certificate.from_json(cert.to_json())
-        assert verify_orbit_separation(back).passed
+        assert verify(back).passed
 
     def test_ba_certificate_verifies(self, ba_run):
         alice, t = ba_run
         cert = ba_certificate(alice, outcome_interval(t))
         assert cert.horizon == 38
-        got = verify_ba(cert)
-        assert got.passed
         assert verify(cert).passed
 
     def test_dispatcher(self, lacunary_run):
@@ -285,20 +278,20 @@ class TestMutation:
         alice, t = lacunary_run
         cert = orbit_certificate(alice, outcome_interval(t))
         bad = replace(cert, c=cert.c / 2)
-        got = verify_orbit_separation(bad)
+        got = verify(bad)
         assert not got.passed
         assert got.witness["field"] == "c"
 
     def test_doubled_c_fails(self, lacunary_run):
         alice, t = lacunary_run
         cert = orbit_certificate(alice, outcome_interval(t))
-        got = verify_orbit_separation(replace(cert, c=cert.c * 2))
+        got = verify(replace(cert, c=cert.c * 2))
         assert not got.passed
 
     def test_ba_halved_c_fails(self, ba_run):
         alice, t = ba_run
         cert = ba_certificate(alice, outcome_interval(t))
-        got = verify_ba(replace(cert, c=cert.c / 2))
+        got = verify(replace(cert, c=cert.c / 2))
         assert not got.passed
         assert got.witness["field"] == "c"
 
@@ -307,7 +300,7 @@ class TestMutation:
         cert = orbit_certificate(alice, outcome_interval(t))
         snap = dict(cert.snapshot)
         snap["alpha"] = str(alice.alpha / 2)
-        assert not verify_orbit_separation(replace(cert, snapshot=snap)).passed
+        assert not verify(replace(cert, snapshot=snap)).passed
 
     @pytest.mark.parametrize("kind, edit", SNAPSHOT_EDITS,
                              ids=lambda v: getattr(v, "__name__", v))
@@ -339,11 +332,11 @@ class TestMutation:
         alice, t = lacunary_run
         cert = orbit_certificate(alice, outcome_interval(t))
         with pytest.raises(HorizonMismatch):
-            verify_orbit_separation(replace(cert, horizon=cert.horizon + 1))
+            verify(replace(cert, horizon=cert.horizon + 1))
         ba, bt = ba_run
         bcert = ba_certificate(ba, outcome_interval(bt))
         with pytest.raises(HorizonMismatch):
-            verify_ba(replace(bcert, horizon=bcert.horizon + 1))
+            verify(replace(bcert, horizon=bcert.horizon + 1))
 
 
 def sqrt_cf_convergents(d, depth):
@@ -381,7 +374,7 @@ class TestContinuedFractionOracle:
 
     For each x (a deep convergent of sqrt(d)) the brute-force minimum of
     q^2 |x - p/q| over q <= Q must be attained at a convergent of x, and
-    verify_ba must agree with the brute force on both sides of it.
+    verify must agree with the brute force on both sides of it.
     """
 
     Q = 40
@@ -409,10 +402,9 @@ class TestContinuedFractionOracle:
             conv = [f for f in own_convergents(x) if f.denominator <= self.Q]
             conv_min = min(q.denominator ** 2 * abs(x - q) for q in conv)
             assert conv_min == m, d
-            ok = verify_ba(bare("bad_approx", x, m / 2, self.Q,
-                                "denominators"))
+            ok = verify(bare("bad_approx", x, m / 2, self.Q, "denominators"))
             assert ok.passed, d
-            hit = verify_ba(bare("bad_approx", x, m, self.Q, "denominators"))
+            hit = verify(bare("bad_approx", x, m, self.Q, "denominators"))
             assert not hit.passed, d
             f = F(hit.witness["fraction"])
             assert f.denominator ** 2 * abs(x - f) == m

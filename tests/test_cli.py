@@ -1,5 +1,6 @@
 import copy
 import json
+import time
 from fractions import Fraction as F
 from pathlib import Path
 from types import SimpleNamespace
@@ -218,17 +219,6 @@ class TestPlay:
         assert "rounds must be at least 1" in capsys.readouterr().err
         assert not (tmp_path / "transcript.jsonl").exists()
 
-    @pytest.mark.parametrize("spec", ["cantor_lacunary.json",
-                                      "cantor_ba.json"])
-    def test_nonpositive_max_q_exits_2_before_playing(self, tmp_path, capsys,
-                                                      spec):
-        # without a badly-approximable part no verifier ever reads max_q
-        out = tmp_path / "out"
-        assert main(["play", "--spec", bundled_spec_path(spec),
-                     "--out", str(out), "--max-q", "0"]) == 2
-        assert "max_q must be at least 1" in capsys.readouterr().err
-        assert not out.exists()
-
     def test_unwritable_transcript_leaves_no_file(self, tmp_path, capsys):
         # a 1,600-round lacunary transcript holds an integer past Python's
         # 4,300-digit string limit: the text is built before the file opens
@@ -240,7 +230,7 @@ class TestPlay:
 
     def test_failing_certificate_prints_witness(self, tmp_path, capsys,
                                                 monkeypatch):
-        monkeypatch.setattr(cli, "verify", lambda cert, max_q: VerificationResult(
+        monkeypatch.setattr(cli, "verify", lambda cert: VerificationResult(
             False, 1, "forced", {"n": 1}))
         assert main(["play", "--spec", bundled_spec_path("cantor_lacunary.json"),
                      "--out", str(tmp_path), "--rounds", "12"]) == 1
@@ -531,9 +521,34 @@ class TestCertify:
         out = capsys.readouterr().out
         assert "FAIL" in out and "witness" in out
 
-    def test_max_q_flag(self, bundle_path):
-        assert main(["certify", "--spec", str(bundle_path),
-                     "--max-q", "1000"]) == 0
+    @pytest.mark.parametrize("command", ["play", "construct", "certify"])
+    def test_max_q_flag_exits_2(self, command, bundle_path, tmp_path):
+        # the denominator cap is certify.MAX_Q, which no flag lowers
+        spec = str(bundle_path) if command == "certify" else \
+            bundled_spec_path("cantor_ba.json")
+        args = [command, "--spec", spec, "--max-q", "1000"]
+        if command != "certify":
+            args += ["--out", str(tmp_path / "out")]
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == 2
+        assert not (tmp_path / "out").exists()
+
+    def test_ba_window_past_fraction_cap_exits_2_at_once(self, tmp_path,
+                                                        capsys):
+        # Q = 10^6 over a window 1/50 wide: about 10^10 fractions, which
+        # the verifier sorted in memory before checking the first
+        cert = Certificate("bad_approx", (F(13, 21), F(13, 21)), F(1, 100),
+                           10 ** 9, "denominators")
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({"certificates": [
+            {"name": "wide", "certificate": cert.to_json()}]}))
+        start = time.perf_counter()
+        assert main(["certify", "--spec", str(path)]) == 2
+        assert time.perf_counter() - start < 1
+        err = capsys.readouterr().err
+        assert "holds up to 10001010000 fractions" in err
+        assert "more than the verifiable 2000000" in err
 
     @pytest.fixture()
     def failing_bare(self, tmp_path):
@@ -546,13 +561,6 @@ class TestCertify:
 
     def test_failing_bare_certificate_exits_1(self, failing_bare):
         assert main(["certify", "--spec", str(failing_bare)]) == 1
-
-    @pytest.mark.parametrize("max_q", ["0", "-1"])
-    def test_nonpositive_max_q_exits_2(self, failing_bare, capsys, max_q):
-        # an empty denominator range would pass any certificate
-        assert main(["certify", "--spec", str(failing_bare),
-                     "--max-q", max_q]) == 2
-        assert "max_q must be at least 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("rho0", ["0", "-1/3"])
     def test_nonpositive_rho0_exits_2(self, tmp_path, capsys, rho0):
@@ -659,7 +667,7 @@ class TestAudit:
         assert last == expected
 
     def test_unread_flag_exits_2(self, tmp_path):
-        # audit reads no rounds, seed or max-q, so it does not accept them
+        # audit reads no rounds or seed, so it does not accept them
         with pytest.raises(SystemExit) as exc:
             main(["audit", "--spec", bundled_spec_path("cantor_audit.json"),
                   "--out", str(tmp_path), "--rounds", "3"])

@@ -31,7 +31,7 @@ from schmidtgame.alice import (IDENTITY, BiLipschitzMap, ConstTargets,
                                lacunary_constants, orbit_near)
 from schmidtgame.certify import (ORBIT_SEPARATION, Certificate,
                                  VerificationResult, _orbit_witness,
-                                 _schedule_inputs, verify_orbit_separation)
+                                 _schedule_inputs, verify)
 from schmidtgame.cli import bundled_spec_path, main
 from schmidtgame.errors import HorizonMismatch
 from schmidtgame.fractal import DecayParams, cantor_support
@@ -206,7 +206,7 @@ def test_verifier_matches_reference(data):
         c = dmin + data.draw(st.sampled_from([0, F(1, 2 ** 2000)])) or c
     cert = Certificate(ORBIT_SEPARATION, (lo, hi), c, horizon, "terms",
                        {"spec": spec.to_json(), "phi": phi.to_json()})
-    assert outcome(verify_orbit_separation, cert) == \
+    assert outcome(verify, cert) == \
         outcome(reference_verify, cert)
 
 
@@ -239,7 +239,7 @@ def lacunary_100(tmp_path_factory):
 
 
 def test_bundled_certificate_matches_reference(lacunary_100):
-    got = verify_orbit_separation(lacunary_100)
+    got = verify(lacunary_100)
     assert got.passed and got.checked == 958
     assert got == reference_verify(lacunary_100)
 
@@ -250,7 +250,7 @@ def test_widened_interval_fails_deep(lacunary_100, doublings):
     # integer hundreds of stepped terms in
     lo, hi = lacunary_100.interval
     cert = replace(lacunary_100, interval=(lo, lo + (hi - lo) * 2 ** doublings))
-    got = verify_orbit_separation(cert)
+    got = verify(cert)
     assert not got.passed and got.checked >= 200
     assert got.reason == "separation fails at term %d" % got.checked
     assert got == reference_verify(cert)
@@ -373,7 +373,7 @@ def test_kernel_keeps_a_midpoint_two_t_n_R_out():
             assert n in check_near(terms, targets, u, v, [n], reach)
         cert = Certificate(ORBIT_SEPARATION, (u, v), c, n, "terms",
                            {"spec": spec.to_json(), "phi": IDENTITY.to_json()})
-        assert verify_orbit_separation(cert) == reference_verify(cert)
+        assert verify(cert) == reference_verify(cert)
         mid = (7 + 2 * t * R) / t
         args = (k, mid - R, mid + R)
         assert strategy._danger_entries(*args) == \
