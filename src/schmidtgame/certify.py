@@ -18,7 +18,7 @@ from .alice import (BAStrategy, BiLipschitzMap, LacunarySpec,
                     LacunaryStrategy, ba_band_top, ba_constants,
                     lacunary_constants, orbit_near)
 from .errors import HorizonMismatch, SpecError
-from .fractal import DimensionEstimate, MeasureAuditReport
+from .fractal import DimensionEstimate
 from .numerics import (Exponent, LogRatio, circle_dist, exponent_bounds,
                        exponent_cmp, fractions_in_interval, json_int,
                        json_rationals, make_exponent, parse_rational)
@@ -34,6 +34,8 @@ MAX_FRACTIONS = 2 * 10 ** 6
 # the largest "blocks" or "terms" horizon a certificate may claim; the
 # verifiers build bounds such as (1/(alpha*beta))^(r*h) before any check
 MAX_HORIZON = 10 ** 4
+# the most covered orbit terms one check takes to exact arithmetic
+MAX_EXACT = 5 * 10 ** 4
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +237,11 @@ def _verify_orbit(cert: Certificate) -> VerificationResult:
     u, v = phi.preimage_interval(lo, hi)
     # a skipped term's window stays farther than c from Z, so it passes;
     # checked counts every covered term up to the first that fails
-    for n in orbit_near(spec.terms, spec.targets, u, v, indices, cert.c):
+    near = orbit_near(spec.terms, spec.targets, u, v, indices, cert.c)
+    for exact, n in enumerate(near, start=1):
+        if exact > MAX_EXACT:
+            raise SpecError("more than %d covered terms need an exact check"
+                            % MAX_EXACT)
         t, y = spec.terms.term(n), spec.targets.target(n)
         a, b = t * u - y, t * v - y
         if math.ceil(a) <= b or \
@@ -296,7 +302,8 @@ def verify(cert: Certificate) -> VerificationResult:
 
     Raises HorizonMismatch when the claimed blocks need more turns than
     the snapshot records, and SpecError when a BA window holds more than
-    MAX_FRACTIONS fractions to check.
+    MAX_FRACTIONS fractions to check or more than MAX_EXACT orbit terms
+    need an exact check.
     """
     if cert.kind == ORBIT_SEPARATION:
         return _verify_orbit(cert)
@@ -336,21 +343,15 @@ class DimensionReport:
                 "consistent": self.consistent}
 
 
-def dimension_report(audit: MeasureAuditReport,
+def dimension_report(bound: Exponent,
                      estimates: Sequence[DimensionEstimate] = ()
                      ) -> DimensionReport:
-    """Combine the analytic bound dim >= gamma with sampled estimates.
+    """Combine the analytic bound dim >= bound with sampled estimates.
 
-    The bound comes from the audit's power-law exponent when it has one,
-    else from its absolute-decay constants.  Inconclusive estimates
-    (interval mass bounds that straddle a gap boundary) are skipped.
+    The bound is a measure's power-law exponent or decay gamma.
+    Inconclusive estimates (interval mass bounds that straddle a gap
+    boundary) are skipped.
     """
-    if audit.power_law is not None:
-        bound = audit.power_law[2]
-    elif audit.decay is not None:
-        bound = audit.decay.gamma
-    else:
-        raise SpecError("no decay or power-law constants to bound dimension")
     vals = [e.value for e in estimates if e.value is not None]
     if not vals:
         return DimensionReport(bound, tuple(estimates), None, 0)

@@ -26,12 +26,12 @@ from .errors import (HorizonMismatch, IllegalMove, InvalidAlpha,
 from .fractal import (AUDIT_MAX_SCALES, IFS, AuditGrid, DecayParams,
                       FractalMeasure, FractalSupport, SimilarityMap,
                       audit_measure, binary_support, cantor_support,
-                      check_alpha, decay_from_federer_efd,
+                      check_alpha, csv_rows, decay_from_federer_efd,
                       lower_pointwise_dimension, max_alpha)
 from .game import (Ball, GameParams, HoldCenter, outcome_interval, run_game,
                    validate_transcript)
-from .numerics import (_first_index, json_array, json_int, json_rationals,
-                       parse_rational)
+from .numerics import (Exponent, _first_index, json_array, json_int,
+                       json_rationals, parse_rational)
 
 
 def bundled_spec_path(name: str) -> str:
@@ -72,11 +72,13 @@ def build_support(cfg) -> FractalSupport:
     return FractalSupport(ifs, tuple(json_rationals(cfg["hull"], "hull", 2)))
 
 
-def build_measure(cfg: dict) -> Tuple[dict, Fraction]:
+def build_measure(cfg: dict) -> Tuple[dict, Fraction, Optional[Exponent]]:
     """The measure's constants as `audit_measure` keywords (None when
-    absent) and the radius they are claimed up to: the explicit decay's
+    absent); the radius they are claimed up to: the explicit decay's
     rho0, else the measure's own (the decay derived from both doubling
-    pairs claims a third of it).  An explicit decay wins over a derived one."""
+    pairs claims a third of it); and the dimension bound they give: the
+    power law's exponent, else the decay's gamma, else None.  An explicit
+    decay wins over a derived one."""
     pairs = {key: tuple(json_rationals(cfg[key], key, 2))
              for key in ("federer", "efd") if key in cfg}
     power_law = None
@@ -95,7 +97,9 @@ def build_measure(cfg: dict) -> Tuple[dict, Fraction]:
         decay = decay_from_federer_efd(pairs["federer"], pairs["efd"], rho0)
     else:
         decay = None
-    return dict(pairs, decay=decay, power_law=power_law), rho0
+    bound = power_law[2] if power_law is not None else \
+        decay.gamma if decay is not None else None
+    return dict(pairs, decay=decay, power_law=power_law), rho0, bound
 
 
 def build_strategy(cfg: dict, decay: Optional[DecayParams], path="alice"):
@@ -252,7 +256,7 @@ def cmd_audit(args) -> int:
     doc = load_document(args.spec)
     support = build_support(doc["support"])
     measure = FractalMeasure(support)
-    constants, rho0 = build_measure(_section(doc, "measure", {}))
+    constants, rho0, bound = build_measure(_section(doc, "measure", {}))
     acfg = _section(doc, "audit", {})
     grid = AuditGrid.default(
         support, parse_rational(acfg["rho0"]) if "rho0" in acfg else rho0,
@@ -262,6 +266,10 @@ def cmd_audit(args) -> int:
                      for d in acfg.get("depths", (6, 9, 12))))
     d = _section(acfg, "dimension")
     if d is not None:
+        # before the audit, so a missing bound, bad x or scale writes no file
+        if bound is None:
+            raise SpecError("no decay or power-law constants to bound "
+                            "dimension")
         x = parse_rational(d.get("x", "0"))
         k_max = json_int(d.get("k_max", 12), "k_max")
         if k_max < 1:
@@ -272,18 +280,17 @@ def cmd_audit(args) -> int:
                             % (k_max, AUDIT_MAX_SCALES))
         base = parse_rational(d["rho_base"]) if "rho_base" in d \
             else support.contraction
-        # before the audit, so a bad x or scale writes no file
         ests = lower_pointwise_dimension(measure, x,
                                          [base ** k for k in range(1, k_max + 1)])
-    report = audit_measure(measure, grid, **constants)
+    outcomes = audit_measure(measure, grid, **constants)
     os.makedirs(args.out, exist_ok=True)
     cpath = os.path.join(args.out, "audit.csv")
     with open(cpath, "w", encoding="utf-8", newline="") as fh:
-        csv.writer(fh).writerows(report.csv_rows())
-    for o in report.outcomes:
+        csv.writer(fh).writerows(csv_rows(outcomes))
+    for o in outcomes:
         print("audit %s: %s" % (o.check, o.verdict.value))
     if d is not None:
-        rep = dimension_report(estimates=ests, audit=report)
+        rep = dimension_report(bound, ests)
         _write_json(os.path.join(args.out, "dimension.json"), rep.to_json())
         margin = rep.margin
         if isinstance(margin, tuple):
@@ -291,7 +298,7 @@ def cmd_audit(args) -> int:
         print("dimension: analytic bound with margin %s"
               % ("none" if margin is None else margin))
     print("audit report: %s" % cpath)
-    return 0 if report.all_passed else 1
+    return 0 if all(o.passed for o in outcomes) else 1
 
 
 def cmd_certify(args) -> int:

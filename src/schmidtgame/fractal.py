@@ -787,43 +787,35 @@ def check_power_law(measure: FractalMeasure, k1, k2, gamma: Exponent,
                   grid.points(measure.support), grid.depths, decide)
 
 
-@dataclass
-class MeasureAuditReport:
-    outcomes: List[AuditOutcome] = field(default_factory=list)
-    power_law: Optional[Tuple[Fraction, Fraction, Exponent]] = None
-    decay: Optional[DecayParams] = None
-
-    @property
-    def all_passed(self) -> bool:
-        return all(o.passed for o in self.outcomes)
-
-    def csv_rows(self) -> List[List[str]]:
-        rows = [["check", "params", "grid_point", "verdict"]]
-        for o in self.outcomes:
-            params = " ".join(f"{k}={v}" for k, v in o.params.items())
-            for r in o.rows:
-                point = " ".join(f"{k}={v}" for k, v in r.point.items())
-                rows.append([o.check, params, point, r.verdict.value])
-        return rows
+def csv_rows(outcomes: Sequence[AuditOutcome]) -> List[List[str]]:
+    """A header, then one row per grid point of each outcome."""
+    rows = [["check", "params", "grid_point", "verdict"]]
+    for o in outcomes:
+        params = " ".join(f"{k}={v}" for k, v in o.params.items())
+        for r in o.rows:
+            point = " ".join(f"{k}={v}" for k, v in r.point.items())
+            rows.append([o.check, params, point, r.verdict.value])
+    return rows
 
 
 def audit_measure(measure: FractalMeasure, grid: AuditGrid, *,
                   federer: Optional[Tuple] = None,
                   efd: Optional[Tuple] = None,
                   decay: Optional[DecayParams] = None,
-                  power_law: Optional[Tuple] = None) -> MeasureAuditReport:
+                  power_law: Optional[Tuple] = None) -> List[AuditOutcome]:
     """Run the checks whose constants are given: federer and efd
-    (eps0, delta), absolute decay, power law (k1, k2, gamma)."""
-    report = MeasureAuditReport(power_law=power_law, decay=decay)
+    (eps0, delta), absolute decay, power law (k1, k2, gamma); one outcome
+    per check, in that order."""
+    outcomes = []
     if federer is not None:
-        report.outcomes.append(check_federer(measure, *federer, grid))
+        outcomes.append(check_federer(measure, *federer, grid))
     if efd is not None:
-        report.outcomes.append(check_efd(measure, *efd, grid))
+        outcomes.append(check_efd(measure, *efd, grid))
     if decay is not None:
-        report.outcomes.append(check_absolute_decay(measure, decay, grid))
+        outcomes.append(check_absolute_decay(measure, decay, grid))
     if power_law is not None:
-        report.outcomes.append(check_power_law(measure, *power_law, grid))
-    return report
+        outcomes.append(check_power_law(measure, *power_law, grid))
+    return outcomes
 
 
 # ---------------------------------------------------------------------------

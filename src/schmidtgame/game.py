@@ -129,20 +129,18 @@ def _one_step(prev, nxt, alice: bool, params: GameParams) -> bool:
 def is_legal(prev: Ball, nxt: Ball, whose_turn: str, params: GameParams) -> Tuple[bool, str]:
     """Referee one move:  radius exactly ratio * prev.radius, then nesting.
     Balls counted one move apart on one ladder of `params` pass the radius
-    rule by their counts; any other pair is decided on the integers of the
-    radii, as is nesting, where equal centers take no product."""
+    rule by their counts; any other pair takes the exact product.  Nesting
+    is decided on the integers of the radii, where equal centers take no
+    product."""
     alice = whose_turn == "alice"
     ratio = params.alpha if alice else params.beta
+    if not _one_step(prev._counts, nxt._counts, alice, params) \
+            and nxt.radius != ratio * prev.radius:
+        return False, (f"radius ({_bits(nxt.radius)}) != ratio * "
+                       f"({_bits(prev.radius)}) required by the "
+                       f"classical rule")
     pn, pd = prev.radius.numerator, prev.radius.denominator
     an, ad = ratio.numerator, ratio.denominator
-    if not _one_step(prev._counts, nxt._counts, alice, params):
-        nn, nd = nxt.radius.numerator, nxt.radius.denominator
-        # ratio * prev.radius in lowest terms: each gcd has a small operand
-        g, h = gcd(an, pd), gcd(pn, ad)
-        if nn != an // g * (pn // h) or nd != ad // h * (pd // g):
-            return False, (f"radius ({_bits(nxt.radius)}) != ratio * "
-                           f"({_bits(prev.radius)}) required by the "
-                           f"classical rule")
     # the center may move prev.radius - nxt.radius = (1 - ratio) * prev.radius
     if not _same(nxt.center, prev.center) and _dist_cmp(
             prev.center, nxt.center, (ad - an) * pn, ad * pd) > 0:

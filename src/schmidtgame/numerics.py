@@ -25,7 +25,7 @@ from .errors import PrecisionCapExceeded, SpecError
 
 # refinement budget: the domain's comparisons separate at tens of bits,
 # so hitting this cap signals a genuine tie (or a misuse), not bad luck
-DEFAULT_MAX_BITS = 1024
+MAX_BITS = 1024
 _START_BITS = 32
 
 
@@ -129,7 +129,7 @@ def ln_bounds(x, bits: int) -> Tuple[Fraction, Fraction]:
             Fraction(2 * (ahi + e * lhi), one))
 
 
-def log_sign(terms, max_bits: int = DEFAULT_MAX_BITS) -> int:
+def log_sign(terms) -> int:
     """The sign, -1, 0 or 1, of the sum of c * prod(ln x for x in xs) over
     (c, xs) in `terms`; every c is rational and every x a positive rational.
 
@@ -139,7 +139,7 @@ def log_sign(terms, max_bits: int = DEFAULT_MAX_BITS) -> int:
     the exact point 0, which needs every term to be a rational constant or
     to have a factor ln 1: a genuine tie between irrational terms is
     indistinguishable from too little precision and raises
-    PrecisionCapExceeded once max_bits is spent.
+    PrecisionCapExceeded once MAX_BITS is spent.
     """
     terms = [(Fraction(c), [Fraction(x) for x in xs]) for c, xs in terms]
     distinct = {x for _, xs in terms for x in xs}
@@ -161,10 +161,10 @@ def log_sign(terms, max_bits: int = DEFAULT_MAX_BITS) -> int:
             return -1
         if lo == hi:
             return 0
-        if bits >= max_bits:
+        if bits >= MAX_BITS:
             raise PrecisionCapExceeded(
-                f"cannot order [{lo}, {hi}] against 0 within {max_bits} bits")
-        bits = min(2 * bits, max_bits)
+                f"cannot order [{lo}, {hi}] against 0 within {MAX_BITS} bits")
+        bits = min(2 * bits, MAX_BITS)
 
 
 # ---------------------------------------------------------------------------

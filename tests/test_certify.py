@@ -17,9 +17,7 @@ from schmidtgame.certify import (Certificate, DimensionReport,
                                  dimension_report, exponent_from_json,
                                  exponent_to_json, orbit_certificate, verify)
 from schmidtgame.errors import HorizonMismatch, SpecError
-from schmidtgame.fractal import (AuditGrid, DecayParams, DimensionEstimate,
-                                 FractalMeasure, MeasureAuditReport,
-                                 audit_measure,
+from schmidtgame.fractal import (DimensionEstimate, FractalMeasure,
                                  cantor_support,
                                  decay_from_federer_efd,
                                  lower_pointwise_dimension, max_alpha)
@@ -417,10 +415,8 @@ def estimate(value):
 
 class TestDimensionReport:
     def test_frozen_margin(self):
-        decay = DecayParams(F(1), F(1, 2), F(1))
-        rep = dimension_report(MeasureAuditReport(decay=decay),
-                               estimates=[estimate(F(12, 25)),
-                                          estimate(F(1, 2))])
+        rep = dimension_report(F(1, 2), [estimate(F(12, 25)),
+                                         estimate(F(1, 2))])
         assert rep.margin == F(1, 50)
         assert not rep.consistent
         assert rep.used == 2
@@ -429,18 +425,14 @@ class TestDimensionReport:
         assert blob["estimates"][0] == {"rho": "1/3", "value": "12/25"}
 
     def test_inconclusive_estimate_is_skipped(self):
-        decay = DecayParams(F(1), F(1, 2), F(1))
         straddle = DimensionEstimate(F(1, 3), None)
-        rep = dimension_report(MeasureAuditReport(decay=decay),
-                               estimates=[straddle, estimate(F(1, 2))])
+        rep = dimension_report(F(1, 2), [straddle, estimate(F(1, 2))])
         assert rep.used == 1 and rep.consistent
         assert rep.to_json()["estimates"][0] == {"rho": "1/3", "value": None}
 
     def test_log_ratio_margin_is_an_enclosure(self):
         gamma = make_exponent(2, 3)
-        rep = dimension_report(
-            MeasureAuditReport(decay=DecayParams(F(8), gamma, F(1, 3))),
-            estimates=[estimate(F(1, 2))])
+        rep = dimension_report(gamma, [estimate(F(1, 2))])
         assert not rep.consistent
         lo, hi = rep.to_json()["margin"]
         lo, hi = F(lo), F(hi)
@@ -453,38 +445,14 @@ class TestDimensionReport:
         mu = FractalMeasure(cantor_support())
         ests = lower_pointwise_dimension(mu, F(0),
                                          [F(1, 3) ** k for k in range(1, 13)])
-        rep = dimension_report(MeasureAuditReport(decay=cantor_decay),
-                               estimates=ests)
+        rep = dimension_report(cantor_decay.gamma, ests)
         assert rep.analytic_bound == make_exponent(2, 3)
         assert rep.used == 12
         assert rep.margin == 0 and rep.consistent
 
-    def test_power_law_beats_decay(self):
-        decay = DecayParams(F(1), F(1, 3), F(1))
-        audit = MeasureAuditReport(decay=decay,
-                                   power_law=(F(1, 4), F(4), F(1, 2)))
-        rep = dimension_report(audit, estimates=[estimate(F(1, 2))])
-        assert rep.analytic_bound == F(1, 2)
-        assert rep.consistent
-
-    def test_audit_source(self, K):
-        mu = FractalMeasure(cantor_support())
-        grid = AuditGrid.default(K, F(1, 3))
-        gamma = make_exponent(2, 3)
-        report = audit_measure(mu, grid, power_law=(F(1, 4), F(4), gamma))
-        rep = dimension_report(audit=report, estimates=[estimate(gamma)])
-        assert rep.analytic_bound == gamma
-        assert rep.consistent
-
     def test_no_estimates(self):
-        rep = dimension_report(
-            MeasureAuditReport(decay=DecayParams(F(1), F(1, 2), F(1))))
+        rep = dimension_report(F(1, 2))
         assert rep.margin is None and rep.used == 0
-
-    def test_no_bound_raises(self):
-        with pytest.raises(SpecError):
-            dimension_report(MeasureAuditReport(),
-                             estimates=[estimate(F(1, 2))])
 
     def test_exponent_json(self):
         e = make_exponent(2, 3)

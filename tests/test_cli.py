@@ -7,7 +7,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from schmidtgame import cli, fractal
+from schmidtgame import certify, cli, fractal
 from schmidtgame.alice import BiLipschitzMap
 from schmidtgame.certify import (MAX_HORIZON, Certificate,
                                  VerificationResult)
@@ -492,6 +492,31 @@ class TestCertify:
         else:
             assert code in (0, 1)
 
+    @pytest.mark.parametrize("cap, code", [(50, 2), (1598, 0)])
+    def test_exact_terms_past_the_cap_exit_2(self, claims, tmp_path, capsys,
+                                             monkeypatch, cap, code):
+        # at the point 1/3 the doubling orbit keeps 1/3 from the target, yet
+        # each of the 1,598 terms 20 blocks cover reaches the exact check,
+        # whose cost grows with the square of the count
+        monkeypatch.setattr(certify, "MAX_EXACT", cap)
+        cert = copy.deepcopy(claims["orbit", "scheduled"])
+        cert["interval"] = ["1/3", "1/3"]
+        cert["horizon"] = 20
+        cert["snapshot"]["turns"] = 100 * cert["horizon"]
+        assert self.certify(tmp_path, capsys, cert) == code
+        if code == 2:
+            assert "more than 50 covered terms need an exact check" in \
+                capsys.readouterr().err
+
+    def test_exact_cap_reports_an_earlier_failure(self, claims, tmp_path,
+                                                  capsys, monkeypatch):
+        # a failing term inside the cap is still a FAIL with its witness
+        monkeypatch.setattr(certify, "MAX_EXACT", 1)
+        cert = copy.deepcopy(claims["orbit", "bare"])
+        cert["c"] = "1/2"
+        assert self.certify(tmp_path, capsys, cert) == 1
+        assert "separation fails at term 1" in capsys.readouterr().out
+
     def test_unfinished_block_exits_1(self, claims, tmp_path, capsys):
         # HorizonMismatch is a ValueError, yet a run failure, not bad input
         cert = copy.deepcopy(claims["orbit", "scheduled"])
@@ -632,6 +657,15 @@ class TestAudit:
         assert dim["analytic_bound"] == {"log": ["2", "3"]}
         assert dim["consistent"] is True
         assert dim["margin"] == "0"
+
+    def test_power_law_bound_beats_decay(self, tmp_path):
+        doc = json.loads(open(bundled_spec_path("cantor_audit.json")).read())
+        doc["measure"]["decay"] = {"C": "9", "gamma": "1/2", "rho0": "1/3"}
+        p = tmp_path / "spec.json"
+        p.write_text(json.dumps(doc))
+        assert main(["audit", "--spec", str(p), "--out", str(tmp_path)]) == 0
+        dim = json.loads((tmp_path / "dimension.json").read_text())
+        assert dim["analytic_bound"] == {"log": ["2", "3"]}
 
     def test_rho_base_defaults_to_contraction(self, tmp_path):
         doc = json.loads(open(bundled_spec_path("cantor_audit.json")).read())
@@ -790,19 +824,22 @@ class TestAudit:
          "audit depths entry must be at least 0, not -1"),
         (_set(["audit", "depths"], [6, -2]),
          "audit depths entry must be at least 0, not -2"),
+        # the bound was looked for only after audit.csv was written
+        (_set(["measure"], {"federer": ["1/3", "1/2"]}),
+         "no decay or power-law constants to bound dimension"),
     ], ids=["list_audit", "null_dimension", "string_decay", "float_x_depth",
             "bool_rho_count", "string_depth", "float_k_max", "zero_rho0",
             "negative_rho0_lebesgue", "zero_measure_rho0", "huge_rho_count",
             "huge_k_max", "zero_k_max", "negative_k_max", "rho_base_above_1",
             "zero_rho_base", "negative_rho_base", "x_outside_hull",
             "deep_rho0", "negative_x_depth", "negative_rho_count",
-            "negative_depth", "negative_second_depth"])
+            "negative_depth", "negative_second_depth", "federer_only"])
     def test_malformed_audit_exits_2(self, tmp_path, capsys, mutate, message):
         spec = write_spec(tmp_path, mutate, "cantor_audit.json")
         out = tmp_path / "out"
         assert main(["audit", "--spec", spec, "--out", str(out)]) == 2
         captured = capsys.readouterr()
-        assert message in captured.err and "audit " not in captured.out
+        assert message in captured.err and captured.out == ""
         assert not out.exists()
 
     @pytest.mark.parametrize("key", ["x_depth", "rho_count"])

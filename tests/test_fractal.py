@@ -12,7 +12,7 @@ from schmidtgame.fractal import (AuditGrid, DecayParams, IFS, SimilarityMap,
                                  FractalMeasure, Verdict, audit_measure,
                                  binary_support, cantor_support, check_alpha,
                                  check_absolute_decay, check_efd,
-                                 check_federer, check_power_law,
+                                 check_federer, check_power_law, csv_rows,
                                  decay_from_federer_efd, find_point_in_gap,
                                  lower_pointwise_dimension,
                                  max_alpha)
@@ -316,14 +316,15 @@ class TestAudits:
     def test_audit_measure_pipeline(self, cantor):
         grid = AuditGrid.default(cantor.support, F(1, 3))
         pair = (F(1, 3), F(1, 2))
-        report = audit_measure(cantor, grid, federer=pair, efd=pair,
-                               decay=decay_from_federer_efd(pair, pair, 1),
-                               power_law=(F(1, 4), 4, LogRatio(2, 3)))
-        assert report.all_passed
-        assert [o.check for o in report.outcomes] == [
+        decay = decay_from_federer_efd(pair, pair, 1)
+        assert decay.C == 8
+        outcomes = audit_measure(cantor, grid, federer=pair, efd=pair,
+                                 decay=decay,
+                                 power_law=(F(1, 4), 4, LogRatio(2, 3)))
+        assert all(o.passed for o in outcomes)
+        assert [o.check for o in outcomes] == [
             "federer", "efd", "absolute_decay", "power_law"]
-        assert report.decay.C == 8
-        rows = report.csv_rows()
+        rows = csv_rows(outcomes)
         assert rows[0] == ["check", "params", "grid_point", "verdict"]
         assert all(r[3] == "pass" for r in rows[1:])
 

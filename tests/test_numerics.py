@@ -79,12 +79,15 @@ class TestLogSign:
         assert log_sign([(1, [2]), (F(-7, 10), [])]) == -1
 
     def test_refines_past_the_start(self):
-        # a rational within 2**-64 below ln 2: 32 bits cannot place it
+        # a rational within 2**-64 below ln 2: the 32-bit start cannot
+        # place it, and refining does
         lo, _ = ln_bounds(2, 64)
-        with pytest.raises(PrecisionCapExceeded):
-            log_sign([(1, [2]), (-lo, [])], max_bits=32)
         assert log_sign([(1, [2]), (-lo, [])]) == 1
         assert log_sign([(-1, [2]), (lo, [])]) == -1
+        # within 2**-2048: the 1,024-bit cap cannot place it
+        lo, _ = ln_bounds(2, 2048)
+        with pytest.raises(PrecisionCapExceeded):
+            log_sign([(1, [2]), (-lo, [])])
 
     def test_negative_factors(self):
         # ln(1/2) ln(1/3) = ln 2 ln 3 = 0.7615...; -ln(1/2) = ln 2
@@ -94,9 +97,7 @@ class TestLogSign:
         assert log_sign([(-2, [F(1, 2), 3, 3])]) == 1
 
     def test_tie_raises(self):
-        with pytest.raises(PrecisionCapExceeded):
-            log_sign([(1, [4]), (-2, [2])], max_bits=256)
-        # the default cap of 1,024 bits is reached in milliseconds
+        # the cap of 1,024 bits is reached in milliseconds
         with pytest.raises(PrecisionCapExceeded):
             log_sign([(1, [4]), (-2, [2])])
 
