@@ -12,9 +12,8 @@ from .alice import (BAStrategy, BiLipschitzMap, ConstTargets, ExcludeCountable,
                     affine_to_sequence, avoidance_step)
 from .bob import (GreedyBob, KeepCenterBob, RandomBob, greedy_move,
                   random_move)
-from .certify import (Certificate, DimensionReport, VerificationResult,
-                      ba_certificate, dimension_report, orbit_certificate,
-                      verify)
+from .certify import (Certificate, VerificationResult, certificates,
+                      dimension_report, verify)
 from .errors import (HorizonMismatch, IllegalMove, InvalidAlpha,
                      InvariantViolation, NoPointFound, PrecisionCapExceeded,
                      ScheduleOverlap, SpecError, StrategyFailure)
@@ -31,7 +30,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AuditGrid", "BAStrategy", "Ball", "BiLipschitzMap",
-    "Certificate", "ConstTargets", "DecayParams", "DimensionReport",
+    "Certificate", "ConstTargets", "DecayParams",
     "ExcludeCountable", "FractalMeasure", "FractalSupport", "GameParams",
     "GeometricTerms", "GreedyBob", "HoldCenter", "HorizonMismatch", "IFS",
     "IllegalMove", "InterleaveStrategy", "InvalidAlpha", "InvariantViolation",
@@ -40,13 +39,13 @@ __all__ = [
     "RandomBob", "ScheduleOverlap", "SimilarityMap",
     "SpecError", "StrategyFailure", "Transcript", "VerificationResult",
     "affine_to_sequence", "audit_measure",
-    "avoidance_step", "ba_certificate", "binary_support",
-    "cantor_support", "check_alpha",
+    "avoidance_step", "binary_support",
+    "cantor_support", "certificates", "check_alpha",
     "decay_from_federer_efd", "dimension_report", "find_point_in_gap",
     "greedy_move",
     "is_legal",
     "lower_pointwise_dimension", "max_alpha",
-    "orbit_certificate", "outcome_interval",
+    "outcome_interval",
     "random_move", "run_game", "transcript_from_jsonl", "validate_transcript",
     "verify",
 ]

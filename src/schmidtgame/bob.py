@@ -46,7 +46,8 @@ def greedy_move(support: FractalSupport, alice_ball: Ball, params: GameParams,
     for k in range(12, -1, -1):
         w = width / 2 ** k
         got = find_point_in_gap(support, (max(desired - w, lo),
-                                          min(desired + w, hi)), [])
+                                          min(desired + w, hi)), [],
+                                word=alice_ball.word)
         if got is not None:
             break
     if got is not None and abs(got[0] - goal) < abs(alice_ball.center - goal):

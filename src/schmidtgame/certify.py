@@ -12,10 +12,10 @@ import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from .alice import (BAStrategy, BiLipschitzMap, LacunarySpec,
-                    LacunaryStrategy, ba_band_top, ba_constants,
+from .alice import (BiLipschitzMap, ClearingStrategy, InterleaveStrategy,
+                    LacunarySpec, LacunaryStrategy, ba_band_top, ba_constants,
                     lacunary_constants, orbit_near)
 from .errors import HorizonMismatch, SpecError
 from .fractal import DimensionEstimate
@@ -119,30 +119,30 @@ class Certificate:
                    dict(data.get("snapshot") or {}))
 
 
-def _schedule_snapshot(strategy) -> dict:
-    return {"alpha": str(strategy.alpha), "beta": str(strategy.beta),
+def certificates(strategy, interval: Tuple[Fraction, Fraction],
+                 name: str = "") -> List[Tuple[str, Certificate]]:
+    """The (name, certificate) claims a finished strategy makes about its
+    outcome interval: the blocks a planned clearing schedule has cleared,
+    at its constant c, named "orbit" or "bad_approx", or "part1",
+    "part1.2", ... inside an interleave.  A strategy that planned no
+    schedule claims nothing."""
+    if isinstance(strategy, InterleaveStrategy):
+        return [entry for i, part in enumerate(strategy.strategies, start=1)
+                for entry in certificates(part, interval, "%s.%d" % (name, i)
+                                          if name else "part%d" % i)]
+    if not (isinstance(strategy, ClearingStrategy) and strategy.planned):
+        return []
+    snap = {"alpha": str(strategy.alpha), "beta": str(strategy.beta),
             "rho_prime": str(strategy.rho_prime),
             "rho0": str(strategy.decay.rho0), "turns": strategy.turn,
             "phi": strategy.phi.to_json()}
-
-
-def orbit_certificate(strategy: LacunaryStrategy,
-                      interval: Tuple[Fraction, Fraction]) -> Certificate:
-    """Claim of a planned lacunary strategy: the blocks cleared so far, at
-    constant c."""
-    snap = _schedule_snapshot(strategy)
-    snap["spec"] = strategy.spec.to_json()
-    return Certificate(ORBIT_SEPARATION, interval, strategy.c,
-                       strategy.blocks_cleared, "blocks", snap)
-
-
-def ba_certificate(strategy: BAStrategy,
-                   interval: Tuple[Fraction, Fraction]) -> Certificate:
-    """Claim of a planned badly-approximable strategy: the blocks cleared
-    so far, at constant c."""
-    return Certificate(BAD_APPROX, interval, strategy.c,
-                       strategy.blocks_cleared, "blocks",
-                       _schedule_snapshot(strategy))
+    if isinstance(strategy, LacunaryStrategy):
+        snap["spec"] = strategy.spec.to_json()
+        kind, name = ORBIT_SEPARATION, name or "orbit"
+    else:
+        kind, name = BAD_APPROX, name or "bad_approx"
+    return [(name, Certificate(kind, interval, strategy.c,
+                               strategy.blocks_cleared, "blocks", snap))]
 
 
 # ---------------------------------------------------------------------------
@@ -314,53 +314,31 @@ def verify(cert: Certificate) -> VerificationResult:
 # dimension reporting
 
 
-@dataclass(frozen=True)
-class DimensionReport:
-    """Analytic lower bound for the support dimension next to empirical
-    pointwise estimates; margin is how far the worst estimate falls short:
-    a Fraction when both sides are rational or the estimate reaches the
-    bound, else an outward-rounded enclosure (lo, hi)."""
-
-    analytic_bound: Exponent
-    estimates: Tuple
-    margin: object
-    used: int
-
-    @property
-    def consistent(self) -> bool:
-        return self.margin == 0
-
-    def to_json(self) -> dict:
-        ests = [{"rho": str(e.rho), "value": None if e.value is None
-                 else exponent_to_json(e.value)} for e in self.estimates]
-        margin = self.margin
-        if isinstance(margin, Fraction):
-            margin = str(margin)
-        elif margin is not None:
-            margin = [str(m) for m in margin]
-        return {"analytic_bound": exponent_to_json(self.analytic_bound),
-                "estimates": ests, "margin": margin, "used": self.used,
-                "consistent": self.consistent}
-
-
 def dimension_report(bound: Exponent,
-                     estimates: Sequence[DimensionEstimate] = ()
-                     ) -> DimensionReport:
-    """Combine the analytic bound dim >= bound with sampled estimates.
+                     estimates: Sequence[DimensionEstimate] = ()) -> dict:
+    """The dimension.json document: the analytic lower bound dim >= bound
+    beside sampled pointwise estimates.
 
     The bound is a measure's power-law exponent or decay gamma.
     Inconclusive estimates (interval mass bounds that straddle a gap
-    boundary) are skipped.
+    boundary) are skipped; "used" counts the rest.  "margin" is how far
+    the worst of them falls short of the bound: "0" when it reaches the
+    bound, a rational when both sides are rational, else an
+    outward-rounded enclosure [lo, hi]; None with no estimate used.
     """
     vals = [e.value for e in estimates if e.value is not None]
-    if not vals:
-        return DimensionReport(bound, tuple(estimates), None, 0)
-    worst = min(vals, key=functools.cmp_to_key(exponent_cmp))
-    if exponent_cmp(worst, bound) >= 0:
-        margin = Fraction(0)
+    worst = min(vals, key=functools.cmp_to_key(exponent_cmp), default=None)
+    if worst is None:
+        margin = None
+    elif exponent_cmp(worst, bound) >= 0:
+        margin = "0"
     elif isinstance(worst, Fraction) and isinstance(bound, Fraction):
-        margin = bound - worst
+        margin = str(bound - worst)
     else:
         (blo, bhi), (wlo, whi) = exponent_bounds(bound), exponent_bounds(worst)
-        margin = (blo - whi, bhi - wlo)
-    return DimensionReport(bound, tuple(estimates), margin, len(vals))
+        margin = [str(blo - whi), str(bhi - wlo)]
+    return {"analytic_bound": exponent_to_json(bound),
+            "estimates": [{"rho": str(e.rho), "value": None if e.value is None
+                           else exponent_to_json(e.value)}
+                          for e in estimates],
+            "margin": margin, "used": len(vals), "consistent": margin == "0"}

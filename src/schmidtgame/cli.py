@@ -18,8 +18,8 @@ from .alice import (ALPHA_DIAGNOSTIC, BAStrategy, BiLipschitzMap,
                     ExcludeCountable, InterleaveStrategy, LacunarySpec,
                     LacunaryStrategy, ListTargets, affine_to_sequence)
 from .bob import GreedyBob, KeepCenterBob, RandomBob
-from .certify import (Certificate, ba_certificate, dimension_report,
-                      exponent_from_json, orbit_certificate, verify)
+from .certify import (Certificate, certificates, dimension_report,
+                      exponent_from_json, verify)
 from .errors import (HorizonMismatch, IllegalMove, InvalidAlpha,
                      InvariantViolation, NoPointFound, PrecisionCapExceeded,
                      ScheduleOverlap, SpecError, StrategyFailure)
@@ -188,23 +188,7 @@ def build_game(doc: dict, args) -> Tuple[FractalSupport, GameParams, object,
 
 
 # ---------------------------------------------------------------------------
-# certificates out of finished strategies
-
-
-def emit_certificates(strategy, interval) -> List[Tuple[str, Certificate]]:
-    out: List[Tuple[str, Certificate]] = []
-
-    def rec(s, name):
-        if isinstance(s, LacunaryStrategy) and s.planned:
-            out.append((name or "orbit", orbit_certificate(s, interval)))
-        elif isinstance(s, BAStrategy) and s.planned:
-            out.append((name or "bad_approx", ba_certificate(s, interval)))
-        elif isinstance(s, InterleaveStrategy):
-            for i, part in enumerate(s.strategies, start=1):
-                rec(part, "%s.%d" % (name, i) if name else "part%d" % i)
-
-    rec(strategy, "")
-    return out
+# verdicts and files
 
 
 def _verify_and_report(entries) -> Tuple[list, bool]:
@@ -245,8 +229,8 @@ def cmd_play(args) -> int:
     with open(tpath, "w", encoding="utf-8") as fh:
         fh.write(text)
     print("transcript: %s (%d moves)" % (tpath, len(transcript.moves)))
-    entries = emit_certificates(alice, outcome_interval(transcript))
-    bundle, ok = _verify_and_report(entries)
+    bundle, ok = _verify_and_report(
+        certificates(alice, outcome_interval(transcript)))
     _write_json(os.path.join(args.out, "certificates.json"),
                 {"certificates": bundle})
     return 0 if ok else 1
@@ -290,11 +274,11 @@ def cmd_audit(args) -> int:
     for o in outcomes:
         print("audit %s: %s" % (o.check, o.verdict.value))
     if d is not None:
-        rep = dimension_report(bound, ests)
-        _write_json(os.path.join(args.out, "dimension.json"), rep.to_json())
-        margin = rep.margin
-        if isinstance(margin, tuple):
-            margin = "[%s, %s]" % margin
+        report = dimension_report(bound, ests)
+        _write_json(os.path.join(args.out, "dimension.json"), report)
+        margin = report["margin"]
+        if isinstance(margin, list):
+            margin = "[%s, %s]" % tuple(margin)
         print("dimension: analytic bound with margin %s"
               % ("none" if margin is None else margin))
     print("audit report: %s" % cpath)
@@ -359,8 +343,7 @@ def cmd_construct(args) -> int:
     digit_string = [alphabet[i] for i in word]
     print("base-%d digits: %s" % (base,
                                   " ".join(str(d) for d in digit_string)))
-    entries = emit_certificates(alice, (lo, hi))
-    bundle, ok = _verify_and_report(entries)
+    bundle, ok = _verify_and_report(certificates(alice, (lo, hi)))
     text = transcript.to_jsonl()
     os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "transcript.jsonl"), "w",

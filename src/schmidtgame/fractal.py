@@ -10,7 +10,6 @@ cylinders against the query interval, so audit verdicts are never floats.
 from __future__ import annotations
 
 import bisect
-import itertools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -669,7 +668,7 @@ class AuditGrid:
         first = max(1, first)
         rhos = [support.diameter * support.contraction ** k
                 for k in range(first, first + rho_count)]
-        words = itertools.product(range(n), repeat=x_depth)
+        words = [c.word for c in support.cylinders_meeting(*support.hull, x_depth)]
         xs = sorted({support.point(w) for w in words} | {support.canonical_point})
         eps = [support.contraction ** j for j in range(1, 4)]
         offsets = [Fraction(0), Fraction(1, 2), Fraction(-1, 2), Fraction(1), Fraction(-1)]

@@ -10,12 +10,13 @@ import pytest
 
 from schmidtgame.alice import (ConstTargets, GeometricTerms, LacunarySpec,
                                LacunaryStrategy)
+from schmidtgame import bob
 from schmidtgame.bob import (GreedyBob, KeepCenterBob, RandomBob, greedy_move,
                              random_move)
 from schmidtgame.cli import build_bob, bundled_spec_path, main
 from schmidtgame.fractal import (IFS, FractalSupport, SimilarityMap,
                                  cantor_support, decay_from_federer_efd,
-                                 max_alpha)
+                                 find_point_in_gap, max_alpha)
 from schmidtgame.game import (Ball, GameParams, is_legal, outcome_interval,
                               run_game, transcript_from_jsonl,
                               validate_transcript)
@@ -70,6 +71,25 @@ class TestGreedy:
             assert abs(got[0] - target) <= abs(center - target)
             ok, why = is_legal(ball, reply(ball, got), "bob", PARAMS)
             assert ok, why
+
+    def test_gap_search_starts_at_the_ball(self, K, monkeypatch):
+        # each search takes the word of Alice's ball as its starting hint
+        seen = []
+
+        def spy(*args, **kwargs):
+            seen.append(kwargs.get("word"))
+            return find_point_in_gap(*args, **kwargs)
+        monkeypatch.setattr(bob, "find_point_in_gap", spy)
+        rng = random.Random(5)
+        for _ in range(20):
+            d = rng.randint(1, 5)
+            word = tuple(rng.choice((0, 1)) for _ in range(d))
+            ball = Ball(K.point(word), K.diameter * K.contraction ** d, word)
+            target = ball.center + F(rng.randint(-10, 10), 37) * ball.radius
+            start = len(seen)
+            greedy_move(K, ball, PARAMS, [target])
+            assert len(seen) > start
+            assert seen[start:] == [word] * (len(seen) - start)
 
 
 class TestRandom:

@@ -12,10 +12,9 @@ from schmidtgame.alice import (IDENTITY, BAStrategy, BiLipschitzMap,
                                GeometricTerms, LacunarySpec, LacunaryStrategy,
                                ListTargets)
 from schmidtgame.bob import KeepCenterBob, RandomBob
-from schmidtgame.certify import (Certificate, DimensionReport,
-                                 _schedule_inputs, ba_certificate,
+from schmidtgame.certify import (Certificate, _schedule_inputs, certificates,
                                  dimension_report, exponent_from_json,
-                                 exponent_to_json, orbit_certificate, verify)
+                                 exponent_to_json, verify)
 from schmidtgame.errors import HorizonMismatch, SpecError
 from schmidtgame.fractal import (DimensionEstimate, FractalMeasure,
                                  cantor_support,
@@ -53,6 +52,12 @@ def ba_run(K, cantor_decay):
     return alice, t
 
 
+def claim(strategy, interval):
+    """The one certificate a finished single-schedule strategy makes."""
+    (_, cert), = certificates(strategy, interval)
+    return cert
+
+
 def bare(kind, x, c, horizon, horizon_kind, **snap):
     return Certificate(kind, (F(x), F(x)), F(c), horizon, horizon_kind, snap)
 
@@ -84,7 +89,7 @@ SNAPSHOT_EDITS = [(kind, edit) for kind in ("orbit", "ba")
 class TestCertificateObject:
     def test_json_round_trip(self, lacunary_run):
         alice, t = lacunary_run
-        cert = orbit_certificate(alice, outcome_interval(t))
+        cert = claim(alice, outcome_interval(t))
         blob = json.dumps(cert.to_json(), sort_keys=True)
         back = Certificate.from_json(json.loads(blob))
         assert back == cert
@@ -213,7 +218,7 @@ class TestBASchedulePerimeter:
 class TestEndToEnd:
     def test_lacunary_certificate_verifies(self, lacunary_run):
         alice, t = lacunary_run
-        cert = orbit_certificate(alice, outcome_interval(t))
+        cert = claim(alice, outcome_interval(t))
         assert cert.horizon == 5
         got = verify(cert)
         assert got.passed
@@ -223,13 +228,13 @@ class TestEndToEnd:
 
     def test_ba_certificate_verifies(self, ba_run):
         alice, t = ba_run
-        cert = ba_certificate(alice, outcome_interval(t))
+        cert = claim(alice, outcome_interval(t))
         assert cert.horizon == 38
         assert verify(cert).passed
 
     def test_dispatcher(self, lacunary_run):
         alice, t = lacunary_run
-        cert = orbit_certificate(alice, outcome_interval(t))
+        cert = claim(alice, outcome_interval(t))
         assert verify(cert).passed
 
 
@@ -238,34 +243,32 @@ class CheckedEachTurn:
     move: the blocks she has cleared pass, one block more is a horizon
     mismatch.  This ties the schedule's start and r to the verifier's."""
 
-    def __init__(self, strategy, certificate):
-        self.strategy, self.certificate = strategy, certificate
+    def __init__(self, strategy):
+        self.strategy = strategy
 
     def move(self, support, params, ball):
         out = self.strategy.move(support, params, ball)
         # the ball the engine builds from the answer
         played = Ball(out[0], params.alpha * ball.radius, out[1])
-        cert = self.certificate(self.strategy, played.interval)
+        cert = claim(self.strategy, played.interval)
         assert verify(cert).passed
         with pytest.raises(HorizonMismatch):
             verify(replace(cert, horizon=cert.horizon + 1))
         return out
 
 
-@pytest.mark.parametrize("make, certificate", [
-    (lambda decay: LacunaryStrategy(
+@pytest.mark.parametrize("make", [
+    lambda decay: LacunaryStrategy(
         LacunarySpec(GeometricTerms(F(2)), ConstTargets(F(0))), decay=decay),
-     orbit_certificate),
-    (lambda decay: BAStrategy(decay=decay), ba_certificate)],
+    lambda decay: BAStrategy(decay=decay)],
     ids=["lacunary", "ba"])
-def test_schedule_and_verifier_agree_on_every_turn(K, cantor_decay, make,
-                                                   certificate):
+def test_schedule_and_verifier_agree_on_every_turn(K, cantor_decay, make):
     params = GameParams(max_alpha(cantor_decay), F(1, 4))
     opening = Ball(K.canonical_point, K.diameter, word=())
     alice = make(cantor_decay).plan(params, opening)
     rounds = alice.start + 3 * alice.r + 2
-    run_game(K, params, CheckedEachTurn(alice, certificate), KeepCenterBob(),
-             rounds, opening)
+    run_game(K, params, CheckedEachTurn(alice), KeepCenterBob(), rounds,
+             opening)
     assert alice.turn == rounds and alice.blocks_cleared >= 3
 
 
@@ -274,7 +277,7 @@ class TestMutation:
 
     def test_halved_c_fails(self, lacunary_run):
         alice, t = lacunary_run
-        cert = orbit_certificate(alice, outcome_interval(t))
+        cert = claim(alice, outcome_interval(t))
         bad = replace(cert, c=cert.c / 2)
         got = verify(bad)
         assert not got.passed
@@ -282,20 +285,20 @@ class TestMutation:
 
     def test_doubled_c_fails(self, lacunary_run):
         alice, t = lacunary_run
-        cert = orbit_certificate(alice, outcome_interval(t))
+        cert = claim(alice, outcome_interval(t))
         got = verify(replace(cert, c=cert.c * 2))
         assert not got.passed
 
     def test_ba_halved_c_fails(self, ba_run):
         alice, t = ba_run
-        cert = ba_certificate(alice, outcome_interval(t))
+        cert = claim(alice, outcome_interval(t))
         got = verify(replace(cert, c=cert.c / 2))
         assert not got.passed
         assert got.witness["field"] == "c"
 
     def test_snapshot_alpha_tamper_fails(self, lacunary_run):
         alice, t = lacunary_run
-        cert = orbit_certificate(alice, outcome_interval(t))
+        cert = claim(alice, outcome_interval(t))
         snap = dict(cert.snapshot)
         snap["alpha"] = str(alice.alpha / 2)
         assert not verify(replace(cert, snapshot=snap)).passed
@@ -306,10 +309,10 @@ class TestMutation:
                                         ba_run):
         if kind == "orbit":
             alice, t = lacunary_run
-            cert = orbit_certificate(alice, outcome_interval(t))
+            cert = claim(alice, outcome_interval(t))
         else:
             alice, t = ba_run
-            cert = ba_certificate(alice, outcome_interval(t))
+            cert = claim(alice, outcome_interval(t))
         snap = copy.deepcopy(cert.snapshot)
         edit(snap)
         got = verify(replace(cert, snapshot=snap))
@@ -321,18 +324,18 @@ class TestMutation:
     def test_nonpositive_radius_is_bad_input(self, key, value, lacunary_run):
         alice, t = lacunary_run
         snap = copy.deepcopy(
-            orbit_certificate(alice, outcome_interval(t)).snapshot)
+            claim(alice, outcome_interval(t)).snapshot)
         snap[key] = value
         with pytest.raises(SpecError):
             _schedule_inputs(snap)
 
     def test_inflated_horizon_raises(self, lacunary_run, ba_run):
         alice, t = lacunary_run
-        cert = orbit_certificate(alice, outcome_interval(t))
+        cert = claim(alice, outcome_interval(t))
         with pytest.raises(HorizonMismatch):
             verify(replace(cert, horizon=cert.horizon + 1))
         ba, bt = ba_run
-        bcert = ba_certificate(ba, outcome_interval(bt))
+        bcert = claim(ba, outcome_interval(bt))
         with pytest.raises(HorizonMismatch):
             verify(replace(bcert, horizon=bcert.horizon + 1))
 
@@ -417,24 +420,22 @@ class TestDimensionReport:
     def test_frozen_margin(self):
         rep = dimension_report(F(1, 2), [estimate(F(12, 25)),
                                          estimate(F(1, 2))])
-        assert rep.margin == F(1, 50)
-        assert not rep.consistent
-        assert rep.used == 2
-        blob = rep.to_json()
-        assert blob["margin"] == "1/50"
-        assert blob["estimates"][0] == {"rho": "1/3", "value": "12/25"}
+        assert rep["margin"] == "1/50"
+        assert rep["consistent"] is False
+        assert rep["used"] == 2
+        assert rep["estimates"][0] == {"rho": "1/3", "value": "12/25"}
 
     def test_inconclusive_estimate_is_skipped(self):
         straddle = DimensionEstimate(F(1, 3), None)
         rep = dimension_report(F(1, 2), [straddle, estimate(F(1, 2))])
-        assert rep.used == 1 and rep.consistent
-        assert rep.to_json()["estimates"][0] == {"rho": "1/3", "value": None}
+        assert rep["used"] == 1 and rep["consistent"] is True
+        assert rep["estimates"][0] == {"rho": "1/3", "value": None}
 
     def test_log_ratio_margin_is_an_enclosure(self):
         gamma = make_exponent(2, 3)
         rep = dimension_report(gamma, [estimate(F(1, 2))])
-        assert not rep.consistent
-        lo, hi = rep.to_json()["margin"]
+        assert rep["consistent"] is False
+        lo, hi = rep["margin"]
         lo, hi = F(lo), F(hi)
         assert 0 < hi - lo <= F(1, 2 ** 30)
         # lo <= log 2/log 3 - 1/2 <= hi, decided exactly
@@ -446,13 +447,13 @@ class TestDimensionReport:
         ests = lower_pointwise_dimension(mu, F(0),
                                          [F(1, 3) ** k for k in range(1, 13)])
         rep = dimension_report(cantor_decay.gamma, ests)
-        assert rep.analytic_bound == make_exponent(2, 3)
-        assert rep.used == 12
-        assert rep.margin == 0 and rep.consistent
+        assert exponent_from_json(rep["analytic_bound"]) == make_exponent(2, 3)
+        assert rep["used"] == 12
+        assert rep["margin"] == "0" and rep["consistent"] is True
 
     def test_no_estimates(self):
         rep = dimension_report(F(1, 2))
-        assert rep.margin is None and rep.used == 0
+        assert rep["margin"] is None and rep["used"] == 0
 
     def test_exponent_json(self):
         e = make_exponent(2, 3)

@@ -1,10 +1,7 @@
-import itertools
 import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from schmidtgame.cli import build_support
 from schmidtgame.errors import SpecError
@@ -16,7 +13,7 @@ from schmidtgame.fractal import (AuditGrid, DecayParams, IFS, SimilarityMap,
                                  decay_from_federer_efd, find_point_in_gap,
                                  lower_pointwise_dimension,
                                  max_alpha)
-from schmidtgame.numerics import LogRatio, make_exponent
+from schmidtgame.numerics import LogRatio
 
 
 @pytest.fixture(scope="module")

@@ -1,13 +1,15 @@
-"""Every name a package module imports is read there or exported in its
-`__all__`, so a deletion cannot leave a dead import behind.  `__future__`
-imports are compiler directives, not names, and are not counted."""
+"""Every name a package or test module imports is read there or exported
+in its `__all__`, so a deletion cannot leave a dead import behind.
+`__future__` imports are compiler directives, not names, and are not
+counted."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "schmidtgame"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "schmidtgame"
 
 
 def unused_imports(tree):
@@ -43,7 +45,17 @@ def test_guard_sees_each_kind():
         (2, "os"), (4, "j"), (5, "floor"), (6, "alice")]
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
-def test_no_unused_import_in_package(path):
+def check(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
     assert unused_imports(tree) == []
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_unused_import_in_package(path):
+    check(path)
+
+
+@pytest.mark.parametrize("path", sorted(TESTS.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_unused_import_in_tests(path):
+    check(path)
