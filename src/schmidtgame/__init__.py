@@ -14,9 +14,9 @@ from .bob import (GreedyBob, KeepCenterBob, RandomBob, greedy_move,
                   random_move)
 from .certify import (Certificate, VerificationResult, certificates,
                       dimension_report, verify)
-from .errors import (HorizonMismatch, IllegalMove, InvalidAlpha,
-                     InvariantViolation, NoPointFound, PrecisionCapExceeded,
-                     ScheduleOverlap, SpecError, StrategyFailure)
+from .errors import (HorizonMismatch, IllegalMove, InvariantViolation,
+                     NoPointFound, PrecisionCapExceeded, RunFailure,
+                     SpecError, StrategyFailure)
 from .fractal import (IFS, AuditGrid, DecayParams, FractalMeasure,
                       FractalSupport, SimilarityMap, audit_measure,
                       binary_support, cantor_support, check_alpha,
@@ -33,10 +33,10 @@ __all__ = [
     "Certificate", "ConstTargets", "DecayParams",
     "ExcludeCountable", "FractalMeasure", "FractalSupport", "GameParams",
     "GeometricTerms", "GreedyBob", "HoldCenter", "HorizonMismatch", "IFS",
-    "IllegalMove", "InterleaveStrategy", "InvalidAlpha", "InvariantViolation",
+    "IllegalMove", "InterleaveStrategy", "InvariantViolation",
     "KeepCenterBob", "LacunarySpec", "LacunaryStrategy", "ListTargets",
     "ListTerms", "NoPointFound", "PeriodicTargets", "PrecisionCapExceeded",
-    "RandomBob", "ScheduleOverlap", "SimilarityMap",
+    "RandomBob", "RunFailure", "SimilarityMap",
     "SpecError", "StrategyFailure", "Transcript", "VerificationResult",
     "affine_to_sequence", "audit_measure",
     "avoidance_step", "binary_support",

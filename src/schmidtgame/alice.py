@@ -23,9 +23,8 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
-from .errors import (HorizonMismatch, InvalidAlpha, InvariantViolation,
-                     NoPointFound, PrecisionCapExceeded, ScheduleOverlap,
-                     SpecError)
+from .errors import (HorizonMismatch, InvariantViolation, NoPointFound,
+                     PrecisionCapExceeded, SpecError)
 from .fractal import DecayParams, FractalSupport, check_alpha, find_point_in_gap
 from .game import Ball, GameParams, Point, _bits, _dist_cmp
 from .numerics import (_first_index, fractions_in_interval, json_rationals,
@@ -514,7 +513,7 @@ def avoidance_step(support: FractalSupport, ball: Ball, alpha: Fraction,
     """
     alpha = Fraction(alpha)
     if not 0 < alpha < 1:
-        raise InvalidAlpha("avoidance ratio must lie in (0, 1)")
+        raise SpecError("avoidance ratio must lie in (0, 1)")
     x1, rho = ball.center, ball.radius
     an, ad = alpha.numerator, alpha.denominator
     # 2*alpha*rho = reach/den and rho - alpha*rho = room/den, on integers
@@ -571,10 +570,10 @@ class ClearingStrategy:
         self.block_points: List[Fraction] = []
 
     def plan(self, params: GameParams, opening: Ball) -> "ClearingStrategy":
-        """Derive the schedule constants.  Raises InvalidAlpha when alpha
+        """Derive the schedule constants.  Raises SpecError when alpha
         fails the decay admissibility bound (4*alpha)^gamma <= 1/(3C)."""
         if not check_alpha(params.alpha, self.decay):
-            raise InvalidAlpha(ALPHA_DIAGNOSTIC)
+            raise SpecError(ALPHA_DIAGNOSTIC)
         self.alpha, self.beta = params.alpha, params.beta
         self.ab = self.alpha * self.beta
         self.rho_prime = Fraction(opening.radius)
@@ -796,16 +795,16 @@ class InterleaveStrategy:
 
     def __init__(self, strategies: Sequence, schedule: Sequence[Tuple[int, int]]):
         if len(strategies) != len(schedule):
-            raise ScheduleOverlap("need exactly one progression per strategy")
+            raise SpecError("need exactly one progression per strategy")
         for start, step in schedule:
             if start < 1 or step < 1:
-                raise ScheduleOverlap("progressions need start, step >= 1")
+                raise SpecError("progressions need start, step >= 1")
         # two progressions share a turn, and then infinitely many, exactly
         # when their starts agree modulo the gcd of their steps
         for i, (s, d) in enumerate(schedule):
             for j, (t, e) in enumerate(schedule[:i]):
                 if (s - t) % gcd(d, e) == 0:
-                    raise ScheduleOverlap(
+                    raise SpecError(
                         "progressions %d and %d meet: their common turns have "
                         "2 owners" % (j + 1, i + 1))
         # disjoint residue classes cover every integer once exactly when
@@ -813,10 +812,10 @@ class InterleaveStrategy:
         # its class's turns when it starts on the first, s <= d
         for s, d in schedule:
             if s > d:
-                raise ScheduleOverlap("turn %d has 0 owners, not 1" % (s - d))
+                raise SpecError("turn %d has 0 owners, not 1" % (s - d))
         if sum(Fraction(1, d) for _, d in schedule) != 1:
-            raise ScheduleOverlap("the steps' densities sum below 1: some "
-                                  "turns have 0 owners")
+            raise SpecError("the steps' densities sum below 1: some "
+                            "turns have 0 owners")
         self.strategies = list(strategies)
         self.schedule = list(schedule)
         self.turn = 0
@@ -838,6 +837,10 @@ class InterleaveStrategy:
 # ---------------------------------------------------------------------------
 # affine circle maps
 
+# a certificate writes every term b^n in decimal, and Python's str() of an
+# int refuses more than 4,300 digits
+AFFINE_MAX_DIGITS = 4300
+
 
 def affine_to_sequence(b: int, c: Fraction, y: Fraction,
                        n_max: int) -> LacunarySpec:
@@ -853,6 +856,10 @@ def affine_to_sequence(b: int, c: Fraction, y: Fraction,
         raise SpecError("affine circle maps need an integer factor >= 2")
     if n_max < 1:
         raise SpecError("need at least one target")
+    # b >= 2, so any exponent past 4 * AFFINE_MAX_DIGITS is too large
+    if b ** min(n_max, 4 * AFFINE_MAX_DIGITS) >= 10 ** AFFINE_MAX_DIGITS:
+        raise SpecError("n_max %d makes the term %s^%d longer than %d digits"
+                        % (n_max, b, n_max, AFFINE_MAX_DIGITS))
     terms = tuple(b ** n for n in range(1, n_max + 1))
     targets = tuple((y - c * (t - 1) / (b - 1)) % 1 for t in terms)
     return LacunarySpec(ListTerms(terms, b), ListTargets(targets))

@@ -20,9 +20,7 @@ from .alice import (ALPHA_DIAGNOSTIC, BAStrategy, BiLipschitzMap,
 from .bob import GreedyBob, KeepCenterBob, RandomBob
 from .certify import (Certificate, certificates, dimension_report,
                       exponent_from_json, verify)
-from .errors import (HorizonMismatch, IllegalMove, InvalidAlpha,
-                     InvariantViolation, NoPointFound, PrecisionCapExceeded,
-                     ScheduleOverlap, SpecError, StrategyFailure)
+from .errors import RunFailure, SpecError
 from .fractal import (AUDIT_MAX_SCALES, IFS, AuditGrid, DecayParams,
                       FractalMeasure, FractalSupport, SimilarityMap,
                       audit_measure, binary_support, cantor_support,
@@ -113,9 +111,11 @@ def build_strategy(cfg: dict, decay: Optional[DecayParams], path="alice"):
         return ExcludeCountable(json_rationals(cfg["points"], "points"), rho0)
     if name == "lacunary":
         spec = LacunarySpec.from_json(cfg)
-        if spec.terms.horizon is None and isinstance(spec.targets, ListTargets):
-            raise SpecError("%s.targets: a target list ends, geometric terms "
-                            "do not" % path)
+        horizon = spec.terms.horizon
+        if isinstance(spec.targets, ListTargets) and (
+                horizon is None or len(spec.targets.values) < horizon):
+            raise SpecError("%s.targets: a target list needs an entry per "
+                            "term, and geometric terms do not end" % path)
         return LacunaryStrategy(spec, phi, decay)
     if name == "affine_orbit":
         spec = affine_to_sequence(parse_rational(cfg["b"]),
@@ -175,7 +175,7 @@ def build_game(doc: dict, args) -> Tuple[FractalSupport, GameParams, object,
                         'played, not %s' % json.dumps(g["variant"]))
     params = GameParams(alpha, parse_rational(g["beta"]))
     if decay is not None and not check_alpha(alpha, decay):
-        raise InvalidAlpha(ALPHA_DIAGNOSTIC)
+        raise SpecError(ALPHA_DIAGNOSTIC)
     rounds = json_int(g.get("rounds", 20), "rounds")
     if args.rounds is not None:
         rounds = args.rounds
@@ -336,9 +336,8 @@ def cmd_construct(args) -> int:
     cyls = [c for c in support.cylinders_meeting(lo, hi, digits_wanted)
             if min(hi, c.hi) > max(lo, c.lo)]
     if len(cyls) != 1:
-        print("error: %d cylinders overlap the outcome interval" % len(cyls),
-              file=sys.stderr)
-        return 1
+        raise RunFailure("%d cylinders overlap the outcome interval"
+                         % len(cyls))
     word = cyls[0].word
     digit_string = [alphabet[i] for i in word]
     print("base-%d digits: %s" % (base,
@@ -387,12 +386,10 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (IllegalMove, StrategyFailure, InvariantViolation, NoPointFound,
-            HorizonMismatch, PrecisionCapExceeded) as exc:
+    except RunFailure as exc:
         print("run failed: %s" % exc, file=sys.stderr)
         return 1
-    except (SpecError, InvalidAlpha, ScheduleOverlap, ValueError, KeyError,
-            TypeError, OSError) as exc:
+    except (ValueError, KeyError, TypeError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

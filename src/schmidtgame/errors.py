@@ -1,13 +1,23 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, under two roots that decide
+the command line's exit code: `SpecError` is bad input (exit 2), and
+`RunFailure` is a run that failed (exit 1)."""
 
 from __future__ import annotations
 
 
-class PrecisionCapExceeded(ArithmeticError):
+class SpecError(ValueError):
+    """A configuration document failed validation."""
+
+
+class RunFailure(RuntimeError):
+    """A run, or the check of a claim, failed on valid input."""
+
+
+class PrecisionCapExceeded(RunFailure):
     """An interval comparison stayed undecided after exhausting the refinement budget."""
 
 
-class NoPointFound(RuntimeError):
+class NoPointFound(RunFailure):
     """The gap search came back empty.
 
     When raised from an avoidance move this signals that the contraction
@@ -15,7 +25,7 @@ class NoPointFound(RuntimeError):
     """
 
 
-class IllegalMove(RuntimeError):
+class IllegalMove(RunFailure):
     """A move broke the rules; `transcript` holds the game up to it."""
 
     def __init__(self, player: str, reason: str, ball=None, transcript=None):
@@ -26,7 +36,7 @@ class IllegalMove(RuntimeError):
         self.transcript = transcript
 
 
-class StrategyFailure(RuntimeError):
+class StrategyFailure(RunFailure):
     """A strategy raised instead of producing a move; the raiser loses.
     `transcript` holds the game up to the failed move."""
 
@@ -36,21 +46,9 @@ class StrategyFailure(RuntimeError):
         self.transcript = transcript
 
 
-class InvalidAlpha(ValueError):
-    """alpha fails the admissibility bound for the declared decay parameters."""
-
-
-class ScheduleOverlap(ValueError):
-    """Interleaving schedule assigns one turn to two strategies, or to none."""
-
-
-class HorizonMismatch(ValueError):
+class HorizonMismatch(RunFailure):
     """A certificate claims more blocks than the recorded play supports."""
 
 
-class InvariantViolation(RuntimeError):
+class InvariantViolation(RunFailure):
     """An internal strategy invariant failed; indicates a bug or misuse."""
-
-
-class SpecError(ValueError):
-    """A configuration document failed validation."""

@@ -10,6 +10,7 @@ cylinders against the query interval, so audit verdicts are never floats.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -712,9 +713,11 @@ def check_absolute_decay(measure: FractalMeasure, params: DecayParams,
     points = (dict(p, y=p["x"] + off * p["rho"], eps=eps)
               for p in grid.points(measure.support) if p["rho"] <= params.rho0
               for eps in grid.eps for off in grid.offsets)
+    # every (eps, offset) row of one grid point asks for the same ball
+    ball_mass = functools.cache(measure.ball_mass)
 
     def decide(depth, x, rho, y, eps):
-        blo, bhi = measure.ball_mass(x, rho, depth)
+        blo, bhi = ball_mass(x, rho, depth)
         ilo = max(x - rho, y - eps * rho)
         ihi = min(x + rho, y + eps * rho)
         if ilo > ihi:

@@ -15,9 +15,8 @@ from schmidtgame.alice import (BAStrategy, BiLipschitzMap, ConstTargets,
                                affine_to_sequence, avoidance_step,
                                ba_band_top)
 from schmidtgame.bob import GreedyBob, KeepCenterBob
-from schmidtgame.errors import (HorizonMismatch, InvalidAlpha,
-                                InvariantViolation, NoPointFound,
-                                ScheduleOverlap, SpecError)
+from schmidtgame.errors import (HorizonMismatch, InvariantViolation,
+                                NoPointFound, SpecError)
 from schmidtgame.cli import bundled_spec_path, main
 from schmidtgame.fractal import (DecayParams, FractalSupport, cantor_support,
                                  decay_from_federer_efd, max_alpha)
@@ -246,7 +245,7 @@ class TestAvoidanceStep:
         assert K.verify_point(center, word)
 
     def test_alpha_domain(self, K):
-        with pytest.raises(InvalidAlpha):
+        with pytest.raises(SpecError, match="avoidance ratio"):
             avoidance_step(K, Ball(F(0), F(1, 3)), F(2), [])
 
     def test_randomized_postconditions(self, K, cantor_alpha):
@@ -321,7 +320,7 @@ class TestPlanLacunary:
         assert st.rho == F(1, 16) ** (st.k0 - 1)
 
     def test_inadmissible_alpha(self, cantor_decay):
-        with pytest.raises(InvalidAlpha):
+        with pytest.raises(SpecError, match="alpha exceeds"):
             LacunaryStrategy(lac2(), decay=cantor_decay).plan(
                 QUARTER, Ball(F(0), F(1)))
 
@@ -507,7 +506,7 @@ class TestPlanBA:
                 assert below + 1 == 2 ** (k - 1)
 
     def test_inadmissible_alpha(self, cantor_decay):
-        with pytest.raises(InvalidAlpha):
+        with pytest.raises(SpecError, match="alpha exceeds"):
             BAStrategy(decay=cantor_decay).plan(GameParams(F(1, 5), F(1, 4)),
                                                 Ball(F(0), F(1)))
 
@@ -657,11 +656,11 @@ class TestInterleave:
         # in the second, turns 1-8 have one owner each and turn 9 has two
         for schedule in ([(1, 2), (3, 2)],
                          [(1, 2), (2, 4), (4, 8), (8, 8), (9, 16)]):
-            with pytest.raises(ScheduleOverlap, match="owners"):
+            with pytest.raises(SpecError, match="owners"):
                 InterleaveStrategy([HoldCenter()] * len(schedule), schedule)
 
     def test_gap_rejected(self):
-        with pytest.raises(ScheduleOverlap):
+        with pytest.raises(SpecError, match="owners"):
             InterleaveStrategy([HoldCenter(), HoldCenter()], [(1, 3), (2, 3)])
 
     def test_trivial_schedule_matches_solo(self, K, cantor_decay, cantor_alpha):
@@ -736,6 +735,16 @@ class TestAffineReduction:
         # x -> b*x + c mod 1 is a circle map only for integer b
         with pytest.raises(SpecError, match="integer factor"):
             affine_to_sequence(b, F(1, 3), F(0), 4)
+
+    def test_last_term_within_the_digit_limit(self):
+        # 10^4299 has 4,300 digits, the most str() writes; 10^4300 has one
+        # more, and an n_max far past it is refused without its power
+        spec = affine_to_sequence(10, F(0), F(0), 4299)
+        assert spec.terms.horizon == 4299
+        assert spec.terms.term(4299) == 10 ** 4299
+        for b, n_max in ((10, 4300), (2, 10 ** 9)):
+            with pytest.raises(SpecError, match="n_max %d" % n_max):
+                affine_to_sequence(b, F(0), F(0), n_max)
 
     def test_iteration_agrees_pointwise(self):
         # d(f^n(x), y) must equal d(b^n x, y_n) for every x and n

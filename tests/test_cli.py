@@ -7,11 +7,15 @@ from types import SimpleNamespace
 
 import pytest
 
-from schmidtgame import certify, cli, fractal
+from schmidtgame import certify, cli, errors, fractal
 from schmidtgame.alice import BiLipschitzMap
 from schmidtgame.certify import (MAX_HORIZON, Certificate,
                                  VerificationResult)
 from schmidtgame.cli import bundled_spec_path, main
+from schmidtgame.errors import (HorizonMismatch, IllegalMove,
+                                InvariantViolation, NoPointFound,
+                                PrecisionCapExceeded, RunFailure, SpecError,
+                                StrategyFailure)
 from schmidtgame.fractal import (cantor_support, decay_from_federer_efd,
                                  max_alpha)
 from schmidtgame.game import (GameParams, transcript_from_jsonl,
@@ -270,6 +274,30 @@ class TestPlay:
                      "--out", str(tmp_path)]) == 2
         assert where in capsys.readouterr().err
 
+    def test_target_list_shorter_than_terms_exits_2(self, tmp_path, capsys):
+        # the list has no target for term 3: the play ran until a block
+        # reached it, then exited 1
+        def mutate(d):
+            d["alice"]["terms"] = {"kind": "list",
+                                   "values": [str(2 ** n) for n in range(1, 60)]}
+            d["alice"]["targets"] = {"kind": "list", "values": ["0", "1/2"]}
+        out = tmp_path / "out"
+        assert main(["play", "--spec", write_spec(tmp_path, mutate),
+                     "--rounds", "60", "--out", str(out)]) == 2
+        assert "alice.targets" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_affine_term_past_the_digit_limit_exits_2(self, tmp_path, capsys):
+        # 10^4300 has 4,301 digits: the play wrote its transcript, then the
+        # certificate's str() of that term exited 2
+        spec = write_spec(tmp_path, lambda d: d.__setitem__("alice", {
+            "strategy": "affine_orbit", "b": "10", "c": "1/3", "y": "0",
+            "n_max": 4300}))
+        out = tmp_path / "out"
+        assert main(["play", "--spec", spec, "--out", str(out)]) == 2
+        assert "n_max 4300" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_non_integer_n_max_exits_2(self, tmp_path, capsys):
         spec = write_spec(tmp_path, lambda d: d.__setitem__("alice", {
             "strategy": "affine_orbit", "b": "2", "c": "1/3", "y": "0",
@@ -518,7 +546,7 @@ class TestCertify:
         assert "separation fails at term 1" in capsys.readouterr().out
 
     def test_unfinished_block_exits_1(self, claims, tmp_path, capsys):
-        # HorizonMismatch is a ValueError, yet a run failure, not bad input
+        # HorizonMismatch is a RunFailure: a run failure, not bad input
         cert = copy.deepcopy(claims["orbit", "scheduled"])
         cert["horizon"] += 1  # 50 turns finish exactly the claimed blocks
         assert self.certify(tmp_path, capsys, cert) == 1
@@ -903,6 +931,21 @@ class TestConstruct:
             acc += F(d, 3 ** i)
         assert acc <= lo < acc + F(1, 3 ** len(doc["digits"]))
 
+    def test_overlapping_cylinders_exit_1(self, tmp_path, capsys):
+        # a held center on a digit boundary meets two cylinders at any depth
+        doc = {"support": "interval",
+               "game": {"alpha": "1/4", "beta": "1/4", "rounds": 3,
+                        "opening": {"center": "1/2", "radius": "1/2"}},
+               "alice": {"strategy": "hold"}, "bob": {"kind": "keep"}}
+        p = tmp_path / "spec.json"
+        p.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["construct", "--spec", str(p), "--out", str(out),
+                     "--digits", "4"]) == 1
+        assert capsys.readouterr().err == (
+            "run failed: 2 cylinders overlap the outcome interval\n")
+        assert not out.exists()
+
     def test_interval_support_has_no_gap_digits(self, tmp_path):
         doc = json.loads(open(bundled_spec_path("cantor_triple.json")).read())
         doc["support"] = "interval"
@@ -913,3 +956,33 @@ class TestConstruct:
         assert code == 0  # binary digits are legitimate too
         out = json.loads((tmp_path / "construct.json").read_text())
         assert out["base"] == 2
+
+
+# one instance of each exception the package defines
+RAISED = [SpecError("forced"), RunFailure("forced"),
+          PrecisionCapExceeded("forced"), NoPointFound("forced"),
+          IllegalMove("alice", "forced"),
+          StrategyFailure("alice", NoPointFound("forced")),
+          HorizonMismatch("forced"), InvariantViolation("forced")]
+
+
+class TestExitCodes:
+    def test_every_error_has_one_root(self):
+        defined = {v for v in vars(errors).values()
+                   if isinstance(v, type) and issubclass(v, Exception)}
+        assert defined == {type(e) for e in RAISED}
+        for cls in defined:
+            assert issubclass(cls, SpecError) != issubclass(cls, RunFailure)
+
+    @pytest.mark.parametrize("exc", RAISED, ids=lambda e: type(e).__name__)
+    def test_root_decides_exit_code(self, exc, capsys, monkeypatch):
+        def raiser(args):
+            raise exc
+
+        monkeypatch.setattr(cli, "cmd_certify", raiser)
+        code = main(["certify", "--spec", "unread.json"])
+        err = capsys.readouterr().err
+        if isinstance(exc, RunFailure):
+            assert (code, err) == (1, "run failed: %s\n" % exc)
+        else:
+            assert (code, err) == (2, "error: %s\n" % exc)

@@ -280,6 +280,21 @@ class TestAudits:
         out = check_absolute_decay(cantor, cantor_decay, grid)
         assert out.verdict is Verdict.PASS
 
+    def test_decay_asks_each_ball_once(self, cantor, cantor_decay,
+                                       monkeypatch):
+        # every (eps, offset) row of one grid point has the same ball
+        asked = []
+        ball_mass = FractalMeasure.ball_mass
+
+        def spy(self, center, radius, depth):
+            asked.append((center, radius, depth))
+            return ball_mass(self, center, radius, depth)
+
+        monkeypatch.setattr(FractalMeasure, "ball_mass", spy)
+        grid = AuditGrid.default(cantor.support, F(1, 3))
+        assert check_absolute_decay(cantor, cantor_decay, grid).passed
+        assert asked and len(set(asked)) == len(asked)
+
     def test_cantor_small_C_fails_with_witness(self, cantor, cantor_decay):
         grid = AuditGrid.default(cantor.support, F(1, 3))
         bad = DecayParams(F(1, 10), cantor_decay.gamma, F(1, 3))

@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 from schmidtgame.alice import (GeometricTerms, InterleaveStrategy,
                                ba_constants, lacunary_constants)
 from schmidtgame.cli import bundled_spec_path, main
-from schmidtgame.errors import ScheduleOverlap, SpecError
+from schmidtgame.errors import SpecError
 from schmidtgame.fractal import (AUDIT_MAX_SCALES, IFS, AuditGrid,
                                  FractalSupport, SimilarityMap,
                                  decay_from_federer_efd, max_alpha)
@@ -222,7 +222,7 @@ def scan_owners(schedule):
 def accepts(schedule):
     try:
         InterleaveStrategy([HoldCenter()] * len(schedule), schedule)
-    except ScheduleOverlap as exc:
+    except SpecError as exc:
         assert "owners" in str(exc)
         return False
     return True
@@ -266,7 +266,7 @@ def test_long_dovetails_construct_at_once():
         began = time.perf_counter()
         InterleaveStrategy([HoldCenter()] * parts, schedule)
         assert time.perf_counter() - began < 1
-        with pytest.raises(ScheduleOverlap, match="owners"):
+        with pytest.raises(SpecError, match="owners"):
             InterleaveStrategy([HoldCenter()] * parts,
                                schedule[:-1] + [(2 ** (parts - 1) + 1,
                                                  2 ** (parts - 1))])
