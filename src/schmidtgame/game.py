@@ -32,7 +32,7 @@ class GameParams:
         object.__setattr__(self, "alpha", Fraction(self.alpha))
         object.__setattr__(self, "beta", Fraction(self.beta))
         if not (0 < self.alpha < 1 and 0 < self.beta < 1):
-            raise ValueError("alpha and beta must lie in (0, 1)")
+            raise SpecError("alpha and beta must lie in (0, 1)")
 
 
 @dataclass(frozen=True)

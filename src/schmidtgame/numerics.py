@@ -322,31 +322,65 @@ def exponent_cmp(a: Exponent, b: Exponent) -> int:
     return log_sign([(na * db, nxa + dxb), (-nb * da, nxb + dxa)])
 
 
-def scaled_pow_cmp(lhs, coeff, eps, gamma: Exponent) -> int:
-    """The sign of lhs - coeff * eps**gamma.
+def collapse_pow(eps, gamma: Exponent) -> Optional[Tuple[int, Fraction]]:
+    """(n, eps**(n*gamma)) with n >= 1 and the power rational, or None.
 
-    lhs >= 0, coeff > 0, eps > 0 rationals.  Exact whenever gamma is
-    rational or eps is a rational power of gamma's base (the audit grids
-    arrange the latter); otherwise log_sign on certified log enclosures.
+    eps > 0.  The power collapses when gamma is rational, n its
+    denominator, or when eps is a rational power e of gamma's base, since
+    (base**e)**(log top/log base) = top**e, n the denominator of e.  Any
+    other eps**gamma is left to log_sign.
     """
-    lhs, coeff, eps = Fraction(lhs), Fraction(coeff), Fraction(eps)
-    if lhs < 0 or coeff <= 0 or eps <= 0:
-        raise ValueError("scaled_pow_cmp needs lhs >= 0, coeff > 0, eps > 0")
-    if lhs == 0:
-        return -1
     if isinstance(gamma, LogRatio):
         e = rational_power_of(eps, gamma.base)
         if e is None:
-            # ln lhs  vs  ln coeff + gamma ln eps, cleared of the
-            # denominator ln base > 0
-            return log_sign([(1, [lhs, gamma.base]), (-1, [coeff, gamma.base]),
-                             (-1, [gamma.top, eps])])
-        # eps**gamma collapses: (base**e)**(log top/log base) = top**e
+            return None
         eps, (m, n) = gamma.top, e.as_integer_ratio()
     else:
         m, n = Fraction(gamma).as_integer_ratio()
-    a, b = lhs ** n, coeff ** n * eps ** m
-    return (a > b) - (a < b)
+    return n, Fraction(eps) ** m
+
+
+def scaled_pow_sign(coeff, eps, gamma: Exponent):
+    """The function (lhs, scale) -> the sign of lhs - scale * coeff * eps**gamma,
+    for rationals lhs >= 0 and scale >= 0, with coeff * eps**gamma reduced
+    here once.
+
+    coeff > 0, eps > 0 rationals.  Exact whenever eps**gamma collapses
+    (the audit grids arrange it): (coeff * eps**gamma)**n is then a
+    rational p/q and the sign is that of lhs**n q - scale**n p, integers
+    only on int lhs and scale.  Otherwise log_sign on certified log
+    enclosures.
+    """
+    coeff, eps = Fraction(coeff), Fraction(eps)
+    if coeff <= 0 or eps <= 0:
+        raise ValueError("scaled_pow_cmp needs lhs >= 0, coeff > 0, eps > 0")
+    power = collapse_pow(eps, gamma)
+    if power is None:
+        top, base = gamma.top, gamma.base
+
+        def sign(lhs, scale):
+            if lhs == 0 or scale == 0:
+                return (lhs > 0) - (scale > 0)
+            # ln lhs  vs  ln (scale coeff) + gamma ln eps, cleared of the
+            # denominator ln base > 0
+            return log_sign([(1, [lhs, base]), (-1, [scale * coeff, base]),
+                             (-1, [top, eps])])
+        return sign
+    n, p = power
+    p, q = (coeff ** n * p).as_integer_ratio()
+
+    def sign(lhs, scale):
+        a, b = lhs ** n * q, scale ** n * p
+        return (a > b) - (a < b)
+    return sign
+
+
+def scaled_pow_cmp(lhs, coeff, eps, gamma: Exponent) -> int:
+    """The sign of lhs - coeff * eps**gamma; see scaled_pow_sign."""
+    lhs = Fraction(lhs)
+    if lhs < 0:
+        raise ValueError("scaled_pow_cmp needs lhs >= 0, coeff > 0, eps > 0")
+    return scaled_pow_sign(coeff, eps, gamma)(lhs, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -298,6 +298,14 @@ class TestPlay:
         assert "n_max 4300" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_zero_beta_exits_2(self, tmp_path, capsys):
+        spec = write_spec(tmp_path, lambda d: d["game"].__setitem__("beta", "0"))
+        out = tmp_path / "out"
+        assert main(["play", "--spec", spec, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: alpha and beta must lie in (0, 1)")
+        assert not out.exists()
+
     def test_non_integer_n_max_exits_2(self, tmp_path, capsys):
         spec = write_spec(tmp_path, lambda d: d.__setitem__("alice", {
             "strategy": "affine_orbit", "b": "2", "c": "1/3", "y": "0",

@@ -325,6 +325,13 @@ class TestAudits:
         out = check_power_law(cantor, F(1, 4), 4, F(1), grid_c)
         assert out.verdict is Verdict.FAIL
 
+    @pytest.mark.parametrize("k1, k2", [(0, 4), (F(1, 4), F(-1))])
+    def test_power_law_needs_positive_constants(self, cantor, k1, k2):
+        # refused before any row, so a grid with no point refuses them too
+        grid = AuditGrid.default(cantor.support, F(1, 3), rho_count=0)
+        with pytest.raises(SpecError, match=r"k1, k2 > 0"):
+            check_power_law(cantor, k1, k2, F(1), grid)
+
     def test_audit_measure_pipeline(self, cantor):
         grid = AuditGrid.default(cantor.support, F(1, 3))
         pair = (F(1, 3), F(1, 2))

@@ -23,6 +23,14 @@ def classical(alpha, beta):
     return GameParams(alpha=F(alpha), beta=F(beta))
 
 
+class TestGameParams:
+    @pytest.mark.parametrize("alpha, beta", [(F(1, 2), 0), (0, F(1, 2)),
+                                             (1, F(1, 4)), (F(1, 4), F(5, 4))])
+    def test_ratio_outside_0_1_is_spec_error(self, alpha, beta):
+        with pytest.raises(SpecError, match=r"alpha and beta must lie in \(0, 1\)"):
+            GameParams(alpha, beta)
+
+
 class TestIsLegal:
     def test_frozen_examples(self):
         p = classical(F(1, 2), F(1, 2))

@@ -16,7 +16,8 @@ from schmidtgame.numerics import (LogRatio, circle_dist,
                                   ln_bounds, log_sign,
                                   make_exponent, parse_rational,
                                   pow_exact, rational_power_of,
-                                  scaled_pow_cmp, simplest_between)
+                                  scaled_pow_cmp, scaled_pow_sign,
+                                  simplest_between)
 
 from circle_reference import circle_dist_range
 
@@ -230,6 +231,25 @@ class TestScaledPowCmp:
     def test_interval_fallback(self):
         got = scaled_pow_cmp(F(10), F(3), F(1, 7), LogRatio(2, 5))
         assert got == 1
+
+
+class TestScaledPowSign:
+    @pytest.mark.parametrize("gamma, eps", [(LogRatio(2, 3), F(1, 9)),
+                                            (F(1, 2), F(1, 3)),
+                                            (LogRatio(2, 5), F(1, 7))],
+                             ids=["collapse", "root", "log_sign"])
+    def test_zero_lhs_or_scale(self, gamma, eps):
+        # total on lhs, scale >= 0: a zero mass against a zero bound ties
+        sign = scaled_pow_sign(F(3), eps, gamma)
+        assert (sign(0, 0), sign(5, 0), sign(0, 2)) == (0, 1, -1)
+
+    @given(lhs=st.integers(0, 10 ** 6), scale=st.integers(1, 10 ** 6),
+           gamma=st.sampled_from([LogRatio(2, 3), F(2, 3), LogRatio(2, 5)]),
+           j=st.integers(1, 4))
+    def test_matches_scaled_pow_cmp(self, lhs, scale, gamma, j):
+        eps = F(1, 3 ** j)
+        assert scaled_pow_sign(F(8), eps, gamma)(lhs, scale) == \
+            scaled_pow_cmp(F(lhs, scale), F(8), eps, gamma)
 
 
 # decimal reference for the log_sign fallbacks, at 100 significant digits
