@@ -787,8 +787,9 @@ class InterleaveStrategy:
     ``schedule`` lists one (start, step) progression per sub-strategy over
     Alice's 1-based turn indices.  Each sub-strategy sees only the balls of
     its own turns, whose radii follow the classical rule with the effective
-    parameters (alpha, beta*(alpha*beta)^{step-1}); its plans and
-    certificates are stated in those parameters.  It keeps no balls:
+    parameters (alpha, beta*(alpha*beta)^{step-1}), built once per part
+    when the game's params arrive; its plans and certificates are stated
+    in those parameters.  It keeps no balls:
     danger_preview(ball) asks every part about `ball`, the ball Bob is
     answering, and returns the first 32 points.
     """
@@ -819,15 +820,20 @@ class InterleaveStrategy:
         self.strategies = list(strategies)
         self.schedule = list(schedule)
         self.turn = 0
+        self.params: Optional[GameParams] = None
+        self.effective: List[GameParams] = []
 
     def move(self, support, params, ball) -> Point:
         self.turn += 1
         # the constructor checked that exactly one progression holds each turn
-        i, step = next((i, d) for i, (s, d) in enumerate(self.schedule)
-                       if self.turn >= s and (self.turn - s) % d == 0)
-        beta_eff = params.beta * (params.alpha * params.beta) ** (step - 1)
-        eff = GameParams(params.alpha, beta_eff)
-        return self.strategies[i].move(support, eff, ball)
+        i = next(i for i, (s, d) in enumerate(self.schedule)
+                 if self.turn >= s and (self.turn - s) % d == 0)
+        if params is not self.params:
+            ab = params.alpha * params.beta
+            self.params, self.effective = params, [
+                GameParams(params.alpha, params.beta * ab ** (step - 1))
+                for _, step in self.schedule]
+        return self.strategies[i].move(support, self.effective[i], ball)
 
     def danger_preview(self, ball) -> List[Fraction]:
         return [z for strat in self.strategies

@@ -18,8 +18,8 @@ from fractions import Fraction
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .errors import SpecError
-from .numerics import (Exponent, _first_index, collapse_pow, exponent_cmp,
-                       make_exponent, pow_exact, scaled_pow_cmp,
+from .numerics import (Exponent, LogRatio, _first_index, collapse_pow,
+                       exponent_cmp, make_exponent, pow_exact,
                        scaled_pow_sign)
 
 Interval = Tuple[Fraction, Fraction]
@@ -555,13 +555,23 @@ def decay_from_federer_efd(federer, efd, rho0) -> DecayParams:
                        Fraction(rho0) / 3)
 
 
+def _admits(decay: DecayParams):
+    """The admissibility test of Alice's ratio, alpha -> whether
+    0 < alpha < 1 and (4 alpha)^gamma <= 1/(3C), its bound reduced once.
+
+    gamma > 0 (DecayParams checks it), so the power's test is
+    4 alpha <= (1/(3C))^(1/gamma): one `scaled_pow_sign` collapses the
+    right side here, and each alpha pays only its own comparison."""
+    gamma = decay.gamma
+    inverse = LogRatio(gamma.base, gamma.top) if isinstance(gamma, LogRatio) \
+        else 1 / Fraction(gamma)
+    sign = scaled_pow_sign(1, 1 / (3 * decay.C), inverse)
+    return lambda alpha: 0 < alpha < 1 and sign(4 * alpha, 1) <= 0
+
+
 def check_alpha(alpha, decay: DecayParams) -> bool:
     """Admissibility of Alice's ratio: (4 alpha)^gamma <= 1/(3C)."""
-    alpha = Fraction(alpha)
-    if not 0 < alpha < 1:
-        return False
-    return scaled_pow_cmp(Fraction(1) / (3 * decay.C), Fraction(1),
-                          4 * alpha, decay.gamma) >= 0
+    return _admits(decay)(Fraction(alpha))
 
 
 _ALPHA_BITS = 12
@@ -572,13 +582,16 @@ def max_alpha(decay: DecayParams) -> Fraction:
 
     The true threshold (1/4)(1/(3C))^(1/gamma) is usually irrational;
     a dyadic lower approximation keeps every downstream constant rational.
-    check_alpha holds up to the threshold and fails past it, so a bisect
+    The test holds up to the threshold and fails past it, so a bisect
     over the numerators 1 .. 2**_ALPHA_BITS - 1 counts those that pass,
-    and the count is the largest of them.
+    and the count is the largest of them.  The bound is reduced once per
+    call, by check_alpha's own test (one `collapse_pow`), so each of the
+    12 probes is one exact comparison of 4 alpha against it.
     """
     scale = 1 << _ALPHA_BITS
+    admits = _admits(decay)
     num = bisect.bisect_left(range(1, scale), True,
-                             key=lambda n: not check_alpha(Fraction(n, scale), decay))
+                             key=lambda n: not admits(Fraction(n, scale)))
     if num == 0:
         raise SpecError(f"alpha \"max\" finds no admissible multiple of "
                         f"2**-{_ALPHA_BITS}; give a smaller alpha explicitly")

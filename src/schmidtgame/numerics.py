@@ -101,54 +101,93 @@ def _atanh_fixed(num: int, den: int, prec: int) -> Tuple[int, int]:
     return lo, lo + 3 * k + 3
 
 
-def ln_bounds(x, bits: int) -> Tuple[Fraction, Fraction]:
-    """Dyadic enclosure of ln(x) for rational x > 0; width below 2**-bits."""
-    x = Fraction(x)
-    if x <= 0:
+def _octave(n: int, d: int) -> Tuple[int, int, int, int]:
+    """(n', d', e, s) for the rational x = n/d > 0, d > 0: n'/d' = x**s >= 1,
+    s = 1 or -1, and 2**e <= n'/d' < 2**(e+1)."""
+    if n <= 0:
         raise ValueError("ln requires a positive argument")
-    if x == 1:
-        return Fraction(0), Fraction(0)
-    if x < 1:
-        lo, hi = ln_bounds(1 / x, bits)
-        return -hi, -lo
-    n, d = x.numerator, x.denominator
+    s = 1 if n >= d else -1
+    if s < 0:
+        n, d = d, n
     e = n.bit_length() - d.bit_length()
     if n < d << e:
         e -= 1
-    # x = 2**e m with m in [1, 2): ln x = 2 atanh((m-1)/(m+1)) + 2e atanh(1/3).
-    # The enclosure is (2e+2)(3K+3) <= (2e+2)(prec+6) units of 2**-prec wide,
-    # at most 2**-bits once (2e+2)(bits+guard+6) <= 2**guard
+    return n, d, e, s
+
+
+def _guard(e: int, bits: int) -> int:
+    """Least guard g >= 1 with (2e+2)(bits+g+6) <= 2**g: the enclosure of
+    ln x, 2**e <= x < 2**(e+1), is (2e+2)(3K+3) <= (2e+2)(prec+6) units
+    of 2**-prec wide (see _atanh_fixed), at most 2**-bits once prec is
+    bits + g.  The condition holds for every smaller e and every larger g."""
     guard = 1
     while (2 * e + 2) * (bits + guard + 6) > 1 << guard:
         guard += 1
-    prec = bits + guard
+    return guard
+
+
+def _ln_fixed(octave, prec: int, atanh3: Tuple[int, int]) -> Tuple[int, int]:
+    """Integers lo <= 2**prec * ln x <= hi for x != 1 given by its _octave,
+    from atanh3 = _atanh_fixed(1, 3, prec).
+
+    x**s = 2**e m with m in [1, 2), so ln x**s = 2 atanh((m-1)/(m+1))
+    + 2e atanh(1/3), and ln x = -ln x**s when s = -1."""
+    n, d, e, s = octave
     alo, ahi = _atanh_fixed(n - (d << e), n + (d << e), prec)
-    llo, lhi = _atanh_fixed(1, 3, prec)
-    one = 1 << prec
-    return (Fraction(2 * (alo + e * llo), one),
-            Fraction(2 * (ahi + e * lhi), one))
+    lo, hi = 2 * (alo + e * atanh3[0]), 2 * (ahi + e * atanh3[1])
+    return (lo, hi) if s > 0 else (-hi, -lo)
+
+
+def ln_bounds(x, bits: int) -> Tuple[Fraction, Fraction]:
+    """Dyadic enclosure of ln(x) for rational x > 0; width below 2**-bits.
+
+    log_sign's integer enclosure as Fractions over 2**prec, at
+    prec = bits + _guard(e, bits) for x's own octave e."""
+    x = Fraction(x)
+    octave = _octave(*x.as_integer_ratio())
+    if x == 1:
+        return Fraction(0), Fraction(0)
+    prec = bits + _guard(octave[2], bits)
+    lo, hi = _ln_fixed(octave, prec, _atanh_fixed(1, 3, prec))
+    return Fraction(lo, 1 << prec), Fraction(hi, 1 << prec)
 
 
 def log_sign(terms) -> int:
     """The sign, -1, 0 or 1, of the sum of c * prod(ln x for x in xs) over
     (c, xs) in `terms`; every c is rational and every x a positive rational.
 
-    Each precision level encloses ln x once per distinct x, multiplies the
-    enclosures endpoint by endpoint and sums them, then doubles the
-    precision until the sum excludes 0.  The sign is 0 only when the sum is
-    the exact point 0, which needs every term to be a rational constant or
-    to have a factor ln 1: a genuine tie between irrational terms is
-    indistinguishable from too little precision and raises
-    PrecisionCapExceeded once MAX_BITS is spent.
+    Each precision level picks one precision P, `bits` plus the guard of
+    the largest x**s, computes atanh(1/3) once and encloses each distinct
+    ln x once as integers over 2**P, then multiplies and sums on integers:
+    the coefficients are cleared of their denominators by their lcm, and
+    a product of k logs, over 2**(P k), is aligned to the longest, K, by
+    a shift of P (K - k).  It doubles `bits` until the sum excludes 0.
+    The sign is 0 only when the sum is the exact point 0, which needs
+    every term to be a rational constant or to have a factor ln 1: a
+    genuine tie between irrational terms is indistinguishable from too
+    little precision and raises PrecisionCapExceeded once MAX_BITS is
+    spent.
     """
-    terms = [(Fraction(c), [Fraction(x) for x in xs]) for c, xs in terms]
-    distinct = {x for _, xs in terms for x in xs}
+    # c and each x (int or Fraction) as integer ratios, which hash far
+    # faster than Fractions
+    terms = [(c.as_integer_ratio(), [x.as_integer_ratio() for x in xs])
+             for c, xs in terms]
+    octaves = {x: _octave(*x) for _, xs in terms for x in xs}
+    # a zero coefficient or a factor ln 1 makes a term the exact point 0
+    terms = [(c, xs) for c, xs in terms if c[0] and (1, 1) not in xs]
+    distinct = {x: octaves[x] for _, xs in terms for x in xs}
+    emax = max((e for _, _, e, _ in distinct.values()), default=0)
+    depth = max((len(xs) for _, xs in terms), default=0)
+    scale = math.lcm(*(d for (_, d), _ in terms))
+    scaled = [(n * (scale // d), xs, depth - len(xs)) for (n, d), xs in terms]
     bits = _START_BITS
     while True:
-        logs = {x: ln_bounds(x, bits) for x in distinct}
-        lo = hi = Fraction(0)
-        for c, xs in terms:
-            tlo = thi = c
+        prec = bits + _guard(emax, bits)
+        atanh3 = _atanh_fixed(1, 3, prec)
+        logs = {x: _ln_fixed(o, prec, atanh3) for x, o in distinct.items()}
+        lo = hi = 0
+        for a, xs, shift in scaled:
+            tlo = thi = a << prec * shift
             for x in xs:
                 xlo, xhi = logs[x]
                 ps = (tlo * xlo, tlo * xhi, thi * xlo, thi * xhi)
@@ -163,7 +202,8 @@ def log_sign(terms) -> int:
             return 0
         if bits >= MAX_BITS:
             raise PrecisionCapExceeded(
-                f"cannot order [{lo}, {hi}] against 0 within {MAX_BITS} bits")
+                f"cannot order [{lo}, {hi}]/2**{prec * depth} against 0 "
+                f"within {MAX_BITS} bits")
         bits = min(2 * bits, MAX_BITS)
 
 
@@ -353,7 +393,7 @@ def scaled_pow_sign(coeff, eps, gamma: Exponent):
     """
     coeff, eps = Fraction(coeff), Fraction(eps)
     if coeff <= 0 or eps <= 0:
-        raise ValueError("scaled_pow_cmp needs lhs >= 0, coeff > 0, eps > 0")
+        raise ValueError("scaled_pow_sign needs coeff > 0 and eps > 0")
     power = collapse_pow(eps, gamma)
     if power is None:
         top, base = gamma.top, gamma.base
@@ -379,7 +419,7 @@ def scaled_pow_cmp(lhs, coeff, eps, gamma: Exponent) -> int:
     """The sign of lhs - coeff * eps**gamma; see scaled_pow_sign."""
     lhs = Fraction(lhs)
     if lhs < 0:
-        raise ValueError("scaled_pow_cmp needs lhs >= 0, coeff > 0, eps > 0")
+        raise ValueError("scaled_pow_cmp needs lhs >= 0")
     return scaled_pow_sign(coeff, eps, gamma)(lhs, 1)
 
 

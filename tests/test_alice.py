@@ -3,10 +3,11 @@ import math
 import random
 import time
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 import pytest
 
-from schmidtgame import alice
+from schmidtgame import alice, cli
 from schmidtgame.alice import (BAStrategy, BiLipschitzMap, ConstTargets,
                                ExcludeCountable, GeometricTerms,
                                InterleaveStrategy, LacunarySpec,
@@ -692,6 +693,25 @@ class TestInterleave:
         for f in fractions_in_interval(lo - c, hi + c, Q):
             d = max(F(0), lo - f, f - hi)
             assert d > c / f.denominator ** 2
+
+    def test_effective_params_built_once_per_part(self, monkeypatch):
+        # building (alpha, beta*(alpha*beta)^(step-1)) on every Alice turn
+        # made one GameParams per turn, 100 in this game
+        spec = bundled_spec_path("cantor_triple.json")
+        support, params, strat, bob, rounds, opening = cli.build_game(
+            cli.load_document(spec), SimpleNamespace(rounds=100, seed=None))
+        built = []
+
+        def counted(*args):
+            built.append(args)
+            return GameParams(*args)
+
+        monkeypatch.setattr(alice, "GameParams", counted)
+        t = run_game(support, params, strat, bob, rounds, opening)
+        assert len(t.moves) == 201
+        ab = params.alpha * params.beta
+        assert built == [(params.alpha, params.beta * ab ** (step - 1))
+                         for _, step in strat.schedule]
 
     def test_preview_asks_every_part_about_bobs_ball(self, K, cantor_decay,
                                                      cantor_alpha):

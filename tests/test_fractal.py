@@ -1,7 +1,10 @@
+import bisect
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schmidtgame.cli import build_support
 from schmidtgame.errors import SpecError
@@ -13,7 +16,8 @@ from schmidtgame.fractal import (AuditGrid, DecayParams, IFS, SimilarityMap,
                                  decay_from_federer_efd, find_point_in_gap,
                                  lower_pointwise_dimension,
                                  max_alpha)
-from schmidtgame.numerics import LogRatio
+from schmidtgame import numerics
+from schmidtgame.numerics import LogRatio, make_exponent, scaled_pow_cmp
 
 
 @pytest.fixture(scope="module")
@@ -267,6 +271,60 @@ class TestAlphaBound:
         with pytest.raises(SpecError, match=r"finds no admissible multiple "
                                             r"of 2\*\*-12"):
             max_alpha(DecayParams(F(10 ** 6), F(1), 1))
+
+
+def reference_max_alpha(decay):
+    """The 12-bit bisect over (4 alpha)^gamma <= 1/(3C) as one comparison
+    per alpha, its power reduced on every probe; None when none passes."""
+    scale = 1 << 12
+    num = bisect.bisect_left(range(1, scale), True, key=lambda n: scaled_pow_cmp(
+        1 / (3 * decay.C), 1, 4 * F(n, scale), decay.gamma) < 0)
+    return F(num, scale) if num else None
+
+
+# a rational gamma, or log top/log base for a pair drawn from 2..12 and
+# their inverses, kept when irrational and positive
+gammas = st.one_of(
+    st.fractions(min_value=F(1, 8), max_value=3, max_denominator=8),
+    st.tuples(st.integers(2, 12), st.integers(2, 12), st.booleans()).map(
+        lambda t: make_exponent(*(F(1, v) if t[2] else F(v) for v in t[:2])))
+    .filter(lambda g: isinstance(g, LogRatio)))
+
+
+class TestMaxAlpha:
+    @settings(max_examples=40, deadline=None)
+    @given(C=st.fractions(min_value=F(1, 12), max_value=100,
+                          max_denominator=12),
+           gamma=gammas)
+    def test_matches_reference_bisect(self, C, gamma):
+        decay = DecayParams(C, gamma, 1)
+        want = reference_max_alpha(decay)
+        if want is None:
+            with pytest.raises(SpecError, match="finds no admissible"):
+                max_alpha(decay)
+        else:
+            assert max_alpha(decay) == want
+            assert check_alpha(want, decay)
+            assert not check_alpha(want + F(1, 4096), decay)
+
+    def test_none_admissible_under_a_log_ratio(self):
+        # (1/1024)^(log 2/log 3) = 1/80.7... > 1/(3 * 100)
+        with pytest.raises(SpecError, match="finds no admissible"):
+            max_alpha(DecayParams(F(100), LogRatio(2, 3), 1))
+
+    def test_bound_reduced_once(self, cantor_decay, monkeypatch):
+        # each of the 12 probes reduced the bound again through
+        # scaled_pow_cmp: 12 collapses per call
+        calls = []
+        collapse = numerics.collapse_pow
+
+        def counted(*args):
+            calls.append(args)
+            return collapse(*args)
+
+        monkeypatch.setattr(numerics, "collapse_pow", counted)
+        assert max_alpha(cantor_decay) == F(3, 2048)
+        assert len(calls) == 1
 
 
 class TestAudits:

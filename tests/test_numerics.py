@@ -243,6 +243,14 @@ class TestScaledPowSign:
         sign = scaled_pow_sign(F(3), eps, gamma)
         assert (sign(0, 0), sign(5, 0), sign(0, 2)) == (0, 1, -1)
 
+    @pytest.mark.parametrize("coeff, eps", [(0, F(1, 3)), (F(-1, 2), F(1, 3)),
+                                            (F(3), 0), (F(3), F(-1, 9))])
+    def test_refusal_names_what_it_checks(self, coeff, eps):
+        # the refusal once named an lhs, which this function does not take
+        with pytest.raises(ValueError,
+                           match=r"^scaled_pow_sign needs coeff > 0 and eps > 0$"):
+            scaled_pow_sign(coeff, eps, LogRatio(2, 3))
+
     @given(lhs=st.integers(0, 10 ** 6), scale=st.integers(1, 10 ** 6),
            gamma=st.sampled_from([LogRatio(2, 3), F(2, 3), LogRatio(2, 5)]),
            j=st.integers(1, 4))
