@@ -81,6 +81,8 @@ class BiLipschitzMap:
         object.__setattr__(self, "_refs", tuple(refs))
         object.__setattr__(self, "lipschitz",
                            max(max(abs(s), 1 / abs(s)) for s in self.slopes))
+        object.__setattr__(self, "_identity", self.anchor[0] == self.anchor[1]
+                           and all(s == 1 for s in self.slopes))
 
     def apply(self, x) -> Fraction:
         x = Fraction(x)
@@ -108,9 +110,17 @@ class BiLipschitzMap:
         x0, y0 = self._refs[max(i - 1, 0)]
         return x0, y0, self.slopes[i]
 
-    def preimage_interval(self, lo, hi) -> Tuple[Fraction, Fraction]:
-        a, b = self.inverse(lo), self.inverse(hi)
-        return (a, b) if a <= b else (b, a)
+    def preimage_ball(self, center: Fraction, reach: Fraction
+                      ) -> Tuple[Fraction, Fraction]:
+        """The midpoint and half-width of the preimage of [center - reach,
+        center + reach], reach >= 0: the ball itself under the identity;
+        any other map inverts both ends, which its slopes' sign orders."""
+        if self._identity:
+            return center, reach
+        a, b = self.inverse(center - reach), self.inverse(center + reach)
+        if self.slopes[0] < 0:
+            a, b = b, a
+        return (a + b) / 2, (b - a) / 2
 
     def to_json(self) -> dict:
         return {
@@ -299,32 +309,28 @@ def _dyadic_up(num: int, den: int) -> Tuple[int, int]:
     return -(-num // (den << e)), e
 
 
-def orbit_near(terms: TermRule, targets: TargetRule, u: Fraction, v: Fraction,
+def orbit_near(terms: TermRule, targets: TargetRule, c: Fraction, R: Fraction,
                indices: Iterable[int], reach: Fraction = Fraction(0)
                ) -> Iterator[int]:
-    """Each n in ``indices`` whose orbit window t_n*[u, v] - y_n may come
-    within ``reach`` of an integer.  A conservative filter: every skipped
-    term's window stays farther than reach from Z, and a kept term is for
-    the caller to decide on its exact window.
+    """Each n in ``indices`` whose orbit window t_n*[c - R, c + R] - y_n
+    may come within ``reach`` of an integer.  A conservative filter: every
+    skipped term's window stays farther than reach from Z, and a kept term
+    is for the caller to decide on its exact window.
 
-    The test runs on the midpoint c = (u + v)/2 and the half-width R.
-    X/D = frac(t_n*c) lives over c's denominator; for a `GeometricTerms`
-    with an integer base B consecutive indices step X -> B*X mod D (the
-    paper's x -> Bx mod 1).  m*2^e >= t_n*R is a short mantissa, times B
-    per step and rounded up when renormalised.  A term is skipped when
+    The test runs on the midpoint c and the half-width R >= 0, as the
+    caller hands them: no window end is built.  X/D = frac(t_n*c) lives
+    over c's denominator; for a `GeometricTerms` with an integer base B
+    consecutive indices step X -> B*X mod D (the paper's x -> Bx mod 1).
+    m*2^e >= t_n*R is a short mantissa, times B per step and rounded up
+    when renormalised.  A term is skipped when
     dist(t_n*c - y_n, Z) - ceil(reach*E)/E clearly exceeds m*2^e, for the
     midpoint's denominator E, by bit lengths alone; a zero distance is
     never skipped.
     """
-    g = gcd(u.denominator, v.denominator)
-    q = u.denominator // g * v.denominator
-    a = u.numerator * (v.denominator // g)
-    b = v.numerator * (u.denominator // g)
-    c = (u + v) / 2
     cn, cd = c.numerator, c.denominator
     rn, rd = reach.numerator, reach.denominator
-    # R = (b - a)/(2q) <= mR*2^eR
-    mR, eR = _dyadic_up(b - a, 2 * q)
+    # R <= mR*2^eR
+    mR, eR = _dyadic_up(R.numerator, R.denominator)
     step = None
     if isinstance(terms, GeometricTerms) and terms.base.denominator == 1:
         step = terms.base.numerator
@@ -553,8 +559,9 @@ class ClearingStrategy:
     block capacity N, turns per block r, the turn ``start`` that opens
     block 1, its radius ``rho_start`` and the ``spread`` that scales a
     block's radius to its margin.  A source also lists the distinct danger
-    points of block k in [lo, hi]: ``_block_points(k, ball, lo, hi)``, which
-    ``move`` calls once per block, in order.
+    points of block k within ``reach`` of ``center``:
+    ``_block_points(k, ball, center, reach)``, which ``move`` calls once
+    per block, in order, on the ball's center.
     """
 
     def __init__(self, phi: BiLipschitzMap = IDENTITY,
@@ -601,11 +608,10 @@ class ClearingStrategy:
                     "ball radius off schedule at block %d: %s != %s"
                     % (k, _bits(bob_ball.radius), _bits(expected)))
             # inflate by the margin so near-outside points count too: the
-            # ball's interval widened by it, one sum per end
+            # ball widened by it, kept as a center and a reach
             self.margin = self.spread * expected
-            reach = expected + self.margin
-            points = self._block_points(k, bob_ball, bob_ball.center - reach,
-                                        bob_ball.center + reach)
+            points = self._block_points(k, bob_ball, bob_ball.center,
+                                        expected + self.margin)
             if len(points) > self.N:
                 raise InvariantViolation(
                     "danger list of block %d exceeds the block capacity N" % k)
@@ -672,23 +678,28 @@ class LacunaryStrategy(ClearingStrategy):
         self._resume = (k, block.stop, len(block))
         return list(block)
 
-    def _danger_entries(self, k, lo, hi):
-        """(n, m, z) with z = phi((y_n + m)/t_n) in [lo, hi], n in block k."""
+    def _danger_entries(self, k, center, reach):
+        """(n, m, z) with z = phi((y_n + m)/t_n) within reach of center, n
+        in block k.  The window's ends are built only for a kept term."""
         spec, phi = self.spec, self.phi
-        u, v = phi.preimage_interval(lo, hi)
+        c, R = phi.preimage_ball(center, reach)
+        near = list(orbit_near(spec.terms, spec.targets, c, R,
+                               self.index_block(k)))
+        if near:
+            u, v = c - R, c + R
         entries = []
-        for n in orbit_near(spec.terms, spec.targets, u, v, self.index_block(k)):
+        for n in near:
             t, y = spec.terms.term(n), spec.targets.target(n)
             for m in range(math.ceil(t * u - y), math.floor(t * v - y) + 1):
                 entries.append((n, m, phi.apply((y + m) / t)))
         return entries
 
-    def _block_points(self, k, ball, lo, hi) -> List[Fraction]:
+    def _block_points(self, k, ball, center, reach) -> List[Fraction]:
         # premise: the ball is smaller than the translate spacing of block
         # k, (alpha*beta)^{rk} / L
         if not 2 * ball.radius < self.ab ** (self.r * k) / self.phi.lipschitz:
             raise InvariantViolation("block %d ball exceeds translate spacing" % k)
-        entries = self._danger_entries(k, lo, hi)
+        entries = self._danger_entries(k, center, reach)
         seen = {}
         for n, m, z in entries:
             if seen.setdefault(n, m) != m:
@@ -717,16 +728,17 @@ class BAStrategy(ClearingStrategy):
         self.rho_start = self.rho / self.ab
         self.spread = self.alpha
 
-    def _block_candidates(self, k: int, lo: Fraction,
-                          hi: Fraction) -> List[Fraction]:
-        """Reduced p/q with R^{k-1} <= q < R^k and phi(p/q) in [lo, hi]."""
-        u, v = self.phi.preimage_interval(lo, hi)
+    def _block_points(self, k, ball, center, reach) -> List[Fraction]:
+        """phi(p/q) for the reduced p/q with R^{k-1} <= q < R^k and phi(p/q)
+        within reach of center.  The Farey search runs on the preimage
+        window c -+ h, c = cn/cd and h = hn/hd, as integers over one
+        denominator, cn*hd -+ hn*cd over cd*hd: no window end is built."""
+        (cn, cd), (hn, hd) = (x.as_integer_ratio()
+                              for x in self.phi.preimage_ball(center, reach))
         below = ba_band_top(self.ab, k - 1)  # q > below iff q^2 >= R^(2k-2)
-        return [f for f in fractions_in_interval(u, v, ba_band_top(self.ab, k))
-                if f.denominator > below]
-
-    def _block_points(self, k, ball, lo, hi) -> List[Fraction]:
-        return [self.phi.apply(f) for f in self._block_candidates(k, lo, hi)]
+        return [self.phi.apply(f) for f in fractions_in_interval(
+            cn * hd - hn * cd, cn * hd + hn * cd, ba_band_top(self.ab, k),
+            cd * hd) if f.denominator > below]
 
     def danger_preview(self, ball) -> List[Fraction]:
         """The block's rationals nearest the center, mapped by phi: windows
@@ -745,13 +757,12 @@ class BAStrategy(ClearingStrategy):
         if not self.planned:
             return []
         k = min(self.blocks_cleared + 1, 12)
-        lo, hi = ball.interval
         w = self.ab ** k
         while True:
-            cands = self._block_candidates(k, max(ball.center - w, lo),
-                                           min(ball.center + w, hi))
-            if cands or w >= ball.radius:
-                return [self.phi.apply(f) for f in cands[:16]]
+            points = self._block_points(k, ball, ball.center,
+                                        min(w, ball.radius))
+            if points or w >= ball.radius:
+                return points[:16]
             w *= 2
 
 

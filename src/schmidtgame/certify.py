@@ -234,10 +234,11 @@ def _verify_orbit(cert: Certificate) -> VerificationResult:
         last = spec.terms.horizon
         indices = range(1, cert.horizon + 1 if last is None
                         else min(cert.horizon, last) + 1)
-    u, v = phi.preimage_interval(lo, hi)
+    mid, half = phi.preimage_ball((lo + hi) / 2, (hi - lo) / 2)
+    u, v = mid - half, mid + half
     # a skipped term's window stays farther than c from Z, so it passes;
     # checked counts every covered term up to the first that fails
-    near = orbit_near(spec.terms, spec.targets, u, v, indices, cert.c)
+    near = orbit_near(spec.terms, spec.targets, mid, half, indices, cert.c)
     for exact, n in enumerate(near, start=1):
         if exact > MAX_EXACT:
             raise SpecError("more than %d covered terms need an exact check"
@@ -273,7 +274,8 @@ def _verify_ba(cert: Certificate) -> VerificationResult:
     else:
         phi = BiLipschitzMap.from_json(snap.get("phi"))
         q_cap = min(cert.horizon, MAX_Q)
-    u, v = phi.preimage_interval(lo, hi)
+    mid, half = phi.preimage_ball((lo + hi) / 2, (hi - lo) / 2)
+    u, v = mid - half, mid + half
     # the window holds at most floor(w*q) + 1 fractions of each q <= q_cap
     w = v - u + 2 * cert.c
     bound = w * q_cap * (q_cap + 1) / 2 + q_cap

@@ -465,14 +465,30 @@ def circle_dist(u, y) -> Fraction:
 # Stern-Brocot / Farey machinery (the badly-approximable planner, its danger
 # preview and its verifier)
 
-# The last positive window `simplest_between` expanded and its convergent
-# matrix (p, q, p1, q1) where the ends split, starting as the root.  One
-# tuple, replaced whole, so a window is never read with another's matrix.
-_split = (Fraction(0), Fraction(0), 1, 0, 0, 1)
+# The last positive window `_simplest` expanded, as integers ln/d and hn/d,
+# and its convergent matrix (p, q, p1, q1) where the ends split, starting
+# as the root.  One tuple, replaced whole, so a window is never read with
+# another's matrix.
+_split = (0, 0, 1, 1, 0, 0, 1)
+
+
+def _window(lo, hi, den: int = 1) -> Tuple[int, int, int]:
+    """(ln, hn, d) with lo/den = ln/d and hi/den = hn/d, d > 0."""
+    (ln, ld), (hn, hd) = (Fraction(x).as_integer_ratio() for x in (lo, hi))
+    return ln * hd, hn * ld, ld * hd * den
 
 
 def simplest_between(lo, hi) -> Fraction:
-    """The unique fraction of smallest denominator in the closed interval.
+    """The unique fraction of smallest denominator in the closed interval;
+    see _simplest."""
+    ln, hn, d = _window(lo, hi)
+    if ln > hn:
+        raise ValueError("empty interval")
+    return _simplest(ln, hn, d)
+
+
+def _simplest(ln: int, hn: int, d: int) -> Fraction:
+    """The simplest fraction in [ln/d, hn/d], for ln <= hn and d > 0.
 
     Expands both ends' continued fractions together on integer pairs
     ln/ld, hn/hd (Stern-Brocot descent) and carries the convergents p/q,
@@ -480,31 +496,29 @@ def simplest_between(lo, hi) -> Fraction:
 
     Resumes across nested windows: the last positive window and its
     convergent matrix at the split are kept, and a positive window inside
-    it (last_lo <= lo, hi <= last_hi) shares that prefix, so its ends are
-    mapped through the inverse matrix and only the new terms expand.  Any
-    other window starts from the root.  The answer is unique, so the
-    resume changes only the cost.
+    it (last_lo <= lo, hi <= last_hi, cross-multiplied) shares that
+    prefix, so its ends are mapped through the inverse matrix and only the
+    new terms expand.  Any other window starts from the root.  The answer
+    is unique, so the resume changes only the cost.
     """
     global _split
-    lo, hi = Fraction(lo), Fraction(hi)
-    if lo > hi:
-        raise ValueError("empty interval")
-    if lo == hi:
-        return lo
-    if hi < 0:
-        return -simplest_between(-hi, -lo)
-    if lo <= 0:
+    if ln == hn:
+        return Fraction(ln, d)
+    if hn < 0:
+        return -_simplest(-hn, -ln, d)
+    if ln <= 0:
         return Fraction(0)
-    (ln, ld), (hn, hd) = lo.as_integer_ratio(), hi.as_integer_ratio()
-    last_lo, last_hi, p, q, p1, q1 = _split
-    if last_lo <= lo and hi <= last_hi:
+    window = (ln, hn, d)
+    last_ln, last_hn, last_d, p, q, p1, q1 = _split
+    ld = hd = d
+    if last_ln * d <= ln * last_d and hn * last_d <= last_hn * d:
         # x = (p x' + p1)/(q x' + q1) for x' the tail past the prefix, so
         # an end n/d maps to x' = (q1 n - p1 d)/(p d - q n), whose denominator
         # has the sign of det = p q1 - p1 q = +-1; det flips at each term,
         # and with it the order of the ends
         det = p * q1 - p1 * q
-        ln, ld = det * (q1 * ln - p1 * ld), det * (p * ld - q * ln)
-        hn, hd = det * (q1 * hn - p1 * hd), det * (p * hd - q * hn)
+        ln, ld = det * (q1 * ln - p1 * d), det * (p * d - q * ln)
+        hn, hd = det * (q1 * hn - p1 * d), det * (p * d - q * hn)
         if det < 0:
             ln, ld, hn, hd = hn, hd, ln, ld
     else:
@@ -516,7 +530,7 @@ def simplest_between(lo, hi) -> Fraction:
         a -= 1  # = floor(lo) = floor(hi): no integer inside
         p, q, p1, q1 = a * p + p1, a * q + q1, p, q
         ln, ld, hn, hd = hd, hn - a * hd, ld, ln - a * ld
-    _split = (lo, hi, p, q, p1, q1)
+    _split = window + (p, q, p1, q1)
     return Fraction(a * p + p1, a * q + q1)
 
 
@@ -538,31 +552,33 @@ def farey_left(f, qmax: int) -> Fraction:
     return -farey_right(-Fraction(f), qmax)
 
 
-def fractions_in_interval(lo, hi, qmax: int) -> list:
-    """All reduced fractions with denominator <= qmax in [lo, hi], sorted.
+def fractions_in_interval(lo, hi, qmax: int, den: int = 1) -> list:
+    """All reduced fractions with denominator <= qmax in [lo/den, hi/den],
+    sorted; den >= 1 lets a caller pass a window as integers over it.
 
     Walks Farey neighbors outward from the simplest fraction, so the cost
     is proportional to the number of fractions found, not to qmax; the
     descent to that first fraction costs only the continued-fraction
-    terms new since the last enclosing window (see simplest_between).
+    terms new since the last enclosing window (see _simplest).  Each
+    neighbor p/q is tested against the ends on integers.
     """
-    lo, hi = Fraction(lo), Fraction(hi)
-    if qmax < 1 or lo > hi:
+    ln, hn, d = _window(lo, hi, den)
+    if qmax < 1 or ln > hn:
         return []
-    mid = simplest_between(lo, hi)
+    mid = _simplest(ln, hn, d)
     if mid.denominator > qmax:
         return []
     out = [mid]
     f = mid
     while True:
         f = farey_right(f, qmax)
-        if f > hi:
+        if f.numerator * d > hn * f.denominator:
             break
         out.append(f)
     f = mid
     while True:
         f = farey_left(f, qmax)
-        if f < lo:
+        if f.numerator * d < ln * f.denominator:
             break
         out.append(f)
     out.sort()

@@ -74,7 +74,7 @@ class TestBiLipschitzMap:
         assert m.inverse(2) == 3
         assert m.inverse(-1) == -1
         assert m.lipschitz == 3
-        assert m.preimage_interval(F(-1), F(2)) == (F(-1), F(3))
+        assert m.preimage_ball(F(1, 2), F(3, 2)) == (F(1), F(2))
 
     def test_apply_inverse_round_trip(self):
         rng = random.Random(7)
@@ -399,8 +399,7 @@ class TestIndexBlock:
 
 def danger_set(spec, ball, phi=ID):
     """The distinct translates of block 1 inside the ball, sorted."""
-    entries = planned(spec, phi)._danger_entries(
-        1, ball.center - ball.radius, ball.center + ball.radius)
+    entries = planned(spec, phi)._danger_entries(1, ball.center, ball.radius)
     return sorted({z for _, _, z in entries})
 
 
@@ -431,7 +430,7 @@ def orbit_claim_holds(strategy, lo, hi):
     """Exhaustively check circle separation over every covered term."""
     spec, c = strategy.spec, strategy.c
     bound = (1 / strategy.ab) ** (strategy.r * strategy.blocks_cleared)
-    u, v = strategy.phi.preimage_interval(lo, hi)
+    u, v = sorted(map(strategy.phi.inverse, (lo, hi)))
     n = 0
     for n in range(1, (spec.terms.horizon or 10 ** 6) + 1):
         t = spec.terms.term(n)
@@ -516,7 +515,8 @@ class TestBAEndToEnd:
     def test_block_candidate_enumeration(self):
         st = BAStrategy(decay=LOOSE).plan(GameParams(F(1, 4), F(1, 9)),
                                           Ball(F(0), F(1)))
-        got = st._block_candidates(1, F(49, 100), F(51, 100))
+        got = st._block_points(1, Ball(F(1, 2), F(1, 100)), F(1, 2),
+                               F(1, 100))
         assert got == [F(1, 2)]
 
     def test_preview_keeps_the_nearest_candidate(self):
@@ -532,7 +532,7 @@ class TestBAEndToEnd:
             ball = Ball(F(rng.randint(0, 10 ** 4), 10 ** 4),
                         F(1, rng.randint(10, 10 ** 5)))
             k = ba.blocks_cleared + 1
-            full = ba._block_candidates(k, *ball.interval)
+            full = ba._block_points(k, ball, ball.center, ball.radius)
             if len(full) > 16:
                 continue
             near = min(full, key=lambda z: abs(z - ball.center), default=None)

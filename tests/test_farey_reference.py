@@ -179,7 +179,8 @@ def test_resume_across_windows(chain):
     for lo, hi in chain:
         before = numerics._split
         assert simplest_between(lo, hi) == reference_simplest(lo, hi)
-        last_lo, last_hi, *prefix = numerics._split
+        last_ln, last_hn, last_d, *prefix = numerics._split
+        last_lo, last_hi = F(last_ln, last_d), F(last_hn, last_d)
         # the memo holds the last positive window, mirrored from a negative
         # one, and the prefix a root expansion of that window reaches
         if lo == hi or lo <= 0 <= hi:

@@ -58,7 +58,8 @@ def reference_near(terms, targets, u, v, indices, reach):
 def check_near(terms, targets, u, v, indices, reach=F(0)):
     """orbit_near yields, in order, every term the reference finds near;
     the n it yields."""
-    ns = list(orbit_near(terms, targets, u, v, indices, reach))
+    ns = list(orbit_near(terms, targets, (u + v) / 2, (v - u) / 2, indices,
+                         reach))
     assert ns == sorted(set(ns)) and set(ns) <= set(indices)
     assert set(reference_near(terms, targets, u, v, indices, reach)) <= set(ns)
     return ns
@@ -80,7 +81,7 @@ def reference_verify(cert: Certificate) -> VerificationResult:
 
         def covered(n, t):
             return n <= cert.horizon
-    u, v = phi.preimage_interval(*cert.interval)
+    u, v = sorted(map(phi.inverse, cert.interval))
     checked = 0
     for n in range(1, (spec.terms.horizon or 10 ** 6) + 1):
         t = spec.terms.term(n)
@@ -100,7 +101,7 @@ def reference_verify(cert: Certificate) -> VerificationResult:
 
 def reference_danger(strategy, k, lo, hi):
     spec, phi = strategy.spec, strategy.phi
-    u, v = phi.preimage_interval(lo, hi)
+    u, v = sorted(map(phi.inverse, (lo, hi)))
     entries = []
     for n in strategy.index_block(k):
         t = spec.terms.term(n)
@@ -224,9 +225,9 @@ def test_danger_entries_match_reference(data):
     ns = block or [1]
     u, v = data.draw(windows(spec, ns, ns[-1:], 1 / top))
     lo, hi = sorted((phi.apply(u), phi.apply(v)))
-    args = (k, lo, hi)
-    assert outcome(strategy._danger_entries, *args) == \
-        outcome(reference_danger, strategy, *args)
+    assert outcome(strategy._danger_entries, k, (lo + hi) / 2,
+                   (hi - lo) / 2) == outcome(reference_danger, strategy, k,
+                                             lo, hi)
 
 
 @pytest.fixture(scope="module")
@@ -288,8 +289,8 @@ def test_kernel_on_a_window_straddling_a_breakpoint():
     # 1, so some are near and some far
     phi = PHIS[2]
     for radius in (F(1, 3 ** 400), F(5, 7 ** 200)):
-        u, v = phi.preimage_interval(phi.apply(F(1, 3)) - radius,
-                                     phi.apply(F(1, 3)) + radius)
+        u, v = sorted(phi.inverse(phi.apply(F(1, 3)) + s * radius)
+                      for s in (-1, 1))
         assert ((u + v) / 2).denominator.bit_length() > 500
         for terms, targets in ((GeometricTerms(F(2)), ConstTargets(F(0))),
                                (GeometricTerms(F(3, 2)), ConstTargets(F(1, 3))),
@@ -375,9 +376,8 @@ def test_kernel_keeps_a_midpoint_two_t_n_R_out():
                            {"spec": spec.to_json(), "phi": IDENTITY.to_json()})
         assert verify(cert) == reference_verify(cert)
         mid = (7 + 2 * t * R) / t
-        args = (k, mid - R, mid + R)
-        assert strategy._danger_entries(*args) == \
-            reference_danger(strategy, *args)
+        assert strategy._danger_entries(k, mid, R) == \
+            reference_danger(strategy, k, mid - R, mid + R)
 
 
 def test_full_width_residues_are_few(tmp_path, monkeypatch):

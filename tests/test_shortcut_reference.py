@@ -13,7 +13,8 @@
   takes the root of the `Fraction` power.
 * `BiLipschitzMap.apply` and `inverse` return the argument on a piece that
   is the identity; `plain_apply` and `plain_inverse` integrate the slopes
-  from the anchor, with no shortcut.
+  from the anchor, with no shortcut.  `preimage_ball` returns an identity
+  map's ball as it is; the reference sorts the plain inverses of its ends.
 
 The references exist only here.
 """
@@ -217,4 +218,5 @@ def test_maps_match_the_plain_formula(name):
         assert m.inverse(m.apply(x)) == x
     for a, b in zip(xs, xs[1:]):
         lo, hi = sorted((plain_inverse(m, a), plain_inverse(m, b)))
-        assert m.preimage_interval(a, b) == (lo, hi)
+        assert m.preimage_ball((a + b) / 2, abs(b - a) / 2) == \
+            ((lo + hi) / 2, (hi - lo) / 2)
