@@ -33,10 +33,10 @@ from .numerics import (_first_index, fractions_in_interval, json_rationals,
 __all__ = [
     "BiLipschitzMap", "GeometricTerms", "ListTerms", "ConstTargets",
     "PeriodicTargets", "ListTargets", "LacunarySpec", "orbit_near",
-    "ALPHA_DIAGNOSTIC", "avoidance_step", "lacunary_constants",
-    "ba_constants", "ba_band_top", "ClearingStrategy", "LacunaryStrategy",
-    "BAStrategy", "ExcludeCountable", "InterleaveStrategy",
-    "affine_to_sequence",
+    "orbit_window", "ALPHA_DIAGNOSTIC", "avoidance_step",
+    "lacunary_constants", "ba_constants", "ba_band_top", "ClearingStrategy",
+    "LacunaryStrategy", "BAStrategy", "ExcludeCountable",
+    "InterleaveStrategy", "affine_to_sequence",
 ]
 
 
@@ -296,7 +296,7 @@ TermRule = Union[GeometricTerms, ListTerms]
 TargetRule = Union[ConstTargets, PeriodicTargets, ListTargets]
 
 
-# mantissa bits of orbit_near's bound on t_n*R
+# mantissa bits of orbit_near's bound on t_n*R*D
 _BOUND_BITS = 64
 
 
@@ -315,56 +315,70 @@ def orbit_near(terms: TermRule, targets: TargetRule, c: Fraction, R: Fraction,
     """Each n in ``indices`` whose orbit window t_n*[c - R, c + R] - y_n
     may come within ``reach`` of an integer.  A conservative filter: every
     skipped term's window stays farther than reach from Z, and a kept term
-    is for the caller to decide on its exact window.
+    is for the caller to decide on its exact window, `orbit_window`.
 
     The test runs on the midpoint c and the half-width R >= 0, as the
     caller hands them: no window end is built.  X/D = frac(t_n*c) lives
-    over c's denominator; for a `GeometricTerms` with an integer base B
+    over D = t.den*c.den; for a `GeometricTerms` with an integer base B
     consecutive indices step X -> B*X mod D (the paper's x -> Bx mod 1).
-    m*2^e >= t_n*R is a short mantissa, times B per step and rounded up
-    when renormalised.  A term is skipped when
-    dist(t_n*c - y_n, Z) - ceil(reach*E)/E clearly exceeds m*2^e, for the
-    midpoint's denominator E, by bit lengths alone; a zero distance is
-    never skipped.
+    m*2^e >= t_n*R*D is a short mantissa, times B per step and rounded up
+    when renormalised.  With E = D*y.den and S/E = frac(t_n*c - y_n), a
+    term is skipped when lo < S < E - lo, lo = ceil(reach*E) +
+    floor(m*y.den*2^e): the midpoint then lies farther than reach + t_n*R
+    from Z.  A zero distance is never skipped.
     """
     cn, cd = c.numerator, c.denominator
     rn, rd = reach.numerator, reach.denominator
-    # R <= mR*2^eR
-    mR, eR = _dyadic_up(R.numerator, R.denominator)
+    # R*cd <= mR*2^eR, so t_n*R*D <= t.num*mR*2^eR
+    mR, eR = _dyadic_up(R.numerator * cd, R.denominator)
     step = None
     if isinstance(terms, GeometricTerms) and terms.base.denominator == 1:
         step = terms.base.numerator
-    prev = last_y = last_E = None
+    prev = D = yd = last_y = None
     for n in indices:
         if step and n - 1 == prev:
             X, m = X * step % D, m * step
-            if m.bit_length() > 2 * _BOUND_BITS:
-                s = m.bit_length() - _BOUND_BITS
-                m, e = -(-m >> s), e + s
         else:
             t = terms.term(n)
-            D = t.denominator * cd
-            X = t.numerator * cn % D
-            m, e = _dyadic_up(t.numerator * mR, t.denominator)
-            e += eR
+            d = t.denominator * cd
+            if d != D:
+                D, yd, last_y = d, None, None
+            X, m, e = t.numerator * cn % D, t.numerator * mR, eR
+        if m.bit_length() > 2 * _BOUND_BITS:
+            s = m.bit_length() - _BOUND_BITS
+            m, e = -(-m >> s), e + s
         prev = n
         y = targets.target(n)
         if y is not last_y:
-            last_y, yn, yd = y, y.numerator, y.denominator
+            if y.denominator != yd:
+                yd = y.denominator
+                E = D * yd
+                near = -(-rn * E // rd)
+            last_y, Y = y, y.numerator * D
         # 0 <= X < D and 0 <= y < 1 put S within one E of [0, E)
-        E = D * yd
-        S = X * yd - yn * D
+        S = X * yd - Y
         if S < 0:
             S += E
-        # dist(t_n*c - y_n, Z) - reach >= gap/E, with near = ceil(reach*E);
-        # the test below gives gap/E > 2^(gap bits - E bits - 1) >= 2^(m
-        # bits + e) > m*2^e
-        if E != last_E:
-            last_E, near = E, -(-rn * E // rd)
-        gap = min(S, E - S) - near
-        if gap > 0 and gap.bit_length() - E.bit_length() - m.bit_length() > e:
+        # S/E and 1 - S/E exceed (near + m*yd*2^e)/E >= reach + t_n*R
+        w = m * yd
+        lo = near + (w << e if e >= 0 else w >> -e)
+        if lo < S < E - lo:
             continue
         yield n
+
+
+def orbit_window(t: Fraction, y: Fraction, c: Fraction, R: Fraction
+                 ) -> Tuple[int, int, int]:
+    """(lo, hi, den): the orbit window t*[c - R, c + R] - y of one kept
+    term as integers over one denominator, den = t.den*c.den*R.den*y.den,
+    for t > 0 and R >= 0; no window end is built as a `Fraction`."""
+    tn, td = t.numerator, t.denominator
+    cn, cd = c.numerator, c.denominator
+    rn, rd = R.numerator, R.denominator
+    yn, yd = y.numerator, y.denominator
+    mid = rd * (tn * cn * yd - yn * td * cd)
+    half = tn * rn * cd * yd
+    return mid - half, mid + half, td * cd * rd * yd
 
 
 @dataclass(frozen=True)
@@ -680,17 +694,15 @@ class LacunaryStrategy(ClearingStrategy):
 
     def _danger_entries(self, k, center, reach):
         """(n, m, z) with z = phi((y_n + m)/t_n) within reach of center, n
-        in block k.  The window's ends are built only for a kept term."""
+        in block k, read off each kept term's integer window."""
         spec, phi = self.spec, self.phi
         c, R = phi.preimage_ball(center, reach)
-        near = list(orbit_near(spec.terms, spec.targets, c, R,
-                               self.index_block(k)))
-        if near:
-            u, v = c - R, c + R
         entries = []
-        for n in near:
+        for n in orbit_near(spec.terms, spec.targets, c, R,
+                            self.index_block(k)):
             t, y = spec.terms.term(n), spec.targets.target(n)
-            for m in range(math.ceil(t * u - y), math.floor(t * v - y) + 1):
+            lo, hi, den = orbit_window(t, y, c, R)
+            for m in range(-(-lo // den), hi // den + 1):
                 entries.append((n, m, phi.apply((y + m) / t)))
         return entries
 

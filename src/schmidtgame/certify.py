@@ -16,7 +16,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .alice import (BiLipschitzMap, ClearingStrategy, InterleaveStrategy,
                     LacunarySpec, LacunaryStrategy, ba_band_top, ba_constants,
-                    lacunary_constants, orbit_near)
+                    lacunary_constants, orbit_near, orbit_window)
 from .errors import HorizonMismatch, SpecError
 from .fractal import DimensionEstimate
 from .numerics import (Exponent, LogRatio, circle_dist, exponent_bounds,
@@ -235,7 +235,7 @@ def _verify_orbit(cert: Certificate) -> VerificationResult:
         indices = range(1, cert.horizon + 1 if last is None
                         else min(cert.horizon, last) + 1)
     mid, half = phi.preimage_ball((lo + hi) / 2, (hi - lo) / 2)
-    u, v = mid - half, mid + half
+    cn, cd = cert.c.numerator, cert.c.denominator
     # a skipped term's window stays farther than c from Z, so it passes;
     # checked counts every covered term up to the first that fails
     near = orbit_near(spec.terms, spec.targets, mid, half, indices, cert.c)
@@ -244,12 +244,15 @@ def _verify_orbit(cert: Certificate) -> VerificationResult:
             raise SpecError("more than %d covered terms need an exact check"
                             % MAX_EXACT)
         t, y = spec.terms.term(n), spec.targets.target(n)
-        a, b = t * u - y, t * v - y
-        if math.ceil(a) <= b or \
-                min(a - math.floor(a), math.ceil(b) - b) < cert.c:
+        # the window [a/den, b/den] starts a%den/den above an integer and
+        # ends den - a%den - (b - a) over den below the next one, a gap
+        # <= 0 when it holds an integer; both gaps must reach c > 0
+        a, b, den = orbit_window(t, y, mid, half)
+        above = a % den
+        if min(above, den - above - (b - a)) * cd < cn * den:
             return VerificationResult(
                 False, indices.index(n) + 1, "separation fails at term %d" % n,
-                witness=_orbit_witness(phi, u, v, t, y, n))
+                witness=_orbit_witness(phi, mid - half, mid + half, t, y, n))
     return VerificationResult(
         True, len(indices),
         "all %d covered terms stay %s-separated" % (len(indices), cert.c))

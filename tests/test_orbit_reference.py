@@ -11,12 +11,15 @@ or end exactly on a translate, and reaches and constants c equal to a
 term's exact distance, so that every boundary case is reached.  Fixed
 cases add midpoints with large denominators, an orbit point on its target,
 a distance exactly t_n*R, where the kernel's bound on t_n*R is exact, and
-a midpoint 2*t_n*R out, which the filter keeps for the exact window.
+a midpoint 2*t_n*R out, which the filter skips.  A tightness check bounds
+how far out a kept term's midpoint may lie, so that the filter cannot
+loosen unnoticed.
 """
 
 import json
 import math
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -63,6 +66,19 @@ def check_near(terms, targets, u, v, indices, reach=F(0)):
     assert ns == sorted(set(ns)) and set(ns) <= set(indices)
     assert set(reference_near(terms, targets, u, v, indices, reach)) <= set(ns)
     return ns
+
+
+def check_tight(terms, targets, u, v, ns, reach):
+    """Every kept n has its midpoint within reach + t_n*R of Z, up to the
+    kernel's rounding: a relative 2^-40 on t_n*R, and 1/(t.den*c.den*
+    y.den) for reach and t_n*R rounded to that denominator."""
+    c, R = (u + v) / 2, (v - u) / 2
+    for n in ns:
+        t, y = terms.term(n), targets.target(n)
+        d = abs(t * c - y)
+        d = min(d % 1, -d % 1)
+        assert d <= reach + t * R * (1 + F(1, 2 ** 40)) + \
+            F(1, t.denominator * c.denominator * y.denominator)
 
 
 def reference_verify(cert: Certificate) -> VerificationResult:
@@ -257,29 +273,44 @@ def test_widened_interval_fails_deep(lacunary_100, doublings):
     assert got == reference_verify(cert)
 
 
-@settings(max_examples=150, deadline=None)
-@given(data=st.data())
-def test_kernel_matches_reference(data):
-    terms, targets = data.draw(term_rules()), data.draw(target_rules())
+@st.composite
+def kernel_cases(draw):
+    """(terms, targets, u, v, indices, reach) for `orbit_near`."""
+    terms, targets = draw(term_rules()), draw(target_rules())
     last = min(terms.horizon or 80, len(targets.values)
                if isinstance(targets, ListTargets) else 80)
     spec = LacunarySpec(terms, targets)
     # consecutive indices step the midpoint residue, others restart it
-    if data.draw(st.booleans()):
-        indices = range(data.draw(st.integers(1, last)), last + 1)
+    if draw(st.booleans()):
+        indices = range(draw(st.integers(1, last)), last + 1)
     else:
-        indices = sorted(data.draw(st.sets(st.integers(1, last), max_size=30)))
+        indices = sorted(draw(st.sets(st.integers(1, last), max_size=30)))
     ns = list(indices) or [1]
-    m = data.draw(st.sampled_from(ns))
-    u, v = data.draw(windows(spec, ns, ns, 1 / terms.term(m)))
-    reach = data.draw(st.sampled_from([F(0), F(1, 64), F(1, 2 ** 40)]))
+    m = draw(st.sampled_from(ns))
+    u, v = draw(windows(spec, ns, ns, 1 / terms.term(m)))
+    reach = draw(st.sampled_from([F(0), F(1, 64), F(1, 2 ** 40)]))
     # a reach at a term's exact distance, or a hair either side of it
-    if data.draw(st.booleans()):
+    if draw(st.booleans()):
         t = terms.term(m)
         dmin, _ = circle_dist_range(t * u, t * v, targets.target(m))
-        reach = max(dmin + data.draw(st.sampled_from(
+        reach = max(dmin + draw(st.sampled_from(
             [0, F(1, 2 ** 2000), -F(1, 2 ** 2000)])), F(0))
-    check_near(terms, targets, u, v, indices, reach)
+    return terms, targets, u, v, indices, reach
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=kernel_cases())
+def test_kernel_matches_reference(case):
+    check_near(*case)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=kernel_cases())
+def test_kernel_keeps_only_near_midpoints(case):
+    terms, targets, u, v, indices, reach = case
+    ns = list(orbit_near(terms, targets, (u + v) / 2, (v - u) / 2, indices,
+                         reach))
+    check_tight(terms, targets, u, v, ns, reach)
 
 
 def test_kernel_on_a_window_straddling_a_breakpoint():
@@ -357,10 +388,10 @@ def test_kernel_keeps_a_reach_at_the_exact_distance():
         assert n in check_near(terms, targets, u, v, range(1, 100), dmin)
 
 
-def test_kernel_keeps_a_midpoint_two_t_n_R_out():
+def test_kernel_skips_a_midpoint_two_t_n_R_out():
     # the midpoint 2*t_n*R past reach from the target: the window keeps
-    # t_n*R clear, but bit lengths alone cannot tell a factor of 2, so the
-    # term is kept, and its exact window decides both consumers
+    # t_n*R clear, and the kernel's one threshold, reach + t_n*R rounded
+    # up, skips the term; both consumers still agree with the reference
     terms, targets = GeometricTerms(F(2)), ConstTargets(F(0))
     spec = LacunarySpec(terms, targets)
     strategy = LacunaryStrategy(spec, IDENTITY, LOOSE).plan(QUARTER,
@@ -371,7 +402,7 @@ def test_kernel_keeps_a_midpoint_two_t_n_R_out():
         for reach in (F(0), c):
             mid = (7 + reach + 2 * t * R) / t
             u, v = mid - R, mid + R
-            assert n in check_near(terms, targets, u, v, [n], reach)
+            assert n not in check_near(terms, targets, u, v, [n], reach)
         cert = Certificate(ORBIT_SEPARATION, (u, v), c, n, "terms",
                            {"spec": spec.to_json(), "phi": IDENTITY.to_json()})
         assert verify(cert) == reference_verify(cert)
@@ -382,17 +413,65 @@ def test_kernel_keeps_a_midpoint_two_t_n_R_out():
 
 def test_full_width_residues_are_few(tmp_path, monkeypatch):
     # a 400-round play's danger lists and certificate cover 8,868 terms;
-    # the midpoint filter keeps 79 of them for their exact windows
-    full = 0
+    # the midpoint filter keeps block 1's 79 exact hits at the opening
+    # center 0, which any correct filter keeps, and none for the verifier
+    kept = Counter()
     real = alice.orbit_near
 
-    def counted(*args):
-        nonlocal full
-        for item in real(*args):
-            full += 1
-            yield item
-    monkeypatch.setattr(alice, "orbit_near", counted)
-    monkeypatch.setattr(certify, "orbit_near", counted)
+    def counted(module):
+        def near(*args):
+            for item in real(*args):
+                kept[module.__name__] += 1
+                yield item
+        return near
+    for module in (alice, certify):
+        monkeypatch.setattr(module, "orbit_near", counted(module))
     assert main(["play", "--spec", bundled_spec_path("cantor_lacunary.json"),
                  "--rounds", "400", "--out", str(tmp_path)]) == 0
-    assert 0 < full <= 200
+    assert kept == {alice.__name__: 79}
+
+
+def test_kept_windows_build_no_fraction_ends(tmp_path, monkeypatch):
+    # the danger list reads each kept term's translates off its integer
+    # window: no Fraction subtraction, ceil or floor during a 400-round play
+    ops, inside, entries = Counter(), [False], []
+    for name in ("__sub__", "__rsub__", "__ceil__", "__floor__"):
+        def counted(*args, name=name, op=getattr(F, name)):
+            if inside[0]:
+                ops[name] += 1
+            return op(*args)
+        monkeypatch.setattr(F, name, counted)
+    real = LacunaryStrategy._danger_entries
+
+    def watched(self, *args):
+        inside[0] = True
+        try:
+            got = real(self, *args)
+            entries.extend(got)
+            return got
+        finally:
+            inside[0] = False
+    monkeypatch.setattr(LacunaryStrategy, "_danger_entries", watched)
+    assert main(["play", "--spec", bundled_spec_path("cantor_lacunary.json"),
+                 "--rounds", "400", "--out", str(tmp_path)]) == 0
+    assert len(entries) == 79 and ops == {}
+
+
+@pytest.mark.parametrize("phi", PHIS[::2], ids=["identity", "two_breaks"])
+def test_danger_entries_at_a_long_word_center(phi):
+    # a Cantor point of a 1,000-letter word, 1,585 bits over its
+    # denominator, with a reach of a few translate spacings of the block's
+    # largest term: kept terms' windows match the Fraction reference
+    spec = LacunarySpec(GeometricTerms(F(3)), ConstTargets(F(1, 2)))
+    strategy = LacunaryStrategy(spec, phi, LOOSE).plan(QUARTER,
+                                                        Ball(F(0), F(1)))
+    rng = random.Random(7)
+    center = cantor_support().point([rng.randrange(2) for _ in range(1000)])
+    for k in (1, 2):
+        t = spec.terms.term(strategy.index_block(k)[-1])
+        reach = 3 * phi.lipschitz / t
+        c, _ = phi.preimage_ball(center, reach)
+        assert c.denominator.bit_length() > 1000
+        got = strategy._danger_entries(k, center, reach)
+        assert got and got == reference_danger(strategy, k, center - reach,
+                                               center + reach)
